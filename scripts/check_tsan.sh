@@ -4,8 +4,8 @@
 # evaluation engine's worker pool (batch_evaluator_test's parallel scoring,
 # thread_invariance_test's multi-threaded mining, beam_search_test), the
 # concurrent session service (serve_hammer_test's interleaved
-# mine/save/evict/close storm, serve_loop_test's TCP transport), and the
-# shared dataset catalog (catalog_hammer_test's concurrent
+# mine/save/evict/close storm, serve_loop_test's stream transport), and
+# the shared dataset catalog (catalog_hammer_test's concurrent
 # open/dataset_drop/mine storm over one catalog entry), the epoll
 # event-loop transport (event_loop_hammer_test's pipelined clients racing
 # the worker pool, backpressure rejection and connection teardown;
@@ -17,7 +17,9 @@
 # worker counts), plus the kernel suites
 # (kernel_dispatch_test flips the process-wide ISA slot while the engine's
 # workers score through it; kernel_parity_test covers the read-once
-# environment resolution).
+# environment resolution). A final stress pass repeats the three hammer
+# suites until one fails (at most 20 runs each), so an interleaving that
+# breaks them once in a while cannot pass by luck.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -35,3 +37,5 @@ cmake --build build-tsan -j \
 cd build-tsan
 ctest --output-on-failure \
   -R 'batch_evaluator_test|thread_invariance_test|beam_search_test|optimal_search_test|list_miner_test|serve_hammer_test|serve_loop_test|mine_list_serve_test|catalog_hammer_test|event_loop_test|event_loop_hammer_test|kernel_parity_test|kernel_dispatch_test'
+ctest --output-on-failure --repeat until-fail:20 \
+  -R 'serve_hammer_test|event_loop_hammer_test|catalog_hammer_test'

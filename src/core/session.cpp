@@ -29,6 +29,49 @@ std::string ScoredSpreadPattern::Describe(const data::DataTable& table) const {
                    score.ic, score.dl, score.si);
 }
 
+Status ValidateMinerConfig(const MinerConfig& config) {
+  const search::SearchConfig& search = config.search;
+  if (search.beam_width < 1) {
+    return Status::InvalidArgument(
+        StrFormat("beam_width must be >= 1, got %d", search.beam_width));
+  }
+  if (search.max_depth < 1) {
+    return Status::InvalidArgument(
+        StrFormat("max_depth must be >= 1, got %d", search.max_depth));
+  }
+  if (search.num_split_points < 1) {
+    return Status::InvalidArgument(StrFormat(
+        "num_split_points must be >= 1, got %d", search.num_split_points));
+  }
+  if (search.top_k < 1) {
+    return Status::InvalidArgument("top_k must be >= 1");
+  }
+  if (!(search.max_coverage_fraction > 0.0 &&
+        search.max_coverage_fraction <= 1.0)) {
+    return Status::InvalidArgument(
+        StrFormat("max_coverage_fraction must be in (0, 1], got %g",
+                  search.max_coverage_fraction));
+  }
+  if (std::isnan(search.time_budget_seconds) ||
+      search.time_budget_seconds < 0.0) {
+    return Status::InvalidArgument(
+        StrFormat("time_budget must be >= 0, got %g",
+                  search.time_budget_seconds));
+  }
+  const si::DescriptionLengthParams& dl = config.dl;
+  if (!std::isfinite(dl.gamma) || dl.gamma < 0.0 || !std::isfinite(dl.eta) ||
+      dl.eta < 0.0) {
+    return Status::InvalidArgument(
+        StrFormat("gamma and eta must be finite and >= 0, got %g and %g",
+                  dl.gamma, dl.eta));
+  }
+  if (dl.gamma == 0.0 && dl.eta == 0.0) {
+    return Status::InvalidArgument(
+        "gamma and eta cannot both be 0 (zero description length)");
+  }
+  return Status::OK();
+}
+
 Result<MiningSession> MiningSession::Create(data::Dataset dataset,
                                             MinerConfig config) {
   return Create(std::make_shared<const data::Dataset>(std::move(dataset)),
@@ -37,6 +80,7 @@ Result<MiningSession> MiningSession::Create(data::Dataset dataset,
 
 Result<MiningSession> MiningSession::Create(
     std::shared_ptr<const data::Dataset> dataset, MinerConfig config) {
+  SISD_RETURN_NOT_OK(ValidateMinerConfig(config));
   std::shared_ptr<const search::ConditionPool> pool;
   if (dataset != nullptr) {
     pool = std::make_shared<const search::ConditionPool>(
@@ -52,6 +96,7 @@ Result<MiningSession> MiningSession::Create(
     std::shared_ptr<const data::Dataset> dataset, MinerConfig config,
     std::shared_ptr<const search::ConditionPool> pool,
     std::optional<catalog::DatasetRef> origin) {
+  SISD_RETURN_NOT_OK(ValidateMinerConfig(config));
   if (!dataset) {
     return Status::InvalidArgument("session needs a non-null dataset");
   }

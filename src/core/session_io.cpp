@@ -285,6 +285,7 @@ Result<MinerConfig> DecodeMinerConfig(const JsonValue& json) {
                           GetBoolField(*list_gain, "normalized"));
     out.list_gain.normalized = normalized;
   }
+  SISD_RETURN_NOT_OK(ValidateMinerConfig(out));
   return out;
 }
 

@@ -424,15 +424,9 @@ class EventLoop {
     if (metrics_ != nullptr) metrics_->OnOversizedLine();
     conn->in_buffer.clear();
     conn->input_stopped = true;
-    const std::string response =
-        serialize::WriteResponseLine(serialize::MakeErrorResponse(
-            ProtocolRequest{},
-            Status::InvalidArgument(
-                StrFormat("request line exceeds the %zu-byte bound",
-                          config_.max_line_bytes))));
     {
       std::lock_guard<std::mutex> lock(conn->mu);
-      conn->out_buffer += response;
+      conn->out_buffer += OversizedLineResponse(config_.max_line_bytes);
       conn->close_after_flush = true;
     }
     Rearm(conn);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "catalog/dataset_catalog.hpp"
+#include "serve/service.hpp"
 
 namespace sisd::serve {
 
@@ -18,6 +19,9 @@ size_t BucketFor(uint64_t micros) {
 
 /// Upper bound of bucket `i` in µs (the quantile estimate).
 uint64_t BucketBound(size_t i) { return uint64_t(1) << i; }
+
+/// Name of the slot after the verb table's: unknown or unparsed requests.
+constexpr std::string_view kInvalidVerb = "invalid";
 
 }  // namespace
 
@@ -53,9 +57,9 @@ LatencyHistogram::Summary LatencyHistogram::Summarize() const {
     uint64_t seen = 0;
     for (size_t i = 0; i < kNumBuckets; ++i) {
       seen += counts[i];
-      if (seen >= target) return BucketBound(i);
+      if (seen >= target) return std::min(BucketBound(i), summary.max_us);
     }
-    return BucketBound(kNumBuckets - 1);
+    return summary.max_us;
   };
   summary.p50_us = quantile(0.50);
   summary.p95_us = quantile(0.95);
@@ -63,14 +67,17 @@ LatencyHistogram::Summary LatencyHistogram::Summarize() const {
   return summary;
 }
 
-size_t ServeMetrics::VerbSlot(const std::string& verb) {
-  for (size_t i = 0; i + 1 < kNumVerbs; ++i) {
-    if (verb == kVerbs[i]) return i;
+ServeMetrics::ServeMetrics() : verbs_(VerbNames().size() + 1) {}
+
+size_t ServeMetrics::VerbSlot(std::string_view verb) const {
+  const std::vector<std::string_view>& names = VerbNames();
+  for (size_t i = 0; i < names.size(); ++i) {
+    if (names[i] == verb) return i;
   }
-  return kNumVerbs - 1;  // "invalid"
+  return names.size();  // "invalid"
 }
 
-void ServeMetrics::RecordRequest(const std::string& verb, bool ok,
+void ServeMetrics::RecordRequest(std::string_view verb, bool ok,
                                  uint64_t latency_us) {
   VerbCounters& slot = verbs_[VerbSlot(verb)];
   slot.requests.fetch_add(1, std::memory_order_relaxed);
@@ -167,7 +174,7 @@ size_t ServeMetrics::queue_capacity() const {
   return queue_capacity_.load(std::memory_order_relaxed);
 }
 
-uint64_t ServeMetrics::VerbRequests(const std::string& verb) const {
+uint64_t ServeMetrics::VerbRequests(std::string_view verb) const {
   return verbs_[VerbSlot(verb)].requests.load(std::memory_order_relaxed);
 }
 
@@ -179,16 +186,17 @@ serialize::JsonValue EncodeMetrics(const ServeMetrics& metrics,
           JsonValue::Int(static_cast<int64_t>(metrics.requests())));
   out.Set("errors", JsonValue::Int(static_cast<int64_t>(metrics.errors())));
 
-  // Per-verb counts, in kVerbs order, zero-traffic verbs omitted so the
-  // line stays compact.
+  // Per-verb counts in verb-table order, "invalid" last, zero-traffic
+  // verbs omitted so the line stays compact.
   JsonValue verbs = JsonValue::Object();
-  for (size_t i = 0; i < ServeMetrics::kNumVerbs; ++i) {
-    const char* name = ServeMetrics::kVerbs[i];
+  std::vector<std::string_view> names = VerbNames();
+  names.push_back(kInvalidVerb);
+  for (const std::string_view name : names) {
     const uint64_t requests = metrics.VerbRequests(name);
     if (requests == 0) continue;
     JsonValue slot = JsonValue::Object();
     slot.Set("count", JsonValue::Int(static_cast<int64_t>(requests)));
-    verbs.Set(name, std::move(slot));
+    verbs.Set(std::string(name), std::move(slot));
   }
   out.Set("verbs", std::move(verbs));
 

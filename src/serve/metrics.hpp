@@ -20,7 +20,8 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <string>
+#include <string_view>
+#include <vector>
 
 #include "serialize/json.hpp"
 
@@ -33,10 +34,12 @@ namespace sisd::serve {
 /// \brief Fixed-bucket latency histogram over microseconds.
 ///
 /// Bucket `i` covers latencies in `(2^(i-1), 2^i]` µs (bucket 0 is
-/// `[0, 1]` µs); the last bucket is open-ended. Quantile estimates report
-/// the upper bound of the bucket the quantile falls in — conservative by
-/// at most one power of two, allocation-free, and mergeable across
-/// threads because recording is a single relaxed increment.
+/// `[0, 1]` µs); the last bucket is open-ended. A quantile estimate is the
+/// upper bound of the bucket the quantile falls in, clamped to the
+/// observed max: never below the exact sample quantile, at most twice it
+/// (one power of two), and never above `max_us`. Recording is a single
+/// relaxed increment, so it is allocation-free and mergeable across
+/// threads.
 class LatencyHistogram {
  public:
   static constexpr size_t kNumBuckets = 40;  ///< up to ~2^39 µs ≈ 6.4 days
@@ -69,25 +72,16 @@ class LatencyHistogram {
 /// \brief Shared counters of one serve transport (see file comment).
 class ServeMetrics {
  public:
-  /// The fixed verb set tracked per-verb; anything else (unknown verbs,
-  /// lines that never parsed into a request) lands in the final "invalid"
-  /// slot. Order is the encoding order, so `metrics` output is stable.
-  static constexpr const char* kVerbs[] = {
-      "open",           "mine",         "assimilate",   "history",
-      "export",         "save",         "evict",        "close",
-      "stats",          "dataset_load", "dataset_list", "dataset_drop",
-      "dataset_append", "rebase",       "metrics",      "invalid",
-  };
-  static constexpr size_t kNumVerbs = sizeof(kVerbs) / sizeof(kVerbs[0]);
-
-  /// Slot of `verb` in `kVerbs` (the "invalid" slot when unknown).
-  static size_t VerbSlot(const std::string& verb);
+  /// One counter slot per protocol verb (`VerbNames()`, in verb-table
+  /// order) plus a final "invalid" slot for unknown verbs and lines that
+  /// never parsed into a request.
+  ServeMetrics();
 
   /// Records one completed request: verb, success flag, and measured
   /// latency (parse → response bytes ready).
-  void RecordRequest(const std::string& verb, bool ok, uint64_t latency_us);
+  void RecordRequest(std::string_view verb, bool ok, uint64_t latency_us);
 
-  /// \name Connection gauges (TCP transports).
+  /// \name Connection gauges (event loop).
   /// @{
   void OnConnectionOpened();
   void OnConnectionClosed();
@@ -117,7 +111,7 @@ class ServeMetrics {
   uint64_t queue_depth() const;
   uint64_t queue_peak() const;
   size_t queue_capacity() const;
-  uint64_t VerbRequests(const std::string& verb) const;
+  uint64_t VerbRequests(std::string_view verb) const;
   const LatencyHistogram& latency() const { return latency_; }
   /// @}
 
@@ -127,7 +121,10 @@ class ServeMetrics {
     std::atomic<uint64_t> errors{0};
   };
 
-  std::array<VerbCounters, kNumVerbs> verbs_{};
+  /// Slot of `verb` in `verbs_` (the final "invalid" slot when unknown).
+  size_t VerbSlot(std::string_view verb) const;
+
+  std::vector<VerbCounters> verbs_;
   LatencyHistogram latency_;
   std::atomic<uint64_t> live_connections_{0};
   std::atomic<uint64_t> peak_connections_{0};

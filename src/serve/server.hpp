@@ -1,16 +1,16 @@
 /// \file server.hpp
-/// \brief Transports for the sisd_serve protocol: a line loop over C++
-/// streams (stdio, script files, string streams in tests) and a
-/// loopback-TCP listener with one thread per connection. The scalable
-/// epoll transport lives in serve/event_loop_server.hpp.
+/// \brief The stream transport of the sisd_serve protocol: a line loop
+/// over C++ streams (stdio, script files, string streams in tests). The
+/// socket transport is the epoll event loop in
+/// serve/event_loop_server.hpp; both answer through the verb table of
+/// serve/service.hpp, so every client sees identical behaviour.
 ///
-/// Both transports funnel through `ProcessRequest`, so every client sees
-/// identical behaviour. Blank lines and lines starting with `#` are
-/// skipped (request scripts can be commented); anything else yields
-/// exactly one newline-terminated response line. Request lines are
-/// bounded: a line longer than `max_line_bytes` (no newline for
-/// megabytes) yields one `InvalidArgument` response and ends the
-/// stream/connection instead of buffering without bound.
+/// Blank lines and lines starting with `#` are skipped (request scripts
+/// can be commented); anything else yields exactly one newline-terminated
+/// response line. Request lines are bounded: a line longer than
+/// `max_line_bytes` (no newline for megabytes) yields one
+/// `InvalidArgument` response and ends the stream instead of buffering
+/// without bound.
 
 #ifndef SISD_SERVE_SERVER_HPP_
 #define SISD_SERVE_SERVER_HPP_
@@ -27,6 +27,10 @@ namespace sisd::serve {
 
 /// \brief Default request-line length bound shared by every transport.
 inline constexpr size_t kDefaultMaxLineBytes = 1 << 20;  // 1 MiB
+
+/// \brief The one response line owed for a request line longer than
+/// `max_line_bytes` (the transport then stops reading).
+std::string OversizedLineResponse(size_t max_line_bytes);
 
 /// \brief Structured result of handling one protocol line. Transports
 /// count errors from `ok`/`code`, never by substring-searching the
@@ -46,11 +50,6 @@ struct RequestOutcome {
 RequestOutcome ProcessRequest(SessionManager& manager,
                               const std::string& line,
                               ServeMetrics* metrics = nullptr);
-
-/// \brief Compatibility wrapper: just the wire bytes of `ProcessRequest`
-/// ("" for blank/comment lines).
-std::string ProcessRequestLine(SessionManager& manager,
-                               const std::string& line);
 
 /// \brief Request/error counters of one serve loop.
 struct ServeLoopStats {
@@ -74,28 +73,6 @@ struct ServeStreamOptions {
 ServeLoopStats ServeStream(SessionManager& manager, std::istream& in,
                            std::ostream& out,
                            const ServeStreamOptions& options = {});
-
-/// \brief Thread-per-connection TCP knobs.
-struct ServeTcpOptions {
-  /// Connections accepted before the listener stops and the call
-  /// returns once they finish (0 = serve forever).
-  size_t max_connections = 0;
-  size_t max_line_bytes = kDefaultMaxLineBytes;
-  ServeMetrics* metrics = nullptr;
-};
-
-/// \brief Listens on loopback TCP `port` (0 = ephemeral) and serves each
-/// connection on its own thread against the shared `manager`. Announces
-/// `listening on 127.0.0.1:<port>` to `announce` once bound (parse this
-/// to learn an ephemeral port). This is the pre-event-loop baseline
-/// transport: no pipelining concurrency, no admission control — kept for
-/// comparison benchmarks and small deployments.
-Status ServeTcp(SessionManager& manager, int port, std::ostream& announce,
-                const ServeTcpOptions& options = {});
-
-/// \brief Back-compat overload (`max_connections` only).
-Status ServeTcp(SessionManager& manager, int port, std::ostream& announce,
-                size_t max_connections);
 
 }  // namespace sisd::serve
 

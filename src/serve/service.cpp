@@ -1,7 +1,9 @@
 #include "serve/service.hpp"
 
 #include <optional>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "catalog/dataset_catalog.hpp"
 #include "catalog/fingerprint.hpp"
@@ -212,7 +214,7 @@ JsonValue EncodeSessionInfo(const SessionInfo& info) {
 }
 
 Result<JsonValue> DoOpen(SessionManager& manager,
-                         const ProtocolRequest& request) {
+                         const ProtocolRequest& request, ServeMetrics*) {
   SISD_RETURN_NOT_OK(RequireSession(request));
   core::MinerConfig config;
   if (const JsonValue* overrides = request.params.Find("config")) {
@@ -242,7 +244,7 @@ Result<JsonValue> DoOpen(SessionManager& manager,
 }
 
 Result<JsonValue> DoMine(SessionManager& manager,
-                         const ProtocolRequest& request) {
+                         const ProtocolRequest& request, ServeMetrics*) {
   SISD_RETURN_NOT_OK(RequireSession(request));
   SISD_ASSIGN_OR_RETURN(iterations_raw, ParamInt(request, "iterations"));
   const int64_t iterations = iterations_raw.value_or(1);
@@ -291,7 +293,8 @@ JsonValue EncodeMineListOutcome(const MineListOutcome& outcome) {
 }
 
 Result<JsonValue> DoMineList(SessionManager& manager,
-                             const ProtocolRequest& request) {
+                             const ProtocolRequest& request,
+                             ServeMetrics*) {
   SISD_RETURN_NOT_OK(RequireSession(request));
   SISD_ASSIGN_OR_RETURN(rules_raw, ParamInt(request, "rules"));
   const int64_t rules = rules_raw.value_or(1);
@@ -310,7 +313,8 @@ Result<JsonValue> DoMineList(SessionManager& manager,
 }
 
 Result<JsonValue> DoAssimilate(SessionManager& manager,
-                               const ProtocolRequest& request) {
+                               const ProtocolRequest& request,
+                               ServeMetrics*) {
   SISD_RETURN_NOT_OK(RequireSession(request));
   const JsonValue* conditions = request.params.Find("conditions");
   if (conditions == nullptr) {
@@ -331,7 +335,7 @@ Result<JsonValue> DoAssimilate(SessionManager& manager,
 }
 
 Result<JsonValue> DoHistory(SessionManager& manager,
-                            const ProtocolRequest& request) {
+                            const ProtocolRequest& request, ServeMetrics*) {
   SISD_RETURN_NOT_OK(RequireSession(request));
   SISD_ASSIGN_OR_RETURN(history, manager.History(request.session));
   JsonValue result = JsonValue::Object();
@@ -346,7 +350,7 @@ Result<JsonValue> DoHistory(SessionManager& manager,
 }
 
 Result<JsonValue> DoExport(SessionManager& manager,
-                           const ProtocolRequest& request) {
+                           const ProtocolRequest& request, ServeMetrics*) {
   SISD_RETURN_NOT_OK(RequireSession(request));
   SISD_ASSIGN_OR_RETURN(what, ParamString(request, "what"));
   SISD_ASSIGN_OR_RETURN(iteration_raw, ParamInt(request, "iteration"));
@@ -367,7 +371,7 @@ Result<JsonValue> DoExport(SessionManager& manager,
 }
 
 Result<JsonValue> DoSave(SessionManager& manager,
-                         const ProtocolRequest& request) {
+                         const ProtocolRequest& request, ServeMetrics*) {
   SISD_RETURN_NOT_OK(RequireSession(request));
   SISD_ASSIGN_OR_RETURN(path, ParamString(request, "path"));
   SISD_ASSIGN_OR_RETURN(dataset_ref,
@@ -420,7 +424,8 @@ JsonValue EncodeCatalogListing(const catalog::DatasetCatalog& catalog) {
 }
 
 Result<JsonValue> DoDatasetLoad(SessionManager& manager,
-                                const ProtocolRequest& request) {
+                                const ProtocolRequest& request,
+                                ServeMetrics*) {
   SISD_ASSIGN_OR_RETURN(dataset, DatasetFromParams(request, "dataset_load"));
   SISD_ASSIGN_OR_RETURN(name, ParamString(request, "name"));
   if (name.has_value()) {
@@ -451,7 +456,8 @@ Result<JsonValue> DoDatasetLoad(SessionManager& manager,
   return result;
 }
 
-Result<JsonValue> DoDatasetList(SessionManager& manager) {
+Result<JsonValue> DoDatasetList(SessionManager& manager,
+                                const ProtocolRequest&, ServeMetrics*) {
   return EncodeCatalogListing(*manager.catalog());
 }
 
@@ -487,7 +493,8 @@ Result<std::vector<std::vector<data::AppendCell>>> ParseAppendRows(
 }
 
 Result<JsonValue> DoDatasetAppend(SessionManager& manager,
-                                  const ProtocolRequest& request) {
+                                  const ProtocolRequest& request,
+                                  ServeMetrics*) {
   SISD_ASSIGN_OR_RETURN(parent, ParamString(request, "dataset"));
   if (!parent.has_value() || parent->empty()) {
     return Status::InvalidArgument(
@@ -548,7 +555,7 @@ Result<JsonValue> DoDatasetAppend(SessionManager& manager,
 }
 
 Result<JsonValue> DoRebase(SessionManager& manager,
-                           const ProtocolRequest& request) {
+                           const ProtocolRequest& request, ServeMetrics*) {
   SISD_RETURN_NOT_OK(RequireSession(request));
   SISD_ASSIGN_OR_RETURN(dataset, ParamString(request, "dataset"));
   if (!dataset.has_value() || dataset->empty()) {
@@ -577,7 +584,8 @@ Result<JsonValue> DoRebase(SessionManager& manager,
 }
 
 Result<JsonValue> DoDatasetDrop(SessionManager& manager,
-                                const ProtocolRequest& request) {
+                                const ProtocolRequest& request,
+                                ServeMetrics*) {
   SISD_ASSIGN_OR_RETURN(name, ParamString(request, "dataset"));
   if (!name.has_value() || name->empty()) {
     return Status::InvalidArgument(
@@ -590,7 +598,7 @@ Result<JsonValue> DoDatasetDrop(SessionManager& manager,
 }
 
 Result<JsonValue> DoEvict(SessionManager& manager,
-                          const ProtocolRequest& request) {
+                          const ProtocolRequest& request, ServeMetrics*) {
   SISD_RETURN_NOT_OK(RequireSession(request));
   SISD_RETURN_NOT_OK(manager.Evict(request.session));
   JsonValue result = JsonValue::Object();
@@ -599,7 +607,7 @@ Result<JsonValue> DoEvict(SessionManager& manager,
 }
 
 Result<JsonValue> DoClose(SessionManager& manager,
-                          const ProtocolRequest& request) {
+                          const ProtocolRequest& request, ServeMetrics*) {
   SISD_RETURN_NOT_OK(RequireSession(request));
   SISD_ASSIGN_OR_RETURN(save, ParamBool(request, "save", false));
   SISD_ASSIGN_OR_RETURN(path, ParamString(request, "path"));
@@ -610,17 +618,18 @@ Result<JsonValue> DoClose(SessionManager& manager,
   return result;
 }
 
-Result<JsonValue> DoMetrics(SessionManager& manager,
+Result<JsonValue> DoMetrics(SessionManager& manager, const ProtocolRequest&,
                             ServeMetrics* metrics) {
   if (metrics == nullptr) {
     return Status::Unavailable(
-        "this transport collects no metrics (use the stream, TCP or "
-        "event-loop transport)");
+        "this transport collects no metrics (use the stream or event-loop "
+        "transport)");
   }
   return EncodeMetrics(*metrics, manager.catalog().get());
 }
 
-Result<JsonValue> DoStats(SessionManager& manager) {
+Result<JsonValue> DoStats(SessionManager& manager, const ProtocolRequest&,
+                          ServeMetrics*) {
   const ManagerStats stats = manager.Stats();
   JsonValue result = JsonValue::Object();
   result.Set("sessions", JsonValue::Int(static_cast<int64_t>(stats.sessions)));
@@ -644,7 +653,54 @@ Result<JsonValue> DoStats(SessionManager& manager) {
   return result;
 }
 
+/// The protocol's verb table: the one place a verb is named. Dispatch,
+/// the unknown-verb error and the per-verb metrics slots all follow it,
+/// in this order.
+struct Verb {
+  std::string_view name;
+  Result<JsonValue> (*handler)(SessionManager&, const ProtocolRequest&,
+                               ServeMetrics*);
+};
+
+constexpr Verb kVerbTable[] = {
+    {"open", DoOpen},
+    {"mine", DoMine},
+    {"mine_list", DoMineList},
+    {"assimilate", DoAssimilate},
+    {"history", DoHistory},
+    {"export", DoExport},
+    {"save", DoSave},
+    {"evict", DoEvict},
+    {"close", DoClose},
+    {"stats", DoStats},
+    {"metrics", DoMetrics},
+    {"dataset_load", DoDatasetLoad},
+    {"dataset_list", DoDatasetList},
+    {"dataset_drop", DoDatasetDrop},
+    {"dataset_append", DoDatasetAppend},
+    {"rebase", DoRebase},
+};
+
+Status UnknownVerb(const std::string& verb) {
+  std::string expected;
+  for (const Verb& entry : kVerbTable) {
+    if (!expected.empty()) expected += '|';
+    expected += entry.name;
+  }
+  return Status::InvalidArgument("unknown verb '" + verb + "' (expected " +
+                                 expected + ")");
+}
+
 }  // namespace
+
+const std::vector<std::string_view>& VerbNames() {
+  static const std::vector<std::string_view> names = [] {
+    std::vector<std::string_view> out;
+    for (const Verb& entry : kVerbTable) out.push_back(entry.name);
+    return out;
+  }();
+  return names;
+}
 
 Result<pattern::Intention> ParseConditionSpec(const JsonValue& conditions,
                                               const data::DataTable& table) {
@@ -742,33 +798,12 @@ ProtocolResponse HandleRequest(SessionManager& manager,
                                const ProtocolRequest& request,
                                ServeMetrics* metrics) {
   Result<JsonValue> result = [&]() -> Result<JsonValue> {
-    if (request.verb == "open") return DoOpen(manager, request);
-    if (request.verb == "mine") return DoMine(manager, request);
-    if (request.verb == "mine_list") return DoMineList(manager, request);
-    if (request.verb == "assimilate") return DoAssimilate(manager, request);
-    if (request.verb == "history") return DoHistory(manager, request);
-    if (request.verb == "export") return DoExport(manager, request);
-    if (request.verb == "save") return DoSave(manager, request);
-    if (request.verb == "evict") return DoEvict(manager, request);
-    if (request.verb == "close") return DoClose(manager, request);
-    if (request.verb == "stats") return DoStats(manager);
-    if (request.verb == "metrics") return DoMetrics(manager, metrics);
-    if (request.verb == "dataset_load") {
-      return DoDatasetLoad(manager, request);
+    for (const Verb& entry : kVerbTable) {
+      if (entry.name == request.verb) {
+        return entry.handler(manager, request, metrics);
+      }
     }
-    if (request.verb == "dataset_list") return DoDatasetList(manager);
-    if (request.verb == "dataset_drop") {
-      return DoDatasetDrop(manager, request);
-    }
-    if (request.verb == "dataset_append") {
-      return DoDatasetAppend(manager, request);
-    }
-    if (request.verb == "rebase") return DoRebase(manager, request);
-    return Status::InvalidArgument(
-        "unknown verb '" + request.verb +
-        "' (expected open|mine|mine_list|assimilate|history|export|save|"
-        "evict|close|stats|metrics|dataset_load|dataset_list|dataset_drop|"
-        "dataset_append|rebase)");
+    return UnknownVerb(request.verb);
   }();
   if (!result.ok()) {
     return serialize::MakeErrorResponse(request, result.status());

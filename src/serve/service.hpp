@@ -1,6 +1,7 @@
 /// \file service.hpp
 /// \brief Maps protocol requests onto `SessionManager` operations — the
-/// verb dispatch shared by every transport (stdio, TCP, in-process).
+/// verb table shared by every transport (stdio/script, the epoll event
+/// loop, in-process callers).
 ///
 /// docs/PROTOCOL.md specifies the request/response schema per verb. All
 /// responses are deterministic functions of the request script and the
@@ -10,6 +11,9 @@
 
 #ifndef SISD_SERVE_SERVICE_HPP_
 #define SISD_SERVE_SERVICE_HPP_
+
+#include <string_view>
+#include <vector>
 
 #include "serialize/protocol.hpp"
 #include "serve/metrics.hpp"
@@ -25,6 +29,10 @@ namespace sisd::serve {
 serialize::ProtocolResponse HandleRequest(
     SessionManager& manager, const serialize::ProtocolRequest& request,
     ServeMetrics* metrics = nullptr);
+
+/// \brief Every protocol verb, in verb-table order (the order of the
+/// unknown-verb error and of the `metrics` per-verb counts).
+const std::vector<std::string_view>& VerbNames();
 
 /// \brief Parses a condition list (`[{"attribute":..., "op":...,
 /// "threshold"|"level":...}, ...]`) against `table` into an intention.

@@ -289,6 +289,8 @@ Result<SessionInfo> SessionManager::Open(const std::string& name,
   if (name.empty()) {
     return Status::InvalidArgument("session name must be non-empty");
   }
+  // Before the dataset is interned and its condition pool built.
+  SISD_RETURN_NOT_OK(core::ValidateMinerConfig(config));
   SISD_ASSIGN_OR_RETURN(pinned,
                         catalog_->Intern(std::move(dataset), /*pin=*/true,
                                         /*retain=*/false));
@@ -301,6 +303,7 @@ Result<SessionInfo> SessionManager::OpenRef(const std::string& name,
   if (name.empty()) {
     return Status::InvalidArgument("session name must be non-empty");
   }
+  SISD_RETURN_NOT_OK(core::ValidateMinerConfig(config));
   SISD_ASSIGN_OR_RETURN(
       pinned, catalog_->FindByNameOrFingerprint(dataset_ref, /*pin=*/true));
   return OpenPinned(name, std::move(pinned), std::move(config));

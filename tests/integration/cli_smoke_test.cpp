@@ -1,7 +1,9 @@
 // End-to-end coverage of the sisd_cli binary: mine -> resume continues
 // byte-identically (snapshot files compared as bytes), export produces the
-// CSV artifacts, and misuse exits nonzero with usage help. The binary path
-// is injected by CMake via SISD_CLI_BIN.
+// CSV artifacts, and misuse exits nonzero with usage help. Protocol
+// scripts that pin CLI output to the session server run through
+// sisd_serve. The binary paths are injected by CMake via SISD_CLI_BIN and
+// SISD_SERVE_BIN.
 
 #include <gtest/gtest.h>
 
@@ -14,6 +16,9 @@
 #ifndef SISD_CLI_BIN
 #error "SISD_CLI_BIN must be defined by the build system"
 #endif
+#ifndef SISD_SERVE_BIN
+#error "SISD_SERVE_BIN must be defined by the build system"
+#endif
 
 namespace {
 
@@ -22,6 +27,16 @@ const char kWorkDir[] = "/tmp/sisd_cli_smoke_test";
 int RunCli(const std::string& args) {
   const std::string command =
       std::string(SISD_CLI_BIN) + " " + args + " > /dev/null 2>&1";
+  const int rc = std::system(command.c_str());
+  return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+}
+
+/// Runs `sisd_serve --script <script>`, stdout to `out` (or discarded).
+int RunServeScript(const std::string& script, const std::string& out) {
+  const std::string command = std::string(SISD_SERVE_BIN) + " --script " +
+                              script + " > " +
+                              (out.empty() ? "/dev/null" : out) +
+                              " 2> /dev/null";
   const int rc = std::system(command.c_str());
   return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
 }
@@ -147,7 +162,7 @@ TEST_F(CliSmokeTest, ListMinesAndResumesByteIdentically) {
            << R"({"id":4,"verb":"save","session":"s","path":")"
            << Path("list_unbroken.json") << R"("})" << "\n";
   }
-  ASSERT_EQ(RunCli("serve --script " + Path("list_serve.jsonl")), 0);
+  ASSERT_EQ(RunServeScript(Path("list_serve.jsonl"), ""), 0);
   const std::string grown = ReadFile(Path("list_grown.json"));
   ASSERT_FALSE(grown.empty());
   EXPECT_EQ(grown, ReadFile(Path("list_unbroken.json")))
@@ -177,7 +192,7 @@ TEST_F(CliSmokeTest, UnknownFlagAfterSubcommandPrintsUsageToStderr) {
   EXPECT_EQ(RunCli("list --scenario synthetic --compare-beam"), 2);
 }
 
-TEST_F(CliSmokeTest, ServeSubcommandAnswersProtocolScript) {
+TEST_F(CliSmokeTest, ServeScriptAnswersMineAndMineList) {
   {
     std::ofstream script(Path("serve.jsonl"));
     script << R"({"id":1,"verb":"open","session":"s","scenario":"synthetic",)"
@@ -187,12 +202,7 @@ TEST_F(CliSmokeTest, ServeSubcommandAnswersProtocolScript) {
            << R"({"id":3,"verb":"mine_list","session":"s","rules":1})"
            << "\n";
   }
-  const std::string command = std::string(SISD_CLI_BIN) +
-                              " serve --script " + Path("serve.jsonl") +
-                              " > " + Path("serve.out") + " 2> /dev/null";
-  const int rc = std::system(command.c_str());
-  ASSERT_TRUE(WIFEXITED(rc));
-  ASSERT_EQ(WEXITSTATUS(rc), 0);
+  ASSERT_EQ(RunServeScript(Path("serve.jsonl"), Path("serve.out")), 0);
   const std::string out = ReadFile(Path("serve.out"));
   EXPECT_NE(out.find("\"id\":1"), std::string::npos);
   EXPECT_NE(out.find("\"ok\":true"), std::string::npos);
@@ -205,6 +215,7 @@ TEST_F(CliSmokeTest, MisuseFailsLoudly) {
   EXPECT_EQ(RunCli("help"), 0);
   EXPECT_NE(RunCli(""), 0);
   EXPECT_NE(RunCli("frobnicate"), 0);
+  EXPECT_NE(RunCli("serve"), 0);  // the server is sisd_serve
   EXPECT_NE(RunCli("mine"), 0);                       // no input source
   EXPECT_NE(RunCli("mine --scenario nope"), 0);       // unknown scenario
   EXPECT_NE(RunCli("mine --csv " + Path("missing.csv") + " --targets t"), 0);

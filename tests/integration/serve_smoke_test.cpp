@@ -1,8 +1,7 @@
-// End-to-end coverage of the sisd_serve binary and the `sisd_cli serve`
-// subcommand: both run the same request script and must produce
-// byte-identical response transcripts (they share the whole service
-// stack); misuse exits nonzero with usage on stderr. Binary paths are
-// injected by CMake.
+// End-to-end coverage of the sisd_serve binary: a request script answers
+// every request ok, with eviction transparent, and the transcript is
+// byte-identical across scoring-pool sizes; misuse exits nonzero with
+// usage on stderr. The binary path is injected by CMake.
 
 #include <gtest/gtest.h>
 
@@ -14,9 +13,6 @@
 
 #ifndef SISD_SERVE_BIN
 #error "SISD_SERVE_BIN must be defined by the build system"
-#endif
-#ifndef SISD_CLI_BIN
-#error "SISD_CLI_BIN must be defined by the build system"
 #endif
 
 namespace {
@@ -62,20 +58,14 @@ void WriteScript(const std::string& path) {
          << R"({"id":7,"verb":"close","session":"s1"})" << "\n";
 }
 
-TEST_F(ServeSmokeTest, ServeBinaryAndCliServeAgreeByteForByte) {
+TEST_F(ServeSmokeTest, ServeBinaryAnswersTheScript) {
   WriteScript(Path("script.jsonl"));
   ASSERT_EQ(RunShell(std::string(SISD_SERVE_BIN) + " --script " +
                 Path("script.jsonl") + " > " + Path("serve.out") +
                 " 2> /dev/null"),
             0);
-  ASSERT_EQ(RunShell(std::string(SISD_CLI_BIN) + " serve --script " +
-                Path("script.jsonl") + " > " + Path("cli.out") +
-                " 2> /dev/null"),
-            0);
   const std::string serve_out = ReadFile(Path("serve.out"));
   ASSERT_FALSE(serve_out.empty());
-  EXPECT_EQ(serve_out, ReadFile(Path("cli.out")))
-      << "sisd_serve and `sisd_cli serve` diverged on the same script";
 
   // Sanity on the transcript itself: 7 responses, all ok, eviction
   // transparent (iteration 3 mined after evict).
@@ -118,7 +108,7 @@ TEST_F(ServeSmokeTest, MisuseFailsLoudly) {
                 Path("missing.jsonl") + " > /dev/null 2>&1"),
             0);
   EXPECT_NE(RunShell(std::string(SISD_SERVE_BIN) +
-                " --tcp notaport > /dev/null 2>&1"),
+                " --epoll notaport > /dev/null 2>&1"),
             0);
   // Negative service limits are usage errors, not crashes.
   EXPECT_EQ(RunShell(std::string(SISD_SERVE_BIN) +
@@ -127,9 +117,6 @@ TEST_F(ServeSmokeTest, MisuseFailsLoudly) {
   EXPECT_EQ(RunShell(std::string(SISD_SERVE_BIN) +
                 " --max-resident -1 > /dev/null 2>&1"),
             2);
-  EXPECT_EQ(RunShell(std::string(SISD_CLI_BIN) +
-                " serve --max-resident -1 > /dev/null 2>&1"),
-            1);
   // Unknown flags report usage on stderr.
   ASSERT_NE(RunShell(std::string(SISD_SERVE_BIN) + " --frobnicate > /dev/null 2> " +
                 Path("err.txt")),

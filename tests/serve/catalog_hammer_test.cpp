@@ -45,6 +45,10 @@ TEST(CatalogHammerTest, ConcurrentOpenDropMineStorm) {
   std::atomic<int> mined{0};
   std::atomic<int> dropped{0};
   std::atomic<bool> failure{false};
+  // Miners past their first round; the dropper starts once all are, so
+  // each miner gets one round against a present dataset and the
+  // `mined > 0` liveness check cannot lose to scheduling.
+  std::atomic<int> first_rounds{0};
 
   std::vector<std::thread> threads;
   // Miner threads: open by ref (varying split counts race the artifact
@@ -52,6 +56,7 @@ TEST(CatalogHammerTest, ConcurrentOpenDropMineStorm) {
   for (int t = 0; t < kMiners; ++t) {
     threads.emplace_back([&, t]() {
       for (int round = 0; round < kRounds; ++round) {
+        if (round == 1) first_rounds.fetch_add(1);
         std::string name = "s";
         name += std::to_string(t);
         name += "_";
@@ -79,6 +84,7 @@ TEST(CatalogHammerTest, ConcurrentOpenDropMineStorm) {
   // Conflict (pinned by a miner) and NotFound (already dropped) are the
   // expected contention outcomes; anything else is a bug.
   threads.emplace_back([&]() {
+    while (first_rounds.load() < kMiners) std::this_thread::yield();
     for (int round = 0; round < 2 * kRounds; ++round) {
       const Status drop = manager.catalog()->Drop("hammer");
       if (drop.ok()) {
@@ -165,6 +171,11 @@ TEST(CatalogHammerTest, ConcurrentAppendOpenRebaseStorm) {
   std::atomic<int> rebased{0};
   std::atomic<int> mined{0};
   std::atomic<bool> failure{false};
+  // Appender and miner threads past their first round. The dropper waits
+  // for all of them before recycling the root, so each gets one round
+  // against a present root: the appended/mined liveness checks cannot
+  // lose to a dropper that keeps the root absent through every round.
+  std::atomic<int> first_rounds{0};
   // Latest version name any appender registered (racy by design; a stale
   // read just makes the rebase a no-op or a lost race).
   std::mutex latest_mu;
@@ -174,6 +185,7 @@ TEST(CatalogHammerTest, ConcurrentAppendOpenRebaseStorm) {
   for (int t = 0; t < kAppenders; ++t) {
     threads.emplace_back([&, t]() {
       for (int round = 0; round < kRounds; ++round) {
+        if (round == 1) first_rounds.fetch_add(1);
         Result<catalog::AppendOutcome> outcome = manager.catalog()->Append(
             "hammer", slice_builder(1 + (t + round) % 4), /*pin=*/false,
             /*retain=*/true);
@@ -191,6 +203,7 @@ TEST(CatalogHammerTest, ConcurrentAppendOpenRebaseStorm) {
   for (int t = 0; t < kMiners; ++t) {
     threads.emplace_back([&, t]() {
       for (int round = 0; round < kRounds; ++round) {
+        if (round == 1) first_rounds.fetch_add(1);
         std::string name = "r";
         name += std::to_string(t);
         name += "_";
@@ -234,6 +247,9 @@ TEST(CatalogHammerTest, ConcurrentAppendOpenRebaseStorm) {
   }
   // Dropper: recycles the root under the appenders' and miners' feet.
   threads.emplace_back([&]() {
+    while (first_rounds.load() < kMiners + kAppenders) {
+      std::this_thread::yield();
+    }
     for (int round = 0; round < kRounds; ++round) {
       const Status drop = manager.catalog()->Drop("hammer");
       if (drop.ok()) {

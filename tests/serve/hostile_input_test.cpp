@@ -1,0 +1,152 @@
+// Client input must never abort the server. Each case replays a request
+// script (or a tampered snapshot) that used to trip an engine
+// precondition check — beam_width / max_depth of 0 reached
+// `SISD_CHECK` inside the beam search, gamma < 0 produced SI = inf — and
+// asserts a clean `ok:false` instead, with the server still answering
+// afterwards.
+
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include "common/strings.hpp"
+#include "core/session.hpp"
+#include "datagen/scenarios.hpp"
+#include "serialize/json.hpp"
+#include "serialize/protocol.hpp"
+#include "serve/server.hpp"
+#include "serve/session_manager.hpp"
+
+namespace sisd::serve {
+namespace {
+
+/// Runs `script` through the stream transport; one parsed response per
+/// answered line.
+std::vector<serialize::ProtocolResponse> RunScript(SessionManager& manager,
+                                                   const std::string& script) {
+  std::istringstream in(script);
+  std::ostringstream out;
+  ServeStream(manager, in, out);
+  std::vector<serialize::ProtocolResponse> responses;
+  for (const std::string& line : SplitString(out.str(), '\n')) {
+    if (line.empty()) continue;
+    Result<serialize::ProtocolResponse> parsed =
+        serialize::ParseResponseLine(line);
+    EXPECT_TRUE(parsed.ok()) << line;
+    if (parsed.ok()) responses.push_back(std::move(parsed).MoveValue());
+  }
+  return responses;
+}
+
+std::string OpenWithConfig(const std::string& config) {
+  return "{\"id\":1,\"verb\":\"open\",\"session\":\"h\","
+         "\"scenario\":\"synthetic\",\"config\":" +
+         config + "}\n";
+}
+
+TEST(HostileInputTest, ConfigsThatUsedToAbortMiningAreRejectedAtOpen) {
+  for (const std::string config :
+       {"{\"beam_width\":0}", "{\"max_depth\":0}"}) {
+    SCOPED_TRACE(config);
+    SessionManager manager((ServeConfig()));
+    const std::vector<serialize::ProtocolResponse> responses = RunScript(
+        manager, OpenWithConfig(config) +
+                     "{\"id\":2,\"verb\":\"mine\",\"session\":\"h\"}\n"
+                     "{\"id\":3,\"verb\":\"stats\"}\n");
+    ASSERT_EQ(responses.size(), 3u);
+    EXPECT_FALSE(responses[0].ok);
+    EXPECT_EQ(responses[0].error.code(), StatusCode::kInvalidArgument);
+    // The session never opened, so mine has nothing to run on.
+    EXPECT_FALSE(responses[1].ok);
+    EXPECT_EQ(responses[1].error.code(), StatusCode::kNotFound);
+    EXPECT_TRUE(responses[2].ok) << "server stopped answering";
+  }
+}
+
+TEST(HostileInputTest, EveryInvalidConfigFieldAnswersInvalidArgument) {
+  for (const std::string config :
+       {"{\"splits\":0}", "{\"splits\":-3}", "{\"top_k\":0}",
+        "{\"gamma\":-1}", "{\"eta\":-0.5}", "{\"gamma\":0,\"eta\":0}",
+        "{\"max_coverage_fraction\":0}", "{\"max_coverage_fraction\":1.5}",
+        "{\"time_budget\":-1}"}) {
+    SCOPED_TRACE(config);
+    SessionManager manager((ServeConfig()));
+    const std::vector<serialize::ProtocolResponse> responses =
+        RunScript(manager, OpenWithConfig(config));
+    ASSERT_EQ(responses.size(), 1u);
+    EXPECT_FALSE(responses[0].ok);
+    EXPECT_EQ(responses[0].error.code(), StatusCode::kInvalidArgument);
+  }
+  // The catalog-addressed open validates before it pins the dataset.
+  SessionManager manager((ServeConfig()));
+  const std::vector<serialize::ProtocolResponse> responses = RunScript(
+      manager,
+      "{\"id\":1,\"verb\":\"dataset_load\",\"scenario\":\"synthetic\","
+      "\"name\":\"d\"}\n"
+      "{\"id\":2,\"verb\":\"open\",\"session\":\"h\",\"dataset_ref\":\"d\","
+      "\"config\":{\"beam_width\":0}}\n"
+      "{\"id\":3,\"verb\":\"dataset_drop\",\"dataset\":\"d\"}\n");
+  ASSERT_EQ(responses.size(), 3u);
+  EXPECT_EQ(responses[1].error.code(), StatusCode::kInvalidArgument);
+  EXPECT_TRUE(responses[2].ok) << "a rejected open left the dataset pinned";
+}
+
+TEST(HostileInputTest, SnapshotWithZeroBeamWidthFailsToRestore) {
+  core::MinerConfig config;
+  config.search.beam_width = 8;
+  config.search.max_depth = 2;
+  config.search.top_k = 20;
+  config.search.min_coverage = 5;
+  Result<core::MiningSession> session = core::MiningSession::Create(
+      datagen::MakeScenarioDataset("synthetic").Value(), config);
+  ASSERT_TRUE(session.ok());
+  std::string snapshot = session.Value().SaveToString();
+  const size_t at = snapshot.find("\"beam_width\":8");
+  ASSERT_NE(at, std::string::npos);
+  snapshot.replace(at, 14, "\"beam_width\":0");
+
+  Result<core::MiningSession> restored =
+      core::MiningSession::RestoreFromString(snapshot);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(HostileInputTest, TamperedSpillSnapshotAnswersOkFalseOnMine) {
+  const std::string spill_dir = "/tmp/sisd_hostile_input_spill";
+  ASSERT_EQ(std::system(("rm -rf " + spill_dir + " && mkdir -p " +
+                         spill_dir).c_str()),
+            0);
+  ServeConfig serve_config;
+  serve_config.spill_dir = spill_dir;
+  SessionManager manager(serve_config);
+  std::vector<serialize::ProtocolResponse> responses = RunScript(
+      manager,
+      OpenWithConfig("{\"beam_width\":8,\"max_depth\":2,\"top_k\":20,"
+                     "\"min_coverage\":5}") +
+          "{\"id\":2,\"verb\":\"evict\",\"session\":\"h\"}\n");
+  ASSERT_EQ(responses.size(), 2u);
+  ASSERT_TRUE(responses[1].ok);
+
+  const std::string path = manager.SpillPathFor("h");
+  Result<std::string> text = serialize::ReadTextFile(path);
+  ASSERT_TRUE(text.ok()) << path;
+  std::string snapshot = text.Value();
+  const size_t at = snapshot.find("\"beam_width\":8");
+  ASSERT_NE(at, std::string::npos);
+  snapshot.replace(at, 14, "\"beam_width\":0");
+  ASSERT_TRUE(serialize::WriteTextFile(path, snapshot).ok());
+
+  responses = RunScript(manager,
+                        "{\"id\":3,\"verb\":\"mine\",\"session\":\"h\"}\n"
+                        "{\"id\":4,\"verb\":\"stats\"}\n");
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_FALSE(responses[0].ok);
+  EXPECT_TRUE(responses[1].ok) << "server stopped answering";
+  std::system(("rm -rf " + spill_dir).c_str());
+}
+
+}  // namespace
+}  // namespace sisd::serve

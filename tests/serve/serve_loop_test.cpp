@@ -4,25 +4,15 @@
 //    same iterations run directly on a MiningSession, including the saved
 //    snapshot bytes;
 //  - the same script answers byte-identically on 1 worker and N workers;
-//  - blank/comment/malformed lines behave as documented;
-//  - the loopback TCP transport serves the same protocol.
+//  - blank/comment/malformed lines behave as documented.
 
 #include "serve/server.hpp"
 
-#include <arpa/inet.h>
 #include <gtest/gtest.h>
-#include <netinet/in.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <mutex>
 #include <sstream>
-#include <streambuf>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/strings.hpp"
@@ -287,151 +277,6 @@ TEST(ServeLoopTest, StreamBoundsRequestLineLength) {
   EXPECT_NE(lines[0].find("128-byte bound"), std::string::npos);
   EXPECT_EQ(out.str().find("\"ok\":true"), std::string::npos)
       << "request after the oversized line must not be answered";
-}
-
-/// Mutex-guarded capture streambuf: the server thread writes the listen
-/// announcement while the test polls it, so a plain ostringstream would
-/// race.
-class SyncCaptureBuf : public std::streambuf {
- public:
-  std::string Snapshot() {
-    std::lock_guard<std::mutex> lock(mu_);
-    return data_;
-  }
-
- protected:
-  int overflow(int c) override {
-    if (c != EOF) {
-      std::lock_guard<std::mutex> lock(mu_);
-      data_.push_back(static_cast<char>(c));
-    }
-    return c;
-  }
-  std::streamsize xsputn(const char* s, std::streamsize n) override {
-    std::lock_guard<std::mutex> lock(mu_);
-    data_.append(s, static_cast<size_t>(n));
-    return n;
-  }
-
- private:
-  std::mutex mu_;
-  std::string data_;
-};
-
-TEST(ServeLoopTest, TcpTransportServesTheSameProtocol) {
-  SessionManager manager((ServeConfig()));
-  SyncCaptureBuf announce_buf;
-  std::ostream announce(&announce_buf);
-  std::thread server([&manager, &announce] {
-    const Status status =
-        ServeTcp(manager, /*port=*/0, announce, /*max_connections=*/1);
-    EXPECT_TRUE(status.ok()) << status.ToString();
-  });
-
-  // Wait for the listen announcement and parse the ephemeral port.
-  int port = 0;
-  for (int i = 0; i < 500 && port == 0; ++i) {
-    const std::string text = announce_buf.Snapshot();
-    const size_t colon = text.rfind(':');
-    if (colon != std::string::npos && text.find('\n') != std::string::npos) {
-      port = std::atoi(text.c_str() + colon + 1);
-    }
-    if (port == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-  }
-  ASSERT_GT(port, 0) << "server never announced its port";
-
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof(addr)),
-            0);
-  const std::string requests = std::string(kOpenLine) + "\n" +
-                               "{\"id\":2,\"verb\":\"mine\",\"session\":"
-                               "\"s1\"}\n";
-  ASSERT_EQ(::write(fd, requests.data(), requests.size()),
-            static_cast<ssize_t>(requests.size()));
-  ::shutdown(fd, SHUT_WR);
-  std::string received;
-  char chunk[4096];
-  ssize_t n;
-  while ((n = ::read(fd, chunk, sizeof(chunk))) > 0) {
-    received.append(chunk, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  server.join();
-
-  const std::vector<std::string> lines = SplitString(received, '\n');
-  ASSERT_GE(lines.size(), 2u) << received;
-  EXPECT_NE(lines[0].find("\"ok\":true"), std::string::npos);
-  // The mined pattern over TCP equals the in-process scripted run.
-  const std::string scripted = RunScript(requests, ServeConfig{});
-  const std::vector<std::string> scripted_lines =
-      SplitString(scripted, '\n');
-  ASSERT_GE(scripted_lines.size(), 2u);
-  EXPECT_EQ(lines[1], scripted_lines[1]);
-}
-
-TEST(ServeLoopTest, TcpTransportBoundsRequestLineLength) {
-  SessionManager manager((ServeConfig()));
-  SyncCaptureBuf announce_buf;
-  std::ostream announce(&announce_buf);
-  std::thread server([&manager, &announce] {
-    ServeTcpOptions options;
-    options.max_connections = 1;
-    options.max_line_bytes = 128;
-    const Status status = ServeTcp(manager, /*port=*/0, announce, options);
-    EXPECT_TRUE(status.ok()) << status.ToString();
-  });
-  int port = 0;
-  for (int i = 0; i < 500 && port == 0; ++i) {
-    const std::string text = announce_buf.Snapshot();
-    const size_t colon = text.rfind(':');
-    if (colon != std::string::npos && text.find('\n') != std::string::npos) {
-      port = std::atoi(text.c_str() + colon + 1);
-    }
-    if (port == 0) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    }
-  }
-  ASSERT_GT(port, 0);
-
-  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(static_cast<uint16_t>(port));
-  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
-                      sizeof(addr)),
-            0);
-  // Oversized line, then a valid request that must never be answered.
-  std::string payload(4096, 'x');
-  payload += "\n{\"id\":1,\"verb\":\"stats\"}\n";
-  ASSERT_EQ(::write(fd, payload.data(), payload.size()),
-            static_cast<ssize_t>(payload.size()));
-  std::string received;
-  char chunk[4096];
-  ssize_t n;
-  while ((n = ::read(fd, chunk, sizeof(chunk))) > 0) {
-    received.append(chunk, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  server.join();
-  const std::vector<std::string> lines = SplitString(received, '\n');
-  size_t responses = 0;
-  for (const std::string& line : lines) {
-    if (!line.empty()) ++responses;
-  }
-  ASSERT_EQ(responses, 1u) << "connection answered after the bound: "
-                           << received;
-  EXPECT_NE(lines[0].find("InvalidArgument"), std::string::npos);
-  EXPECT_NE(lines[0].find("128-byte bound"), std::string::npos);
 }
 
 }  // namespace

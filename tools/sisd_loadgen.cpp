@@ -1,7 +1,7 @@
-// sisd_loadgen — load generator for the sisd_serve socket transports.
+// sisd_loadgen — load generator for the sisd_serve event loop.
 //
-// Drives N concurrent analyst connections against a running server
-// (--tcp or --epoll transport), each pipelining a mixed open / mine /
+// Drives N concurrent analyst connections against a running
+// `sisd_serve --epoll` server, each pipelining a mixed open / mine /
 // assimilate / history / close script, validating every response
 // (parse, id correlation, verb echo, status), and measuring
 // client-observed latency per request. The run summary — RPS, latency
@@ -42,7 +42,7 @@
 namespace sisd {
 namespace {
 
-constexpr const char* kUsage = R"(sisd_loadgen — load generator for sisd_serve socket transports
+constexpr const char* kUsage = R"(sisd_loadgen — load generator for the sisd_serve event loop
 
 USAGE
   sisd_loadgen --port PORT [options]

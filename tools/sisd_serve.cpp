@@ -1,22 +1,22 @@
 // sisd_serve — concurrent mining-session server.
 //
 // Speaks the line-delimited JSON protocol of docs/PROTOCOL.md over
-// stdin/stdout (default), a request-script file (--script), a loopback
-// TCP socket (--tcp PORT, one thread per connection), or a non-blocking
-// epoll event loop (--epoll PORT, fixed worker pool, pipelined requests,
-// bounded per-session queues). All sessions share one scoring pool and
-// at most --max-resident of them stay in memory; colder ones spill to
-// --spill-dir snapshots and restore transparently.
+// stdin/stdout (default), a request-script file (--script), or loopback
+// TCP on a non-blocking epoll event loop (--epoll PORT, fixed worker
+// pool, pipelined requests, bounded per-session queues). All sessions
+// share one scoring pool and at most --max-resident of them stay in
+// memory; colder ones spill to --spill-dir snapshots and restore
+// transparently.
 //
 //   sisd_serve                              # stdio, defaults
 //   sisd_serve --script requests.jsonl      # scripted run (CI smoke)
-//   sisd_serve --tcp 0 --spill-dir /tmp/s   # ephemeral port, disk spill
+//   sisd_serve --epoll 0 --spill-dir /tmp/s # ephemeral port, disk spill
 //   sisd_serve --epoll 0 --workers 4        # event loop, 4 workers
 //
-// Responses go to stdout only; diagnostics (banner, the TCP listen line)
-// go to stderr, so stdout is byte-for-byte the protocol transcript.
-// SIGTERM/SIGINT start a graceful drain on the socket transports:
-// the listener stops, in-flight requests finish and flush, then exit.
+// Responses go to stdout only; diagnostics (banner, the listen line) go
+// to stderr, so stdout is byte-for-byte the protocol transcript.
+// SIGTERM/SIGINT start a graceful drain of the event loop: the listener
+// stops, in-flight requests finish and flush, then exit.
 
 #include <csignal>
 
@@ -45,19 +45,16 @@ namespace {
 constexpr const char* kUsage = R"(sisd_serve — concurrent subgroup-discovery session server
 
 USAGE
-  sisd_serve [--script FILE] [--tcp PORT [--accept-once]]
-             [--epoll PORT] [options]
+  sisd_serve [--script FILE | --epoll PORT] [options]
 
 TRANSPORT
   (default)          read requests from stdin, answer on stdout
   --script FILE      read requests from FILE instead of stdin
-  --tcp PORT         serve loopback TCP, one thread per connection (0 =
-                     ephemeral port; the port is announced on stderr)
-  --epoll PORT       serve loopback TCP on a non-blocking event loop:
+  --epoll PORT       serve loopback TCP on a non-blocking event loop (0 =
+                     ephemeral port; the port is announced on stderr):
                      pipelined requests, a fixed worker pool, bounded
                      per-session queues (overflow answers Unavailable),
                      graceful drain on SIGTERM
-  --accept-once      exit after the first connection closes (tests)
 
 EVENT-LOOP OPTIONS (--epoll)
   --workers N        dispatch workers executing requests (default 2);
@@ -67,8 +64,7 @@ EVENT-LOOP OPTIONS (--epoll)
                      rejected with Unavailable (default 64)
   --max-connections N
                      total connections accepted before the server drains
-                     and exits (default 0 = serve until SIGTERM); also
-                     honoured by --tcp
+                     and exits (default 0 = serve until SIGTERM)
 
 SERVICE OPTIONS
   --max-resident N   sessions kept in memory before LRU spill (default 64)
@@ -80,7 +76,7 @@ SERVICE OPTIONS
                      unreferenced datasets (default 0 = unlimited)
   --max-line-bytes N request-line length bound for every transport
                      (default 1048576); longer lines answer
-                     InvalidArgument and close the connection
+                     InvalidArgument and end the stream or connection
   --preload SPEC     load a dataset into the catalog at startup
                      (repeatable). SPEC is a scenario name (crime, ...) or
                      PATH=TARGET[,TARGET...] for a CSV file (ingested
@@ -89,13 +85,11 @@ SERVICE OPTIONS
                      dataset + condition pool.
 
 PROTOCOL
-  One JSON request per line; verbs: open, mine, assimilate, history,
-  export, save, evict, close, stats, metrics, dataset_load, dataset_list,
-  dataset_drop. See docs/PROTOCOL.md for the full schema and worked
-  examples.
+  One JSON request per line, one JSON response per line. See
+  docs/PROTOCOL.md for the verbs, their schema and worked examples.
 )";
 
-/// Set from the SIGTERM/SIGINT handler; polled by the socket transports.
+/// Set from the SIGTERM/SIGINT handler; polled by the event loop.
 std::atomic<bool> g_shutdown{false};
 
 void OnTerminate(int) { g_shutdown.store(true); }
@@ -103,9 +97,7 @@ void OnTerminate(int) { g_shutdown.store(true); }
 struct ServeArgs {
   serve::ServeConfig config;
   std::optional<std::string> script;
-  std::optional<int> tcp_port;
   std::optional<int> epoll_port;
-  bool accept_once = false;
   size_t workers = 2;
   size_t queue_capacity = 64;
   size_t max_connections = 0;
@@ -130,23 +122,18 @@ Result<ServeArgs> ParseArgs(int argc, char** argv) {
     if (flag == "--help" || flag == "-h") {
       continue;  // already handled by Main's pre-scan
     }
-    if (flag == "--accept-once") {
-      args.accept_once = true;
-      continue;
-    }
     if (i + 1 >= argc) {
       return Status::InvalidArgument("flag " + flag + " needs a value");
     }
     const std::string value = argv[++i];
     if (flag == "--script") {
       args.script = value;
-    } else if (flag == "--tcp" || flag == "--epoll") {
+    } else if (flag == "--epoll") {
       SISD_ASSIGN_OR_RETURN(port, ParseIntFlag(flag, value));
       if (port < 0 || port > 65535) {
-        return Status::InvalidArgument(flag +
-                                       " expects a port in 0..65535");
+        return Status::InvalidArgument("--epoll expects a port in 0..65535");
       }
-      (flag == "--tcp" ? args.tcp_port : args.epoll_port) = int(port);
+      args.epoll_port = int(port);
     } else if (flag == "--workers") {
       SISD_ASSIGN_OR_RETURN(n, ParseIntFlag(flag, value));
       if (n < 1 || n > 256) {
@@ -206,9 +193,6 @@ Result<ServeArgs> ParseArgs(int argc, char** argv) {
       return Status::InvalidArgument("unknown flag '" + flag + "'");
     }
   }
-  if (args.tcp_port.has_value() && args.epoll_port.has_value()) {
-    return Status::InvalidArgument("--tcp and --epoll are exclusive");
-  }
   return args;
 }
 
@@ -253,29 +237,18 @@ int Main(int argc, char** argv) {
                    ? "<memory>"
                    : args.config.spill_dir.c_str());
 
-  if (args.tcp_port.has_value() || args.epoll_port.has_value()) {
+  if (args.epoll_port.has_value()) {
     std::signal(SIGTERM, OnTerminate);
     std::signal(SIGINT, OnTerminate);
     serve::ServeMetrics metrics;
-    Status status;
-    if (args.epoll_port.has_value()) {
-      serve::EventLoopConfig config;
-      config.port = *args.epoll_port;
-      config.num_workers = args.workers;
-      config.queue_capacity = args.queue_capacity;
-      config.max_line_bytes = args.max_line_bytes;
-      config.max_connections =
-          args.accept_once ? 1 : args.max_connections;
-      status = serve::ServeEventLoop(manager, config, std::cerr, &metrics,
-                                     &g_shutdown);
-    } else {
-      serve::ServeTcpOptions options;
-      options.max_connections =
-          args.accept_once ? 1 : args.max_connections;
-      options.max_line_bytes = args.max_line_bytes;
-      options.metrics = &metrics;
-      status = serve::ServeTcp(manager, *args.tcp_port, std::cerr, options);
-    }
+    serve::EventLoopConfig config;
+    config.port = *args.epoll_port;
+    config.num_workers = args.workers;
+    config.queue_capacity = args.queue_capacity;
+    config.max_line_bytes = args.max_line_bytes;
+    config.max_connections = args.max_connections;
+    const Status status = serve::ServeEventLoop(manager, config, std::cerr,
+                                                &metrics, &g_shutdown);
     if (!status.ok()) {
       std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
       return 1;
