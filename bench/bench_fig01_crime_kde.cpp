@@ -5,8 +5,8 @@
 // 0.24 overall.
 //
 // Substrate note: the UCI Communities & Crime data is replaced by the
-// seeded crime-like generator (see DESIGN.md §3); absolute values differ
-// slightly, the shape must match.
+// seeded crime-like generator (see docs/ARCHITECTURE.md, "Deviations
+// from the paper"); absolute values differ slightly, the shape must match.
 
 #include <cstdio>
 #include <vector>

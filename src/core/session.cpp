@@ -1,7 +1,6 @@
 #include "core/session.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstddef>
 #include <utility>
 
@@ -27,49 +26,6 @@ std::string ScoredSpreadPattern::Describe(const data::DataTable& table) const {
                    pattern.subgroup.intention.ToString(table).c_str(),
                    pattern.direction.ToString().c_str(), pattern.variance,
                    score.ic, score.dl, score.si);
-}
-
-Status ValidateMinerConfig(const MinerConfig& config) {
-  const search::SearchConfig& search = config.search;
-  if (search.beam_width < 1) {
-    return Status::InvalidArgument(
-        StrFormat("beam_width must be >= 1, got %d", search.beam_width));
-  }
-  if (search.max_depth < 1) {
-    return Status::InvalidArgument(
-        StrFormat("max_depth must be >= 1, got %d", search.max_depth));
-  }
-  if (search.num_split_points < 1) {
-    return Status::InvalidArgument(StrFormat(
-        "num_split_points must be >= 1, got %d", search.num_split_points));
-  }
-  if (search.top_k < 1) {
-    return Status::InvalidArgument("top_k must be >= 1");
-  }
-  if (!(search.max_coverage_fraction > 0.0 &&
-        search.max_coverage_fraction <= 1.0)) {
-    return Status::InvalidArgument(
-        StrFormat("max_coverage_fraction must be in (0, 1], got %g",
-                  search.max_coverage_fraction));
-  }
-  if (std::isnan(search.time_budget_seconds) ||
-      search.time_budget_seconds < 0.0) {
-    return Status::InvalidArgument(
-        StrFormat("time_budget must be >= 0, got %g",
-                  search.time_budget_seconds));
-  }
-  const si::DescriptionLengthParams& dl = config.dl;
-  if (!std::isfinite(dl.gamma) || dl.gamma < 0.0 || !std::isfinite(dl.eta) ||
-      dl.eta < 0.0) {
-    return Status::InvalidArgument(
-        StrFormat("gamma and eta must be finite and >= 0, got %g and %g",
-                  dl.gamma, dl.eta));
-  }
-  if (dl.gamma == 0.0 && dl.eta == 0.0) {
-    return Status::InvalidArgument(
-        "gamma and eta cannot both be 0 (zero description length)");
-  }
-  return Status::OK();
 }
 
 Result<MiningSession> MiningSession::Create(data::Dataset dataset,
@@ -132,14 +88,10 @@ Result<IterationResult> MiningSession::MineNext() {
                                         dataset_->targets, config_.dl);
   search::SearchResult search_result;
   if (config_.use_optimal_search) {
-    search::OptimalConfig optimal;
-    optimal.max_depth = config_.search.max_depth;
-    optimal.min_coverage = config_.search.min_coverage;
-    optimal.time_budget_seconds = config_.search.time_budget_seconds;
-    optimal.num_threads = config_.search.num_threads;
     search::OptimalResult optimal_result = search::OptimalLocationSearch(
         dataset_->descriptions, *pool_, assimilator_.model(),
-        dataset_->targets, config_.dl, optimal, thread_pool_.get());
+        dataset_->targets, config_.dl,
+        search::OptimalConfigFor(config_.search), thread_pool_.get());
     search_result.num_evaluated = optimal_result.num_evaluated;
     search_result.hit_time_budget = !optimal_result.completed;
     if (!optimal_result.best.intention.empty()) {

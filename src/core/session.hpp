@@ -76,13 +76,12 @@ struct MinerConfig {
 };
 
 /// \brief Rejects, with InvalidArgument, a config the engine cannot run:
-/// `beam_width`, `max_depth`, `num_split_points` and `top_k` below 1,
-/// `gamma`/`eta` negative or non-finite (or both 0, which makes a
-/// location pattern's description length 0 and its SI infinite),
-/// `max_coverage_fraction` outside (0, 1], and a NaN or negative
-/// `time_budget_seconds`. Every path a config enters by — session
-/// creation, snapshot restore, the serve `open` verb — calls it, so no
-/// client-supplied value reaches an engine precondition check.
+/// any key of the config table (core/config_table.hpp) outside its range,
+/// or `gamma` and `eta` both 0 (a location pattern's description length
+/// would be 0 and its SI infinite). Every path a config enters by —
+/// session creation, snapshot restore, the serve `open` verb, `sisd_cli` —
+/// calls it, so no client-supplied value reaches an engine precondition
+/// check.
 Status ValidateMinerConfig(const MinerConfig& config);
 
 /// \brief A fully scored location pattern.

@@ -5,28 +5,9 @@
 namespace sisd::core {
 
 using serialize::JsonValue;
+using serialize::ReadField;
 
 namespace {
-
-Result<double> GetDoubleField(const JsonValue& json, const char* key) {
-  SISD_ASSIGN_OR_RETURN(field, json.Get(key));
-  return field->GetDouble();
-}
-
-Result<int64_t> GetIntField(const JsonValue& json, const char* key) {
-  SISD_ASSIGN_OR_RETURN(field, json.Get(key));
-  return field->GetInt();
-}
-
-Result<size_t> GetSizeField(const JsonValue& json, const char* key) {
-  SISD_ASSIGN_OR_RETURN(field, json.Get(key));
-  return field->GetSize();
-}
-
-Result<bool> GetBoolField(const JsonValue& json, const char* key) {
-  SISD_ASSIGN_OR_RETURN(field, json.Get(key));
-  return field->GetBool();
-}
 
 JsonValue EncodeSearchConfig(const search::SearchConfig& config) {
   JsonValue out = JsonValue::Object();
@@ -46,12 +27,10 @@ JsonValue EncodeSearchConfig(const search::SearchConfig& config) {
 
 Result<search::SearchConfig> DecodeSearchConfig(const JsonValue& json) {
   search::SearchConfig out;
-  SISD_ASSIGN_OR_RETURN(beam_width, GetIntField(json, "beam_width"));
-  out.beam_width = int(beam_width);
-  SISD_ASSIGN_OR_RETURN(max_depth, GetIntField(json, "max_depth"));
-  out.max_depth = int(max_depth);
-  SISD_ASSIGN_OR_RETURN(splits, GetIntField(json, "num_split_points"));
-  out.num_split_points = int(splits);
+  SISD_RETURN_NOT_OK(ReadField(json, "beam_width", &out.beam_width));
+  SISD_RETURN_NOT_OK(ReadField(json, "max_depth", &out.max_depth));
+  SISD_RETURN_NOT_OK(
+      ReadField(json, "num_split_points", &out.num_split_points));
   // Additive schema field. Snapshots written before the flag existed came
   // from builds whose pool unconditionally emitted != exclusions, so an
   // absent field must decode to `true` — otherwise a restored session
@@ -63,17 +42,13 @@ Result<search::SearchConfig> DecodeSearchConfig(const JsonValue& json) {
     SISD_ASSIGN_OR_RETURN(v, exclusions->GetBool());
     out.include_exclusions = v;
   }
-  SISD_ASSIGN_OR_RETURN(top_k, GetSizeField(json, "top_k"));
-  out.top_k = top_k;
-  SISD_ASSIGN_OR_RETURN(min_coverage, GetSizeField(json, "min_coverage"));
-  out.min_coverage = min_coverage;
-  SISD_ASSIGN_OR_RETURN(max_fraction,
-                        GetDoubleField(json, "max_coverage_fraction"));
-  out.max_coverage_fraction = max_fraction;
-  SISD_ASSIGN_OR_RETURN(budget, GetDoubleField(json, "time_budget_seconds"));
-  out.time_budget_seconds = budget;
-  SISD_ASSIGN_OR_RETURN(threads, GetIntField(json, "num_threads"));
-  out.num_threads = int(threads);
+  SISD_RETURN_NOT_OK(ReadField(json, "top_k", &out.top_k));
+  SISD_RETURN_NOT_OK(ReadField(json, "min_coverage", &out.min_coverage));
+  SISD_RETURN_NOT_OK(
+      ReadField(json, "max_coverage_fraction", &out.max_coverage_fraction));
+  SISD_RETURN_NOT_OK(
+      ReadField(json, "time_budget_seconds", &out.time_budget_seconds));
+  SISD_RETURN_NOT_OK(ReadField(json, "num_threads", &out.num_threads));
   return out;
 }
 
@@ -95,21 +70,15 @@ JsonValue EncodeOptimizerConfig(
 Result<optimize::SphereOptimizerConfig> DecodeOptimizerConfig(
     const JsonValue& json) {
   optimize::SphereOptimizerConfig out;
-  SISD_ASSIGN_OR_RETURN(max_iterations, GetIntField(json, "max_iterations"));
-  out.max_iterations = int(max_iterations);
-  SISD_ASSIGN_OR_RETURN(max_backtracks, GetIntField(json, "max_backtracks"));
-  out.max_backtracks = int(max_backtracks);
-  SISD_ASSIGN_OR_RETURN(tolerance,
-                        GetDoubleField(json, "gradient_tolerance"));
-  out.gradient_tolerance = tolerance;
-  SISD_ASSIGN_OR_RETURN(armijo, GetDoubleField(json, "armijo_c1"));
-  out.armijo_c1 = armijo;
-  SISD_ASSIGN_OR_RETURN(step, GetDoubleField(json, "initial_step"));
-  out.initial_step = step;
-  SISD_ASSIGN_OR_RETURN(starts, GetIntField(json, "num_random_starts"));
-  out.num_random_starts = int(starts);
-  SISD_ASSIGN_OR_RETURN(seed, GetIntField(json, "seed"));
-  out.seed = uint64_t(seed);
+  SISD_RETURN_NOT_OK(ReadField(json, "max_iterations", &out.max_iterations));
+  SISD_RETURN_NOT_OK(ReadField(json, "max_backtracks", &out.max_backtracks));
+  SISD_RETURN_NOT_OK(
+      ReadField(json, "gradient_tolerance", &out.gradient_tolerance));
+  SISD_RETURN_NOT_OK(ReadField(json, "armijo_c1", &out.armijo_c1));
+  SISD_RETURN_NOT_OK(ReadField(json, "initial_step", &out.initial_step));
+  SISD_RETURN_NOT_OK(
+      ReadField(json, "num_random_starts", &out.num_random_starts));
+  SISD_RETURN_NOT_OK(ReadField(json, "seed", &out.seed));
   return out;
 }
 
@@ -123,12 +92,9 @@ JsonValue EncodeLocationScore(const si::LocationScore& score) {
 
 Result<si::LocationScore> DecodeLocationScore(const JsonValue& json) {
   si::LocationScore out;
-  SISD_ASSIGN_OR_RETURN(ic, GetDoubleField(json, "ic"));
-  out.ic = ic;
-  SISD_ASSIGN_OR_RETURN(dl, GetDoubleField(json, "dl"));
-  out.dl = dl;
-  SISD_ASSIGN_OR_RETURN(si_value, GetDoubleField(json, "si"));
-  out.si = si_value;
+  SISD_RETURN_NOT_OK(ReadField(json, "ic", &out.ic));
+  SISD_RETURN_NOT_OK(ReadField(json, "dl", &out.dl));
+  SISD_RETURN_NOT_OK(ReadField(json, "si", &out.si));
   return out;
 }
 
@@ -150,25 +116,16 @@ JsonValue EncodeSpreadScore(const si::SpreadScore& score) {
 
 Result<si::SpreadScore> DecodeSpreadScore(const JsonValue& json) {
   si::SpreadScore out;
-  SISD_ASSIGN_OR_RETURN(ic, GetDoubleField(json, "ic"));
-  out.ic = ic;
-  SISD_ASSIGN_OR_RETURN(dl, GetDoubleField(json, "dl"));
-  out.dl = dl;
-  SISD_ASSIGN_OR_RETURN(si_value, GetDoubleField(json, "si"));
-  out.si = si_value;
+  SISD_RETURN_NOT_OK(ReadField(json, "ic", &out.ic));
+  SISD_RETURN_NOT_OK(ReadField(json, "dl", &out.dl));
+  SISD_RETURN_NOT_OK(ReadField(json, "si", &out.si));
   SISD_ASSIGN_OR_RETURN(approx, json.Get("approx"));
-  SISD_ASSIGN_OR_RETURN(alpha, GetDoubleField(*approx, "alpha"));
-  out.approx.alpha = alpha;
-  SISD_ASSIGN_OR_RETURN(beta, GetDoubleField(*approx, "beta"));
-  out.approx.beta = beta;
-  SISD_ASSIGN_OR_RETURN(m, GetDoubleField(*approx, "m"));
-  out.approx.m = m;
-  SISD_ASSIGN_OR_RETURN(a1, GetDoubleField(*approx, "a1"));
-  out.approx.a1 = a1;
-  SISD_ASSIGN_OR_RETURN(a2, GetDoubleField(*approx, "a2"));
-  out.approx.a2 = a2;
-  SISD_ASSIGN_OR_RETURN(a3, GetDoubleField(*approx, "a3"));
-  out.approx.a3 = a3;
+  SISD_RETURN_NOT_OK(ReadField(*approx, "alpha", &out.approx.alpha));
+  SISD_RETURN_NOT_OK(ReadField(*approx, "beta", &out.approx.beta));
+  SISD_RETURN_NOT_OK(ReadField(*approx, "m", &out.approx.m));
+  SISD_RETURN_NOT_OK(ReadField(*approx, "a1", &out.approx.a1));
+  SISD_RETURN_NOT_OK(ReadField(*approx, "a2", &out.approx.a2));
+  SISD_RETURN_NOT_OK(ReadField(*approx, "a3", &out.approx.a3));
   return out;
 }
 
@@ -232,10 +189,8 @@ Result<MinerConfig> DecodeMinerConfig(const JsonValue& json) {
   SISD_ASSIGN_OR_RETURN(search_config, DecodeSearchConfig(*search_json));
   out.search = search_config;
   SISD_ASSIGN_OR_RETURN(dl_json, json.Get("dl"));
-  SISD_ASSIGN_OR_RETURN(gamma, GetDoubleField(*dl_json, "gamma"));
-  out.dl.gamma = gamma;
-  SISD_ASSIGN_OR_RETURN(eta, GetDoubleField(*dl_json, "eta"));
-  out.dl.eta = eta;
+  SISD_RETURN_NOT_OK(ReadField(*dl_json, "gamma", &out.dl.gamma));
+  SISD_RETURN_NOT_OK(ReadField(*dl_json, "eta", &out.dl.eta));
   SISD_ASSIGN_OR_RETURN(mix_json, json.Get("mix"));
   SISD_ASSIGN_OR_RETURN(mix, mix_json->GetString());
   if (mix == "location_only") {
@@ -245,8 +200,7 @@ Result<MinerConfig> DecodeMinerConfig(const JsonValue& json) {
   } else {
     return Status::InvalidArgument("unknown pattern mix '" + mix + "'");
   }
-  SISD_ASSIGN_OR_RETURN(sparsity, GetIntField(json, "spread_sparsity"));
-  out.spread_sparsity = int(sparsity);
+  SISD_RETURN_NOT_OK(ReadField(json, "spread_sparsity", &out.spread_sparsity));
   SISD_ASSIGN_OR_RETURN(optimizer_json, json.Get("spread_optimizer"));
   SISD_ASSIGN_OR_RETURN(optimizer, DecodeOptimizerConfig(*optimizer_json));
   out.spread_optimizer = optimizer;
@@ -262,8 +216,7 @@ Result<MinerConfig> DecodeMinerConfig(const JsonValue& json) {
                           serialize::DecodeMatrix(*prior_cov_json));
     out.prior_covariance = std::move(prior_cov);
   }
-  SISD_ASSIGN_OR_RETURN(ridge, GetDoubleField(json, "prior_ridge"));
-  out.prior_ridge = ridge;
+  SISD_RETURN_NOT_OK(ReadField(json, "prior_ridge", &out.prior_ridge));
   // Additive field (optimal-search PR): absent in older snapshots, which
   // must keep restoring — default off, same as MinerConfig.
   out.use_optimal_search = false;
@@ -274,16 +227,12 @@ Result<MinerConfig> DecodeMinerConfig(const JsonValue& json) {
   // Additive field (subgroup-list PR): absent in older snapshots, which
   // restore with the default gain knobs — matching MinerConfig.
   if (const JsonValue* list_gain = json.Find("list_gain")) {
-    SISD_ASSIGN_OR_RETURN(alpha, GetDoubleField(*list_gain, "alpha"));
-    out.list_gain.alpha = alpha;
-    SISD_ASSIGN_OR_RETURN(beta, GetDoubleField(*list_gain, "beta"));
-    out.list_gain.beta = beta;
-    SISD_ASSIGN_OR_RETURN(floor,
-                          GetDoubleField(*list_gain, "variance_floor"));
-    out.list_gain.variance_floor = floor;
-    SISD_ASSIGN_OR_RETURN(normalized,
-                          GetBoolField(*list_gain, "normalized"));
-    out.list_gain.normalized = normalized;
+    SISD_RETURN_NOT_OK(ReadField(*list_gain, "alpha", &out.list_gain.alpha));
+    SISD_RETURN_NOT_OK(ReadField(*list_gain, "beta", &out.list_gain.beta));
+    SISD_RETURN_NOT_OK(
+        ReadField(*list_gain, "variance_floor", &out.list_gain.variance_floor));
+    SISD_RETURN_NOT_OK(
+        ReadField(*list_gain, "normalized", &out.list_gain.normalized));
   }
   SISD_RETURN_NOT_OK(ValidateMinerConfig(out));
   return out;
@@ -306,9 +255,7 @@ Result<catalog::DatasetRef> DecodeDatasetRef(const JsonValue& json) {
   SISD_ASSIGN_OR_RETURN(hex, fingerprint_json->GetString());
   SISD_ASSIGN_OR_RETURN(fingerprint, catalog::FingerprintFromHex(hex));
   out.fingerprint = fingerprint;
-  SISD_ASSIGN_OR_RETURN(name_json, json.Get("name"));
-  SISD_ASSIGN_OR_RETURN(name, name_json->GetString());
-  out.name = std::move(name);
+  SISD_RETURN_NOT_OK(ReadField(json, "name", &out.name));
   return out;
 }
 
@@ -330,12 +277,8 @@ Result<SessionVersionLink> DecodeVersionLink(const JsonValue& json) {
   SISD_ASSIGN_OR_RETURN(hex, fingerprint_json->GetString());
   SISD_ASSIGN_OR_RETURN(fingerprint, catalog::FingerprintFromHex(hex));
   out.fingerprint = fingerprint;
-  SISD_ASSIGN_OR_RETURN(name_json, json.Get("name"));
-  SISD_ASSIGN_OR_RETURN(name, name_json->GetString());
-  out.name = std::move(name);
-  SISD_ASSIGN_OR_RETURN(rows_json, json.Get("rows"));
-  SISD_ASSIGN_OR_RETURN(rows, rows_json->GetSize());
-  out.rows = rows;
+  SISD_RETURN_NOT_OK(ReadField(json, "name", &out.name));
+  SISD_RETURN_NOT_OK(ReadField(json, "rows", &out.rows));
   return out;
 }
 
@@ -379,8 +322,7 @@ Result<ScoredSpreadPattern> DecodeScoredSpread(const JsonValue& json) {
   SISD_ASSIGN_OR_RETURN(direction,
                         serialize::DecodeVector(*direction_json));
   out.pattern.direction = std::move(direction);
-  SISD_ASSIGN_OR_RETURN(variance, GetDoubleField(json, "variance"));
-  out.pattern.variance = variance;
+  SISD_RETURN_NOT_OK(ReadField(json, "variance", &out.pattern.variance));
   SISD_ASSIGN_OR_RETURN(score_json, json.Get("score"));
   SISD_ASSIGN_OR_RETURN(score, DecodeSpreadScore(*score_json));
   out.score = score;
@@ -432,11 +374,9 @@ Result<IterationResult> DecodeIterationResult(const JsonValue& json) {
     SISD_ASSIGN_OR_RETURN(ranked_entry, DecodeScoredLocation(entry));
     out.ranked.push_back(std::move(ranked_entry));
   }
-  SISD_ASSIGN_OR_RETURN(evaluated,
-                        GetSizeField(json, "candidates_evaluated"));
-  out.candidates_evaluated = evaluated;
-  SISD_ASSIGN_OR_RETURN(hit_budget, GetBoolField(json, "hit_time_budget"));
-  out.hit_time_budget = hit_budget;
+  SISD_RETURN_NOT_OK(
+      ReadField(json, "candidates_evaluated", &out.candidates_evaluated));
+  SISD_RETURN_NOT_OK(ReadField(json, "hit_time_budget", &out.hit_time_budget));
   return out;
 }
 
@@ -480,8 +420,7 @@ Result<search::SubgroupRule> DecodeSubgroupRule(const JsonValue& json) {
     return Status::InvalidArgument(
         "rule mean/variance dimensions disagree");
   }
-  SISD_ASSIGN_OR_RETURN(gain, GetDoubleField(json, "gain"));
-  out.gain = gain;
+  SISD_RETURN_NOT_OK(ReadField(json, "gain", &out.gain));
   return out;
 }
 
@@ -511,15 +450,11 @@ Result<ListMineResult> DecodeListMineResult(const JsonValue& json) {
     SISD_ASSIGN_OR_RETURN(rule, DecodeSubgroupRule(entry));
     out.rules.push_back(std::move(rule));
   }
-  SISD_ASSIGN_OR_RETURN(total_gain, GetDoubleField(json, "total_gain"));
-  out.total_gain = total_gain;
-  SISD_ASSIGN_OR_RETURN(evaluated,
-                        GetSizeField(json, "candidates_evaluated"));
-  out.candidates_evaluated = evaluated;
-  SISD_ASSIGN_OR_RETURN(exhausted, GetBoolField(json, "exhausted"));
-  out.exhausted = exhausted;
-  SISD_ASSIGN_OR_RETURN(hit_budget, GetBoolField(json, "hit_time_budget"));
-  out.hit_time_budget = hit_budget;
+  SISD_RETURN_NOT_OK(ReadField(json, "total_gain", &out.total_gain));
+  SISD_RETURN_NOT_OK(
+      ReadField(json, "candidates_evaluated", &out.candidates_evaluated));
+  SISD_RETURN_NOT_OK(ReadField(json, "exhausted", &out.exhausted));
+  SISD_RETURN_NOT_OK(ReadField(json, "hit_time_budget", &out.hit_time_budget));
   return out;
 }
 

@@ -43,8 +43,8 @@ struct ParameterGroup {
 /// `f_I(Y) = sum_{i in I} y_i / |I|` under the background model.
 ///
 /// For independent rows this is `N(mean, cov)` with
-/// `mean = sum mu_i / |I|` and `cov = sum Sigma_i / |I|^2` (see DESIGN.md on
-/// the paper's Eq. 13 typo).
+/// `mean = sum mu_i / |I|` and `cov = sum Sigma_i / |I|^2` (see
+/// docs/ARCHITECTURE.md, "Deviations from the paper", on the Eq. 13 typo).
 struct MeanStatisticMarginal {
   linalg::Vector mean;
   linalg::Matrix cov;

@@ -8,8 +8,9 @@
 /// where `S` is the subgroup's empirical scatter and the density is the
 /// Zhang surrogate fitted to the model coefficients `a_g = w'Sigma_g w/|I|`.
 /// The paper's authors "computed the gradient analytically (details
-/// omitted)"; the full derivation lives here (see DESIGN.md §5.3) and is
-/// verified against finite differences in tests/optimize/.
+/// omitted)"; the full derivation lives here (see docs/ARCHITECTURE.md,
+/// "Deviations from the paper") and is verified against finite
+/// differences in tests/optimize/.
 
 #ifndef SISD_OPTIMIZE_SPREAD_OBJECTIVE_HPP_
 #define SISD_OPTIMIZE_SPREAD_OBJECTIVE_HPP_

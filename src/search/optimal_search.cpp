@@ -287,6 +287,15 @@ void ExpandNode(SearchShared* sh, const Node& node, WorkerScratch* ws,
 
 }  // namespace
 
+OptimalConfig OptimalConfigFor(const SearchConfig& config) {
+  OptimalConfig optimal;
+  optimal.max_depth = config.max_depth;
+  optimal.min_coverage = config.min_coverage;
+  optimal.time_budget_seconds = config.time_budget_seconds;
+  optimal.num_threads = config.num_threads;
+  return optimal;
+}
+
 OptimalResult OptimalLocationSearch(const data::DataTable& table,
                                     const ConditionPool& pool,
                                     const model::BackgroundModel& model,

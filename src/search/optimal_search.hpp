@@ -85,6 +85,11 @@ struct OptimalConfig {
   bool use_bound = true;
 };
 
+/// \brief The optimal-search settings a beam `SearchConfig` implies:
+/// `max_depth`, `min_coverage`, `time_budget_seconds` and `num_threads`
+/// carry over, the bound stays on, and the beam-only knobs are dropped.
+OptimalConfig OptimalConfigFor(const SearchConfig& config);
+
 /// \brief Outcome of an optimal search run.
 struct OptimalResult {
   /// The provably global optimum over the description language (when

@@ -19,7 +19,9 @@
 #define SISD_SERIALIZE_JSON_HPP_
 
 #include <cstdint>
+#include <limits>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -145,6 +147,40 @@ class JsonValue {
 /// \brief Formats one double exactly as the writer does (exposed for tests:
 /// the bit-exact round-trip contract lives here).
 std::string FormatJsonDouble(double value);
+
+/// \brief Reads member `key` of object `json` into `*out` with the getter
+/// matching `T`: double, bool, size_t, std::string or an integer type.
+/// An integer narrower than int64 is range-checked: a value `T` cannot
+/// hold is rejected, never narrowed. A uint64_t round-trips through the
+/// int64 bit pattern.
+template <typename T>
+Status ReadField(const JsonValue& json, const char* key, T* out) {
+  SISD_ASSIGN_OR_RETURN(field, json.Get(key));
+  if constexpr (std::is_same_v<T, double>) {
+    SISD_ASSIGN_OR_RETURN(number, field->GetDouble());
+    *out = number;
+  } else if constexpr (std::is_same_v<T, bool>) {
+    SISD_ASSIGN_OR_RETURN(flag, field->GetBool());
+    *out = flag;
+  } else if constexpr (std::is_same_v<T, size_t>) {
+    SISD_ASSIGN_OR_RETURN(size, field->GetSize());
+    *out = size;
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    SISD_ASSIGN_OR_RETURN(text, field->GetString());
+    *out = std::move(text);
+  } else {
+    SISD_ASSIGN_OR_RETURN(integer, field->GetInt());
+    if (sizeof(T) < sizeof(int64_t) &&
+        (integer < int64_t(std::numeric_limits<T>::min()) ||
+         integer > int64_t(std::numeric_limits<T>::max()))) {
+      return Status::InvalidArgument("field '" + std::string(key) + "' = " +
+                                     std::to_string(integer) +
+                                     " is out of range");
+    }
+    *out = static_cast<T>(integer);
+  }
+  return Status::OK();
+}
 
 /// \brief Writes `text` to `path` atomically-ish (truncate + write + close),
 /// returning IOError on failure.

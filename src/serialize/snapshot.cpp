@@ -11,11 +11,6 @@ namespace sisd::serialize {
 
 namespace {
 
-Result<double> GetDoubleField(const JsonValue& json, const char* key) {
-  SISD_ASSIGN_OR_RETURN(field, json.Get(key));
-  return field->GetDouble();
-}
-
 Result<size_t> GetSizeField(const JsonValue& json, const char* key) {
   SISD_ASSIGN_OR_RETURN(field, json.Get(key));
   return field->GetSize();
@@ -180,16 +175,12 @@ JsonValue EncodeCondition(const pattern::Condition& condition) {
 
 Result<pattern::Condition> DecodeCondition(const JsonValue& json) {
   pattern::Condition out;
-  SISD_ASSIGN_OR_RETURN(attribute, GetSizeField(json, "attribute"));
-  out.attribute = attribute;
+  SISD_RETURN_NOT_OK(ReadField(json, "attribute", &out.attribute));
   SISD_ASSIGN_OR_RETURN(op_name, GetStringField(json, "op"));
   SISD_ASSIGN_OR_RETURN(op, ConditionOpFromName(op_name));
   out.op = op;
-  SISD_ASSIGN_OR_RETURN(threshold, GetDoubleField(json, "threshold"));
-  out.threshold = threshold;
-  SISD_ASSIGN_OR_RETURN(level_field, json.Get("level"));
-  SISD_ASSIGN_OR_RETURN(level, level_field->GetInt());
-  out.level = int32_t(level);
+  SISD_RETURN_NOT_OK(ReadField(json, "threshold", &out.threshold));
+  SISD_RETURN_NOT_OK(ReadField(json, "level", &out.level));
   return out;
 }
 
@@ -457,8 +448,7 @@ Result<model::AssimilatedConstraint> DecodeConstraint(const JsonValue& json) {
     SISD_ASSIGN_OR_RETURN(direction, DecodeVector(*direction_json));
     out.direction = std::move(direction);
   }
-  SISD_ASSIGN_OR_RETURN(variance, GetDoubleField(json, "variance"));
-  out.variance = variance;
+  SISD_RETURN_NOT_OK(ReadField(json, "variance", &out.variance));
   return out;
 }
 

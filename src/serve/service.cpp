@@ -8,6 +8,7 @@
 #include "catalog/dataset_catalog.hpp"
 #include "catalog/fingerprint.hpp"
 #include "common/strings.hpp"
+#include "core/config_table.hpp"
 #include "data/append.hpp"
 #include "data/csv.hpp"
 #include "datagen/scenarios.hpp"
@@ -58,64 +59,6 @@ Status RequireSession(const ProtocolRequest& request) {
   if (request.session.empty()) {
     return Status::InvalidArgument("verb '" + request.verb +
                                    "' needs a 'session' name");
-  }
-  return Status::OK();
-}
-
-/// Applies the `config` override object of an `open` request onto the
-/// paper-default MinerConfig. Keys mirror the sisd_cli flags.
-Status ApplyConfigOverrides(const JsonValue& json,
-                            core::MinerConfig* config) {
-  if (!json.is_object()) {
-    return Status::InvalidArgument("open 'config' must be an object");
-  }
-  for (const auto& [key, value] : json.members()) {
-    if (key == "beam_width") {
-      SISD_ASSIGN_OR_RETURN(v, value.GetInt());
-      config->search.beam_width = static_cast<int>(v);
-    } else if (key == "max_depth") {
-      SISD_ASSIGN_OR_RETURN(v, value.GetInt());
-      config->search.max_depth = static_cast<int>(v);
-    } else if (key == "splits") {
-      SISD_ASSIGN_OR_RETURN(v, value.GetInt());
-      config->search.num_split_points = static_cast<int>(v);
-    } else if (key == "top_k") {
-      SISD_ASSIGN_OR_RETURN(v, value.GetSize());
-      config->search.top_k = v;
-    } else if (key == "min_coverage") {
-      SISD_ASSIGN_OR_RETURN(v, value.GetSize());
-      config->search.min_coverage = v;
-    } else if (key == "max_coverage_fraction") {
-      SISD_ASSIGN_OR_RETURN(v, value.GetDouble());
-      config->search.max_coverage_fraction = v;
-    } else if (key == "time_budget") {
-      SISD_ASSIGN_OR_RETURN(v, value.GetDouble());
-      config->search.time_budget_seconds = v;
-    } else if (key == "gamma") {
-      SISD_ASSIGN_OR_RETURN(v, value.GetDouble());
-      config->dl.gamma = v;
-    } else if (key == "eta") {
-      SISD_ASSIGN_OR_RETURN(v, value.GetDouble());
-      config->dl.eta = v;
-    } else if (key == "location_only") {
-      SISD_ASSIGN_OR_RETURN(v, value.GetBool());
-      config->mix = v ? core::PatternMix::kLocationOnly
-                      : core::PatternMix::kLocationAndSpread;
-    } else if (key == "spread_sparsity") {
-      SISD_ASSIGN_OR_RETURN(v, value.GetInt());
-      config->spread_sparsity = static_cast<int>(v);
-    } else if (key == "exclusions") {
-      SISD_ASSIGN_OR_RETURN(v, value.GetBool());
-      config->search.include_exclusions = v;
-    } else if (key == "list_alpha") {
-      SISD_ASSIGN_OR_RETURN(v, value.GetDouble());
-      config->list_gain.alpha = v;
-    } else if (key == "list_beta") {
-      SISD_ASSIGN_OR_RETURN(v, value.GetDouble());
-      config->list_gain.beta = v;
-    } else {
-      return Status::InvalidArgument("unknown config key '" + key + "'");
-    }
   }
   return Status::OK();
 }
@@ -216,9 +159,16 @@ JsonValue EncodeSessionInfo(const SessionInfo& info) {
 Result<JsonValue> DoOpen(SessionManager& manager,
                          const ProtocolRequest& request, ServeMetrics*) {
   SISD_RETURN_NOT_OK(RequireSession(request));
+  // The `config` overrides go onto the paper defaults, key by key,
+  // through the config table's checked setter.
   core::MinerConfig config;
   if (const JsonValue* overrides = request.params.Find("config")) {
-    SISD_RETURN_NOT_OK(ApplyConfigOverrides(*overrides, &config));
+    if (!overrides->is_object()) {
+      return Status::InvalidArgument("open 'config' must be an object");
+    }
+    for (const auto& [key, value] : overrides->members()) {
+      SISD_RETURN_NOT_OK(core::SetConfigFromJson(key, value, &config));
+    }
   }
   SISD_ASSIGN_OR_RETURN(dataset_ref, ParamString(request, "dataset_ref"));
   if (dataset_ref.has_value()) {

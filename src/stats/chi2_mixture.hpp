@@ -47,7 +47,7 @@ struct Chi2MixtureApprox {
   /// pattern bookkeeping. Returns +inf when `g <= beta` (outside support).
   /// Note the paper prints "+ alpha" where the affine change of variables
   /// actually contributes "+ log(alpha)"; we implement the correct form
-  /// (see DESIGN.md §1).
+  /// (see docs/ARCHITECTURE.md, "Deviations from the paper").
   double NegLogPdf(double g) const;
 
   /// Log density (`-NegLogPdf`), -inf outside support.

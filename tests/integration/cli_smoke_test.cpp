@@ -224,4 +224,48 @@ TEST_F(CliSmokeTest, MisuseFailsLoudly) {
   EXPECT_NE(RunCli("mine --scenario synthetic --beam-width zero"), 0);
 }
 
+TEST_F(CliSmokeTest, OptimalPrintsTheCertifiedOptimum) {
+  const std::string out_path = Path("optimal.out");
+  const std::string command = std::string(SISD_CLI_BIN) +
+                              " optimal --scenario synthetic --max-depth 2"
+                              " > " + out_path + " 2> /dev/null";
+  const int rc = std::system(command.c_str());
+  ASSERT_TRUE(WIFEXITED(rc));
+  ASSERT_EQ(WEXITSTATUS(rc), 0);
+  std::string out = ReadFile(out_path);
+  // Everything but the wall-clock fields after "bound=off, " is pinned.
+  const size_t timing = out.find("bound=off, ");
+  ASSERT_NE(timing, std::string::npos) << out;
+  out.erase(timing + 11, out.find('\n', timing) - (timing + 11));
+  EXPECT_EQ(out,
+            "dataset 'synthetic-embedded': 620 rows, 5 descriptions, 2 "
+            "targets\n"
+            "optimal: a4 = '1' (n=40, SI=62.065274)\n"
+            "searched 47 candidates, 11 nodes expanded, 0 pruned, "
+            "bound=off, \n");
+}
+
+TEST_F(CliSmokeTest, OutOfRangeConfigExitsOneWithInvalidArgument) {
+  // Each of these once aborted (exit 134), printed SI=inf, wrapped to
+  // SIZE_MAX or was narrowed into range.
+  const std::string err_path = Path("range_stderr.txt");
+  for (const std::string args :
+       {"optimal --scenario synthetic --max-depth 0",
+        "optimal --scenario synthetic --gamma -1",
+        "mine --scenario synthetic --top-k -1",
+        "mine --scenario synthetic --min-coverage -1",
+        "mine --scenario synthetic --beam-width 4294967297",
+        "mine --scenario synthetic --threads -3",
+        "list --scenario synthetic --spread-sparsity 7"}) {
+    SCOPED_TRACE(args);
+    const std::string command = std::string(SISD_CLI_BIN) + " " + args +
+                                " > /dev/null 2> " + err_path;
+    const int rc = std::system(command.c_str());
+    ASSERT_TRUE(WIFEXITED(rc));
+    EXPECT_EQ(WEXITSTATUS(rc), 1);
+    EXPECT_NE(ReadFile(err_path).find("InvalidArgument"), std::string::npos)
+        << ReadFile(err_path);
+  }
+}
+
 }  // namespace

@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/strings.hpp"
@@ -71,7 +72,12 @@ TEST(HostileInputTest, EveryInvalidConfigFieldAnswersInvalidArgument) {
        {"{\"splits\":0}", "{\"splits\":-3}", "{\"top_k\":0}",
         "{\"gamma\":-1}", "{\"eta\":-0.5}", "{\"gamma\":0,\"eta\":0}",
         "{\"max_coverage_fraction\":0}", "{\"max_coverage_fraction\":1.5}",
-        "{\"time_budget\":-1}"}) {
+        "{\"time_budget\":-1}",
+        // Beyond `int`: once narrowed into range (4294967297 -> 1).
+        "{\"beam_width\":4294967297}", "{\"max_depth\":-4294967295}",
+        "{\"splits\":4294967300}", "{\"top_k\":-1}",
+        "{\"spread_sparsity\":7}", "{\"list_alpha\":-5}",
+        "{\"list_beta\":\"NaN\"}"}) {
     SCOPED_TRACE(config);
     SessionManager manager((ServeConfig()));
     const std::vector<serialize::ProtocolResponse> responses =
@@ -112,6 +118,34 @@ TEST(HostileInputTest, SnapshotWithZeroBeamWidthFailsToRestore) {
       core::MiningSession::RestoreFromString(snapshot);
   ASSERT_FALSE(restored.ok());
   EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(HostileInputTest, SnapshotWithOutOfRangeIntegersFailsToRestore) {
+  core::MinerConfig config;
+  config.search.beam_width = 8;
+  config.search.max_depth = 2;
+  config.search.top_k = 20;
+  config.search.min_coverage = 5;
+  Result<core::MiningSession> session = core::MiningSession::Create(
+      datagen::MakeScenarioDataset("synthetic").Value(), config);
+  ASSERT_TRUE(session.ok());
+  const std::string snapshot = session.Value().SaveToString();
+  // 4294967297 used to restore as beam width 1; sparsity 7 used to
+  // restore and silently mine dense spread directions.
+  for (const auto& [field, tampered] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"\"beam_width\":8", "\"beam_width\":4294967297"},
+           {"\"spread_sparsity\":0", "\"spread_sparsity\":7"}}) {
+    SCOPED_TRACE(tampered);
+    std::string text = snapshot;
+    const size_t at = text.find(field);
+    ASSERT_NE(at, std::string::npos);
+    text.replace(at, field.size(), tampered);
+    Result<core::MiningSession> restored =
+        core::MiningSession::RestoreFromString(text);
+    ASSERT_FALSE(restored.ok());
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(HostileInputTest, TamperedSpillSnapshotAnswersOkFalseOnMine) {

@@ -40,6 +40,7 @@
 
 #include "common/status.hpp"
 #include "common/strings.hpp"
+#include "core/config_table.hpp"
 #include "core/export.hpp"
 #include "core/session.hpp"
 #include "data/append.hpp"
@@ -61,9 +62,7 @@ USAGE
   sisd_cli export --session FILE [--history OUT.csv]
                   [--ranked OUT.csv [--iteration K]] [--json OUT.json]
   sisd_cli optimal (--csv FILE --targets A[,B...] | --scenario NAME)
-                   [--max-depth N] [--min-coverage N] [--splits N]
-                   [--threads N] [--time-budget S] [--gamma X] [--eta X]
-                   [--no-bound] [--compare-beam]
+                   [search options] [--no-bound] [--compare-beam]
   sisd_cli list (--csv FILE --targets A[,B...] | --scenario NAME |
                  --session FILE) [--rules N] [--list-alpha X]
                 [--list-beta X] [--session-save OUT] [search options]
@@ -77,26 +76,16 @@ MINE INPUT
   --scenario NAME       built-in generator: synthetic | crime | mammals |
                         water | gse (the paper's four datasets + synthetic)
 
-MINE OPTIONS (defaults = the paper's Cortana settings)
+MINE OPTIONS
   --iterations N        mining iterations to run (default 1)
   --session-save FILE   write the session snapshot after mining
-  --location-only       mine location patterns only (no spread patterns)
-  --spread-sparsity K   0 = dense spread direction, 2 = pair sweep (§III-C)
-  --beam-width N        beam width (default 40)
-  --max-depth N         max conditions per intention (default 4)
-  --splits N            numeric split points per attribute (default 4)
-  --top-k N             global ranked-list size (default 150)
-  --min-coverage N      minimum subgroup size (default 2)
-  --exclusions          add != set-exclusion conditions for categorical
-                        attributes with 3+ levels (default: the paper's
-                        Cortana alphabet, no exclusions)
-  --time-budget SECONDS wall-clock search budget per iteration
-  --threads N           scoring threads (0 = auto)
-  --gamma X / --eta X   description-length parameters (default 0.1 / 1)
-  --optimal             mine each iteration's location pattern with the
-                        provably-optimal branch-and-bound instead of beam
-                        search (keep --max-depth small, e.g. 2)
 
+CONFIG OPTIONS (defaults = the paper's Cortana settings; a value
+outside its range exits 1 with InvalidArgument; [m l o] = accepted by
+mine / list / optimal; the search options are those optimal accepts)
+)";
+
+constexpr const char* kUsageSections = R"(
 LIST
   Greedy MDL subgroup-list mining: up to --rules rules (default 3) are
   appended in order of normalized compression gain; each rule owns the
@@ -113,7 +102,7 @@ OPTIMAL
   across --threads workers. The result is the global optimum over the
   description language up to --max-depth (default 2). --no-bound disables
   pruning (pure best-first enumeration); --compare-beam also runs beam
-  search with the same constraints and reports its optimality gap.
+  search with the same search options and reports its optimality gap.
 
 RESUME
   Restores the snapshot and continues mining; results are byte-identical
@@ -151,11 +140,39 @@ struct Args {
   }
 };
 
-/// Flags that take no value.
+/// The usage text; the config options come from the config table.
+std::string Usage() {
+  std::string text = kUsage;
+  for (const core::ConfigKey& key : core::ConfigKeys()) {
+    const unsigned on = key.surfaces;
+    if (on == core::kProtocolConfig) continue;
+    const std::string_view type = core::ConfigTypeName(key);
+    const std::string flag =
+        core::ConfigFlag(key) +
+        (type == "integer" ? " N" : type == "number" ? " X" : "");
+    const std::string values =
+        type == "bool" ? "switch"
+                       : std::string(type) + " " +
+                             core::DescribeConfigRange(key) + ", default " +
+                             core::DescribeConfigDefault(key);
+    text += StrFormat("  %-21s %.*s\n%24s%s  [%c %c %c]\n", flag.c_str(),
+                      int(key.help.size()), key.help.data(), "",
+                      values.c_str(), (on & core::kCliMine) ? 'm' : '-',
+                      (on & core::kCliList) ? 'l' : '-',
+                      (on & core::kCliOptimal) ? 'o' : '-');
+  }
+  return text + kUsageSections;
+}
+
+/// Flags that take no value: the config table's bool keys plus these.
 bool IsSwitch(const std::string& name) {
-  return name == "--location-only" || name == "--exclusions" ||
-         name == "--optimal" || name == "--no-bound" ||
-         name == "--compare-beam" || name == "--help" || name == "-h";
+  for (const core::ConfigKey& key : core::ConfigKeys()) {
+    if (core::ConfigTypeName(key) == "bool" && core::ConfigFlag(key) == name) {
+      return true;
+    }
+  }
+  return name == "--no-bound" || name == "--compare-beam" ||
+         name == "--help" || name == "-h";
 }
 
 Result<Args> ParseArgs(int argc, char** argv) {
@@ -180,53 +197,6 @@ Result<Args> ParseArgs(int argc, char** argv) {
   return args;
 }
 
-/// Flags each subcommand accepts. A flag not on its subcommand's list is
-/// a usage error (exit 2), not a silently ignored key-value pair.
-Status ValidateFlags(const Args& args) {
-  static const std::vector<std::string> kCommon = {"--help", "-h"};
-  static const std::vector<std::string> kSearch = {
-      "--beam-width", "--max-depth",    "--splits",  "--top-k",
-      "--min-coverage", "--exclusions", "--time-budget", "--threads",
-      "--gamma", "--eta"};
-  static const std::vector<std::string> kInput = {"--csv", "--targets",
-                                                  "--scenario"};
-  std::vector<std::string> allowed = kCommon;
-  auto add = [&allowed](const std::vector<std::string>& flags) {
-    allowed.insert(allowed.end(), flags.begin(), flags.end());
-  };
-  if (args.command == "mine") {
-    add(kInput);
-    add(kSearch);
-    add({"--iterations", "--session-save", "--location-only",
-         "--spread-sparsity", "--optimal", "--list-alpha", "--list-beta"});
-  } else if (args.command == "resume") {
-    add({"--session", "--iterations", "--session-save"});
-  } else if (args.command == "append") {
-    add({"--session", "--csv", "--iterations", "--session-save"});
-  } else if (args.command == "export") {
-    add({"--session", "--history", "--ranked", "--iteration", "--json"});
-  } else if (args.command == "optimal") {
-    add(kInput);
-    add(kSearch);
-    add({"--no-bound", "--compare-beam"});
-  } else if (args.command == "list") {
-    add(kInput);
-    add(kSearch);
-    add({"--session", "--rules", "--list-alpha", "--list-beta",
-         "--session-save", "--location-only", "--spread-sparsity"});
-  } else {
-    return Status::OK();  // unknown subcommands are reported separately
-  }
-  for (const auto& [flag, value] : args.flags) {
-    if (std::find(allowed.begin(), allowed.end(), flag) == allowed.end()) {
-      return Status::InvalidArgument("unknown flag " + flag +
-                                     " for subcommand '" + args.command +
-                                     "'");
-    }
-  }
-  return Status::OK();
-}
-
 Result<long long> FlagInt(const Args& args, const std::string& name,
                           long long fallback) {
   const std::string* raw = args.Find(name);
@@ -239,66 +209,16 @@ Result<long long> FlagInt(const Args& args, const std::string& name,
   return *parsed;
 }
 
-Result<double> FlagDouble(const Args& args, const std::string& name,
-                          double fallback) {
-  const std::string* raw = args.Find(name);
-  if (raw == nullptr) return fallback;
-  std::optional<double> parsed = ParseDouble(*raw);
-  if (!parsed.has_value()) {
-    return Status::InvalidArgument(name + " expects a number, got '" + *raw +
-                                   "'");
-  }
-  return *parsed;
-}
-
-Result<core::MinerConfig> ConfigFromArgs(const Args& args) {
-  core::MinerConfig config;
-  SISD_ASSIGN_OR_RETURN(
-      beam, FlagInt(args, "--beam-width", config.search.beam_width));
-  config.search.beam_width = int(beam);
-  SISD_ASSIGN_OR_RETURN(depth,
-                        FlagInt(args, "--max-depth", config.search.max_depth));
-  config.search.max_depth = int(depth);
-  SISD_ASSIGN_OR_RETURN(
-      splits, FlagInt(args, "--splits", config.search.num_split_points));
-  config.search.num_split_points = int(splits);
-  SISD_ASSIGN_OR_RETURN(
-      top_k, FlagInt(args, "--top-k", (long long)(config.search.top_k)));
-  config.search.top_k = size_t(top_k);
-  SISD_ASSIGN_OR_RETURN(
-      min_cov,
-      FlagInt(args, "--min-coverage", (long long)(config.search.min_coverage)));
-  config.search.min_coverage = size_t(min_cov);
-  SISD_ASSIGN_OR_RETURN(budget,
-                        FlagDouble(args, "--time-budget",
-                                   config.search.time_budget_seconds));
-  config.search.time_budget_seconds = budget;
-  SISD_ASSIGN_OR_RETURN(threads,
-                        FlagInt(args, "--threads", config.search.num_threads));
-  config.search.num_threads = int(threads);
-  SISD_ASSIGN_OR_RETURN(gamma, FlagDouble(args, "--gamma", config.dl.gamma));
-  config.dl.gamma = gamma;
-  SISD_ASSIGN_OR_RETURN(eta, FlagDouble(args, "--eta", config.dl.eta));
-  config.dl.eta = eta;
-  SISD_ASSIGN_OR_RETURN(sparsity, FlagInt(args, "--spread-sparsity",
-                                          config.spread_sparsity));
-  config.spread_sparsity = int(sparsity);
-  SISD_ASSIGN_OR_RETURN(list_alpha,
-                        FlagDouble(args, "--list-alpha",
-                                   config.list_gain.alpha));
-  config.list_gain.alpha = list_alpha;
-  SISD_ASSIGN_OR_RETURN(list_beta,
-                        FlagDouble(args, "--list-beta",
-                                   config.list_gain.beta));
-  config.list_gain.beta = list_beta;
-  if (args.Find("--location-only") != nullptr) {
-    config.mix = core::PatternMix::kLocationOnly;
-  }
-  if (args.Find("--exclusions") != nullptr) {
-    config.search.include_exclusions = true;
-  }
-  if (args.Find("--optimal") != nullptr) {
-    config.use_optimal_search = true;
+/// Sets every config flag of `surface` onto `config` (the first
+/// occurrence of a repeated flag wins), then validates the result.
+Result<core::MinerConfig> ConfigFromArgs(const Args& args,
+                                         core::ConfigSurface surface,
+                                         core::MinerConfig config = {}) {
+  for (const core::ConfigKey& key : core::ConfigKeys()) {
+    if ((key.surfaces & surface) == 0) continue;
+    if (const std::string* raw = args.Find(core::ConfigFlag(key))) {
+      SISD_RETURN_NOT_OK(core::SetConfigFromText(key, *raw, &config));
+    }
   }
   SISD_RETURN_NOT_OK(core::ValidateMinerConfig(config));
   return config;
@@ -360,7 +280,7 @@ Status MineIterationsAndPrint(core::MiningSession* session, int iterations) {
 
 Status RunMine(const Args& args) {
   SISD_ASSIGN_OR_RETURN(dataset, LoadDataset(args));
-  SISD_ASSIGN_OR_RETURN(config, ConfigFromArgs(args));
+  SISD_ASSIGN_OR_RETURN(config, ConfigFromArgs(args, core::kCliMine));
   std::printf("dataset '%s': %zu rows, %zu descriptions, %zu targets\n",
               dataset.name.c_str(), dataset.num_rows(),
               dataset.num_descriptions(), dataset.num_targets());
@@ -497,37 +417,24 @@ Status RunOptimal(const Args& args) {
               dataset.name.c_str(), dataset.num_rows(),
               dataset.num_descriptions(), dataset.num_targets());
 
-  search::OptimalConfig config;
-  SISD_ASSIGN_OR_RETURN(depth, FlagInt(args, "--max-depth", config.max_depth));
-  config.max_depth = int(depth);
-  SISD_ASSIGN_OR_RETURN(
-      min_cov,
-      FlagInt(args, "--min-coverage", (long long)(config.min_coverage)));
-  config.min_coverage = size_t(min_cov);
-  SISD_ASSIGN_OR_RETURN(
-      budget, FlagDouble(args, "--time-budget", config.time_budget_seconds));
-  config.time_budget_seconds = budget;
-  SISD_ASSIGN_OR_RETURN(threads,
-                        FlagInt(args, "--threads", config.num_threads));
-  config.num_threads = int(threads);
-  config.use_bound = args.Find("--no-bound") == nullptr;
+  core::MinerConfig defaults;
+  defaults.search.max_depth = 2;
+  SISD_ASSIGN_OR_RETURN(config, ConfigFromArgs(args, core::kCliOptimal,
+                                               std::move(defaults)));
+  search::OptimalConfig optimal = search::OptimalConfigFor(config.search);
+  optimal.use_bound = args.Find("--no-bound") == nullptr;
 
-  si::DescriptionLengthParams dl;
-  SISD_ASSIGN_OR_RETURN(gamma, FlagDouble(args, "--gamma", dl.gamma));
-  dl.gamma = gamma;
-  SISD_ASSIGN_OR_RETURN(eta, FlagDouble(args, "--eta", dl.eta));
-  dl.eta = eta;
-
-  SISD_ASSIGN_OR_RETURN(splits, FlagInt(args, "--splits", 4));
   const search::ConditionPool pool = search::ConditionPool::Build(
-      dataset.descriptions, int(splits), args.Find("--exclusions") != nullptr);
-  SISD_ASSIGN_OR_RETURN(
-      model, model::BackgroundModel::CreateFromData(dataset.targets, 1e-8));
+      dataset.descriptions, config.search.num_split_points,
+      config.search.include_exclusions);
+  SISD_ASSIGN_OR_RETURN(model, model::BackgroundModel::CreateFromData(
+                                   dataset.targets, config.prior_ridge));
 
   using Clock = std::chrono::steady_clock;
   const Clock::time_point start = Clock::now();
   const search::OptimalResult result = search::OptimalLocationSearch(
-      dataset.descriptions, pool, model, dataset.targets, dl, config);
+      dataset.descriptions, pool, model, dataset.targets, config.dl,
+      optimal);
   const double seconds =
       std::chrono::duration<double>(Clock::now() - start).count();
   if (result.best.intention.empty()) {
@@ -546,16 +453,10 @@ Status RunOptimal(const Args& args) {
       seconds > 0.0 ? double(result.num_evaluated) / seconds : 0.0);
 
   if (args.Find("--compare-beam") != nullptr) {
-    search::SearchConfig beam;
-    beam.max_depth = config.max_depth;
-    beam.min_coverage = config.min_coverage;
-    beam.num_threads = config.num_threads;
-    beam.include_exclusions = args.Find("--exclusions") != nullptr;
-    beam.num_split_points = int(splits);
-    search::SiLocationEvaluator evaluator(model, dataset.targets, dl);
+    search::SiLocationEvaluator evaluator(model, dataset.targets, config.dl);
     const Clock::time_point beam_start = Clock::now();
     const search::SearchResult beam_result = search::BeamSearch(
-        dataset.descriptions, pool, beam, evaluator);
+        dataset.descriptions, pool, config.search, evaluator);
     const double beam_seconds =
         std::chrono::duration<double>(Clock::now() - beam_start).count();
     if (beam_result.top.empty()) {
@@ -598,7 +499,7 @@ Status RunList(const Args& args) {
                     : size_t{0});
   } else {
     SISD_ASSIGN_OR_RETURN(dataset, LoadDataset(args));
-    SISD_ASSIGN_OR_RETURN(config, ConfigFromArgs(args));
+    SISD_ASSIGN_OR_RETURN(config, ConfigFromArgs(args, core::kCliList));
     std::printf("dataset '%s': %zu rows, %zu descriptions, %zu targets\n",
                 dataset.name.c_str(), dataset.num_rows(),
                 dataset.num_descriptions(), dataset.num_targets());
@@ -639,41 +540,79 @@ Status RunList(const Args& args) {
   return Status::OK();
 }
 
+/// One subcommand: the flags it takes besides the config table's flags
+/// of its surface (0: none), and its runner. A flag not on its list is a
+/// usage error (exit 2), not a silently ignored key-value pair.
+struct Subcommand {
+  std::string_view name;
+  unsigned surface;
+  std::vector<std::string> flags;
+  Status (*run)(const Args&);
+};
+
+const Subcommand kSubcommands[] = {
+    {"mine", core::kCliMine,
+     {"--csv", "--targets", "--scenario", "--iterations", "--session-save"},
+     RunMine},
+    {"resume", 0, {"--session", "--iterations", "--session-save"}, RunResume},
+    {"append", 0, {"--session", "--csv", "--iterations", "--session-save"},
+     RunAppend},
+    {"export", 0,
+     {"--session", "--history", "--ranked", "--iteration", "--json"},
+     RunExport},
+    {"optimal", core::kCliOptimal,
+     {"--csv", "--targets", "--scenario", "--no-bound", "--compare-beam"},
+     RunOptimal},
+    {"list", core::kCliList,
+     {"--csv", "--targets", "--scenario", "--session", "--rules",
+      "--session-save"},
+     RunList},
+};
+
+Status ValidateFlags(const Args& args, const Subcommand& subcommand) {
+  for (const auto& [flag, value] : args.flags) {
+    bool known = std::find(subcommand.flags.begin(), subcommand.flags.end(),
+                           flag) != subcommand.flags.end();
+    for (const core::ConfigKey& key : core::ConfigKeys()) {
+      known = known || ((key.surfaces & subcommand.surface) != 0 &&
+                        core::ConfigFlag(key) == flag);
+    }
+    if (!known) {
+      return Status::InvalidArgument("unknown flag " + flag +
+                                     " for subcommand '" + args.command +
+                                     "'");
+    }
+  }
+  return Status::OK();
+}
+
 int Main(int argc, char** argv) {
   Result<Args> args = ParseArgs(argc, argv);
   if (!args.ok()) {
     std::fprintf(stderr, "error: %s\n\n%s", args.status().message().c_str(),
-                 kUsage);
+                 Usage().c_str());
     return 2;
   }
   if (args.Value().command == "help" || args.Value().Find("--help") ||
       args.Value().Find("-h")) {
-    std::printf("%s", kUsage);
+    std::printf("%s", Usage().c_str());
     return 0;
   }
-  if (Status valid = ValidateFlags(args.Value()); !valid.ok()) {
-    std::fprintf(stderr, "error: %s\n\n%s", valid.message().c_str(), kUsage);
-    return 2;
+  const Subcommand* subcommand = nullptr;
+  for (const Subcommand& candidate : kSubcommands) {
+    if (candidate.name == args.Value().command) subcommand = &candidate;
   }
-  Status status;
-  if (args.Value().command == "mine") {
-    status = RunMine(args.Value());
-  } else if (args.Value().command == "resume") {
-    status = RunResume(args.Value());
-  } else if (args.Value().command == "append") {
-    status = RunAppend(args.Value());
-  } else if (args.Value().command == "export") {
-    status = RunExport(args.Value());
-  } else if (args.Value().command == "optimal") {
-    status = RunOptimal(args.Value());
-  } else if (args.Value().command == "list") {
-    status = RunList(args.Value());
-  } else {
+  if (subcommand == nullptr) {
     std::fprintf(stderr, "error: unknown subcommand '%s'\n\n%s",
-                 args.Value().command.c_str(), kUsage);
+                 args.Value().command.c_str(), Usage().c_str());
     return 2;
   }
-  if (!status.ok()) {
+  if (Status valid = ValidateFlags(args.Value(), *subcommand); !valid.ok()) {
+    std::fprintf(stderr, "error: %s\n\n%s", valid.message().c_str(),
+                 Usage().c_str());
+    return 2;
+  }
+  if (Status status = subcommand->run(args.Value()); !status.ok()) {
     std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
     return 1;
   }

@@ -35,6 +35,8 @@
 
 #include "common/status.hpp"
 #include "common/strings.hpp"
+#include "datagen/scenarios.hpp"
+#include "search/condition_pool.hpp"
 #include "serialize/json.hpp"
 #include "serialize/protocol.hpp"
 #include "serve/metrics.hpp"
@@ -53,7 +55,8 @@ OPTIONS
   --rounds N         mine rounds per connection; every 3rd round adds a
                      history request, every 4th an assimilate (default 10)
   --pipeline N       max requests in flight per connection (default 8)
-  --scenario NAME    dataset each session opens (default synthetic)
+  --scenario NAME    dataset each session opens (default synthetic); the
+                     assimilate condition is drawn from its table
   --dataset-ref NAME open sessions against a preloaded catalog dataset
                      instead of embedding --scenario
   --append-every N   every Nth round, append rows to the --dataset-ref
@@ -86,6 +89,9 @@ struct LoadgenArgs {
   std::string append_csv_path;
   std::string append_csv_text;  // loaded from append_csv_path at startup
   std::string output;
+  /// The `assimilate` condition: the first condition of the --scenario
+  /// table's default condition pool, so it is valid on every scenario.
+  serialize::JsonValue condition;
 };
 
 /// Per-connection outcome counters, merged after the join.
@@ -222,15 +228,10 @@ std::vector<ScriptedRequest> BuildScript(const LoadgenArgs& args,
           {{"dataset", JsonValue::Str(args.dataset_ref + "@v2")}}));
     }
     if (round % 4 == 0) {
-      // The synthetic scenario's binary label attributes are a3..a5 with
-      // levels '0'/'1'; re-assimilating a condition is a valid no-op
-      // analyst action, so the request stays correct every round.
-      JsonValue condition = JsonValue::Object();
-      condition.Set("attribute", JsonValue::Str("a3"));
-      condition.Set("op", JsonValue::Str("="));
-      condition.Set("level", JsonValue::Str("1"));
+      // Re-assimilating a condition is a valid no-op analyst action, so
+      // the request stays correct every round.
       JsonValue conditions = JsonValue::Array();
-      conditions.Append(std::move(condition));
+      conditions.Append(args.condition);
       script.push_back(MakeRequest(next_id++, "assimilate", session,
                                    {{"conditions", std::move(conditions)}}));
     }
@@ -426,6 +427,20 @@ Result<LoadgenArgs> ParseArgs(int argc, char** argv) {
     }
     args.append_csv_text = std::move(text);
   }
+  SISD_ASSIGN_OR_RETURN(dataset, datagen::MakeScenarioDataset(args.scenario));
+  const data::DataTable& table = dataset.descriptions;
+  const pattern::Condition first =
+      search::ConditionPool::Build(table).condition(0);
+  const data::Column& column = table.column(first.attribute);
+  args.condition = serialize::JsonValue::Object();
+  args.condition.Set("attribute", serialize::JsonValue::Str(column.name()));
+  args.condition.Set("op", serialize::JsonValue::Str(
+                               pattern::ConditionOpToString(first.op)));
+  args.condition.Set(
+      data::IsOrderable(column.kind()) ? "threshold" : "level",
+      data::IsOrderable(column.kind())
+          ? serialize::JsonValue::Double(first.threshold)
+          : serialize::JsonValue::Str(column.Label(first.level)));
   return args;
 }
 
