@@ -7,29 +7,63 @@
 namespace sisd::linalg {
 
 Result<Cholesky> Cholesky::Compute(const Matrix& a) {
+  Cholesky chol;
+  Status status = chol.Refactor(a);
+  if (!status.ok()) return status;
+  return chol;
+}
+
+Status Cholesky::Refactor(const Matrix& a) {
   if (!a.IsSquare()) {
     return Status::InvalidArgument("Cholesky requires a square matrix");
   }
   const size_t n = a.rows();
-  Matrix l(n, n);
+  // Every write below lands on or below the diagonal, so a reused factor
+  // keeps the zero upper triangle a fresh one starts with.
+  if (l_.rows() != n) l_ = Matrix(n, n);
   for (size_t j = 0; j < n; ++j) {
     double diag = a(j, j);
-    const double* lrow_j = l.RowData(j);
+    const double* lrow_j = l_.RowData(j);
     for (size_t k = 0; k < j; ++k) diag -= lrow_j[k] * lrow_j[k];
     if (!(diag > 0.0) || !std::isfinite(diag)) {
       return Status::NumericalError(StrFormat(
           "matrix not positive definite at pivot %zu (value %.6g)", j, diag));
     }
     const double ljj = std::sqrt(diag);
-    l(j, j) = ljj;
-    for (size_t i = j + 1; i < n; ++i) {
+    l_(j, j) = ljj;
+    // Four rows per pass: each entry keeps its own accumulator in ascending
+    // k order (so every bit matches the one-row loop), and the four
+    // independent dependency chains overlap in the pipeline.
+    size_t i = j + 1;
+    for (; i + 4 <= n; i += 4) {
+      const double* r0 = l_.RowData(i);
+      const double* r1 = l_.RowData(i + 1);
+      const double* r2 = l_.RowData(i + 2);
+      const double* r3 = l_.RowData(i + 3);
+      double acc0 = a(i, j);
+      double acc1 = a(i + 1, j);
+      double acc2 = a(i + 2, j);
+      double acc3 = a(i + 3, j);
+      for (size_t k = 0; k < j; ++k) {
+        const double ljk = lrow_j[k];
+        acc0 -= r0[k] * ljk;
+        acc1 -= r1[k] * ljk;
+        acc2 -= r2[k] * ljk;
+        acc3 -= r3[k] * ljk;
+      }
+      l_(i, j) = acc0 / ljj;
+      l_(i + 1, j) = acc1 / ljj;
+      l_(i + 2, j) = acc2 / ljj;
+      l_(i + 3, j) = acc3 / ljj;
+    }
+    for (; i < n; ++i) {
       double acc = a(i, j);
-      const double* lrow_i = l.RowData(i);
+      const double* lrow_i = l_.RowData(i);
       for (size_t k = 0; k < j; ++k) acc -= lrow_i[k] * lrow_j[k];
-      l(i, j) = acc / ljj;
+      l_(i, j) = acc / ljj;
     }
   }
-  return Cholesky(std::move(l));
+  return Status::OK();
 }
 
 Result<Cholesky> Cholesky::FromFactor(Matrix l) {

@@ -17,13 +17,23 @@ namespace sisd::linalg {
 
 /// \brief Lower-triangular Cholesky factor of an SPD matrix.
 ///
-/// Construct via `Cholesky::Compute`. All query methods require a
-/// successfully computed factorization.
+/// Construct via `Cholesky::Compute`, or default-construct scratch and
+/// `Refactor` it in place. All query methods require a successfully
+/// computed factorization.
 class Cholesky {
  public:
+  /// An empty (0 x 0) factor: scratch for `Refactor`.
+  Cholesky() = default;
+
   /// Factorizes symmetric positive-definite `a` as `L L'`.
   /// Returns NumericalError if `a` is not (numerically) SPD.
   static Result<Cholesky> Compute(const Matrix& a);
+
+  /// `Compute` into this object, reusing its storage when the dimension is
+  /// unchanged (no allocation then). Bit-identical to `Compute`, which
+  /// delegates here. On error the factor is unspecified and must be
+  /// refactored before any query.
+  Status Refactor(const Matrix& a);
 
   /// Rebuilds a factorization from an explicit lower-triangular factor
   /// (snapshot restore): `l` must be square with strictly positive, finite

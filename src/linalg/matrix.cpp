@@ -84,6 +84,10 @@ Matrix& Matrix::AddScaled(const Matrix& other, double scale) {
   return *this;
 }
 
+void Matrix::Fill(double value) {
+  for (double& v : data_) v = value;
+}
+
 Matrix& Matrix::AddOuter(const Vector& v, double scale) {
   SISD_DCHECK(IsSquare() && v.size() == rows_);
   for (size_t r = 0; r < rows_; ++r) {

@@ -83,6 +83,8 @@ class Matrix {
   Matrix& operator*=(double scale);
   /// Adds `scale * other`.
   Matrix& AddScaled(const Matrix& other, double scale);
+  /// Sets every entry to `value` (keeps the storage).
+  void Fill(double value);
   /// Symmetric rank-1 update: `this += scale * v v'`. Requires square.
   Matrix& AddOuter(const Vector& v, double scale);
   /// @}

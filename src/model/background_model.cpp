@@ -181,24 +181,30 @@ void BackgroundModel::WarmGroupCaches() const {
 MeanStatisticMarginal BackgroundModel::MeanStatMarginal(
     const pattern::Extension& extension) const {
   SISD_CHECK(!extension.empty());
-  return MeanStatMarginalFromCounts(GroupCounts(extension),
-                                    double(extension.count()));
+  MeanStatisticMarginal out;
+  MeanStatMarginalInto(GroupCounts(extension), double(extension.count()),
+                       &out.mean, &out.cov);
+  return out;
 }
 
-MeanStatisticMarginal BackgroundModel::MeanStatMarginalFromCounts(
-    const std::vector<size_t>& counts, double size) const {
+void BackgroundModel::MeanStatMarginalInto(const std::vector<size_t>& counts,
+                                           double size, linalg::Vector* mean,
+                                           linalg::Matrix* cov) const {
   SISD_CHECK(counts.size() == groups_.size());
   SISD_CHECK(size > 0.0);
-  MeanStatisticMarginal out;
-  out.mean = linalg::Vector(dim_);
-  out.cov = linalg::Matrix(dim_, dim_);
+  SISD_CHECK(mean != nullptr && cov != nullptr);
+  if (mean->size() != dim_) *mean = linalg::Vector(dim_);
+  if (cov->rows() != dim_ || cov->cols() != dim_) {
+    *cov = linalg::Matrix(dim_, dim_);
+  }
+  mean->Fill(0.0);
+  cov->Fill(0.0);
   for (size_t g = 0; g < groups_.size(); ++g) {
     if (counts[g] == 0) continue;
     const double weight = double(counts[g]);
-    out.mean.AddScaled(groups_[g].mu, weight / size);
-    out.cov.AddScaled(groups_[g].sigma, weight / (size * size));
+    mean->AddScaled(groups_[g].mu, weight / size);
+    cov->AddScaled(groups_[g].sigma, weight / (size * size));
   }
-  return out;
 }
 
 std::vector<DirectionalTerm> BackgroundModel::DirectionalTerms(

@@ -171,11 +171,12 @@ class BackgroundModel {
       const pattern::Extension& extension) const;
 
   /// Marginal law from precomputed per-group counts (`counts[g]` rows of
-  /// group `g`; `size` = their sum, > 0). The single implementation behind
-  /// `MeanStatMarginal` and the evaluation engine's marginal cache, so both
-  /// paths are bit-identical by construction.
-  MeanStatisticMarginal MeanStatMarginalFromCounts(
-      const std::vector<size_t>& counts, double size) const;
+  /// group `g`; `size` = their sum, > 0), written into caller storage
+  /// (reused when already `dim()`-sized, so the evaluation engine scores
+  /// without allocating). The single implementation behind
+  /// `MeanStatMarginal`, so both paths are bit-identical by construction.
+  void MeanStatMarginalInto(const std::vector<size_t>& counts, double size,
+                            linalg::Vector* mean, linalg::Matrix* cov) const;
 
   /// Per-group terms of the directional-variance law for `extension`,
   /// direction `w` (unit), anchored at `anchor` (the empirical mean).

@@ -17,6 +17,7 @@
 #define SISD_SEARCH_BATCH_EVALUATOR_HPP_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "pattern/extension.hpp"
@@ -39,15 +40,18 @@ struct CandidateBatch {
   /// Parent extensions (beam entries of the previous level; one full
   /// extension at depth 1).
   std::vector<const pattern::Extension*> parents;
-  /// Sorted pool-condition ids of each parent (aligned with `parents`).
-  std::vector<const std::vector<uint32_t>*> parent_ids;
   /// Conditions per candidate at this level (= beam depth).
   size_t depth = 1;
   std::vector<Item> items;
-  /// Sorted pool-condition ids of each candidate (aligned with `items`).
-  std::vector<std::vector<uint32_t>> ids;
+  /// Flat id arena: the sorted pool-condition ids of candidate `i` are
+  /// `ids[i * depth, (i + 1) * depth)` (read them via `candidate_ids`).
+  std::vector<uint32_t> ids;
 
   size_t size() const { return items.size(); }
+
+  std::span<const uint32_t> candidate_ids(size_t i) const {
+    return {ids.data() + i * depth, depth};
+  }
 
   const pattern::Extension& parent_extension(const Item& item) const {
     return *parents[item.parent];

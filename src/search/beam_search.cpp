@@ -4,8 +4,9 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <optional>
-#include <unordered_set>
+#include <span>
 
 #include "search/thread_pool.hpp"
 
@@ -27,30 +28,86 @@ struct BeamEntry {
   double quality = -std::numeric_limits<double>::infinity();
 };
 
-/// Hash for sorted condition-id vectors (FNV-1a over the bytes).
-struct IdVectorHash {
-  size_t operator()(const std::vector<uint32_t>& ids) const {
-    size_t h = 1469598103934665603ull;
-    for (uint32_t id : ids) {
-      h ^= id;
-      h *= 1099511628211ull;
-    }
-    return h;
-  }
-};
-
 pattern::Intention MakeIntention(const ConditionPool& pool,
-                                 const std::vector<uint32_t>& ids) {
+                                 std::span<const uint32_t> ids) {
   std::vector<pattern::Condition> conditions;
   conditions.reserve(ids.size());
   for (uint32_t id : ids) conditions.push_back(pool.condition(id));
   return pattern::Intention(std::move(conditions));
 }
 
-/// Bounded best-list with canonical-signature dedup.
+/// One beam level's set of candidate id sets, for dedup during generation:
+/// open addressing (linear probing) over candidate indices into the batch's
+/// flat id arena. Every probe compares the full id span, so two distinct
+/// sets never merge. Per level suffices: a level-d candidate holds exactly
+/// d ids (`AllowsRefinementWith` rejects a condition the parent already
+/// has), so sets of different levels never compare equal. Storage is kept
+/// across levels; steady-state generation allocates nothing.
+class LevelIdSet {
+ public:
+  /// Forgets every set, keeping the table's storage.
+  void Clear() {
+    std::fill(slots_.begin(), slots_.end(), kEmpty);
+    size_ = 0;
+  }
+
+  /// Records candidate `index`, whose id set is already in `batch.ids`.
+  /// False when an earlier candidate of this level holds the same set.
+  bool Insert(const CandidateBatch& batch, uint32_t index) {
+    if (2 * (size_ + 1) > slots_.size()) Grow(batch);
+    const std::span<const uint32_t> ids = batch.candidate_ids(index);
+    const size_t mask = slots_.size() - 1;
+    size_t slot = Hash(ids) & mask;
+    for (; slots_[slot] != kEmpty; slot = (slot + 1) & mask) {
+      const std::span<const uint32_t> held =
+          batch.candidate_ids(slots_[slot]);
+      if (std::equal(ids.begin(), ids.end(), held.begin())) return false;
+    }
+    slots_[slot] = index;
+    ++size_;
+    return true;
+  }
+
+ private:
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+  static constexpr size_t kMinSlots = 1024;
+
+  static size_t Hash(std::span<const uint32_t> ids) {
+    uint64_t h = 1469598103934665603ull;  // FNV-1a, then a final mix
+    for (uint32_t id : ids) {
+      h ^= id;
+      h *= 1099511628211ull;
+    }
+    return size_t(h ^ (h >> 29));
+  }
+
+  void Grow(const CandidateBatch& batch) {
+    std::vector<uint32_t> old = std::move(slots_);
+    slots_.assign(std::max(kMinSlots, 2 * old.size()), kEmpty);
+    const size_t mask = slots_.size() - 1;
+    for (uint32_t index : old) {
+      if (index == kEmpty) continue;
+      size_t slot = Hash(batch.candidate_ids(index)) & mask;
+      while (slots_[slot] != kEmpty) slot = (slot + 1) & mask;
+      slots_[slot] = index;
+    }
+  }
+
+  std::vector<uint32_t> slots_;  ///< candidate indices; power-of-two size
+  size_t size_ = 0;
+};
+
+/// Bounded best-list. Each id set is offered at most once per search (the
+/// generation dedup guarantees it), so the list keeps no signature set: an
+/// evicted candidate had lower quality than everything kept, and it is never
+/// re-offered.
 class TopList {
  public:
-  TopList(size_t capacity) : capacity_(capacity) {}
+  /// `max_ids` bounds the id sets offered; `spares` are retired entries
+  /// whose storage new entries reuse.
+  TopList(size_t capacity, size_t max_ids,
+          std::vector<BeamEntry> spares = {})
+      : capacity_(capacity), max_ids_(max_ids), spares_(std::move(spares)) {}
 
   /// True iff an offer with this quality could enter the list (the
   /// candidate-materialization gate: extensions are only built for
@@ -59,20 +116,25 @@ class TopList {
     return entries_.size() < capacity_ || quality > WorstQuality();
   }
 
-  void Offer(const std::vector<uint32_t>& ids,
+  /// Allocates only while no spare storage is left: an entry the list
+  /// evicts becomes the spare the next accepted offer is built in.
+  void Offer(std::span<const uint32_t> ids,
              const pattern::Extension& extension, double quality) {
-    if (entries_.size() >= capacity_ && quality <= WorstQuality()) return;
-    if (!seen_.insert(ids).second) return;
+    if (!WouldAccept(quality)) return;
     BeamEntry entry;
-    entry.condition_ids = ids;
+    if (!spares_.empty()) {
+      entry = std::move(spares_.back());
+      spares_.pop_back();
+    }
+    entry.condition_ids.reserve(max_ids_);
+    entry.condition_ids.assign(ids.begin(), ids.end());
     entry.extension = extension;
     entry.quality = quality;
     entries_.push_back(std::move(entry));
     std::push_heap(entries_.begin(), entries_.end(), BetterQuality);
     if (entries_.size() > capacity_) {
       std::pop_heap(entries_.begin(), entries_.end(), BetterQuality);
-      seen_erase_candidates_.push_back(
-          std::move(entries_.back().condition_ids));
+      spares_.push_back(std::move(entries_.back()));
       entries_.pop_back();
     }
   }
@@ -102,12 +164,9 @@ class TopList {
   }
 
   size_t capacity_;
+  size_t max_ids_;
   std::vector<BeamEntry> entries_;  // min-heap on quality
-  std::unordered_set<std::vector<uint32_t>, IdVectorHash> seen_;
-  // Signatures evicted from the list stay in `seen_` on purpose: an evicted
-  // candidate had lower quality than everything kept, so re-offering it can
-  // never improve the list. Kept alive here only to document the decision.
-  std::vector<std::vector<uint32_t>> seen_erase_candidates_;
+  std::vector<BeamEntry> spares_;   // evicted or retired entries
 };
 
 /// Adapter scoring candidates through a legacy `QualityFunction`. The
@@ -128,7 +187,7 @@ class CallbackEvaluator final : public BatchEvaluator {
       const pattern::Extension extension = pattern::Extension::Intersect(
           batch.parent_extension(item), batch.condition_extension(item));
       const pattern::Intention intention =
-          MakeIntention(*batch.pool, batch.ids[i]);
+          MakeIntention(*batch.pool, batch.candidate_ids(i));
       scores[i] = (*quality_)(intention, extension);
     }
   }
@@ -171,7 +230,10 @@ SearchResult BeamSearch(const data::DataTable& table,
   }
 
   SearchResult result;
-  TopList top_list(config.top_k);
+  // No intention holds more conditions than the depth limit or the pool.
+  const size_t max_ids =
+      std::min(static_cast<size_t>(config.max_depth), pool.size());
+  TopList top_list(config.top_k, max_ids);
   const Clock::time_point deadline =
       Clock::now() + std::chrono::duration_cast<Clock::duration>(
                          std::chrono::duration<double>(
@@ -179,13 +241,19 @@ SearchResult BeamSearch(const data::DataTable& table,
                                  ? config.time_budget_seconds
                                  : 1e9));
 
-  std::unordered_set<std::vector<uint32_t>, IdVectorHash> evaluated;
   std::vector<BeamEntry> beam;
-  const std::vector<uint32_t> empty_ids;
+  // The beam before `beam`: its storage seeds the next level's list.
+  std::vector<BeamEntry> retired;
   const pattern::Extension full_extension(n, /*full=*/true);
 
+  // Reused across levels, so a level's candidates cost no allocations once
+  // the buffers have grown to the level's size.
+  CandidateBatch batch;
+  batch.pool = &pool;
+  LevelIdSet level_ids;
   std::vector<double> scores;
   std::vector<uint8_t> chunk_scored;
+  pattern::Extension merge_extension(n);
   size_t generation_ticks = 0;
 
   // Level 1 candidates: every pool condition. Deeper levels: beam x pool.
@@ -197,27 +265,29 @@ SearchResult BeamSearch(const data::DataTable& table,
 
     // ---- Phase 1: generate this level's candidate batch ----------------
     // Deterministic order: parents in beam order, conditions ascending.
-    CandidateBatch batch;
-    batch.pool = &pool;
-    batch.depth = static_cast<size_t>(depth);
+    const size_t d = static_cast<size_t>(depth);
+    batch.depth = d;
+    batch.parents.clear();
+    batch.items.clear();
+    batch.ids.clear();
+    level_ids.Clear();
     if (depth == 1) {
       batch.parents.push_back(&full_extension);
-      batch.parent_ids.push_back(&empty_ids);
     } else {
-      batch.parents.reserve(beam.size());
-      batch.parent_ids.reserve(beam.size());
       for (const BeamEntry& entry : beam) {
         batch.parents.push_back(&entry.extension);
-        batch.parent_ids.push_back(&entry.condition_ids);
       }
     }
     if (batch.parents.empty()) break;
 
     for (uint32_t pi = 0;
          pi < batch.parents.size() && !result.hit_time_budget; ++pi) {
+      const std::span<const uint32_t> parent_ids =
+          depth == 1 ? std::span<const uint32_t>()
+                     : std::span<const uint32_t>(beam[pi].condition_ids);
       // Reconstruct the parent's intention once for the constraint checks.
       const pattern::Intention parent_intention =
-          MakeIntention(pool, *batch.parent_ids[pi]);
+          MakeIntention(pool, parent_ids);
       const pattern::Extension& parent_extension = *batch.parents[pi];
       for (uint32_t cid = 0; cid < pool.size(); ++cid) {
         if ((++generation_ticks & (kCandidateChunk - 1)) == 0 &&
@@ -227,18 +297,25 @@ SearchResult BeamSearch(const data::DataTable& table,
         }
         const pattern::Condition& cond = pool.condition(cid);
         if (!parent_intention.AllowsRefinementWith(cond)) continue;
-        std::vector<uint32_t> ids = *batch.parent_ids[pi];
-        ids.insert(std::upper_bound(ids.begin(), ids.end(), cid), cid);
-        if (!evaluated.insert(ids).second) continue;
-
         const size_t count = pattern::Extension::IntersectionCount(
             parent_extension, pool.extension(cid));
         if (count < min_coverage || count > max_coverage || count == n) {
           continue;
         }
-        batch.items.push_back(
-            {pi, cid, static_cast<uint32_t>(count)});
-        batch.ids.push_back(std::move(ids));
+        // Append the sorted id set to the arena, and drop it again when the
+        // level already holds it. A duplicate shares extension and count,
+        // so deduping after the coverage filter is exact.
+        const uint32_t index = static_cast<uint32_t>(batch.items.size());
+        const auto split =
+            std::upper_bound(parent_ids.begin(), parent_ids.end(), cid);
+        batch.ids.insert(batch.ids.end(), parent_ids.begin(), split);
+        batch.ids.push_back(cid);
+        batch.ids.insert(batch.ids.end(), split, parent_ids.end());
+        if (!level_ids.Insert(batch, index)) {
+          batch.ids.resize(size_t(index) * d);
+          continue;
+        }
+        batch.items.push_back({pi, cid, static_cast<uint32_t>(count)});
       }
     }
 
@@ -294,7 +371,8 @@ SearchResult BeamSearch(const data::DataTable& table,
     // Sequential and order-fixed: output is bit-identical to a
     // single-threaded run. Extensions are materialized only for candidates
     // some list would accept.
-    TopList level_best(static_cast<size_t>(config.beam_width));
+    TopList level_best(static_cast<size_t>(config.beam_width), max_ids,
+                       std::move(retired));
     for (size_t i = 0; i < batch.size(); ++i) {
       if (!chunk_scored[i]) continue;
       ++result.num_evaluated;
@@ -302,16 +380,20 @@ SearchResult BeamSearch(const data::DataTable& table,
       if (q == -std::numeric_limits<double>::infinity()) continue;
       if (!level_best.WouldAccept(q) && !top_list.WouldAccept(q)) continue;
       const CandidateBatch::Item& item = batch.items[i];
-      const pattern::Extension extension = pattern::Extension::Intersect(
-          batch.parent_extension(item), batch.condition_extension(item));
-      level_best.Offer(batch.ids[i], extension, q);
-      top_list.Offer(batch.ids[i], extension, q);
+      pattern::Extension::IntersectInto(batch.parent_extension(item),
+                                        batch.condition_extension(item),
+                                        &merge_extension);
+      level_best.Offer(batch.candidate_ids(i), merge_extension, q);
+      top_list.Offer(batch.candidate_ids(i), merge_extension, q);
     }
+    retired = std::move(beam);
     beam = level_best.SortedDescending();
     if (result.hit_time_budget) break;
   }
 
-  for (BeamEntry& entry : top_list.SortedDescending()) {
+  std::vector<BeamEntry> top = top_list.SortedDescending();
+  result.top.reserve(top.size());
+  for (BeamEntry& entry : top) {
     ScoredSubgroup scored;
     scored.intention = MakeIntention(pool, entry.condition_ids);
     scored.extension = std::move(entry.extension);

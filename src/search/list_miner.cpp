@@ -87,7 +87,7 @@ class ListGainEvaluator final : public BatchEvaluator {
         }
         if (accepted) {
           score = si::ListGainFromMoments(w.moments.data(), dy, *default_,
-                                          batch.ids[i].size(), params_);
+                                          batch.depth, params_);
         }
       }
       scores[i] = score;
@@ -146,7 +146,7 @@ class NaiveListGainEvaluator final : public BatchEvaluator {
                                                blocks, num_blocks);
       }
       scores[i] = si::ListGainFromMoments(moments.data(), dy, *default_,
-                                          batch.ids[i].size(), params_);
+                                          batch.depth, params_);
     }
   }
 

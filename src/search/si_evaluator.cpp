@@ -24,22 +24,12 @@ void SiLocationEvaluator::ScoreChunk(const CandidateBatch& batch,
   SISD_DCHECK(worker < contexts_.size());
   si::EvaluationContext& context = contexts_[worker];
   linalg::Vector& mean = *context.scratch_mean();
-  const bool univariate = context.has_univariate_targets();
   for (size_t i = begin; i < end; ++i) {
     const CandidateBatch::Item& item = batch.items[i];
     const pattern::Extension& parent = batch.parent_extension(item);
     const pattern::Extension& condition = batch.condition_extension(item);
-    if (univariate) {
-      // dy == 1: one fused pass yields count + sum (+ sum of squares); the
-      // sum is bit-identical to the MaskedSubgroupMeanInto path, and the
-      // kernel's own popcount cross-checks the batch's cached count.
-      const kernels::MaskedMoments moments =
-          context.MaskedTargetMomentsAnd(parent, condition);
-      SISD_DCHECK(moments.count == item.count);
-      mean[0] = moments.sum / double(item.count);
-    } else {
-      context.MaskedSubgroupMeanInto(parent, condition, item.count, &mean);
-    }
+    // At dy == 1 this is one fused masked-sum sweep over the target column.
+    context.MaskedSubgroupMeanInto(parent, condition, item.count, &mean);
     scores[i] = context
                     .ScoreLocationMasked(parent, condition, item.count, mean,
                                          batch.depth, dl_)

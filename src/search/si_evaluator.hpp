@@ -5,7 +5,8 @@
 /// Holds one `si::EvaluationContext` per worker thread, so parallel scoring
 /// is allocation-free and never contends: the model snapshot is shared
 /// read-only (its per-group Cholesky caches are warmed up front), while
-/// scratch buffers and the marginal-factorization cache are per worker.
+/// scratch buffers, including the multi-group marginal factor, are per
+/// worker.
 /// Scores are pure functions of the candidate, so the search output is
 /// bit-identical for any thread count.
 
@@ -41,7 +42,7 @@ class SiLocationEvaluator final : public BatchEvaluator {
 
   /// Full (IC, DL, SI) of one materialized subgroup through worker 0's
   /// context — the miner uses this to rescore the final top-k without
-  /// rebuilding factorizations (the search already populated the caches).
+  /// building a fresh context.
   si::LocationScore ScoreSubgroup(const pattern::Extension& extension,
                                   const linalg::Vector& empirical_mean,
                                   size_t num_conditions);

@@ -8,10 +8,6 @@ namespace {
 
 constexpr double kLog2Pi = 1.8378770664093453;
 
-/// Cache-size backstop: signatures are data-dependent and in pathological
-/// cases unbounded; dropping the cache merely costs recomputation.
-constexpr size_t kMaxMarginalCacheEntries = 1u << 16;
-
 }  // namespace
 
 EvaluationContext::EvaluationContext(const model::BackgroundModel& model,
@@ -23,6 +19,13 @@ EvaluationContext::EvaluationContext(const model::BackgroundModel& model,
       scratch_mean_(model.dim()) {
   counts_.reserve(model.num_groups() + 8);
   model.WarmGroupCaches();
+  if (model.num_groups() > 1) {
+    // Size the marginal scratch up front so scoring never allocates (a
+    // single-group model never takes the marginal path).
+    marginal_mean_ = linalg::Vector(model.dim());
+    marginal_cov_ = linalg::Matrix::Identity(model.dim());
+    marginal_chol_.Refactor(marginal_cov_).CheckOK();
+  }
 }
 
 double EvaluationContext::LocationIC(const pattern::Extension& extension,
@@ -123,29 +126,12 @@ double EvaluationContext::ICFromCounts(size_t total,
     return 0.5 * (double(dy) * kLog2Pi + logdet) + 0.5 * quad;
   }
 
-  const MarginalEntry& marginal = MarginalForCounts(size);
-  diff_.AssignDifference(empirical_mean, marginal.mean);
-  return 0.5 * (double(dy) * kLog2Pi + marginal.logdet) +
-         0.5 * marginal.chol.InverseQuadraticForm(diff_, &fsolve_);
-}
-
-const EvaluationContext::MarginalEntry& EvaluationContext::MarginalForCounts(
-    double size) {
-  const auto it = marginal_cache_.find(counts_);
-  if (it != marginal_cache_.end()) return it->second;
-
-  model::MeanStatisticMarginal marginal =
-      model_->MeanStatMarginalFromCounts(counts_, size);
-  Result<linalg::Cholesky> chol = linalg::Cholesky::Compute(marginal.cov);
-  chol.status().CheckOK();
-  MarginalEntry entry{std::move(marginal.mean),
-                      std::move(chol).MoveValue(), 0.0};
-  entry.logdet = entry.chol.LogDeterminant();
-
-  if (marginal_cache_.size() >= kMaxMarginalCacheEntries) {
-    marginal_cache_.clear();
-  }
-  return marginal_cache_.emplace(counts_, std::move(entry)).first->second;
+  model_->MeanStatMarginalInto(counts_, size, &marginal_mean_,
+                               &marginal_cov_);
+  marginal_chol_.Refactor(marginal_cov_).CheckOK();
+  diff_.AssignDifference(empirical_mean, marginal_mean_);
+  return 0.5 * (double(dy) * kLog2Pi + marginal_chol_.LogDeterminant()) +
+         0.5 * marginal_chol_.InverseQuadraticForm(diff_, &fsolve_);
 }
 
 }  // namespace sisd::si

@@ -7,10 +7,9 @@
 /// interestingness.hpp heap-allocates a subgroup-mean vector, a per-group
 /// count vector and — once the model has several parameter groups — a fresh
 /// Cholesky factorization of the mean-statistic covariance. An
-/// `EvaluationContext` owns reusable scratch buffers and a cache of marginal
-/// factorizations keyed by the per-group count signature, so repeated
-/// scoring is free of per-candidate heap allocations (the cache allocates
-/// only on a signature miss).
+/// `EvaluationContext` owns reusable scratch buffers, including the
+/// marginal mean, covariance and factor that a multi-group subgroup is
+/// refactored into, so repeated scoring performs no heap allocation.
 ///
 /// A context is bound to one immutable model snapshot. It is NOT
 /// thread-safe; parallel scoring uses one context per worker thread (the
@@ -21,7 +20,6 @@
 #define SISD_SI_EVALUATION_CONTEXT_HPP_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "kernels/kernels.hpp"
@@ -35,8 +33,8 @@
 
 namespace sisd::si {
 
-/// \brief Reusable scratch + marginal-factorization cache for location-SI
-/// scoring against one background-model snapshot.
+/// \brief Reusable scratch for location-SI scoring against one
+/// background-model snapshot.
 class EvaluationContext {
  public:
   /// Binds the context to `model` (kept by reference; must outlive the
@@ -105,34 +103,9 @@ class EvaluationContext {
   /// methods never touch it).
   linalg::Vector* scratch_mean() { return &scratch_mean_; }
 
-  /// Number of cached marginal factorizations (diagnostics).
-  size_t marginal_cache_size() const { return marginal_cache_.size(); }
-
  private:
-  /// Marginal of the mean statistic for one per-group count signature:
-  /// mean, Cholesky factor of the covariance, and its log-determinant.
-  struct MarginalEntry {
-    linalg::Vector mean;
-    linalg::Cholesky chol;
-    double logdet = 0.0;
-  };
-
-  struct CountsHash {
-    size_t operator()(const std::vector<size_t>& counts) const {
-      size_t h = 1469598103934665603ull;
-      for (size_t c : counts) {
-        h ^= c;
-        h *= 1099511628211ull;
-      }
-      return h;
-    }
-  };
-
   /// IC from the per-group counts currently in `counts_` (sum = `total`).
   double ICFromCounts(size_t total, const linalg::Vector& empirical_mean);
-
-  /// Cached marginal for the signature in `counts_` (computed on miss).
-  const MarginalEntry& MarginalForCounts(double size);
 
   const model::BackgroundModel* model_;
   const linalg::Matrix* targets_;
@@ -142,12 +115,10 @@ class EvaluationContext {
   linalg::Vector fsolve_;       ///< forward-solve scratch (dy)
   linalg::Vector scratch_mean_;  ///< caller-visible mean buffer (dy)
 
-  /// Multi-group marginals keyed by the per-group count signature. The
-  /// group-count signature fully determines the marginal (mean and
-  /// covariance are count-weighted sums of the group parameters), so one
-  /// factorization serves every candidate sharing the signature.
-  std::unordered_map<std::vector<size_t>, MarginalEntry, CountsHash>
-      marginal_cache_;
+  /// Multi-group marginal of the mean statistic, rebuilt per subgroup.
+  linalg::Vector marginal_mean_;   ///< (dy)
+  linalg::Matrix marginal_cov_;    ///< (dy x dy)
+  linalg::Cholesky marginal_chol_; ///< factor of `marginal_cov_`
 };
 
 }  // namespace sisd::si

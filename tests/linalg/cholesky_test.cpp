@@ -106,6 +106,76 @@ TEST(CholeskyTest, ConvenienceWrappers) {
   EXPECT_NEAR(x[1], 1.0, 1e-14);
 }
 
+/// The one-row-at-a-time column loop the factorization is defined by: every
+/// entry accumulates `a(i, j) - sum_k L(i, k) L(j, k)` in ascending k. The
+/// engine's four-row interleave must reproduce it bit for bit.
+Matrix ReferenceFactor(const Matrix& a) {
+  const size_t n = a.rows();
+  Matrix l(n, n);
+  for (size_t j = 0; j < n; ++j) {
+    double diag = a(j, j);
+    for (size_t k = 0; k < j; ++k) diag -= l(j, k) * l(j, k);
+    l(j, j) = std::sqrt(diag);
+    for (size_t i = j + 1; i < n; ++i) {
+      double acc = a(i, j);
+      for (size_t k = 0; k < j; ++k) acc -= l(i, k) * l(j, k);
+      l(i, j) = acc / l(j, j);
+    }
+  }
+  return l;
+}
+
+/// Dimensions covering every remainder of the four-row interleave, plus
+/// the mammals target dimension.
+const size_t kRefactorDims[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 124};
+
+TEST(CholeskyRefactorTest, MatchesComputeAndReferenceBitwise) {
+  for (size_t n : kRefactorDims) {
+    random::Rng rng(4000 + n);
+    const Matrix a = RandomSpd(&rng, n);
+    Result<Cholesky> computed = Cholesky::Compute(a);
+    ASSERT_TRUE(computed.ok()) << "n=" << n;
+    Cholesky refactored;
+    ASSERT_TRUE(refactored.Refactor(a).ok()) << "n=" << n;
+    EXPECT_EQ(refactored.L(), computed.Value().L()) << "n=" << n;
+    EXPECT_EQ(computed.Value().L(), ReferenceFactor(a)) << "n=" << n;
+  }
+}
+
+TEST(CholeskyRefactorTest, ReusesOneFactorAcrossMatricesAndDimensions) {
+  Cholesky chol;
+  EXPECT_EQ(chol.dim(), 0u);
+  // Same dimension twice (storage reused), then a different one, then back.
+  for (size_t n : {7u, 7u, 16u, 3u, 124u, 7u}) {
+    random::Rng rng(5000 + n + chol.dim());
+    const Matrix a = RandomSpd(&rng, n);
+    ASSERT_TRUE(chol.Refactor(a).ok()) << "n=" << n;
+    EXPECT_EQ(chol.dim(), n);
+    EXPECT_EQ(chol.L(), Cholesky::Compute(a).Value().L()) << "n=" << n;
+    EXPECT_EQ(chol.LogDeterminant(),
+              Cholesky::Compute(a).Value().LogDeterminant());
+  }
+}
+
+TEST(CholeskyRefactorTest, RejectsNonSpdLikeCompute) {
+  Matrix indefinite = Matrix::Identity(6);
+  indefinite(4, 4) = -2.0;
+  Cholesky chol;
+  const Status status = chol.Refactor(indefinite);
+  const Result<Cholesky> computed = Cholesky::Compute(indefinite);
+  ASSERT_FALSE(status.ok());
+  ASSERT_FALSE(computed.ok());
+  EXPECT_EQ(status.code(), StatusCode::kNumericalError);
+  EXPECT_EQ(computed.status().code(), StatusCode::kNumericalError);
+  EXPECT_EQ(status.message(), computed.status().message());
+  // A failed refactor leaves a factor that the next refactor fully rebuilds.
+  random::Rng rng(6000);
+  const Matrix a = RandomSpd(&rng, 6);
+  ASSERT_TRUE(chol.Refactor(a).ok());
+  EXPECT_EQ(chol.L(), Cholesky::Compute(a).Value().L());
+  EXPECT_FALSE(chol.Refactor(Matrix(2, 3)).ok());
+}
+
 class CholeskyPropertyTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(CholeskyPropertyTest, ReconstructsMatrix) {

@@ -6,12 +6,15 @@
 
 #include "search/batch_evaluator.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
 
 #include "datagen/crime.hpp"
 #include "datagen/synthetic.hpp"
+#include "datagen/water.hpp"
+#include "linalg/cholesky.hpp"
 #include "pattern/patterns.hpp"
 #include "search/beam_search.hpp"
 #include "search/si_evaluator.hpp"
@@ -101,8 +104,8 @@ TEST(BatchEvaluatorTest, MatchesCallbackProtocolOnCrime) {
 
 TEST(BatchEvaluatorTest, MatchesCallbackProtocolOnMultiGroupModel) {
   // After a location update the model splits into several parameter groups,
-  // exercising the masked per-group counts and the marginal-factorization
-  // cache (the multi-group IC path).
+  // exercising the masked per-group counts and the scratch marginal
+  // factorization (the multi-group IC path).
   const datagen::SyntheticData data = datagen::MakeSyntheticEmbedded();
   Result<model::BackgroundModel> model =
       model::BackgroundModel::CreateFromData(data.dataset.targets);
@@ -193,6 +196,23 @@ TEST(BatchEvaluatorTest, EvaluationContextMatchesFreeFunctions) {
       via_free.ic);
 }
 
+/// The allocating multi-group IC (Eq. 13): the marginal law straight from
+/// the model, factored afresh. `EvaluationContext` must match it bit for bit
+/// while building the same marginal into reused scratch.
+double ReferenceMultiGroupIC(const model::BackgroundModel& model,
+                             const pattern::Extension& extension,
+                             const linalg::Vector& empirical_mean) {
+  constexpr double kLog2Pi = 1.8378770664093453;
+  const model::MeanStatisticMarginal marginal =
+      model.MeanStatMarginal(extension);
+  Result<linalg::Cholesky> chol = linalg::Cholesky::Compute(marginal.cov);
+  chol.status().CheckOK();
+  const linalg::Vector diff = empirical_mean - marginal.mean;
+  return 0.5 * (double(model.dim()) * kLog2Pi +
+                chol.Value().LogDeterminant()) +
+         0.5 * chol.Value().InverseQuadraticForm(diff);
+}
+
 /// Cluster rows plus an equal run of leading non-cluster rows (guaranteed
 /// to straddle the group split introduced by a location update).
 pattern::Extension MakeStraddlingExtension(const pattern::Extension& cluster,
@@ -229,9 +249,79 @@ TEST(BatchEvaluatorTest, MaskedKernelsMatchMaterializedOnMultiGroupModel) {
   const linalg::Vector mean =
       pattern::SubgroupMean(data.dataset.targets, straddle);
 
-  EXPECT_EQ(context.LocationICMasked(full, straddle, straddle.count(), mean),
-            si::LocationIC(model.Value(), straddle, mean));
-  EXPECT_GE(context.marginal_cache_size(), 1u);
+  const double masked =
+      context.LocationICMasked(full, straddle, straddle.count(), mean);
+  EXPECT_EQ(masked, si::LocationIC(model.Value(), straddle, mean));
+  EXPECT_EQ(masked, ReferenceMultiGroupIC(model.Value(), straddle, mean));
+}
+
+/// Assimilates the location patterns of two pool conditions on different
+/// attributes, leaving a model with several parameter groups.
+void AssimilateTwoConditions(const ConditionPool& pool,
+                             const linalg::Matrix& y,
+                             model::BackgroundModel* model) {
+  const uint32_t first = 0;
+  uint32_t second = 1;
+  while (pool.condition(second).attribute == pool.condition(first).attribute) {
+    ++second;
+  }
+  for (uint32_t id : {first, second}) {
+    const pattern::Extension& ext = pool.extension(id);
+    ASSERT_TRUE(model->UpdateLocation(ext, pattern::SubgroupMean(y, ext)).ok());
+  }
+  ASSERT_GT(model->num_groups(), 2u);
+}
+
+/// The engine's scratch-marginal IC equals the allocating reference bit for
+/// bit on depth-2 subgroups that straddle several parameter groups.
+void ExpectScratchMarginalsMatchReference(const data::Dataset& dataset) {
+  Result<model::BackgroundModel> created =
+      model::BackgroundModel::CreateFromData(dataset.targets);
+  ASSERT_TRUE(created.ok());
+  model::BackgroundModel& model = created.Value();
+  const ConditionPool pool = ConditionPool::Build(dataset.descriptions, 4);
+  AssimilateTwoConditions(pool, dataset.targets, &model);
+
+  si::EvaluationContext context(model, &dataset.targets);
+  std::vector<size_t> counts;
+  size_t checked = 0;
+  for (uint32_t a = 0; a < pool.size() && checked < 150; ++a) {
+    for (uint32_t b = a + 1; b < pool.size() && checked < 150; b += 7) {
+      const pattern::Extension& ea = pool.extension(a);
+      const pattern::Extension& eb = pool.extension(b);
+      const size_t count = pattern::Extension::IntersectionCount(ea, eb);
+      if (count < 2) continue;
+      model.GroupCountsMaskedInto(ea, eb, &counts);
+      if (std::count_if(counts.begin(), counts.end(),
+                        [](size_t c) { return c > 0; }) < 2) {
+        continue;
+      }
+      const pattern::Extension ext = pattern::Extension::Intersect(ea, eb);
+      const linalg::Vector mean =
+          pattern::SubgroupMean(dataset.targets, ext);
+      linalg::Vector masked_mean;
+      context.MaskedSubgroupMeanInto(ea, eb, count, &masked_mean);
+      ASSERT_EQ(masked_mean, mean);
+      const double masked = context.LocationICMasked(ea, eb, count, mean);
+      EXPECT_EQ(masked, ReferenceMultiGroupIC(model, ext, mean))
+          << "conditions " << a << ", " << b;
+      EXPECT_EQ(masked, si::LocationIC(model, ext, mean));
+      ++checked;
+    }
+  }
+  EXPECT_GE(checked, 100u);
+}
+
+TEST(BatchEvaluatorTest, ScratchMarginalsMatchReferenceOnCrime) {
+  const datagen::CrimeData data = datagen::MakeCrimeLike();
+  ASSERT_EQ(data.dataset.targets.cols(), 1u);
+  ExpectScratchMarginalsMatchReference(data.dataset);
+}
+
+TEST(BatchEvaluatorTest, ScratchMarginalsMatchReferenceOnWater) {
+  const datagen::WaterData data = datagen::MakeWaterLike();
+  ASSERT_GT(data.dataset.targets.cols(), 1u);
+  ExpectScratchMarginalsMatchReference(data.dataset);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include "search/beam_search.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <set>
 
 #include <gtest/gtest.h>
 
@@ -247,6 +249,168 @@ TEST(BeamSearchTest, BeamWidthLimitsExploration) {
   const SearchResult wide_result = BeamSearch(table, pool, wide, quality);
   EXPECT_LE(narrow_result.num_evaluated, wide_result.num_evaluated);
   EXPECT_GE(wide_result.best().quality, narrow_result.best().quality);
+}
+
+/// Mixed table for the differential runs: two numeric attributes, a
+/// four-level and a three-level categorical, and a binary flag, so pool
+/// conditions combine into many depth-2/3 sets reachable from several
+/// parents.
+data::DataTable MakeMixedTable(size_t n, uint64_t seed) {
+  random::Rng rng(seed);
+  std::vector<double> x(n), z(n);
+  std::vector<int32_t> c4(n), c3(n);
+  std::vector<bool> flag(n);
+  for (size_t i = 0; i < n; ++i) {
+    x[i] = rng.Gaussian();
+    z[i] = rng.Uniform();
+    c4[i] = int32_t(rng.UniformInt(0, 3));
+    c3[i] = int32_t(rng.UniformInt(0, 2));
+    flag[i] = rng.Bernoulli(0.4);
+  }
+  data::DataTable table;
+  table.AddColumn(data::Column::Numeric("x", x)).CheckOK();
+  table.AddColumn(data::Column::Numeric("z", z)).CheckOK();
+  table.AddColumn(data::Column::Categorical("c4", c4, {"a", "b", "c", "d"}))
+      .CheckOK();
+  table.AddColumn(data::Column::Categorical("c3", c3, {"p", "q", "r"}))
+      .CheckOK();
+  table.AddColumn(data::Column::Binary("flag", flag)).CheckOK();
+  return table;
+}
+
+/// Tie-free quality depending on the intention as well as the extension
+/// (distinct intentions sharing an extension still score differently);
+/// rejects about one candidate in eleven.
+double HashedQuality(const pattern::Intention& intention,
+                     const pattern::Extension& extension) {
+  const size_t h = std::hash<std::string>{}(intention.CanonicalSignature());
+  if (h % 11 == 0) return -std::numeric_limits<double>::infinity();
+  return double(extension.count()) + double(h % 1000003) / 1000003.0;
+}
+
+struct NaiveCounters {
+  size_t duplicates_accepted = 0;  ///< duplicates of a set that was scored
+  size_t duplicates_rejected = 0;  ///< duplicates of a coverage-rejected set
+};
+
+/// Level-wise reference beam search: materializes every candidate, dedups
+/// through one search-wide `std::set` of sorted id vectors before the
+/// coverage filter, and ranks with stable sorts.
+SearchResult NaiveBeamSearch(const data::DataTable& table,
+                             const ConditionPool& pool,
+                             const SearchConfig& config,
+                             NaiveCounters* counters) {
+  struct Candidate {
+    std::vector<uint32_t> ids;
+    pattern::Extension extension{0};
+    double quality = 0.0;
+  };
+  const auto intention_of = [&pool](const std::vector<uint32_t>& ids) {
+    std::vector<pattern::Condition> conditions;
+    for (uint32_t id : ids) conditions.push_back(pool.condition(id));
+    return pattern::Intention(std::move(conditions));
+  };
+  const auto by_quality = [](const Candidate& a, const Candidate& b) {
+    return a.quality > b.quality;
+  };
+  const size_t n = table.num_rows();
+  const size_t max_coverage =
+      size_t(config.max_coverage_fraction * double(n));
+  SearchResult result;
+  std::set<std::vector<uint32_t>> seen;
+  std::set<std::vector<uint32_t>> coverage_rejected;
+  std::vector<Candidate> beam(1);
+  beam[0].extension = pattern::Extension(n, /*full=*/true);
+  std::vector<Candidate> all;
+  for (int depth = 1; depth <= config.max_depth && !beam.empty(); ++depth) {
+    std::vector<Candidate> level;
+    for (const Candidate& parent : beam) {
+      const pattern::Intention parent_intention = intention_of(parent.ids);
+      for (uint32_t cid = 0; cid < pool.size(); ++cid) {
+        if (!parent_intention.AllowsRefinementWith(pool.condition(cid))) {
+          continue;
+        }
+        std::vector<uint32_t> ids = parent.ids;
+        ids.push_back(cid);
+        std::sort(ids.begin(), ids.end());
+        if (!seen.insert(ids).second) {
+          ++(coverage_rejected.count(ids) ? counters->duplicates_rejected
+                                          : counters->duplicates_accepted);
+          continue;
+        }
+        Candidate c;
+        c.extension =
+            pattern::Extension::Intersect(parent.extension, pool.extension(cid));
+        const size_t count = c.extension.count();
+        if (count < std::max<size_t>(config.min_coverage, 1) ||
+            count > max_coverage || count == n) {
+          coverage_rejected.insert(ids);
+          continue;
+        }
+        ++result.num_evaluated;
+        c.quality = HashedQuality(intention_of(ids), c.extension);
+        if (c.quality == -std::numeric_limits<double>::infinity()) continue;
+        c.ids = std::move(ids);
+        level.push_back(std::move(c));
+      }
+    }
+    std::stable_sort(level.begin(), level.end(), by_quality);
+    all.insert(all.end(), level.begin(), level.end());
+    level.resize(std::min(level.size(), size_t(config.beam_width)));
+    beam = std::move(level);
+  }
+  std::stable_sort(all.begin(), all.end(), by_quality);
+  all.resize(std::min(all.size(), config.top_k));
+  for (Candidate& c : all) {
+    result.top.push_back({intention_of(c.ids), c.extension, c.quality});
+  }
+  return result;
+}
+
+void ExpectMatchesNaiveReference(const data::DataTable& table,
+                                 bool include_exclusions,
+                                 const SearchConfig& config) {
+  const ConditionPool pool =
+      ConditionPool::Build(table, config.num_split_points, include_exclusions);
+  NaiveCounters counters;
+  const SearchResult expected =
+      NaiveBeamSearch(table, pool, config, &counters);
+  const SearchResult actual = BeamSearch(table, pool, config, HashedQuality);
+  // The pools must exercise both dedup outcomes.
+  EXPECT_GT(counters.duplicates_accepted, 0u);
+  EXPECT_GT(counters.duplicates_rejected, 0u);
+  EXPECT_EQ(actual.num_evaluated, expected.num_evaluated);
+  ASSERT_EQ(actual.top.size(), expected.top.size());
+  for (size_t i = 0; i < actual.top.size(); ++i) {
+    EXPECT_EQ(actual.top[i].intention.CanonicalSignature(),
+              expected.top[i].intention.CanonicalSignature())
+        << "rank " << i;
+    EXPECT_EQ(actual.top[i].extension, expected.top[i].extension)
+        << "rank " << i;
+    EXPECT_EQ(actual.top[i].quality, expected.top[i].quality) << "rank " << i;
+  }
+}
+
+TEST(BeamSearchTest, MatchesNaiveLevelWiseReference) {
+  const data::DataTable table = MakeMixedTable(160, 11);
+  SearchConfig config;
+  config.beam_width = 25;
+  config.max_depth = 3;
+  config.top_k = 60;
+  config.min_coverage = 12;
+  ExpectMatchesNaiveReference(table, /*include_exclusions=*/false, config);
+}
+
+TEST(BeamSearchTest, MatchesNaiveReferenceWithExclusions) {
+  const data::DataTable table = MakeMixedTable(200, 12);
+  SearchConfig config;
+  config.beam_width = 30;
+  config.max_depth = 3;
+  config.top_k = 80;
+  config.min_coverage = 10;
+  config.max_coverage_fraction = 0.9;
+  config.include_exclusions = true;
+  ExpectMatchesNaiveReference(table, /*include_exclusions=*/true, config);
 }
 
 }  // namespace
