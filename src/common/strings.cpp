@@ -1,6 +1,8 @@
 #include "common/strings.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <cmath>
 #include <cerrno>
 #include <cstdarg>
 #include <cstdio>
@@ -64,16 +66,41 @@ std::string StrFormat(const char* fmt, ...) {
   return out;
 }
 
-std::optional<double> ParseDouble(std::string_view text) {
-  std::string_view trimmed = TrimWhitespace(text);
-  if (trimmed.empty()) return std::nullopt;
+namespace {
+
+/// The general parse: `strtod` on a NUL-terminated copy, whole input
+/// consumed. `ERANGE` rejects overflow and underflow to zero, but not a
+/// finite nonzero (subnormal) result, which glibc also flags.
+std::optional<double> ParseDoubleStrtod(std::string_view trimmed) {
   std::string buf(trimmed);
   errno = 0;
   char* end = nullptr;
   double value = std::strtod(buf.c_str(), &end);
-  if (errno == ERANGE) return std::nullopt;
   if (end != buf.c_str() + buf.size()) return std::nullopt;
+  if (errno == ERANGE && (!std::isfinite(value) || value == 0.0)) {
+    return std::nullopt;
+  }
   return value;
+}
+
+}  // namespace
+
+std::optional<double> ParseDouble(std::string_view text) {
+  std::string_view trimmed = TrimWhitespace(text);
+  if (trimmed.empty()) return std::nullopt;
+  // Fast path: `from_chars` reads the strtod decimal grammar minus a
+  // leading '+' and hex, correctly rounded, and reports underflow as a
+  // range error. It decides only when it consumes the whole input into a
+  // normal number or an exact zero; everything else (a '+', hex, inf/nan,
+  // subnormals, range errors, junk) takes the strtod path.
+  double value = 0.0;
+  const char* last = trimmed.data() + trimmed.size();
+  const auto [ptr, ec] = std::from_chars(trimmed.data(), last, value);
+  if (ec == std::errc() && ptr == last &&
+      (std::isnormal(value) || value == 0.0)) {
+    return value;
+  }
+  return ParseDoubleStrtod(trimmed);
 }
 
 std::optional<long long> ParseInt(std::string_view text) {

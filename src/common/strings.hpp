@@ -26,7 +26,9 @@ std::string JoinStrings(const std::vector<std::string>& parts,
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
-/// \brief Parses a double; rejects trailing junk. Empty/invalid -> nullopt.
+/// \brief Parses a double with the `strtod` grammar (surrounding whitespace
+/// trimmed). Empty input, trailing junk, overflow and underflow to zero ->
+/// nullopt; a subnormal result is accepted.
 std::optional<double> ParseDouble(std::string_view text);
 
 /// \brief Parses a non-negative integer; rejects trailing junk.

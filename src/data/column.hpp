@@ -22,6 +22,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -135,34 +136,43 @@ class Column {
     return labels_;
   }
 
+  /// Visits rows [from, n) one storage chunk at a time as
+  /// fn(first_row, values), where `values[k]` is row `first_row + k`
+  /// (numeric/ordinal columns only).
+  template <typename Fn>
+  void ForEachNumericRun(size_t from, Fn&& fn) const {
+    SISD_DCHECK(IsOrderable(kind_));
+    for (const Segment& seg : segments_) {
+      VisitRun(*seg.numeric, seg.begin, from, fn);
+    }
+  }
+
+  /// Visits rows [from, n) one storage chunk at a time as
+  /// fn(first_row, codes) (categorical/binary columns only).
+  template <typename Fn>
+  void ForEachCodeRun(size_t from, Fn&& fn) const {
+    SISD_DCHECK(!IsOrderable(kind_));
+    for (const Segment& seg : segments_) {
+      VisitRun(*seg.codes, seg.begin, from, fn);
+    }
+  }
+
   /// Visits rows [from, n) in order as fn(row, value), chunk-sequential
   /// (numeric/ordinal columns only).
   template <typename Fn>
   void ForEachNumeric(size_t from, Fn&& fn) const {
-    SISD_DCHECK(IsOrderable(kind_));
-    for (const Segment& seg : segments_) {
-      const std::vector<double>& values = *seg.numeric;
-      const size_t end = seg.begin + values.size();
-      if (end <= from) continue;
-      for (size_t i = std::max(from, seg.begin); i < end; ++i) {
-        fn(i, values[i - seg.begin]);
-      }
-    }
+    ForEachNumericRun(from, [&](size_t first, std::span<const double> run) {
+      for (size_t k = 0; k < run.size(); ++k) fn(first + k, run[k]);
+    });
   }
 
   /// Visits rows [from, n) in order as fn(row, code), chunk-sequential
   /// (categorical/binary columns only).
   template <typename Fn>
   void ForEachCode(size_t from, Fn&& fn) const {
-    SISD_DCHECK(!IsOrderable(kind_));
-    for (const Segment& seg : segments_) {
-      const std::vector<int32_t>& values = *seg.codes;
-      const size_t end = seg.begin + values.size();
-      if (end <= from) continue;
-      for (size_t i = std::max(from, seg.begin); i < end; ++i) {
-        fn(i, values[i - seg.begin]);
-      }
-    }
+    ForEachCodeRun(from, [&](size_t first, std::span<const int32_t> run) {
+      for (size_t k = 0; k < run.size(); ++k) fn(first + k, run[k]);
+    });
   }
 
   /// Number of storage chunks (1 for factory-built columns).
@@ -190,6 +200,16 @@ class Column {
 
   Column(std::string name, AttributeKind kind)
       : name_(std::move(name)), kind_(kind) {}
+
+  /// Calls fn(first_row, values) for the part of one chunk at or past row
+  /// `from` (nothing when the chunk ends at or before it).
+  template <typename T, typename Fn>
+  static void VisitRun(const std::vector<T>& values, size_t begin,
+                       size_t from, Fn& fn) {
+    const size_t first = std::max(from, begin);
+    if (first >= begin + values.size()) return;
+    fn(first, std::span<const T>(values).subspan(first - begin));
+  }
 
   const Segment& SegmentContaining(size_t i) const {
     if (segments_.size() == 1) return segments_.front();

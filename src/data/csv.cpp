@@ -4,6 +4,7 @@
 #include <fstream>
 #include <istream>
 #include <set>
+#include <string_view>
 
 #include "common/strings.hpp"
 
@@ -11,45 +12,59 @@ namespace sisd::data {
 
 namespace {
 
-/// Splits one CSV record honoring double-quote escaping.
-Result<std::vector<std::string>> SplitCsvRecord(const std::string& line,
-                                                char sep) {
-  std::vector<std::string> fields;
-  std::string current;
-  bool in_quotes = false;
-  for (size_t i = 0; i < line.size(); ++i) {
-    const char c = line[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < line.size() && line[i + 1] == '"') {
-          current += '"';
+/// Splits one CSV record honoring double-quote escaping into `*fields`.
+/// Unquoted fields are views into `line`; a field containing a quote is
+/// unescaped into `*unescaped`, which is reserved to `line.size()` first
+/// (unescaping never grows a field) so those views stay valid.
+Status SplitCsvRecord(std::string_view line, char sep,
+                      std::vector<std::string_view>* fields,
+                      std::string* unescaped) {
+  fields->clear();
+  unescaped->clear();
+  unescaped->reserve(line.size());
+  size_t pos = 0;
+  for (;;) {
+    const size_t next_sep = std::min(line.find(sep, pos), line.size());
+    const std::string_view raw = line.substr(pos, next_sep - pos);
+    if (raw.find('"') == std::string_view::npos) {
+      fields->push_back(raw);
+      if (next_sep == line.size()) return Status::OK();
+      pos = next_sep + 1;
+      continue;
+    }
+    // A quote anywhere in the field: quotes toggle, and inside them a
+    // doubled quote is a literal one and the separator is plain text.
+    const size_t field_begin = unescaped->size();
+    bool in_quotes = false;
+    size_t i = pos;
+    for (; i < line.size(); ++i) {
+      const char c = line[i];
+      if (in_quotes) {
+        if (c != '"') {
+          unescaped->push_back(c);
+        } else if (i + 1 < line.size() && line[i + 1] == '"') {
+          unescaped->push_back('"');
           ++i;
         } else {
           in_quotes = false;
         }
-      } else {
-        current += c;
-      }
-    } else {
-      if (c == '"') {
+      } else if (c == '"') {
         in_quotes = true;
       } else if (c == sep) {
-        fields.push_back(current);
-        current.clear();
+        break;
       } else {
-        current += c;
+        unescaped->push_back(c);
       }
     }
+    if (in_quotes) return Status::IOError("unterminated quoted field");
+    fields->push_back(std::string_view(*unescaped).substr(field_begin));
+    if (i == line.size()) return Status::OK();
+    pos = i + 1;
   }
-  if (in_quotes) {
-    return Status::IOError("unterminated quoted field");
-  }
-  fields.push_back(current);
-  return fields;
 }
 
-bool IsMissing(const std::string& value, const CsvOptions& options) {
-  const std::string trimmed(TrimWhitespace(value));
+bool IsMissing(std::string_view value, const CsvOptions& options) {
+  const std::string_view trimmed = TrimWhitespace(value);
   for (const std::string& na : options.na_values) {
     if (trimmed == na) return true;
   }
@@ -71,6 +86,40 @@ std::string EscapeCsvField(const std::string& field, char sep) {
   return out;
 }
 
+/// Calls `consume(line)` for every '\n'-terminated line of `text` (one
+/// preceding '\r' stripped), then for a non-empty unterminated last line
+/// (kept verbatim: no '\r' strip). Stops at the first error.
+template <typename Fn>
+Status ForEachCsvLine(std::string_view text, Fn&& consume) {
+  size_t pos = 0;
+  for (size_t nl; (nl = text.find('\n', pos)) != std::string_view::npos;
+       pos = nl + 1) {
+    std::string_view line = text.substr(pos, nl - pos);
+    if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+    SISD_RETURN_NOT_OK(consume(line));
+  }
+  if (pos < text.size()) SISD_RETURN_NOT_OK(consume(text.substr(pos)));
+  return Status::OK();
+}
+
+/// One column's accepted cells packed end to end: cell k is
+/// `bytes[ends[k-1], ends[k])` (no per-cell allocation).
+struct CellColumn {
+  std::string bytes;
+  std::vector<size_t> ends;
+
+  size_t size() const { return ends.size(); }
+  bool empty() const { return ends.empty(); }
+  std::string_view operator[](size_t k) const {
+    const size_t begin = k == 0 ? 0 : ends[k - 1];
+    return std::string_view(bytes).substr(begin, ends[k] - begin);
+  }
+  void push_back(std::string_view cell) {
+    bytes.append(cell);
+    ends.push_back(bytes.size());
+  }
+};
+
 /// Incremental line-fed CSV parser: the single implementation behind
 /// `ReadCsvText` (whole string in memory) and `ReadCsvStream` (fixed-size
 /// chunks). Feeding it the same line sequence yields the same table, which
@@ -82,23 +131,22 @@ class CsvLineParser {
   /// Consumes one record line (newline and any preceding '\r' already
   /// stripped). The first line carries the header (or, without one, sizes
   /// the synthesized colN names and doubles as the first data row).
-  Status ConsumeLine(const std::string& line) {
+  Status ConsumeLine(std::string_view line) {
     ++line_number_;
     if (!have_header_) {
-      SISD_ASSIGN_OR_RETURN(first_record,
-                            SplitCsvRecord(line, options_.separator));
+      SISD_RETURN_NOT_OK(
+          SplitCsvRecord(line, options_.separator, &fields_, &unescaped_));
       if (options_.has_header) {
-        header_ = std::move(first_record);
+        header_.assign(fields_.begin(), fields_.end());
       } else {
-        header_.reserve(first_record.size());
-        for (size_t j = 0; j < first_record.size(); ++j) {
+        header_.reserve(fields_.size());
+        for (size_t j = 0; j < fields_.size(); ++j) {
           header_.push_back(StrFormat("col%zu", j));
         }
       }
       cells_.resize(header_.size());
       have_header_ = true;
       if (options_.has_header) return Status::OK();
-      return ConsumeDataLine(line);
     }
     return ConsumeDataLine(line);
   }
@@ -108,21 +156,19 @@ class CsvLineParser {
   Result<DataTable> Finish() const;
 
  private:
-  Status ConsumeDataLine(const std::string& line) {
+  Status ConsumeDataLine(std::string_view line) {
     if (TrimWhitespace(line).empty()) return Status::OK();  // blank: skip
-    SISD_ASSIGN_OR_RETURN(record,
-                          SplitCsvRecord(line, options_.separator));
-    if (record.size() != cells_.size()) {
+    SISD_RETURN_NOT_OK(
+        SplitCsvRecord(line, options_.separator, &fields_, &unescaped_));
+    if (fields_.size() != cells_.size()) {
       return Status::IOError(
           StrFormat("line %zu has %zu fields, expected %zu", line_number_,
-                    record.size(), cells_.size()));
+                    fields_.size(), cells_.size()));
     }
-    for (const std::string& field : record) {
+    for (std::string_view field : fields_) {
       if (IsMissing(field, options_)) return Status::OK();  // complete-case
     }
-    for (size_t j = 0; j < cells_.size(); ++j) {
-      cells_[j].push_back(std::move(record[j]));
-    }
+    for (size_t j = 0; j < cells_.size(); ++j) cells_[j].push_back(fields_[j]);
     return Status::OK();
   }
 
@@ -130,13 +176,15 @@ class CsvLineParser {
   size_t line_number_ = 0;  ///< 1-based, counts every consumed line
   bool have_header_ = false;
   std::vector<std::string> header_;
-  std::vector<std::vector<std::string>> cells_;
+  std::vector<CellColumn> cells_;
+  std::vector<std::string_view> fields_;  ///< scratch: the current record
+  std::string unescaped_;                 ///< scratch: its quoted fields
 };
 
 Result<DataTable> CsvLineParser::Finish() const {
   if (!have_header_) return Status::IOError("empty CSV input");
   const size_t num_cols = header_.size();
-  const std::vector<std::vector<std::string>>& cells = cells_;
+  const std::vector<CellColumn>& cells = cells_;
   const std::vector<std::string>& header = header_;
   const CsvOptions& options = options_;
   if (cells.empty() || cells[0].empty()) {
@@ -154,8 +202,8 @@ Result<DataTable> CsvLineParser::Finish() const {
     numeric.reserve(cells[j].size());
     bool all_numeric = true;
     std::set<double> distinct;
-    for (const std::string& cell : cells[j]) {
-      std::optional<double> value = ParseDouble(cell);
+    for (size_t k = 0; k < cells[j].size(); ++k) {
+      std::optional<double> value = ParseDouble(cells[j][k]);
       if (!value.has_value()) {
         all_numeric = false;
         break;
@@ -201,10 +249,16 @@ Result<DataTable> CsvLineParser::Finish() const {
         add_status = table.AddColumn(Column::Binary(name, bits));
         break;
       }
-      case AttributeKind::kCategorical:
+      case AttributeKind::kCategorical: {
+        std::vector<std::string> values;
+        values.reserve(cells[j].size());
+        for (size_t k = 0; k < cells[j].size(); ++k) {
+          values.emplace_back(cells[j][k]);
+        }
         add_status =
-            table.AddColumn(Column::CategoricalFromStrings(name, cells[j]));
+            table.AddColumn(Column::CategoricalFromStrings(name, values));
         break;
+      }
     }
     SISD_RETURN_NOT_OK(add_status);
   }
@@ -216,21 +270,10 @@ Result<DataTable> CsvLineParser::Finish() const {
 Result<DataTable> ReadCsvText(const std::string& text,
                               const CsvOptions& options) {
   CsvLineParser parser(options);
-  std::string current;
-  for (char c : text) {
-    if (c == '\n') {
-      if (!current.empty() && current.back() == '\r') current.pop_back();
-      SISD_RETURN_NOT_OK(parser.ConsumeLine(current));
-      current.clear();
-    } else {
-      current += c;
-    }
-  }
-  // A last line without a terminating newline (kept verbatim: no \r strip,
-  // matching the historical whole-file parse).
-  if (!current.empty()) {
-    SISD_RETURN_NOT_OK(parser.ConsumeLine(current));
-  }
+  const auto consume = [&](std::string_view line) {
+    return parser.ConsumeLine(line);
+  };
+  SISD_RETURN_NOT_OK(ForEachCsvLine(text, consume));
   return parser.Finish();
 }
 
@@ -246,16 +289,22 @@ Result<DataTable> ReadCsvStream(std::istream& in,
       if (in.bad()) return Status::IOError("CSV stream read failed");
       break;
     }
+    // Whole lines inside the chunk are parsed in place; only a line that
+    // straddles a chunk boundary is assembled in `pending`.
+    const std::string_view data(chunk.data(), got);
     size_t start = 0;
-    for (size_t i = 0; i < got; ++i) {
-      if (chunk[i] != '\n') continue;
-      pending.append(chunk.data() + start, i - start);
-      if (!pending.empty() && pending.back() == '\r') pending.pop_back();
-      SISD_RETURN_NOT_OK(parser.ConsumeLine(pending));
+    for (size_t nl; (nl = data.find('\n', start)) != std::string_view::npos;
+         start = nl + 1) {
+      std::string_view line = data.substr(start, nl - start);
+      if (!pending.empty()) {
+        pending.append(line);
+        line = pending;
+      }
+      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+      SISD_RETURN_NOT_OK(parser.ConsumeLine(line));
       pending.clear();
-      start = i + 1;
     }
-    pending.append(chunk.data() + start, got - start);
+    pending.append(data.substr(start));
     if (in.eof()) break;
     if (in.bad()) return Status::IOError("CSV stream read failed");
   }
@@ -278,37 +327,27 @@ Result<RawCsv> ReadCsvRawText(const std::string& text, char separator) {
   RawCsv raw;
   bool have_header = false;
   size_t line_number = 0;
-  std::string current;
-  const auto consume = [&](const std::string& line) -> Status {
+  std::vector<std::string_view> fields;
+  std::string unescaped;
+  const auto consume = [&](std::string_view line) -> Status {
     ++line_number;
     if (!have_header) {
-      SISD_ASSIGN_OR_RETURN(header, SplitCsvRecord(line, separator));
-      raw.header = std::move(header);
+      SISD_RETURN_NOT_OK(SplitCsvRecord(line, separator, &fields, &unescaped));
+      raw.header.assign(fields.begin(), fields.end());
       have_header = true;
       return Status::OK();
     }
     if (TrimWhitespace(line).empty()) return Status::OK();  // blank: skip
-    SISD_ASSIGN_OR_RETURN(record, SplitCsvRecord(line, separator));
-    if (record.size() != raw.header.size()) {
+    SISD_RETURN_NOT_OK(SplitCsvRecord(line, separator, &fields, &unescaped));
+    if (fields.size() != raw.header.size()) {
       return Status::IOError(StrFormat("line %zu has %zu fields, expected %zu",
-                                       line_number, record.size(),
+                                       line_number, fields.size(),
                                        raw.header.size()));
     }
-    raw.rows.push_back(std::move(record));
+    raw.rows.emplace_back(fields.begin(), fields.end());
     return Status::OK();
   };
-  for (char c : text) {
-    if (c == '\n') {
-      if (!current.empty() && current.back() == '\r') current.pop_back();
-      SISD_RETURN_NOT_OK(consume(current));
-      current.clear();
-    } else {
-      current += c;
-    }
-  }
-  if (!current.empty()) {
-    SISD_RETURN_NOT_OK(consume(current));
-  }
+  SISD_RETURN_NOT_OK(ForEachCsvLine(text, consume));
   if (!have_header) return Status::IOError("empty CSV input");
   return raw;
 }

@@ -80,23 +80,31 @@ void Condition::EvaluateInto(const data::DataTable& table, size_t from,
   const data::Column& col = table.column(attribute);
   switch (op) {
     case ConditionOp::kLessEqual:
-      col.ForEachNumeric(from, [&](size_t i, double v) {
-        if (v <= threshold) out->Insert(i);
+      col.ForEachNumericRun(from, [&](size_t first, auto run) {
+        out->InsertWhere(first, run, [t = threshold](double v) {
+          return v <= t;
+        });
       });
       break;
     case ConditionOp::kGreaterEqual:
-      col.ForEachNumeric(from, [&](size_t i, double v) {
-        if (v >= threshold) out->Insert(i);
+      col.ForEachNumericRun(from, [&](size_t first, auto run) {
+        out->InsertWhere(first, run, [t = threshold](double v) {
+          return v >= t;
+        });
       });
       break;
     case ConditionOp::kEquals:
-      col.ForEachCode(from, [&](size_t i, int32_t code) {
-        if (code == level) out->Insert(i);
+      col.ForEachCodeRun(from, [&](size_t first, auto run) {
+        out->InsertWhere(first, run, [l = level](int32_t code) {
+          return code == l;
+        });
       });
       break;
     case ConditionOp::kNotEquals:
-      col.ForEachCode(from, [&](size_t i, int32_t code) {
-        if (code != level) out->Insert(i);
+      col.ForEachCodeRun(from, [&](size_t first, auto run) {
+        out->InsertWhere(first, run, [l = level](int32_t code) {
+          return code != l;
+        });
       });
       break;
   }

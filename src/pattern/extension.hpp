@@ -9,8 +9,10 @@
 #ifndef SISD_PATTERN_EXTENSION_HPP_
 #define SISD_PATTERN_EXTENSION_HPP_
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/status.hpp"
@@ -43,6 +45,26 @@ class Extension {
 
   /// Adds row `i`.
   void Insert(size_t i);
+
+  /// Adds every row `first + k` whose `values[k]` satisfies `pred`, keeping
+  /// the rows already present. Each 64-row block is built without branches
+  /// and OR-ed in, and the count is refreshed once per call.
+  template <typename T, typename Pred>
+  void InsertWhere(size_t first, std::span<const T> values, Pred pred) {
+    SISD_CHECK(first + values.size() <= n_);
+    for (size_t k = 0; k < values.size();) {
+      const size_t row = first + k;
+      const size_t shift = row & 63;
+      const size_t take = std::min(64 - shift, values.size() - k);
+      uint64_t block = 0;
+      for (size_t b = 0; b < take; ++b) {
+        block |= uint64_t{pred(values[k + b])} << (shift + b);
+      }
+      blocks_[row >> 6] |= block;
+      k += take;
+    }
+    RecountAndMaskTail();
+  }
 
   /// Removes row `i`.
   void Erase(size_t i);

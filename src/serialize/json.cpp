@@ -1,6 +1,8 @@
 #include "serialize/json.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -444,17 +446,41 @@ Result<const JsonValue*> JsonValue::Get(const std::string& key) const {
   return found;
 }
 
-std::string FormatJsonDouble(double value) {
-  if (std::isnan(value)) return "\"NaN\"";
-  if (std::isinf(value)) return value > 0 ? "\"Infinity\"" : "\"-Infinity\"";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
+namespace {
+
+/// Appends the encoding `FormatJsonDouble` returns. `to_chars` in general
+/// format with precision 17 is specified as printf's "%.17g" in the C
+/// locale, so every encoding (and every dataset fingerprint hashed from
+/// one) is exactly the "%.17g" text, minus printf's format parsing and
+/// locale lookups.
+void AppendJsonDouble(double value, std::string* out) {
+  if (std::isnan(value)) {
+    out->append("\"NaN\"");
+    return;
+  }
+  if (std::isinf(value)) {
+    out->append(value > 0 ? "\"Infinity\"" : "\"-Infinity\"");
+    return;
+  }
+  char buf[32];  // "%.17g" needs at most 24 ("-d.ddddddddddddddddde-308")
+  char* end =
+      std::to_chars(buf, buf + sizeof(buf), value,
+                    std::chars_format::general, 17).ptr;
+  out->append(buf, end);
   // Force a double back on re-parse: without '.', 'e' or 'E' the token
   // would read back as an int (and "-0" would lose its sign bit).
-  if (std::strcspn(buf, ".eE") == std::strlen(buf)) {
-    std::strcat(buf, ".0");
+  if (std::none_of(buf, end,
+                   [](char c) { return c == '.' || c == 'e' || c == 'E'; })) {
+    out->append(".0");
   }
-  return buf;
+}
+
+}  // namespace
+
+std::string FormatJsonDouble(double value) {
+  std::string out;
+  AppendJsonDouble(value, &out);
+  return out;
 }
 
 void JsonValue::WriteTo(std::string* out, int indent, int depth) const {
@@ -473,13 +499,11 @@ void JsonValue::WriteTo(std::string* out, int indent, int depth) const {
       break;
     case Type::kInt: {
       char buf[24];
-      std::snprintf(buf, sizeof(buf), "%lld",
-                    static_cast<long long>(int_));
-      out->append(buf);
+      out->append(buf, std::to_chars(buf, buf + sizeof(buf), int_).ptr);
       break;
     }
     case Type::kDouble:
-      out->append(FormatJsonDouble(double_));
+      AppendJsonDouble(double_, out);
       break;
     case Type::kString:
       EscapeStringTo(string_, out);

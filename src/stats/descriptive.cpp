@@ -103,21 +103,20 @@ double Quantile(std::vector<double> values, double p) {
   return values[lo] * (1.0 - frac) + values[hi] * frac;
 }
 
-std::vector<double> QuantileSplitPoints(const std::vector<double>& values,
+std::vector<double> QuantileSplitPoints(std::vector<double> values,
                                         int num_splits) {
   SISD_CHECK(num_splits >= 1);
   if (values.empty()) return {};
-  std::vector<double> sorted = values;
-  std::sort(sorted.begin(), sorted.end());
+  std::sort(values.begin(), values.end());
   std::vector<double> splits;
   splits.reserve(static_cast<size_t>(num_splits));
   for (int k = 1; k <= num_splits; ++k) {
     const double p = double(k) / double(num_splits + 1);
-    const double idx = p * double(sorted.size() - 1);
+    const double idx = p * double(values.size() - 1);
     const size_t lo = static_cast<size_t>(std::floor(idx));
-    const size_t hi = std::min(lo + 1, sorted.size() - 1);
+    const size_t hi = std::min(lo + 1, values.size() - 1);
     const double frac = idx - double(lo);
-    splits.push_back(sorted[lo] * (1.0 - frac) + sorted[hi] * frac);
+    splits.push_back(values[lo] * (1.0 - frac) + values[hi] * frac);
   }
   splits.erase(std::unique(splits.begin(), splits.end()), splits.end());
   return splits;

@@ -86,7 +86,9 @@ double Quantile(std::vector<double> values, double p);
 /// \brief Cortana-style numeric split points: the `k` quantiles at
 /// `1/(k+1), ..., k/(k+1)` (k = 4 gives the paper's 1/5..4/5 percentiles).
 /// Duplicates (from ties) are removed; result is sorted ascending.
-std::vector<double> QuantileSplitPoints(const std::vector<double>& values,
+/// `values` is taken by value and sorted in place: pass a temporary (or
+/// move) to avoid a copy.
+std::vector<double> QuantileSplitPoints(std::vector<double> values,
                                         int num_splits);
 
 /// \brief Pearson correlation of two equally sized samples; 0 if degenerate.

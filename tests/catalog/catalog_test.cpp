@@ -35,6 +35,36 @@ TEST(FingerprintTest, HexRoundTripsAndIsStable) {
   EXPECT_FALSE(FingerprintFromHex("xyzw567890123456").ok());
 }
 
+// Golden identities. A fingerprint hashes the snapshot encoding, so a
+// change to how any number is written would silently move every persisted
+// `dataset_ref` (and the values docs/PROTOCOL.md shows). `crime` is the
+// `dataset_load {"scenario":"crime","name":"crime"}` registration; the
+// others keep their generated names, as a load without `name` does.
+TEST(FingerprintTest, ScenarioDatasetsKeepTheirGoldenFingerprints) {
+  struct Golden {
+    const char* scenario;
+    const char* name;  // nullptr = the generated name
+    const char* hex;
+    size_t bytes;
+  };
+  const Golden goldens[] = {
+      {"crime", "crime", "d4d36ce9392be3c8", 4918562},
+      {"crime", nullptr, "71709105a70e5b3e", 4918567},
+      {"water", nullptr, "67565abd8618c0f9", 403151},
+      {"mammals", nullptr, "786a5bf4e89bf016", 3928180},
+  };
+  for (const Golden& golden : goldens) {
+    data::Dataset dataset =
+        datagen::MakeScenarioDataset(golden.scenario).Value();
+    if (golden.name != nullptr) dataset.name = golden.name;
+    const DatasetFingerprint fingerprint = FingerprintDataset(dataset);
+    EXPECT_EQ(FingerprintToHex(fingerprint.value), golden.hex)
+        << golden.scenario << " as '" << dataset.name << "'";
+    EXPECT_EQ(fingerprint.bytes, golden.bytes)
+        << golden.scenario << " as '" << dataset.name << "'";
+  }
+}
+
 TEST(FingerprintTest, DifferentContentDifferentFingerprint) {
   data::Dataset a = Synthetic();
   data::Dataset b = Synthetic();

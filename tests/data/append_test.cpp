@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
 #include <vector>
 
 #include "data/csv.hpp"
@@ -181,6 +183,33 @@ TEST(AppendRowsTest, MalformedInputIsLoudAndLeavesParentUntouched) {
   EXPECT_EQ(parent.num_rows(), 4u);
   EXPECT_EQ(parent.descriptions.column(1).NumLevels(), 3u);
   EXPECT_TRUE(parent.Validate().ok());
+}
+
+TEST(AppendRowsTest, SubnormalCsvCellsAppendOverflowAndUnderflowDoNot) {
+  const Dataset parent = SmallParent();
+  // A subnormal cell is a finite number: the CSV path takes it (as the JSON
+  // cell path does) with the bits strtod produces.
+  Result<Dataset> child = AppendRowsFromCsvText(
+      parent, "x,c,b,t\n1e-310,red,1,2.2250738585072011e-308\n");
+  ASSERT_TRUE(child.ok()) << child.status().ToString();
+  EXPECT_EQ(child.Value().descriptions.column(0).NumericValue(4),
+            std::strtod("1e-310", nullptr));
+  EXPECT_EQ(child.Value().targets(4, 0),
+            std::strtod("2.2250738585072011e-308", nullptr));
+  Result<Dataset> via_json = AppendRowsFromCells(
+      parent, {"x", "c", "b", "t"},
+      {Row(std::strtod("1e-310", nullptr), "red", "1",
+           std::strtod("2.2250738585072011e-308", nullptr))});
+  ASSERT_TRUE(via_json.ok()) << via_json.status().ToString();
+  EXPECT_EQ(WriteCsvText(via_json.Value().descriptions),
+            WriteCsvText(child.Value().descriptions));
+  // Overflow and underflow to zero are still parse errors.
+  for (const char* cell : {"1e309", "-1e309", "1e-400"}) {
+    Result<Dataset> bad = AppendRowsFromCsvText(
+        parent, std::string("x,c,b,t\n") + cell + ",red,1,0.5\n");
+    ASSERT_FALSE(bad.ok()) << cell;
+    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument) << cell;
+  }
 }
 
 TEST(AppendSliceTest, TypedFastPathRemapsCodesAndChecksSchema) {

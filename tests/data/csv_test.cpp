@@ -1,6 +1,7 @@
 #include "data/csv.hpp"
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
@@ -112,6 +113,65 @@ TEST(ReadCsvTest, TrailingBlankLinesAreIgnored) {
     EXPECT_EQ(table.Value().num_rows(), 2u);
     EXPECT_DOUBLE_EQ(table.Value().column(0).NumericValue(1), 3.0);
   }
+}
+
+TEST(ReadCsvTest, SubnormalCellsStayNumeric) {
+  for (const char* cell : {"1e-310", "2.2250738585072011e-308", "-5e-324"}) {
+    Result<DataTable> table =
+        ReadCsvText(std::string("a,b\n0.5,x\n") + cell + ",y\n");
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    const Column& a = table.Value().column(0);
+    EXPECT_EQ(a.kind(), AttributeKind::kNumeric) << cell;
+    EXPECT_EQ(a.NumericValue(1), std::strtod(cell, nullptr)) << cell;
+  }
+  // Overflow and underflow to zero are not numbers: the column is
+  // categorical, exactly as for any other non-numeric text.
+  for (const char* cell : {"1e309", "1e-400"}) {
+    Result<DataTable> table =
+        ReadCsvText(std::string("a,b\n0.5,x\n") + cell + ",y\n");
+    ASSERT_TRUE(table.ok()) << table.status().ToString();
+    EXPECT_EQ(table.Value().column(0).kind(), AttributeKind::kCategorical)
+        << cell;
+  }
+}
+
+TEST(ReadCsvRawTest, RecordGrammarCells) {
+  // Quoted separators, doubled quotes, quotes opening mid-field, quoted
+  // empty fields, a trailing separator, CRLF line ends and a last line
+  // without a newline (kept verbatim: its '\r' is not stripped).
+  Result<RawCsv> raw = ReadCsvRawText(
+      "h1,h2,h3\r\n"
+      "\"a,b\",\"say \"\"hi\"\"\",plain\r\n"
+      "ab\"c,d\"e,\"\",\n"
+      "\"\"\"\",x\"\"y,\"\"\"\"\"\"\n"
+      "\n"
+      "1,2,3\r");
+  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+  const std::vector<std::vector<std::string>> want = {
+      {"a,b", "say \"hi\"", "plain"},
+      {"abc,de", "", ""},
+      {"\"", "xy", "\"\""},
+      {"1", "2", "3\r"},
+  };
+  EXPECT_EQ(raw.Value().header, (std::vector<std::string>{"h1", "h2", "h3"}));
+  EXPECT_EQ(raw.Value().rows, want);
+}
+
+TEST(ReadCsvTest, UnterminatedQuoteErrorText) {
+  for (const char* text : {"a\n\"unterminated\n", "a,b\n1,\"2\n",
+                           "\"a,b\n1,2\n", "a,b\n1,2\n3,\"4"}) {
+    Result<DataTable> table = ReadCsvText(text);
+    ASSERT_FALSE(table.ok()) << ::testing::PrintToString(text);
+    EXPECT_EQ(table.status().code(), StatusCode::kIOError);
+    EXPECT_EQ(table.status().message(), "unterminated quoted field");
+    std::istringstream in{std::string(text)};
+    EXPECT_EQ(ReadCsvStream(in).status().message(),
+              "unterminated quoted field");
+  }
+  EXPECT_EQ(ReadCsvRawText("a\n\"x\n").status().message(),
+            "unterminated quoted field");
+  EXPECT_EQ(ReadCsvText("a,b\n1\n").status().message(),
+            "line 2 has 1 fields, expected 2");
 }
 
 // ---- Streaming reader (ReadCsvStream / chunked ReadCsvFile). ----

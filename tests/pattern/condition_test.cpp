@@ -1,5 +1,10 @@
 #include "pattern/condition.hpp"
 
+#include <algorithm>
+#include <random>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace sisd::pattern {
@@ -44,6 +49,95 @@ TEST(ConditionTest, EqualsMatchesCategoricalAndBinary) {
   EXPECT_EQ(on.Evaluate(table).count(), 2u);
   EXPECT_TRUE(on.Matches(table, 0));
   EXPECT_FALSE(on.Matches(table, 1));
+}
+
+/// A column of `values` stored in chunks cut at `cuts` (ascending row
+/// indices), the way appended datasets store it.
+template <typename T, typename Make, typename Append>
+data::Column Chunked(const std::vector<T>& values,
+                     const std::vector<size_t>& cuts, Make make,
+                     Append append) {
+  size_t begin = cuts.empty() ? values.size() : cuts.front();
+  data::Column col = make(std::vector<T>(values.begin(),
+                                         values.begin() + long(begin)));
+  for (size_t k = 0; k < cuts.size(); ++k) {
+    const size_t end = k + 1 < cuts.size() ? cuts[k + 1] : values.size();
+    col = append(col, std::vector<T>(values.begin() + long(begin),
+                                     values.begin() + long(end)));
+    begin = end;
+  }
+  return col;
+}
+
+TEST(ConditionTest, EvaluateIntoMatchesPerRowReference) {
+  std::mt19937_64 rng(64);
+  const std::vector<std::string> labels = {"a", "b", "c", "d"};
+  for (size_t n : {1, 2, 63, 64, 65, 127, 128, 129, 191, 192, 193, 1000}) {
+    std::vector<double> x(n);
+    std::vector<int32_t> codes(n);
+    for (size_t i = 0; i < n; ++i) {
+      x[i] = double(rng() % 7) - 3.0;  // ties on purpose
+      codes[i] = int32_t(i < labels.size() ? i : rng() % labels.size());
+    }
+    // Single chunk, chunks cut at block edges, and chunks cut mid-block
+    // (a one-row chunk included).
+    std::vector<std::vector<size_t>> cut_sets = {
+        {}, {64, 128}, {n / 3, n / 3 + 1, (2 * n) / 3 + 1}};
+    for (std::vector<size_t>& cuts : cut_sets) {
+      for (size_t& cut : cuts) cut = std::min(cut, n);
+      std::sort(cuts.begin(), cuts.end());
+      data::DataTable table;
+      table
+          .AddColumn(Chunked(
+              x, cuts,
+              [](std::vector<double> v) {
+                return data::Column::Numeric("x", std::move(v));
+              },
+              [](const data::Column& c, std::vector<double> tail) {
+                return c.WithAppendedNumeric(std::move(tail));
+              }))
+          .CheckOK();
+      table
+          .AddColumn(Chunked(
+              codes, cuts,
+              [&](std::vector<int32_t> v) {
+                return data::Column::Categorical("c", std::move(v), labels);
+              },
+              [](const data::Column& c, std::vector<int32_t> tail) {
+                return c.WithAppendedCodes(std::move(tail));
+              }))
+          .CheckOK();
+      std::vector<Condition> conditions;
+      for (double t : {-3.5, -1.0, 0.0, 2.0, 3.0}) {
+        conditions.push_back(Condition::LessEqual(0, t));
+        conditions.push_back(Condition::GreaterEqual(0, t));
+      }
+      for (int32_t level = 0; level < int32_t(labels.size()); ++level) {
+        conditions.push_back(Condition::Equals(1, level));
+        conditions.push_back(Condition::NotEquals(1, level));
+      }
+      for (size_t from : {size_t{0}, size_t{1}, size_t{63}, size_t{64},
+                          size_t{65}, n / 2, n - 1, n}) {
+        if (from > n) continue;
+        for (const Condition& c : conditions) {
+          // Rows already present (below and above `from`) must stay.
+          Extension want(n);
+          for (size_t i = 0; i < n; ++i) {
+            if (rng() % 5 == 0) want.Insert(i);
+          }
+          Extension got = want;
+          for (size_t i = from; i < n; ++i) {
+            if (c.Matches(table, i)) want.Insert(i);
+          }
+          c.EvaluateInto(table, from, &got);
+          ASSERT_EQ(got, want) << c.Signature() << " n=" << n
+                               << " from=" << from
+                               << " chunks=" << cuts.size() + 1;
+          ASSERT_EQ(got.count(), want.count());
+        }
+      }
+    }
+  }
 }
 
 TEST(ConditionTest, ToStringRendering) {

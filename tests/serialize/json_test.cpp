@@ -1,9 +1,15 @@
 /// The JSON layer's contract: deterministic writing, strict parsing, and —
 /// the property snapshots rely on — bit-exact double round trips.
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <limits>
+#include <random>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -58,6 +64,82 @@ TEST(JsonDoubleTest, NonFiniteUsesStringEncoding) {
   EXPECT_TRUE(std::isinf(RoundTrip(std::numeric_limits<double>::infinity())));
   EXPECT_LT(RoundTrip(-std::numeric_limits<double>::infinity()), 0.0);
   EXPECT_TRUE(std::isnan(RoundTrip(std::nan(""))));
+}
+
+/// The double encoding as printf defines it: "%.17g", plus ".0" when the
+/// text has no '.', 'e' or 'E'. The writer must match it byte for byte:
+/// dataset fingerprints hash this text.
+std::string ReferenceJsonDouble(double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.17g", value);
+  std::string out(buf);
+  if (out.find_first_of(".eE") == std::string::npos) out += ".0";
+  return out;
+}
+
+TEST(JsonDoubleTest, WriterMatchesPrintfReference) {
+  std::vector<double> values = {0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e15, 1e16,
+                                1e17, 1e21, 1e22, 123456789012345678.0,
+                                std::numeric_limits<double>::max(),
+                                -std::numeric_limits<double>::max(),
+                                std::numeric_limits<double>::min(),
+                                std::numeric_limits<double>::denorm_min(),
+                                -std::numeric_limits<double>::denorm_min(),
+                                std::numeric_limits<double>::epsilon()};
+  for (int e = -330; e <= 310; ++e) {
+    const double p = std::pow(10.0, e);
+    values.push_back(p);
+    values.push_back(-p);
+    values.push_back(std::nextafter(p, 0.0));
+    values.push_back(std::nextafter(p, HUGE_VAL));
+  }
+  for (int64_t i = -1000; i <= 1000; ++i) values.push_back(double(i));
+  for (int k = 0; k < 64; ++k) {
+    values.push_back(std::ldexp(1.0, k));
+    values.push_back(std::ldexp(1.0, k) - 1.0);
+  }
+  std::mt19937_64 rng(2018);
+  for (int i = 0; i < 20000; ++i) {
+    // Subnormals: a zero exponent field with a random mantissa.
+    const uint64_t sign_and_mantissa =
+        (uint64_t{1} << 63) | ((uint64_t{1} << 52) - 1);
+    values.push_back(std::bit_cast<double>(rng() & sign_and_mantissa));
+  }
+  for (int i = 0; i < 1000000; ++i) {
+    const double v = std::bit_cast<double>(rng());
+    if (std::isfinite(v)) values.push_back(v);
+  }
+  for (double v : values) {
+    if (!std::isfinite(v)) continue;  // string encodings, tested above
+    const std::string want = ReferenceJsonDouble(v);
+    if (FormatJsonDouble(v) != want) {
+      FAIL() << "bits " << std::bit_cast<uint64_t>(v) << ": wrote "
+             << FormatJsonDouble(v) << ", printf gives " << want;
+    }
+  }
+  // The writer's in-tree path (arrays of doubles) uses the same encoding.
+  JsonValue array = JsonValue::Array();
+  std::string want = "[";
+  for (size_t i = 0; i < 1000; ++i) {
+    array.Append(JsonValue::Double(values[i]));
+    want += (i > 0 ? "," : "") + ReferenceJsonDouble(values[i]);
+  }
+  EXPECT_EQ(array.Write(), want + "]");
+}
+
+TEST(JsonIntTest, WriterMatchesPrintfReference) {
+  std::mt19937_64 rng(7);
+  std::vector<int64_t> values = {0, 1, -1, 9, 10, -10,
+                                 std::numeric_limits<int64_t>::max(),
+                                 std::numeric_limits<int64_t>::min()};
+  for (int i = 0; i < 10000; ++i) {
+    values.push_back(int64_t(rng()) >> (rng() % 64));
+  }
+  char buf[32];
+  for (int64_t v : values) {
+    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
+    ASSERT_EQ(JsonValue::Int(v).Write(), buf);
+  }
 }
 
 TEST(JsonDoubleTest, IntegralDoublesStayDoubles) {
