@@ -5,9 +5,13 @@
 // On the crime-like data (univariate target, where the tight optimistic
 // estimator applies) we compare, at depth 2:
 //   1. the paper's beam search (width 40),
-//   2. plain exhaustive enumeration (the global optimum),
-//   3. branch-and-bound with the tight univariate SI bound,
-// reporting quality found, candidates evaluated and wall-clock.
+//   2. plain exhaustive enumeration (the optimal search with its bound
+//      switched off: the global optimum),
+//   3. best-first branch-and-bound with the tight univariate SI bound, on
+//      one thread and on all threads,
+// reporting quality found, candidates evaluated and wall-clock. A beam as
+// wide as the condition pool is exhaustive at depth 2; it finds the
+// optima of the dispersion-corrected family (Boley et al.) for contrast.
 
 #include <chrono>
 #include <cstdio>
@@ -15,8 +19,9 @@
 #include "baseline/quality_measures.hpp"
 #include "datagen/crime.hpp"
 #include "pattern/patterns.hpp"
-#include "search/exhaustive_search.hpp"
+#include "search/beam_search.hpp"
 #include "search/optimal_search.hpp"
+#include "search/si_evaluator.hpp"
 
 int main() {
   using namespace sisd;
@@ -31,15 +36,7 @@ int main() {
   const search::ConditionPool pool =
       search::ConditionPool::Build(data.dataset.descriptions, 4);
   const si::DescriptionLengthParams dl;
-  const search::QualityFunction quality =
-      [&](const pattern::Intention& intention,
-          const pattern::Extension& ext) {
-        const linalg::Vector mean =
-            pattern::SubgroupMean(data.dataset.targets, ext);
-        return si::ScoreLocation(model.Value(), ext, mean, intention.size(),
-                                 dl)
-            .si;
-      };
+  constexpr size_t kMinCoverage = 20;
 
   std::printf("%-24s %12s %14s %12s %10s\n", "method", "best SI",
               "evaluated", "pruned", "seconds");
@@ -47,64 +44,48 @@ int main() {
   {  // Beam search (paper settings, depth 2).
     search::SearchConfig config;
     config.max_depth = 2;
-    config.min_coverage = 20;
+    config.min_coverage = kMinCoverage;
+    search::SiLocationEvaluator evaluator(model.Value(),
+                                          data.dataset.targets, dl);
     const Clock::time_point a = Clock::now();
     const search::SearchResult beam = search::BeamSearch(
-        data.dataset.descriptions, pool, config, quality);
+        data.dataset.descriptions, pool, config, evaluator);
     const double secs =
         std::chrono::duration<double>(Clock::now() - a).count();
     std::printf("%-24s %12.2f %14zu %12s %10.3f\n", "beam (width 40)",
                 beam.best().quality, beam.num_evaluated, "-", secs);
   }
 
-  search::ExhaustiveConfig config;
-  config.max_depth = 2;
-  config.min_coverage = 20;
   double exhaustive_best = 0.0;
-  {  // Plain exhaustive.
+  struct Row {
+    const char* name;
+    bool use_bound;
+    int num_threads;
+  };
+  for (const Row& row : {Row{"exhaustive", false, 1},
+                         Row{"B&B (1 thread)", true, 1},
+                         Row{"B&B (all threads)", true, 0}}) {
+    search::OptimalConfig config;
+    config.max_depth = 2;
+    config.min_coverage = kMinCoverage;
+    config.num_threads = row.num_threads;
+    config.use_bound = row.use_bound;
     const Clock::time_point a = Clock::now();
-    const search::ExhaustiveResult plain = search::ExhaustiveSearch(
-        data.dataset.descriptions, pool, config, quality);
-    const double secs =
-        std::chrono::duration<double>(Clock::now() - a).count();
-    exhaustive_best = plain.best.quality;
-    std::printf("%-24s %12.2f %14zu %12zu %10.3f\n", "exhaustive",
-                plain.best.quality, plain.num_evaluated,
-                plain.num_pruned_nodes, secs);
-  }
-  {  // Branch-and-bound with the tight univariate bound.
-    Result<search::OptimisticBound> bound = search::MakeUnivariateSiBound(
-        model.Value(), data.dataset.targets, dl, config.min_coverage);
-    bound.status().CheckOK();
-    const Clock::time_point a = Clock::now();
-    const search::ExhaustiveResult bnb = search::ExhaustiveSearch(
-        data.dataset.descriptions, pool, config, quality, &bound.Value());
-    const double secs =
-        std::chrono::duration<double>(Clock::now() - a).count();
-    std::printf("%-24s %12.2f %14zu %12zu %10.3f\n", "branch-and-bound",
-                bnb.best.quality, bnb.num_evaluated, bnb.num_pruned_nodes,
-                secs);
-  }
-  {  // The batch-engine-native best-first branch-and-bound.
-    search::OptimalConfig optimal;
-    optimal.max_depth = 2;
-    optimal.min_coverage = config.min_coverage;
-    optimal.num_threads = 1;
-    const Clock::time_point a = Clock::now();
-    const search::OptimalResult engine = search::OptimalLocationSearch(
+    const search::OptimalResult found = search::OptimalLocationSearch(
         data.dataset.descriptions, pool, model.Value(), data.dataset.targets,
-        dl, optimal);
+        dl, config);
     const double secs =
         std::chrono::duration<double>(Clock::now() - a).count();
-    std::printf("%-24s %12.2f %14zu %12zu %10.3f\n", "best-first B&B",
-                engine.best.quality, engine.num_evaluated,
-                engine.num_pruned_nodes, secs);
-    std::printf(
-        "\nchecks: all four methods must report the same best SI (%.2f);\n"
-        "the bounded searches must evaluate strictly fewer candidates than\n"
-        "plain exhaustive enumeration.\n",
-        exhaustive_best);
+    if (!row.use_bound) exhaustive_best = found.best.quality;
+    std::printf("%-24s %12.2f %14zu %12zu %10.3f\n", row.name,
+                found.best.quality, found.num_evaluated,
+                found.num_pruned_nodes, secs);
   }
+  std::printf(
+      "\nchecks: all four methods must report the same best SI (%.2f);\n"
+      "the bounded searches must evaluate strictly fewer candidates than\n"
+      "plain exhaustive enumeration.\n",
+      exhaustive_best);
 
   // Dispersion-corrected quality family (Boley et al. 2017): what the
   // classical measure's optimum looks like under the SI lens. The family's
@@ -112,24 +93,30 @@ int main() {
   std::printf("\n=== Dispersion-corrected family (exhaustive, depth 2) ===\n");
   std::printf("%-24s %12s %12s %10s %12s\n", "variant", "best q", "SI",
               "coverage", "evaluated");
-  const baseline::TargetSummary summary =
-      baseline::TargetSummary::Compute(data.dataset.targets, 0);
+  search::SearchConfig exhaustive;
+  exhaustive.beam_width = static_cast<int>(pool.size());
+  exhaustive.max_depth = 2;
+  exhaustive.min_coverage = kMinCoverage;
   for (const double exponent : {0.0, 0.5, 1.0}) {
     baseline::DispersionCorrectedParams params;
     params.size_exponent = exponent;
-    const search::QualityFunction family_quality =
-        [&](const pattern::Intention&, const pattern::Extension& ext) {
-          return baseline::DispersionCorrectedFamilyQuality(
-              data.dataset.targets, 0, summary, ext, params);
-        };
-    const search::ExhaustiveResult found = search::ExhaustiveSearch(
-        data.dataset.descriptions, pool, config, family_quality);
-    const double si = quality(found.best.intention, found.best.extension);
+    baseline::MeasureEvaluator evaluator(
+        data.dataset.targets, 0,
+        baseline::BaselineMeasure::kDispersionCorrected, params);
+    const search::SearchResult found = search::BeamSearch(
+        data.dataset.descriptions, pool, exhaustive, evaluator);
+    const search::ScoredSubgroup& best = found.best();
+    const double si =
+        si::ScoreLocation(model.Value(), best.extension,
+                          pattern::SubgroupMean(data.dataset.targets,
+                                                best.extension),
+                          best.intention.size(), dl)
+            .si;
     std::printf("%-24s %12.3f %12.2f %10zu %12zu\n",
                 exponent == 0.5 ? "exponent 0.5 (default)"
                                 : (exponent == 0.0 ? "exponent 0.0"
                                                    : "exponent 1.0"),
-                found.best.quality, si, found.best.extension.count(),
+                best.quality, si, best.extension.count(),
                 found.num_evaluated);
   }
   std::printf(

@@ -1,15 +1,14 @@
 // Microbenchmarks (bench/harness) of the search machinery: extension
 // intersection throughput, condition-pool construction, SI quality
-// evaluation, one full beam-search iteration, and the sphere optimizer.
+// evaluation, and the sphere optimizer (bench_miner_e2e times the beam
+// search itself).
 
 #include "harness/microbench.hpp"
 
 #include "core/miner.hpp"
 #include "datagen/crime.hpp"
-#include "datagen/synthetic.hpp"
 #include "optimize/sphere_optimizer.hpp"
 #include "random/rng.hpp"
-#include "search/beam_search.hpp"
 #include "search/condition_pool.hpp"
 
 namespace {
@@ -57,64 +56,6 @@ void BM_SiQualityEvaluation(sisd::bench::State& state) {
   }
 }
 SISD_BENCHMARK(BM_SiQualityEvaluation);
-
-void BM_BeamSearchSyntheticFull(sisd::bench::State& state) {
-  const datagen::SyntheticData data = datagen::MakeSyntheticEmbedded();
-  Result<model::BackgroundModel> model =
-      model::BackgroundModel::CreateFromData(data.dataset.targets);
-  model.status().CheckOK();
-  const search::ConditionPool pool =
-      search::ConditionPool::Build(data.dataset.descriptions, 4);
-  search::SearchConfig config;
-  config.min_coverage = 5;
-  const si::DescriptionLengthParams dl;
-  const search::QualityFunction quality =
-      [&](const pattern::Intention& intention,
-          const pattern::Extension& ext) {
-        const linalg::Vector mean =
-            pattern::SubgroupMean(data.dataset.targets, ext);
-        return si::ScoreLocation(model.Value(), ext, mean, intention.size(),
-                                 dl)
-            .si;
-      };
-  for (auto _ : state) {
-    sisd::bench::DoNotOptimize(
-        search::BeamSearch(data.dataset.descriptions, pool, config, quality));
-  }
-}
-SISD_BENCHMARK(BM_BeamSearchSyntheticFull)->Unit(sisd::bench::kMillisecond);
-
-void BM_BeamSearchCrimeDepth2(sisd::bench::State& state) {
-  const datagen::CrimeData data = datagen::MakeCrimeLike();
-  Result<model::BackgroundModel> model =
-      model::BackgroundModel::CreateFromData(data.dataset.targets);
-  model.status().CheckOK();
-  const search::ConditionPool pool =
-      search::ConditionPool::Build(data.dataset.descriptions, 4);
-  search::SearchConfig config;
-  config.max_depth = 2;
-  config.beam_width = static_cast<int>(state.range(0));
-  config.min_coverage = 20;
-  const si::DescriptionLengthParams dl;
-  const search::QualityFunction quality =
-      [&](const pattern::Intention& intention,
-          const pattern::Extension& ext) {
-        const linalg::Vector mean =
-            pattern::SubgroupMean(data.dataset.targets, ext);
-        return si::ScoreLocation(model.Value(), ext, mean, intention.size(),
-                                 dl)
-            .si;
-      };
-  for (auto _ : state) {
-    sisd::bench::DoNotOptimize(
-        search::BeamSearch(data.dataset.descriptions, pool, config, quality));
-  }
-}
-SISD_BENCHMARK(BM_BeamSearchCrimeDepth2)
-    ->Arg(5)
-    ->Arg(20)
-    ->Arg(40)
-    ->Unit(sisd::bench::kMillisecond);
 
 void BM_SphereOptimizer(sisd::bench::State& state) {
   const size_t d = static_cast<size_t>(state.range(0));

@@ -1,10 +1,8 @@
 // End-to-end benchmarks of the batch evaluation engine (bench/harness):
 //
-//  - BM_EngineBeamSearchCrimeDepth2: the engine-scored counterpart of
-//    bench_micro_search's BM_BeamSearchCrimeDepth2 (identical search
-//    configuration, candidates scored through SiLocationEvaluator instead
-//    of the per-candidate callback). The ratio of the two is the
-//    candidate-evaluation speedup of the engine.
+//  - BM_EngineBeamSearchCrimeDepth2: a depth-2 beam search on the crime
+//    data at beam widths 5/20/40, candidates scored through
+//    SiLocationEvaluator on one thread.
 //  - BM_EngineBeamSearchCrimeThreads: thread scaling of the same search.
 //  - BM_MinerMineNext: one full mining iteration (search + ranked-list
 //    scoring + assimilation) over a synthetic N rows x M descriptions

@@ -1,13 +1,12 @@
 // Provably-optimal search benchmarks (bench/harness): the kernel-backed
-// best-first branch-and-bound (search/optimal_search) against the old
-// callback-DFS optimal path (ExhaustiveSearch + MakeUnivariateSiBound) and
-// the paper's beam heuristic, on the crime-shaped data (univariate target,
-// tight bound engages) and the synthetic data (bivariate, pure best-first).
+// best-first branch-and-bound (search/optimal_search) against the paper's
+// beam heuristic, on the crime-shaped data (univariate target, tight bound
+// engages) and the synthetic data (bivariate, pure best-first).
 //
 // scripts/bench_optimal.sh records the comparison into BENCH_optimal.json
-// with computed speedup summaries; the binary's --gap-json mode emits the
-// beam-vs-optimal quality gap (a deterministic number, measured once, not
-// a timing).
+// with computed engine-over-beam wall-clock ratios; the binary's
+// --gap-json mode emits the beam-vs-optimal quality gap (a deterministic
+// number, measured once, not a timing).
 
 #include "harness/microbench.hpp"
 
@@ -17,9 +16,7 @@
 #include "datagen/crime.hpp"
 #include "datagen/synthetic.hpp"
 #include "model/background_model.hpp"
-#include "pattern/patterns.hpp"
 #include "search/beam_search.hpp"
-#include "search/exhaustive_search.hpp"
 #include "search/optimal_search.hpp"
 #include "search/si_evaluator.hpp"
 
@@ -61,21 +58,6 @@ const Fixture& Synth() {
   return fixture;
 }
 
-search::QualityFunction CallbackQuality(const Fixture& f) {
-  return [&f](const pattern::Intention& intention,
-              const pattern::Extension& ext) {
-    const linalg::Vector mean = pattern::SubgroupMean(f.dataset.targets, ext);
-    return si::ScoreLocation(f.model, ext, mean, intention.size(), f.dl).si;
-  };
-}
-
-search::ExhaustiveConfig DfsConfig(const Fixture& f) {
-  search::ExhaustiveConfig config;
-  config.max_depth = 2;
-  config.min_coverage = f.min_coverage;
-  return config;
-}
-
 search::OptimalConfig EngineConfig(const Fixture& f, int threads) {
   search::OptimalConfig config;
   config.max_depth = 2;
@@ -90,44 +72,7 @@ search::OptimalResult RunEngine(const Fixture& f, int threads) {
                                        EngineConfig(f, threads));
 }
 
-/// The old optimal path: callback DFS with the tight univariate bound.
-void BM_Crime_CallbackDfsBnB(sisd::bench::State& state) {
-  const Fixture& f = Crime();
-  const search::QualityFunction quality = CallbackQuality(f);
-  const search::OptimisticBound bound =
-      search::MakeUnivariateSiBound(f.model, f.dataset.targets, f.dl,
-                                    f.min_coverage)
-          .Value();
-  const search::ExhaustiveConfig config = DfsConfig(f);
-  size_t evaluated = 0;
-  for (auto _ : state) {
-    const search::ExhaustiveResult r = search::ExhaustiveSearch(
-        f.dataset.descriptions, f.pool, config, quality, &bound);
-    evaluated = r.num_evaluated;
-    sisd::bench::DoNotOptimize(r.best.quality);
-  }
-  state.SetItemsProcessed(state.iterations() * int64_t(evaluated));
-}
-SISD_BENCHMARK(BM_Crime_CallbackDfsBnB)->Unit(sisd::bench::kMillisecond);
-
-/// Plain callback DFS without the bound (full enumeration context).
-void BM_Crime_CallbackDfsPlain(sisd::bench::State& state) {
-  const Fixture& f = Crime();
-  const search::QualityFunction quality = CallbackQuality(f);
-  const search::ExhaustiveConfig config = DfsConfig(f);
-  size_t evaluated = 0;
-  for (auto _ : state) {
-    const search::ExhaustiveResult r = search::ExhaustiveSearch(
-        f.dataset.descriptions, f.pool, config, quality);
-    evaluated = r.num_evaluated;
-    sisd::bench::DoNotOptimize(r.best.quality);
-  }
-  state.SetItemsProcessed(state.iterations() * int64_t(evaluated));
-}
-SISD_BENCHMARK(BM_Crime_CallbackDfsPlain)->Unit(sisd::bench::kMillisecond);
-
-/// The new engine, single-threaded (the algorithmic speedup, no
-/// parallelism).
+/// The engine, single-threaded (no parallelism).
 void BM_Crime_OptimalBnB_1thread(sisd::bench::State& state) {
   const Fixture& f = Crime();
   size_t evaluated = 0;
@@ -140,7 +85,7 @@ void BM_Crime_OptimalBnB_1thread(sisd::bench::State& state) {
 }
 SISD_BENCHMARK(BM_Crime_OptimalBnB_1thread)->Unit(sisd::bench::kMillisecond);
 
-/// The new engine at the hardware thread count.
+/// The engine at the hardware thread count.
 void BM_Crime_OptimalBnB_allthreads(sisd::bench::State& state) {
   const Fixture& f = Crime();
   size_t evaluated = 0;
@@ -168,21 +113,6 @@ void BM_Crime_Beam(sisd::bench::State& state) {
   }
 }
 SISD_BENCHMARK(BM_Crime_Beam)->Unit(sisd::bench::kMillisecond);
-
-void BM_Synth_CallbackDfs(sisd::bench::State& state) {
-  const Fixture& f = Synth();
-  const search::QualityFunction quality = CallbackQuality(f);
-  const search::ExhaustiveConfig config = DfsConfig(f);
-  size_t evaluated = 0;
-  for (auto _ : state) {
-    const search::ExhaustiveResult r = search::ExhaustiveSearch(
-        f.dataset.descriptions, f.pool, config, quality);
-    evaluated = r.num_evaluated;
-    sisd::bench::DoNotOptimize(r.best.quality);
-  }
-  state.SetItemsProcessed(state.iterations() * int64_t(evaluated));
-}
-SISD_BENCHMARK(BM_Synth_CallbackDfs)->Unit(sisd::bench::kMicrosecond);
 
 void BM_Synth_Optimal_1thread(sisd::bench::State& state) {
   const Fixture& f = Synth();

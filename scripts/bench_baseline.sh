@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# Regenerate the benchmark snapshot used as the perf trajectory anchor
-# (BENCH_seed.json was recorded with this script at the seed; later
-# snapshots add the end-to-end miner benchmark bench_miner_e2e and the
-# SIMD scoring-kernel micro-bench bench_kernels).
+# Record a comparison snapshot of the micro benchmarks (model, search
+# machinery), the end-to-end miner benchmark bench_miner_e2e, the session
+# refit benchmark and the SIMD scoring-kernel micro-bench bench_kernels.
+# Nothing in the repository is recorded with it; run it on a parent and a
+# change to compare them.
 #
 # The snapshot records the kernel ISA in effect: run with
 # SISD_KERNELS=scalar for a scalar baseline, unset for runtime dispatch.

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Record the provably-optimal search comparison into BENCH_optimal.json:
 # the kernel-backed best-first branch-and-bound (search/optimal_search)
-# vs the old callback-DFS optimal path and the beam heuristic, plus the
+# vs the beam heuristic (engine-over-beam wall-clock ratios), plus the
 # beam-vs-optimal quality gap on the crime and synthetic scenarios.
 # Usage: scripts/bench_optimal.sh [output.json]
 set -euo pipefail
@@ -46,25 +46,14 @@ def ratio(slow, fast):
     return round(seconds(slow) / seconds(fast), 3)
 
 summary = {
-    # The headline: new engine vs the old callback-DFS optimal path
-    # (ExhaustiveSearch + MakeUnivariateSiBound), both provably optimal,
-    # single-threaded, depth 2 on the full crime shape.
-    "crime_speedup_vs_callback_dfs_bnb":
-        ratio("BM_Crime_CallbackDfsBnB", "BM_Crime_OptimalBnB_1thread"),
-    # Context: vs unbounded callback enumeration and with all threads.
-    "crime_speedup_vs_callback_dfs_plain":
-        ratio("BM_Crime_CallbackDfsPlain", "BM_Crime_OptimalBnB_1thread"),
-    "crime_speedup_allthreads_vs_callback_dfs_bnb":
-        ratio("BM_Crime_CallbackDfsBnB", "BM_Crime_OptimalBnB_allthreads"),
-    # How far provable optimality sits from the heuristic's wall-clock.
+    # How far provable optimality sits from the heuristic's wall-clock
+    # (depth 2, same constraints; > 1 means the engine is slower).
     "crime_optimal_over_beam_wallclock":
         ratio("BM_Crime_OptimalBnB_1thread", "BM_Crime_Beam"),
-    "synthetic_speedup_vs_callback_dfs":
-        ratio("BM_Synth_CallbackDfs", "BM_Synth_Optimal_1thread"),
+    "crime_optimal_allthreads_over_beam_wallclock":
+        ratio("BM_Crime_OptimalBnB_allthreads", "BM_Crime_Beam"),
     "synthetic_optimal_over_beam_wallclock":
         ratio("BM_Synth_Optimal_1thread", "BM_Synth_Beam"),
-    "candidates_per_second_crime_bnb":
-        round(by_name["BM_Crime_OptimalBnB_1thread"]["items_per_second"]),
     # Beam optimality gap (exact search outputs, not timings).
     "quality_gap": gap,
 }

@@ -14,7 +14,9 @@
 # the shared atomic incumbent), the greedy subgroup-list miner
 # (list_miner_test's engine-vs-reference differential across thread
 # counts; mine_list_serve_test's byte-identity across transports and
-# worker counts), plus the kernel suites
+# worker counts), the baseline measures scored by the worker pool
+# (quality_measures_test's parallel MeasureEvaluator beams), plus the
+# kernel suites
 # (kernel_dispatch_test flips the process-wide ISA slot while the engine's
 # workers score through it; kernel_parity_test covers the read-once
 # environment resolution). A final stress pass repeats the three hammer
@@ -32,10 +34,10 @@ cmake --build build-tsan -j \
   --target batch_evaluator_test thread_invariance_test beam_search_test \
            optimal_search_test list_miner_test serve_hammer_test \
            serve_loop_test mine_list_serve_test catalog_hammer_test \
-           event_loop_test event_loop_hammer_test \
+           event_loop_test event_loop_hammer_test quality_measures_test \
            kernel_parity_test kernel_dispatch_test
 cd build-tsan
 ctest --output-on-failure \
-  -R 'batch_evaluator_test|thread_invariance_test|beam_search_test|optimal_search_test|list_miner_test|serve_hammer_test|serve_loop_test|mine_list_serve_test|catalog_hammer_test|event_loop_test|event_loop_hammer_test|kernel_parity_test|kernel_dispatch_test'
+  -R 'batch_evaluator_test|thread_invariance_test|beam_search_test|optimal_search_test|list_miner_test|serve_hammer_test|serve_loop_test|mine_list_serve_test|catalog_hammer_test|event_loop_test|event_loop_hammer_test|quality_measures_test|kernel_parity_test|kernel_dispatch_test'
 ctest --output-on-failure --repeat until-fail:20 \
   -R 'serve_hammer_test|event_loop_hammer_test|catalog_hammer_test'

@@ -87,34 +87,43 @@ double DispersionCorrectedFamilyQuality(
   return size_term * shift / (1.0 + amd);
 }
 
-search::QualityFunction MakeBaselineQuality(const linalg::Matrix& y,
-                                            size_t target,
-                                            BaselineMeasure measure) {
-  const TargetSummary summary = TargetSummary::Compute(y, target);
-  return [&y, target, summary, measure](const pattern::Intention&,
-                                        const pattern::Extension& extension) {
-    switch (measure) {
-      case BaselineMeasure::kZScore:
-        return ZScoreQuality(y, target, summary, extension);
-      case BaselineMeasure::kWracc:
-        return std::fabs(WraccQuality(y, target, summary, extension));
-      case BaselineMeasure::kDispersionCorrected:
-        return DispersionCorrectedQuality(y, target, summary, extension);
-    }
-    return 0.0;
-  };
+MeasureEvaluator::MeasureEvaluator(const linalg::Matrix& y, size_t target,
+                                   BaselineMeasure measure,
+                                   DispersionCorrectedParams params)
+    : y_(&y),
+      target_(target),
+      summary_(TargetSummary::Compute(y, target)),
+      measure_(measure),
+      params_(params) {}
+
+void MeasureEvaluator::Prepare(size_t num_workers) {
+  scratch_.assign(num_workers, pattern::Extension(y_->rows()));
 }
 
-search::QualityFunction MakeDispersionCorrectedQuality(
-    const linalg::Matrix& y, size_t target, DispersionCorrectedParams params) {
-  const TargetSummary summary = TargetSummary::Compute(y, target);
-  // Non-owning: `y` must outlive the returned quality (see header).
-  const linalg::Matrix* targets = &y;
-  return [targets, target, summary, params](
-             const pattern::Intention&, const pattern::Extension& extension) {
-    return DispersionCorrectedFamilyQuality(*targets, target, summary,
-                                            extension, params);
-  };
+void MeasureEvaluator::ScoreChunk(const search::CandidateBatch& batch,
+                                  size_t begin, size_t end, size_t worker,
+                                  double* scores) {
+  pattern::Extension& extension = scratch_[worker];
+  for (size_t i = begin; i < end; ++i) {
+    const search::CandidateBatch::Item& item = batch.items[i];
+    pattern::Extension::IntersectInto(batch.parent_extension(item),
+                                      batch.condition_extension(item),
+                                      &extension);
+    scores[i] = Score(extension);
+  }
+}
+
+double MeasureEvaluator::Score(const pattern::Extension& extension) const {
+  switch (measure_) {
+    case BaselineMeasure::kZScore:
+      return ZScoreQuality(*y_, target_, summary_, extension);
+    case BaselineMeasure::kWracc:
+      return std::fabs(WraccQuality(*y_, target_, summary_, extension));
+    case BaselineMeasure::kDispersionCorrected:
+      return DispersionCorrectedFamilyQuality(*y_, target_, summary_,
+                                              extension, params_);
+  }
+  return 0.0;
 }
 
 }  // namespace sisd::baseline

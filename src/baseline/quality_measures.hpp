@@ -5,14 +5,17 @@
 /// qualitatively (Related Work: WRAcc-based significance, Boley et al.'s
 /// dispersion-corrected scores). For the Fig. 3 baseline and the ablation
 /// benches we implement the standard single-target measures; all work on a
-/// designated target column of the target matrix.
+/// designated target column of the target matrix. `MeasureEvaluator` scores
+/// them inside the beam search.
 
 #ifndef SISD_BASELINE_QUALITY_MEASURES_HPP_
 #define SISD_BASELINE_QUALITY_MEASURES_HPP_
 
+#include <vector>
+
 #include "linalg/matrix.hpp"
 #include "pattern/extension.hpp"
-#include "search/beam_search.hpp"
+#include "search/batch_evaluator.hpp"
 
 namespace sisd::baseline {
 
@@ -66,19 +69,37 @@ double DispersionCorrectedFamilyQuality(const linalg::Matrix& y, size_t target,
                                         const pattern::Extension& extension,
                                         const DispersionCorrectedParams& params);
 
-/// \brief Wraps a baseline measure as a beam-search QualityFunction
-/// (two-sided: absolute value of the measure).
+/// \brief The measures `MeasureEvaluator` can score (two-sided: WRAcc is
+/// scored by its absolute value).
 enum class BaselineMeasure { kZScore, kWracc, kDispersionCorrected };
 
-search::QualityFunction MakeBaselineQuality(const linalg::Matrix& y,
-                                            size_t target,
-                                            BaselineMeasure measure);
+/// \brief Batch evaluator scoring candidates by a baseline measure on
+/// column `target` of `y`. `kDispersionCorrected` scores the family member
+/// selected by `params` (the defaults give `DispersionCorrectedQuality`).
+/// Each worker materializes candidates into its own scratch extension, so
+/// scoring runs in parallel. Keeps a pointer to `y`, which must outlive the
+/// evaluator and stay unchanged while it is in use.
+class MeasureEvaluator final : public search::BatchEvaluator {
+ public:
+  MeasureEvaluator(const linalg::Matrix& y, size_t target,
+                   BaselineMeasure measure,
+                   DispersionCorrectedParams params = {});
 
-/// \brief Wraps a dispersion-corrected family member as a beam-search
-/// QualityFunction. The closure holds a non-owning pointer to `y`; the
-/// caller must keep the matrix alive while the quality may be invoked.
-search::QualityFunction MakeDispersionCorrectedQuality(
-    const linalg::Matrix& y, size_t target, DispersionCorrectedParams params);
+  void Prepare(size_t num_workers) override;
+
+  void ScoreChunk(const search::CandidateBatch& batch, size_t begin,
+                  size_t end, size_t worker, double* scores) override;
+
+ private:
+  double Score(const pattern::Extension& extension) const;
+
+  const linalg::Matrix* y_;
+  size_t target_;
+  TargetSummary summary_;
+  BaselineMeasure measure_;
+  DispersionCorrectedParams params_;
+  std::vector<pattern::Extension> scratch_;  ///< one per worker
+};
 
 }  // namespace sisd::baseline
 

@@ -2,7 +2,7 @@
 /// \brief The batch evaluation protocol between the beam search and the
 /// quality scorers.
 ///
-/// Instead of scoring candidates one-by-one through a callback, the search
+/// The beam search scores every candidate through this protocol: it
 /// generates one `CandidateBatch` per beam level (parent x pool-condition
 /// refinements, already deduplicated and coverage-filtered) and hands
 /// contiguous chunks of it to a `BatchEvaluator`. Candidates are *virtual*:
@@ -62,15 +62,13 @@ struct CandidateBatch {
 };
 
 /// \brief Scores chunks of a candidate batch. Implementations own whatever
-/// per-worker scratch they need.
+/// per-worker scratch they need. `ScoreChunk` runs concurrently from
+/// several threads (with distinct `worker` ids), and a candidate's score
+/// must be a pure function of the candidate, so the search output does not
+/// depend on the thread count.
 class BatchEvaluator {
  public:
   virtual ~BatchEvaluator() = default;
-
-  /// True when `ScoreChunk` may run concurrently from several threads (with
-  /// distinct `worker` ids). Evaluators wrapping arbitrary callbacks return
-  /// false and are scored on the calling thread only.
-  virtual bool SupportsParallelScoring() const { return false; }
 
   /// Called once per search, before any scoring, with the number of worker
   /// slots that will be used. Allocate per-worker scratch here.

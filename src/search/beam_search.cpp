@@ -169,33 +169,6 @@ class TopList {
   std::vector<BeamEntry> spares_;   // evicted or retired entries
 };
 
-/// Adapter scoring candidates through a legacy `QualityFunction`. The
-/// callback protocol materializes the extension and reconstructs the
-/// intention per candidate (what the batch protocol exists to avoid), and
-/// arbitrary callbacks are not assumed thread-safe, so this evaluator is
-/// single-threaded.
-class CallbackEvaluator final : public BatchEvaluator {
- public:
-  explicit CallbackEvaluator(const QualityFunction& quality)
-      : quality_(&quality) {}
-
-  void ScoreChunk(const CandidateBatch& batch, size_t begin, size_t end,
-                  size_t worker, double* scores) override {
-    (void)worker;
-    for (size_t i = begin; i < end; ++i) {
-      const CandidateBatch::Item& item = batch.items[i];
-      const pattern::Extension extension = pattern::Extension::Intersect(
-          batch.parent_extension(item), batch.condition_extension(item));
-      const pattern::Intention intention =
-          MakeIntention(*batch.pool, batch.candidate_ids(i));
-      scores[i] = (*quality_)(intention, extension);
-    }
-  }
-
- private:
-  const QualityFunction* quality_;
-};
-
 }  // namespace
 
 SearchResult BeamSearch(const data::DataTable& table,
@@ -212,11 +185,9 @@ SearchResult BeamSearch(const data::DataTable& table,
       config.max_coverage_fraction * double(n));
 
   const size_t num_workers =
-      evaluator.SupportsParallelScoring()
-          ? (shared_workers != nullptr
-                 ? shared_workers->num_workers()
-                 : ThreadPool::ResolveNumThreads(config.num_threads))
-          : 1;
+      shared_workers != nullptr
+          ? shared_workers->num_workers()
+          : ThreadPool::ResolveNumThreads(config.num_threads);
   evaluator.Prepare(num_workers);
   std::optional<ThreadPool> local_workers;
   ThreadPool* workers = nullptr;
@@ -401,13 +372,6 @@ SearchResult BeamSearch(const data::DataTable& table,
     result.top.push_back(std::move(scored));
   }
   return result;
-}
-
-SearchResult BeamSearch(const data::DataTable& table,
-                        const ConditionPool& pool, const SearchConfig& config,
-                        const QualityFunction& quality) {
-  CallbackEvaluator evaluator(quality);
-  return BeamSearch(table, pool, config, evaluator);
 }
 
 }  // namespace sisd::search

@@ -3,19 +3,18 @@
 /// (paper §II-D, "Location pattern").
 ///
 /// The search is generic in the quality scorer, so the same engine drives
-/// (a) the SI-based location-pattern search of the paper and (b) the
-/// baseline quality measures used for comparison. Per beam level the search
-/// generates one candidate batch and scores it through a `BatchEvaluator`
-/// (in parallel when the evaluator allows it); the beam keeps the
-/// `beam_width` best per level and a global top-`k` list collects the best
-/// subgroups seen anywhere in the search. Results are merged in candidate
-/// generation order, so the output is bit-identical for any thread count.
-/// A `QualityFunction` callback overload is kept for arbitrary measures.
+/// (a) the SI-based location-pattern search of the paper, (b) the
+/// subgroup-list gain of `list_miner` and (c) the baseline quality measures
+/// used for comparison. Per beam level the search generates one candidate
+/// batch and scores it in parallel through a `BatchEvaluator`; the beam
+/// keeps the `beam_width` best per level and a global top-`k` list collects
+/// the best subgroups seen anywhere in the search. Results are merged in
+/// candidate generation order, so the output is bit-identical for any
+/// thread count.
 
 #ifndef SISD_SEARCH_BEAM_SEARCH_HPP_
 #define SISD_SEARCH_BEAM_SEARCH_HPP_
 
-#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
@@ -47,19 +46,13 @@ struct SearchConfig {
   /// Wall-clock budget; the search stops gracefully when exceeded.
   double time_budget_seconds = std::numeric_limits<double>::infinity();
   /// Scoring threads: >= 1 is taken literally; 0 resolves through the
-  /// `SISD_THREADS` environment variable, then hardware concurrency. Only
-  /// used when the evaluator supports parallel scoring. As long as the
-  /// search does not hit the wall-clock budget, the output is bit-identical
-  /// for every setting; a search cut off by `time_budget_seconds` returns
-  /// a timing-dependent partial result (as any wall-clock cutoff must).
+  /// `SISD_THREADS` environment variable, then hardware concurrency. As
+  /// long as the search does not hit the wall-clock budget, the output is
+  /// bit-identical for every setting; a search cut off by
+  /// `time_budget_seconds` returns a timing-dependent partial result (as
+  /// any wall-clock cutoff must).
   int num_threads = 0;
 };
-
-/// \brief Quality callback: returns the score of a candidate subgroup.
-/// Return -inf to reject a candidate entirely (it will not enter the beam
-/// nor the result list).
-using QualityFunction = std::function<double(
-    const pattern::Intention&, const pattern::Extension&)>;
 
 /// \brief One scored subgroup in the search output.
 struct ScoredSubgroup {
@@ -86,7 +79,7 @@ struct SearchResult {
 };
 
 /// \brief Runs beam search over `pool`, scoring candidate batches through
-/// `evaluator` (the primary engine entry point).
+/// `evaluator`.
 ///
 /// When `shared_workers` is non-null the search scores through that pool
 /// (whose worker count overrides `config.num_threads`) instead of spinning
@@ -97,13 +90,6 @@ SearchResult BeamSearch(const data::DataTable& table,
                         const ConditionPool& pool, const SearchConfig& config,
                         BatchEvaluator& evaluator,
                         ThreadPool* shared_workers = nullptr);
-
-/// \brief Callback compatibility overload: wraps `quality` in a
-/// single-threaded batch evaluator (arbitrary callbacks are not assumed
-/// thread-safe). Behaviour and results match the batch entry point.
-SearchResult BeamSearch(const data::DataTable& table,
-                        const ConditionPool& pool, const SearchConfig& config,
-                        const QualityFunction& quality);
 
 }  // namespace sisd::search
 

@@ -50,8 +50,6 @@ class ListGainEvaluator final : public BatchEvaluator {
         params_(params),
         min_captured_(min_captured) {}
 
-  bool SupportsParallelScoring() const override { return true; }
-
   void Prepare(size_t num_workers) override {
     workers_.resize(num_workers);
     for (Worker& w : workers_) w.moments.resize(columns_->size());
@@ -109,9 +107,9 @@ class ListGainEvaluator final : public BatchEvaluator {
 };
 
 /// Reference evaluator: materializes every candidate extension and its
-/// captured subset, recomputes moments on the materialized bitset, and
-/// declines parallel scoring — no scratch reuse, no fused masks, no
-/// threads. Deliberately the slowest honest implementation.
+/// captured subset and recomputes moments on the materialized bitset — no
+/// scratch reuse, no fused masks. Deliberately the slowest honest
+/// implementation; the reference path scores it on one thread.
 class NaiveListGainEvaluator final : public BatchEvaluator {
  public:
   NaiveListGainEvaluator(const std::vector<std::vector<double>>& columns,
@@ -180,7 +178,9 @@ ListMineStats ExtendImpl(const data::DataTable& table,
       NaiveListGainEvaluator evaluator(columns, list->uncovered,
                                        list->default_model, config.gain,
                                        min_captured);
-      result = BeamSearch(table, pool, config.search, evaluator);
+      SearchConfig single_threaded = config.search;
+      single_threaded.num_threads = 1;
+      result = BeamSearch(table, pool, single_threaded, evaluator);
     } else {
       ListGainEvaluator evaluator(columns, list->uncovered,
                                   list->default_model, config.gain,

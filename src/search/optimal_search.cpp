@@ -45,8 +45,8 @@ struct BoundOracle {
 std::optional<BoundOracle> MakeBoundOracle(
     const model::BackgroundModel& model, const linalg::Matrix& targets,
     const si::DescriptionLengthParams& dl, size_t min_cov) {
-  // Same applicability as MakeUnivariateSiBound: univariate target, initial
-  // single-group model, positive variance.
+  // The tight bound applies to a univariate target under the initial
+  // single-group model with positive variance (the setting of Boley et al.).
   if (model.dim() != 1 || model.num_groups() != 1) return std::nullopt;
   if (targets.cols() != 1 || targets.rows() != model.num_rows()) {
     return std::nullopt;
@@ -169,8 +169,9 @@ struct SearchShared {
 /// `child_num_conditions` conditions): scatter the child's rows into the
 /// worker's rank-space bitset, sweep ascending to gather the values in
 /// sorted order (clearing as it goes), and run the bottom-k/top-k
-/// prefix-sum maximization of MakeUnivariateSiBound — same arithmetic,
-/// no sort, no allocation.
+/// prefix-sum maximization: for a fixed subset size k the mean shift is
+/// largest for the k smallest or the k largest values, so the IC of every
+/// refinement is bounded by the max over k. No sort, no allocation.
 double ChildBound(const BoundOracle& oracle, WorkerScratch* ws,
                   const pattern::Extension& parent,
                   const pattern::Extension& cond, size_t m,
@@ -208,8 +209,10 @@ double ChildBound(const BoundOracle& oracle, WorkerScratch* ws,
                       dk * shift * shift / (2.0 * oracle.sigma2);
     best_ic = std::max(best_ic, ic);
   }
-  // Every strict refinement carries at least one more condition; negative
-  // IC makes 0 the valid supremum (see MakeUnivariateSiBound).
+  // Every strict refinement carries at least one more condition, so its DL
+  // is at least gamma*(|C|+1)+eta. For nonnegative IC the SI bound is
+  // IC/minDL; a negative IC gives SI' = IC'/DL' < 0, which approaches 0
+  // from below as DL' grows, so 0 is the valid supremum.
   const double min_descendant_dl =
       oracle.gamma * double(child_num_conditions + 1) + oracle.eta;
   return best_ic >= 0.0 ? best_ic / min_descendant_dl : 0.0;

@@ -3,11 +3,12 @@
 /// optimal location patterns (paper §V future work; bounds after Boley et
 /// al., ECML-PKDD 2017).
 ///
-/// `ExhaustiveSearch` (exhaustive_search.hpp) remains the reference
-/// implementation: a sequential DFS over a per-candidate `std::function`
-/// callback, where every child materializes a fresh `Extension` and every
-/// bound call re-gathers and re-sorts the node's target values. This module
-/// is the engine-native rebuild of the same search:
+/// The search enumerates every condition set up to `max_depth` (canonical
+/// increasing pool order, the beam search's per-attribute constraints), so
+/// its result is the global optimum over the description language — the
+/// ground truth the beam heuristic is measured against. It is verified
+/// against a naive depth-first enumerator kept with the tests
+/// (`tests/search/reference_search.hpp`). What makes it fast:
 ///
 ///  - **No per-node sort.** Rows are ordered once, globally, by target
 ///    value. A node's bottom-k/top-k prefix-sum bound is computed by
@@ -30,15 +31,16 @@
 /// ## Determinism
 ///
 /// The returned optimum is **bit-identical for any thread count and any
-/// `SISD_KERNELS` setting**, and matches what `ExhaustiveSearch` finds:
+/// `SISD_KERNELS` setting**, and matches what a sequential pre-order
+/// enumeration finds:
 ///
 ///  - pruning is *strict* (`bound < incumbent`), so every candidate whose
 ///    quality ties the optimum is always enumerated, regardless of how
 ///    fast any thread tightened the incumbent;
 ///  - incumbent updates use a canonical total order — higher quality wins,
 ///    exact ties go to the lexicographically smaller (sorted) condition-id
-///    vector — which is exactly the candidate DFS pre-order enumeration
-///    would have kept first.
+///    vector — which is exactly the candidate a pre-order enumeration keeps
+///    first.
 ///
 /// The `num_evaluated` / `num_pruned_nodes` counters, by contrast, depend
 /// on how early each worker observed the tightening incumbent: they are

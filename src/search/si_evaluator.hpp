@@ -33,8 +33,6 @@ class SiLocationEvaluator final : public BatchEvaluator {
                       const linalg::Matrix& targets,
                       si::DescriptionLengthParams dl);
 
-  bool SupportsParallelScoring() const override { return true; }
-
   void Prepare(size_t num_workers) override;
 
   void ScoreChunk(const CandidateBatch& batch, size_t begin, size_t end,

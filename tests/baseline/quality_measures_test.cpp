@@ -1,8 +1,14 @@
 #include "baseline/quality_measures.hpp"
 
 #include <cmath>
+#include <string>
 
 #include <gtest/gtest.h>
+
+#include "../search/reference_search.hpp"
+#include "random/rng.hpp"
+#include "search/beam_search.hpp"
+#include "search/condition_pool.hpp"
 
 namespace sisd::baseline {
 namespace {
@@ -121,37 +127,122 @@ TEST(DispersionCorrectedFamilyTest, SizeExponentControlsCoverageReward) {
   }
 }
 
-TEST(DispersionCorrectedFamilyTest, FactoryOutlivesItsScope) {
+TEST(MeasureEvaluatorTest, ScoresShiftsInBothDirections) {
+  // One binary attribute splits the rows into the elevated half (rows 0-3)
+  // and the depressed half. Every measure is scored two-sided, so both
+  // halves score positive.
   const Matrix y = MakeTargets();
-  const Extension hot = Extension::FromRows(8, {0, 1, 2, 3});
-  search::QualityFunction q;
-  {
-    DispersionCorrectedParams params;
-    q = MakeDispersionCorrectedQuality(y, 0, params);
-  }
-  const TargetSummary summary = TargetSummary::Compute(y, 0);
-  EXPECT_EQ(q(pattern::Intention(), hot),
-            DispersionCorrectedQuality(y, 0, summary, hot));
-}
-
-TEST(MakeBaselineQualityTest, WrapsAllMeasures) {
-  const Matrix y = MakeTargets();
-  const Extension hot = Extension::FromRows(8, {0, 1, 2, 3});
-  const pattern::Intention empty_intent;
+  data::DataTable table;
+  table
+      .AddColumn(data::Column::Binary(
+          "hot", {true, true, true, true, false, false, false, false}))
+      .CheckOK();
+  const search::ConditionPool pool = search::ConditionPool::Build(table, 4);
+  search::SearchConfig config;
+  config.max_depth = 1;
+  config.min_coverage = 1;
   for (BaselineMeasure measure :
        {BaselineMeasure::kZScore, BaselineMeasure::kWracc,
         BaselineMeasure::kDispersionCorrected}) {
-    search::QualityFunction q = MakeBaselineQuality(y, 0, measure);
-    EXPECT_GT(q(empty_intent, hot), 0.0);
+    MeasureEvaluator evaluator(y, 0, measure);
+    const search::SearchResult result =
+        search::BeamSearch(table, pool, config, evaluator);
+    ASSERT_EQ(result.top.size(), 2u);
+    for (const search::ScoredSubgroup& half : result.top) {
+      EXPECT_GT(half.quality, 0.0) << half.intention.CanonicalSignature();
+    }
   }
 }
 
-TEST(MakeBaselineQualityTest, WraccIsTwoSided) {
-  const Matrix y = MakeTargets();
-  const Extension cold = Extension::FromRows(8, {4, 5, 6, 7});
-  search::QualityFunction q =
-      MakeBaselineQuality(y, 0, BaselineMeasure::kWracc);
-  EXPECT_GT(q(pattern::Intention(), cold), 0.0);  // absolute value
+/// 240 rows: three numeric attributes, a four-level categorical and a
+/// flag (a pool of ~30 conditions, so the deeper levels span several
+/// scoring chunks); the target is shifted on the flag and skewed by the
+/// first attribute.
+data::DataTable MakeMixedTable(Matrix* y) {
+  const size_t n = 240;
+  random::Rng rng(17);
+  std::vector<double> x(n), z(n), w(n);
+  std::vector<int32_t> c4(n);
+  std::vector<bool> flag(n);
+  *y = Matrix(n, 1);
+  for (size_t i = 0; i < n; ++i) {
+    x[i] = rng.Gaussian();
+    z[i] = rng.Uniform();
+    w[i] = rng.Gaussian();
+    c4[i] = int32_t(rng.UniformInt(0, 3));
+    flag[i] = rng.Bernoulli(0.3);
+    (*y)(i, 0) = (flag[i] ? 2.0 : 0.0) + 0.5 * x[i] * x[i] + rng.Gaussian();
+  }
+  data::DataTable table;
+  table.AddColumn(data::Column::Numeric("x", x)).CheckOK();
+  table.AddColumn(data::Column::Numeric("z", z)).CheckOK();
+  table.AddColumn(data::Column::Numeric("w", w)).CheckOK();
+  table.AddColumn(data::Column::Categorical("c4", c4, {"a", "b", "c", "d"}))
+      .CheckOK();
+  table.AddColumn(data::Column::Binary("flag", flag)).CheckOK();
+  return table;
+}
+
+TEST(MeasureEvaluatorTest, ParallelBeamMatchesReferenceEvaluator) {
+  // The evaluator is scored by the beam's worker pool; at every thread
+  // count the search must return exactly what the single-worker reference
+  // evaluator over the free functions returns.
+  Matrix y;
+  const data::DataTable table = MakeMixedTable(&y);
+  const search::ConditionPool pool = search::ConditionPool::Build(table, 4);
+  const TargetSummary summary = TargetSummary::Compute(y, 0);
+  search::SearchConfig config;
+  config.beam_width = 20;
+  config.max_depth = 3;
+  config.top_k = 40;
+  config.min_coverage = 10;
+
+  struct Variant {
+    BaselineMeasure measure;
+    DispersionCorrectedParams params;
+  };
+  for (const Variant& v :
+       {Variant{BaselineMeasure::kZScore, {}},
+        Variant{BaselineMeasure::kWracc, {}},
+        Variant{BaselineMeasure::kDispersionCorrected, {}},
+        Variant{BaselineMeasure::kDispersionCorrected, {0.0, true}},
+        Variant{BaselineMeasure::kDispersionCorrected, {1.0, false}}}) {
+    const auto quality = [&](const pattern::Intention&,
+                             const Extension& extension) {
+      switch (v.measure) {
+        case BaselineMeasure::kZScore:
+          return ZScoreQuality(y, 0, summary, extension);
+        case BaselineMeasure::kWracc:
+          return std::fabs(WraccQuality(y, 0, summary, extension));
+        case BaselineMeasure::kDispersionCorrected:
+          break;
+      }
+      return DispersionCorrectedFamilyQuality(y, 0, summary, extension,
+                                              v.params);
+    };
+    const search::SearchResult expected =
+        search::reference::ReferenceBeamSearch(table, pool, config, quality);
+    ASSERT_FALSE(expected.top.empty());
+    for (const int threads : {1, 2, 4}) {
+      SCOPED_TRACE("measure " + std::to_string(int(v.measure)) + " a=" +
+                   std::to_string(v.params.size_exponent) + " x " +
+                   std::to_string(threads) + " threads");
+      search::SearchConfig threaded = config;
+      threaded.num_threads = threads;
+      MeasureEvaluator evaluator(y, 0, v.measure, v.params);
+      const search::SearchResult actual =
+          search::BeamSearch(table, pool, threaded, evaluator);
+      EXPECT_EQ(actual.num_evaluated, expected.num_evaluated);
+      ASSERT_EQ(actual.top.size(), expected.top.size());
+      for (size_t i = 0; i < actual.top.size(); ++i) {
+        EXPECT_EQ(actual.top[i].intention.CanonicalSignature(),
+                  expected.top[i].intention.CanonicalSignature())
+            << "rank " << i;
+        EXPECT_EQ(actual.top[i].quality, expected.top[i].quality)
+            << "rank " << i;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Equivalence tests of the batch evaluation engine: the SI batch evaluator
-// at num_threads = 1 must reproduce the legacy per-candidate callback
-// protocol bit-for-bit (same top-k intentions/extensions, same SI values,
-// same candidates_evaluated), and multi-threaded scoring must be
+// at num_threads = 1 must reproduce the materializing reference evaluator
+// over free-function SI bit-for-bit (same top-k intentions/extensions, same
+// SI values, same candidates_evaluated), and multi-threaded scoring must be
 // bit-identical to single-threaded scoring.
 
 #include "search/batch_evaluator.hpp"
@@ -16,6 +16,7 @@
 #include "datagen/water.hpp"
 #include "linalg/cholesky.hpp"
 #include "pattern/patterns.hpp"
+#include "reference_search.hpp"
 #include "search/beam_search.hpp"
 #include "search/si_evaluator.hpp"
 #include "search/thread_pool.hpp"
@@ -24,19 +25,6 @@
 
 namespace sisd::search {
 namespace {
-
-/// The seed-era per-candidate protocol: empirical mean + free-function SI
-/// score through the QualityFunction callback.
-QualityFunction MakeCallbackQuality(const model::BackgroundModel& model,
-                                    const linalg::Matrix& y,
-                                    const si::DescriptionLengthParams& dl) {
-  return [&model, &y, dl](const pattern::Intention& intention,
-                          const pattern::Extension& extension) {
-    const linalg::Vector mean = pattern::SubgroupMean(y, extension);
-    return si::ScoreLocation(model, extension, mean, intention.size(), dl)
-        .si;
-  };
-}
 
 void ExpectIdenticalResults(const SearchResult& a, const SearchResult& b) {
   EXPECT_EQ(a.num_evaluated, b.num_evaluated);
@@ -52,7 +40,7 @@ void ExpectIdenticalResults(const SearchResult& a, const SearchResult& b) {
   }
 }
 
-TEST(BatchEvaluatorTest, MatchesCallbackProtocolOnSynthetic) {
+TEST(BatchEvaluatorTest, MatchesReferenceEvaluatorOnSynthetic) {
   const datagen::SyntheticData data = datagen::MakeSyntheticEmbedded();
   Result<model::BackgroundModel> model =
       model::BackgroundModel::CreateFromData(data.dataset.targets);
@@ -64,19 +52,19 @@ TEST(BatchEvaluatorTest, MatchesCallbackProtocolOnSynthetic) {
   config.min_coverage = 5;
   config.num_threads = 1;
 
-  const SearchResult callback_result = BeamSearch(
+  const SearchResult reference_result = reference::ReferenceBeamSearch(
       data.dataset.descriptions, pool, config,
-      MakeCallbackQuality(model.Value(), data.dataset.targets, dl));
+      reference::SiQuality(model.Value(), data.dataset.targets, dl));
 
   SiLocationEvaluator evaluator(model.Value(), data.dataset.targets, dl);
   const SearchResult engine_result =
       BeamSearch(data.dataset.descriptions, pool, config, evaluator);
 
   ASSERT_FALSE(engine_result.top.empty());
-  ExpectIdenticalResults(callback_result, engine_result);
+  ExpectIdenticalResults(reference_result, engine_result);
 }
 
-TEST(BatchEvaluatorTest, MatchesCallbackProtocolOnCrime) {
+TEST(BatchEvaluatorTest, MatchesReferenceEvaluatorOnCrime) {
   const datagen::CrimeData data = datagen::MakeCrimeLike();
   Result<model::BackgroundModel> model =
       model::BackgroundModel::CreateFromData(data.dataset.targets);
@@ -90,19 +78,19 @@ TEST(BatchEvaluatorTest, MatchesCallbackProtocolOnCrime) {
   config.min_coverage = 20;
   config.num_threads = 1;
 
-  const SearchResult callback_result = BeamSearch(
+  const SearchResult reference_result = reference::ReferenceBeamSearch(
       data.dataset.descriptions, pool, config,
-      MakeCallbackQuality(model.Value(), data.dataset.targets, dl));
+      reference::SiQuality(model.Value(), data.dataset.targets, dl));
 
   SiLocationEvaluator evaluator(model.Value(), data.dataset.targets, dl);
   const SearchResult engine_result =
       BeamSearch(data.dataset.descriptions, pool, config, evaluator);
 
   ASSERT_FALSE(engine_result.top.empty());
-  ExpectIdenticalResults(callback_result, engine_result);
+  ExpectIdenticalResults(reference_result, engine_result);
 }
 
-TEST(BatchEvaluatorTest, MatchesCallbackProtocolOnMultiGroupModel) {
+TEST(BatchEvaluatorTest, MatchesReferenceEvaluatorOnMultiGroupModel) {
   // After a location update the model splits into several parameter groups,
   // exercising the masked per-group counts and the scratch marginal
   // factorization (the multi-group IC path).
@@ -124,16 +112,16 @@ TEST(BatchEvaluatorTest, MatchesCallbackProtocolOnMultiGroupModel) {
   config.min_coverage = 5;
   config.num_threads = 1;
 
-  const SearchResult callback_result = BeamSearch(
+  const SearchResult reference_result = reference::ReferenceBeamSearch(
       data.dataset.descriptions, pool, config,
-      MakeCallbackQuality(model.Value(), data.dataset.targets, dl));
+      reference::SiQuality(model.Value(), data.dataset.targets, dl));
 
   SiLocationEvaluator evaluator(model.Value(), data.dataset.targets, dl);
   const SearchResult engine_result =
       BeamSearch(data.dataset.descriptions, pool, config, evaluator);
 
   ASSERT_FALSE(engine_result.top.empty());
-  ExpectIdenticalResults(callback_result, engine_result);
+  ExpectIdenticalResults(reference_result, engine_result);
 }
 
 TEST(BatchEvaluatorTest, ThreadCountDoesNotChangeResults) {

@@ -6,10 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include "datagen/synthetic.hpp"
 #include "random/rng.hpp"
+#include "reference_search.hpp"
+#include "search/si_evaluator.hpp"
 
 namespace sisd::search {
 namespace {
+
+using reference::Quality;
+using reference::ReferenceBeamSearch;
 
 /// Table with one binary attribute marking a planted subgroup plus noise
 /// attributes.
@@ -39,13 +45,13 @@ TEST(BeamSearchTest, FindsPlantedSubgroupWithOracleQuality) {
 
   SearchConfig config;
   // Quality: overlap with the planted extension minus size penalty.
-  QualityFunction quality = [&target](const pattern::Intention&,
-                                      const pattern::Extension& ext) {
+  Quality quality = [&target](const pattern::Intention&,
+                              const pattern::Extension& ext) {
     const double overlap =
         double(pattern::Extension::IntersectionCount(target, ext));
     return 2.0 * overlap - double(ext.count());
   };
-  const SearchResult result = BeamSearch(table, pool, config, quality);
+  const SearchResult result = ReferenceBeamSearch(table, pool, config, quality);
   ASSERT_FALSE(result.top.empty());
   EXPECT_EQ(result.best().extension, target);
   EXPECT_EQ(result.best().intention.size(), 1u);
@@ -57,11 +63,11 @@ TEST(BeamSearchTest, RespectsMinCoverage) {
   const ConditionPool pool = ConditionPool::Build(table, 4);
   SearchConfig config;
   config.min_coverage = 10;
-  QualityFunction quality = [](const pattern::Intention&,
-                               const pattern::Extension& ext) {
+  Quality quality = [](const pattern::Intention&,
+                       const pattern::Extension& ext) {
     return -double(ext.count());  // prefer tiny subgroups
   };
-  const SearchResult result = BeamSearch(table, pool, config, quality);
+  const SearchResult result = ReferenceBeamSearch(table, pool, config, quality);
   for (const ScoredSubgroup& sg : result.top) {
     EXPECT_GE(sg.extension.count(), 10u);
   }
@@ -72,11 +78,11 @@ TEST(BeamSearchTest, RespectsMaxCoverageFraction) {
   const ConditionPool pool = ConditionPool::Build(table, 4);
   SearchConfig config;
   config.max_coverage_fraction = 0.5;
-  QualityFunction quality = [](const pattern::Intention&,
-                               const pattern::Extension& ext) {
+  Quality quality = [](const pattern::Intention&,
+                       const pattern::Extension& ext) {
     return double(ext.count());  // prefer big subgroups
   };
-  const SearchResult result = BeamSearch(table, pool, config, quality);
+  const SearchResult result = ReferenceBeamSearch(table, pool, config, quality);
   for (const ScoredSubgroup& sg : result.top) {
     EXPECT_LE(sg.extension.count(), 25u);
   }
@@ -87,12 +93,12 @@ TEST(BeamSearchTest, RespectsMaxDepth) {
   const ConditionPool pool = ConditionPool::Build(table, 4);
   SearchConfig config;
   config.max_depth = 2;
-  QualityFunction quality = [](const pattern::Intention& intent,
-                               const pattern::Extension& ext) {
+  Quality quality = [](const pattern::Intention& intent,
+                       const pattern::Extension& ext) {
     if (ext.empty()) return -std::numeric_limits<double>::infinity();
     return double(intent.size());  // reward longer intentions
   };
-  const SearchResult result = BeamSearch(table, pool, config, quality);
+  const SearchResult result = ReferenceBeamSearch(table, pool, config, quality);
   for (const ScoredSubgroup& sg : result.top) {
     EXPECT_LE(sg.intention.size(), 2u);
   }
@@ -105,11 +111,11 @@ TEST(BeamSearchTest, DeduplicatesPermutedIntentions) {
   SearchConfig config;
   config.max_depth = 2;
   config.top_k = 1000;
-  QualityFunction quality = [](const pattern::Intention&,
-                               const pattern::Extension& ext) {
+  Quality quality = [](const pattern::Intention&,
+                       const pattern::Extension& ext) {
     return double(ext.count());
   };
-  const SearchResult result = BeamSearch(table, pool, config, quality);
+  const SearchResult result = ReferenceBeamSearch(table, pool, config, quality);
   std::set<std::string> signatures;
   for (const ScoredSubgroup& sg : result.top) {
     EXPECT_TRUE(
@@ -123,11 +129,11 @@ TEST(BeamSearchTest, NeverPairsSameAttributeSameOp) {
   const ConditionPool pool = ConditionPool::Build(table, 4);
   SearchConfig config;
   config.top_k = 500;
-  QualityFunction quality = [](const pattern::Intention&,
-                               const pattern::Extension& ext) {
+  Quality quality = [](const pattern::Intention&,
+                       const pattern::Extension& ext) {
     return double(ext.count());
   };
-  const SearchResult result = BeamSearch(table, pool, config, quality);
+  const SearchResult result = ReferenceBeamSearch(table, pool, config, quality);
   for (const ScoredSubgroup& sg : result.top) {
     for (size_t a = 0; a < sg.intention.size(); ++a) {
       for (size_t b = a + 1; b < sg.intention.size(); ++b) {
@@ -143,15 +149,15 @@ TEST(BeamSearchTest, RejectedCandidatesNeverAppear) {
   const data::DataTable table = MakePlantedTable(40, {0, 1}, 7);
   const ConditionPool pool = ConditionPool::Build(table, 4);
   SearchConfig config;
-  QualityFunction quality = [](const pattern::Intention& intent,
-                               const pattern::Extension&) {
+  Quality quality = [](const pattern::Intention& intent,
+                       const pattern::Extension&) {
     // Reject everything mentioning attribute 0.
     if (intent.ConstrainsAttribute(0)) {
       return -std::numeric_limits<double>::infinity();
     }
     return 1.0;
   };
-  const SearchResult result = BeamSearch(table, pool, config, quality);
+  const SearchResult result = ReferenceBeamSearch(table, pool, config, quality);
   for (const ScoredSubgroup& sg : result.top) {
     EXPECT_FALSE(sg.intention.ConstrainsAttribute(0));
   }
@@ -163,11 +169,11 @@ TEST(BeamSearchTest, TimeBudgetStopsSearch) {
   const ConditionPool pool = ConditionPool::Build(table, 4);
   SearchConfig config;
   config.time_budget_seconds = 0.0;
-  QualityFunction quality = [](const pattern::Intention&,
-                               const pattern::Extension& ext) {
+  Quality quality = [](const pattern::Intention&,
+                       const pattern::Extension& ext) {
     return double(ext.count());
   };
-  const SearchResult result = BeamSearch(table, pool, config, quality);
+  const SearchResult result = ReferenceBeamSearch(table, pool, config, quality);
   EXPECT_TRUE(result.hit_time_budget);
 }
 
@@ -176,13 +182,13 @@ TEST(BeamSearchTest, ZeroMinCoverageNeverYieldsEmptyExtensions) {
   const ConditionPool pool = ConditionPool::Build(table, 4);
   SearchConfig config;
   config.min_coverage = 0;  // clamped to 1 internally
-  QualityFunction quality = [](const pattern::Intention&,
-                               const pattern::Extension& ext) {
+  Quality quality = [](const pattern::Intention&,
+                       const pattern::Extension& ext) {
     // Would die on an empty extension; the search must never pass one.
     SISD_CHECK(!ext.empty());
     return 1.0;
   };
-  const SearchResult result = BeamSearch(table, pool, config, quality);
+  const SearchResult result = ReferenceBeamSearch(table, pool, config, quality);
   for (const ScoredSubgroup& sg : result.top) {
     EXPECT_GE(sg.extension.count(), 1u);
   }
@@ -193,9 +199,9 @@ TEST(BeamSearchTest, CountsEvaluations) {
   const ConditionPool pool = ConditionPool::Build(table, 4);
   SearchConfig config;
   config.max_depth = 1;
-  QualityFunction quality = [](const pattern::Intention&,
-                               const pattern::Extension&) { return 1.0; };
-  const SearchResult result = BeamSearch(table, pool, config, quality);
+  Quality quality = [](const pattern::Intention&,
+                       const pattern::Extension&) { return 1.0; };
+  const SearchResult result = ReferenceBeamSearch(table, pool, config, quality);
   EXPECT_EQ(result.num_evaluated, pool.size());
 }
 
@@ -219,14 +225,14 @@ TEST(BeamSearchTest, RecoversSetExclusionPattern) {
   for (size_t i = 0; i < n; ++i) {
     if (levels[i] != "d") target.Insert(i);
   }
-  QualityFunction quality = [&target](const pattern::Intention&,
-                                      const pattern::Extension& ext) {
+  Quality quality = [&target](const pattern::Intention&,
+                              const pattern::Extension& ext) {
     const double overlap =
         double(pattern::Extension::IntersectionCount(target, ext));
     return 2.0 * overlap - double(ext.count());
   };
   SearchConfig config;
-  const SearchResult result = BeamSearch(table, pool, config, quality);
+  const SearchResult result = ReferenceBeamSearch(table, pool, config, quality);
   ASSERT_FALSE(result.top.empty());
   EXPECT_EQ(result.best().extension, target);
   ASSERT_EQ(result.best().intention.size(), 1u);
@@ -241,12 +247,14 @@ TEST(BeamSearchTest, BeamWidthLimitsExploration) {
   narrow.beam_width = 1;
   SearchConfig wide;
   wide.beam_width = 40;
-  QualityFunction quality = [](const pattern::Intention&,
-                               const pattern::Extension& ext) {
+  Quality quality = [](const pattern::Intention&,
+                       const pattern::Extension& ext) {
     return double(ext.count() % 17);  // bumpy landscape
   };
-  const SearchResult narrow_result = BeamSearch(table, pool, narrow, quality);
-  const SearchResult wide_result = BeamSearch(table, pool, wide, quality);
+  const SearchResult narrow_result =
+      ReferenceBeamSearch(table, pool, narrow, quality);
+  const SearchResult wide_result =
+      ReferenceBeamSearch(table, pool, wide, quality);
   EXPECT_LE(narrow_result.num_evaluated, wide_result.num_evaluated);
   EXPECT_GE(wide_result.best().quality, narrow_result.best().quality);
 }
@@ -375,7 +383,8 @@ void ExpectMatchesNaiveReference(const data::DataTable& table,
   NaiveCounters counters;
   const SearchResult expected =
       NaiveBeamSearch(table, pool, config, &counters);
-  const SearchResult actual = BeamSearch(table, pool, config, HashedQuality);
+  const SearchResult actual =
+      ReferenceBeamSearch(table, pool, config, HashedQuality);
   // The pools must exercise both dedup outcomes.
   EXPECT_GT(counters.duplicates_accepted, 0u);
   EXPECT_GT(counters.duplicates_rejected, 0u);
@@ -411,6 +420,35 @@ TEST(BeamSearchTest, MatchesNaiveReferenceWithExclusions) {
   config.max_coverage_fraction = 0.9;
   config.include_exclusions = true;
   ExpectMatchesNaiveReference(table, /*include_exclusions=*/true, config);
+}
+
+TEST(BeamSearchTest, PaperSettingsReachTheGlobalOptimumOnSynthetic) {
+  // The central sanity check for the heuristic: on the synthetic data the
+  // paper's beam settings, scored by the SI engine, reach the optimum the
+  // naive enumerator finds at depth 3.
+  const datagen::SyntheticData data = datagen::MakeSyntheticEmbedded();
+  Result<model::BackgroundModel> model =
+      model::BackgroundModel::CreateFromData(data.dataset.targets);
+  model.status().CheckOK();
+  const ConditionPool pool =
+      ConditionPool::Build(data.dataset.descriptions, 4);
+  const si::DescriptionLengthParams dl;
+
+  const reference::Enumeration optimum = reference::NaiveEnumerate(
+      data.dataset.descriptions, pool, /*max_depth=*/3, /*min_coverage=*/5,
+      reference::SiQuality(model.Value(), data.dataset.targets, dl));
+
+  SearchConfig config;
+  config.max_depth = 3;
+  config.min_coverage = 5;
+  SiLocationEvaluator evaluator(model.Value(), data.dataset.targets, dl);
+  const SearchResult beam =
+      BeamSearch(data.dataset.descriptions, pool, config, evaluator);
+
+  ASSERT_FALSE(beam.top.empty());
+  EXPECT_EQ(beam.best().quality, optimum.best.quality);
+  EXPECT_EQ(beam.best().intention.CanonicalSignature(),
+            optimum.best.intention.CanonicalSignature());
 }
 
 }  // namespace

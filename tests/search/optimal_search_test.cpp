@@ -1,12 +1,15 @@
 /// Correctness gates for the kernel-backed parallel branch-and-bound
 /// (search/optimal_search.hpp):
 ///
-///  - the returned optimum is bit-identical to plain exhaustive DFS
-///    enumeration on all five paper scenarios (reduced sizes);
+///  - the returned optimum is bit-identical to the naive enumerator
+///    (reference_search.hpp) on all five paper scenarios (reduced sizes),
+///    with and without the bound, and on an evolved two-group model where
+///    the bound switches off;
+///  - a beam as wide as the pool is exhaustive at depth 2;
 ///  - the optimum is invariant to thread count and kernel ISA;
-///  - the optimistic bound dominates every enumerated refinement on
-///    randomized pools/targets, including ties, min_coverage edges, and
-///    negative-IC nodes;
+///  - the prefix-sum bound the engine computes dominates every enumerated
+///    refinement on randomized pools/targets, including ties, min_coverage
+///    edges, and negative-IC nodes;
 ///  - the time budget returns an incumbent with `completed == false`.
 
 #include "search/optimal_search.hpp"
@@ -25,23 +28,11 @@
 #include "datagen/water.hpp"
 #include "kernels/kernels.hpp"
 #include "pattern/patterns.hpp"
-#include "search/exhaustive_search.hpp"
+#include "reference_search.hpp"
+#include "search/si_evaluator.hpp"
 
 namespace sisd::search {
 namespace {
-
-/// The reference scorer the exhaustive DFS uses: free-function SI. The
-/// engine's fused masked path is documented bit-identical to it; the
-/// equivalence tests below assert exactly that, with EXPECT_EQ on doubles.
-QualityFunction MakeSiQuality(const model::BackgroundModel& model,
-                              const linalg::Matrix& y,
-                              const si::DescriptionLengthParams& dl) {
-  return [&model, &y, dl](const pattern::Intention& intention,
-                          const pattern::Extension& ext) {
-    const linalg::Vector mean = pattern::SubgroupMean(y, ext);
-    return si::ScoreLocation(model, ext, mean, intention.size(), dl).si;
-  };
-}
 
 struct Scenario {
   std::string name;
@@ -49,8 +40,8 @@ struct Scenario {
   size_t min_coverage;
 };
 
-/// The five paper scenarios at sizes where exhaustive depth-2 enumeration
-/// stays fast. Crime is the univariate case (tight bound engages);
+/// The five paper scenarios at sizes where naive depth-2 enumeration stays
+/// fast. Crime is the univariate case (tight bound engages);
 /// synthetic/mammals/water/gse are multivariate (pure best-first).
 std::vector<Scenario> MakeScenarios() {
   std::vector<Scenario> scenarios;
@@ -78,7 +69,44 @@ std::vector<Scenario> MakeScenarios() {
   return scenarios;
 }
 
-TEST(OptimalSearchTest, MatchesExhaustiveOnAllFiveScenarios) {
+/// Runs the engine with and without the bound and expects both optima to
+/// equal the naive enumerator's bit for bit (quality, canonical intention,
+/// extension). Returns the bounded run.
+OptimalResult ExpectMatchesNaiveEnumerator(const data::Dataset& dataset,
+                                           const model::BackgroundModel& model,
+                                           const ConditionPool& pool,
+                                           int max_depth,
+                                           size_t min_coverage) {
+  const si::DescriptionLengthParams dl;
+  const reference::Enumeration reference = reference::NaiveEnumerate(
+      dataset.descriptions, pool, max_depth, min_coverage,
+      reference::SiQuality(model, dataset.targets, dl));
+
+  OptimalConfig config;
+  config.max_depth = max_depth;
+  config.min_coverage = min_coverage;
+  config.num_threads = 1;
+  OptimalResult bounded;
+  for (const bool use_bound : {true, false}) {
+    SCOPED_TRACE(use_bound ? "bound on" : "bound off");
+    config.use_bound = use_bound;
+    const OptimalResult optimal = OptimalLocationSearch(
+        dataset.descriptions, pool, model, dataset.targets, dl, config);
+    EXPECT_TRUE(optimal.completed);
+    EXPECT_EQ(optimal.best.quality, reference.best.quality);
+    EXPECT_EQ(optimal.best.intention.CanonicalSignature(),
+              reference.best.intention.CanonicalSignature());
+    EXPECT_TRUE(optimal.best.extension == reference.best.extension);
+    if (use_bound) {
+      bounded = optimal;
+    } else {
+      EXPECT_FALSE(optimal.used_bound);
+    }
+  }
+  return bounded;
+}
+
+TEST(OptimalSearchTest, MatchesNaiveEnumeratorOnAllFiveScenarios) {
   for (const Scenario& scenario : MakeScenarios()) {
     SCOPED_TRACE(scenario.name);
     Result<model::BackgroundModel> model =
@@ -86,38 +114,14 @@ TEST(OptimalSearchTest, MatchesExhaustiveOnAllFiveScenarios) {
     model.status().CheckOK();
     const ConditionPool pool =
         ConditionPool::Build(scenario.dataset.descriptions, 4);
-    const si::DescriptionLengthParams dl;
-
-    ExhaustiveConfig reference_config;
-    reference_config.max_depth = 2;
-    reference_config.min_coverage = scenario.min_coverage;
-    const QualityFunction quality =
-        MakeSiQuality(model.Value(), scenario.dataset.targets, dl);
-    const ExhaustiveResult reference = ExhaustiveSearch(
-        scenario.dataset.descriptions, pool, reference_config, quality);
-    ASSERT_TRUE(reference.completed);
-
-    OptimalConfig config;
-    config.max_depth = 2;
-    config.min_coverage = scenario.min_coverage;
-    config.num_threads = 1;
-    const OptimalResult optimal = OptimalLocationSearch(
-        scenario.dataset.descriptions, pool, model.Value(),
-        scenario.dataset.targets, dl, config);
-    ASSERT_TRUE(optimal.completed);
-
-    // Bit-identical optimum: same quality bits, same canonical intention,
-    // same extension.
-    EXPECT_EQ(optimal.best.quality, reference.best.quality);
-    EXPECT_EQ(optimal.best.intention.CanonicalSignature(),
-              reference.best.intention.CanonicalSignature());
-    EXPECT_TRUE(optimal.best.extension == reference.best.extension);
+    const OptimalResult optimal = ExpectMatchesNaiveEnumerator(
+        scenario.dataset, model.Value(), pool, 2, scenario.min_coverage);
     // The bound only applies to the univariate scenario.
     EXPECT_EQ(optimal.used_bound, scenario.dataset.num_targets() == 1);
   }
 }
 
-TEST(OptimalSearchTest, MatchesExhaustiveAtDepthThree) {
+TEST(OptimalSearchTest, MatchesNaiveEnumeratorAtDepthThree) {
   // Depth 3 exercises the frontier past depth 1: interior nodes at depth 2
   // are bounded, queued, and re-expanded.
   const datagen::CrimeData data = datagen::MakeCrimeLike(
@@ -127,29 +131,87 @@ TEST(OptimalSearchTest, MatchesExhaustiveAtDepthThree) {
   model.status().CheckOK();
   const ConditionPool pool =
       ConditionPool::Build(data.dataset.descriptions, 4);
-  const si::DescriptionLengthParams dl;
-
-  ExhaustiveConfig reference_config;
-  reference_config.max_depth = 3;
-  reference_config.min_coverage = 10;
-  const QualityFunction quality =
-      MakeSiQuality(model.Value(), data.dataset.targets, dl);
-  const ExhaustiveResult reference = ExhaustiveSearch(
-      data.dataset.descriptions, pool, reference_config, quality);
-  ASSERT_TRUE(reference.completed);
-
-  OptimalConfig config;
-  config.max_depth = 3;
-  config.min_coverage = 10;
-  config.num_threads = 1;
   const OptimalResult optimal =
-      OptimalLocationSearch(data.dataset.descriptions, pool, model.Value(),
-                            data.dataset.targets, dl, config);
-  ASSERT_TRUE(optimal.completed);
+      ExpectMatchesNaiveEnumerator(data.dataset, model.Value(), pool, 3, 10);
   EXPECT_TRUE(optimal.used_bound);
-  EXPECT_EQ(optimal.best.quality, reference.best.quality);
-  EXPECT_EQ(optimal.best.intention.CanonicalSignature(),
-            reference.best.intention.CanonicalSignature());
+}
+
+TEST(OptimalSearchTest, BoundSwitchesOffForAnEvolvedModel) {
+  // After one assimilated location pattern the univariate crime model has
+  // two parameter groups: the tight bound no longer applies, and the engine
+  // must fall back to plain best-first enumeration with the same optimum.
+  const datagen::CrimeData data = datagen::MakeCrimeLike(
+      {.num_rows = 400, .num_descriptions = 12, .seed = 7});
+  Result<model::BackgroundModel> model =
+      model::BackgroundModel::CreateFromData(data.dataset.targets);
+  model.status().CheckOK();
+  const ConditionPool pool =
+      ConditionPool::Build(data.dataset.descriptions, 4);
+  const pattern::Extension& assimilated = pool.extension(0);
+  model.Value()
+      .UpdateLocation(assimilated,
+                      pattern::SubgroupMean(data.dataset.targets, assimilated))
+      .status()
+      .CheckOK();
+  ASSERT_EQ(model.Value().num_groups(), 2u);
+
+  const OptimalResult optimal =
+      ExpectMatchesNaiveEnumerator(data.dataset, model.Value(), pool, 2, 10);
+  EXPECT_FALSE(optimal.used_bound);
+}
+
+TEST(OptimalSearchTest, FindsAPlantedClusterOnSynthetic) {
+  // The synthetic data plants one-condition clusters of 40 rows; the
+  // depth-2 optimum is one of them.
+  const datagen::SyntheticData data = datagen::MakeSyntheticEmbedded();
+  Result<model::BackgroundModel> model =
+      model::BackgroundModel::CreateFromData(data.dataset.targets);
+  model.status().CheckOK();
+  const ConditionPool pool =
+      ConditionPool::Build(data.dataset.descriptions, 4);
+  OptimalConfig config;
+  config.max_depth = 2;
+  config.min_coverage = 5;
+  const OptimalResult optimal = OptimalLocationSearch(
+      data.dataset.descriptions, pool, model.Value(), data.dataset.targets,
+      si::DescriptionLengthParams{}, config);
+  ASSERT_TRUE(optimal.completed);
+  EXPECT_EQ(optimal.best.intention.size(), 1u);
+  EXPECT_EQ(optimal.best.extension.count(), 40u);
+  bool is_planted = false;
+  for (const auto& truth_ext : data.truth.cluster_extensions) {
+    if (optimal.best.extension == truth_ext) is_planted = true;
+  }
+  EXPECT_TRUE(is_planted);
+}
+
+TEST(OptimalSearchTest, WideBeamIsExhaustiveAtDepthTwo) {
+  // A beam that keeps every level-1 candidate scores each depth-2 condition
+  // set once: exactly the naive enumerator's candidates, hence its optimum.
+  for (const Scenario& scenario : MakeScenarios()) {
+    SCOPED_TRACE(scenario.name);
+    Result<model::BackgroundModel> model =
+        model::BackgroundModel::CreateFromData(scenario.dataset.targets);
+    model.status().CheckOK();
+    const ConditionPool pool =
+        ConditionPool::Build(scenario.dataset.descriptions, 4);
+    const si::DescriptionLengthParams dl;
+    const reference::Enumeration reference = reference::NaiveEnumerate(
+        scenario.dataset.descriptions, pool, 2, scenario.min_coverage,
+        reference::SiQuality(model.Value(), scenario.dataset.targets, dl));
+
+    SearchConfig config;
+    config.beam_width = static_cast<int>(pool.size());
+    config.max_depth = 2;
+    config.min_coverage = scenario.min_coverage;
+    SiLocationEvaluator evaluator(model.Value(), scenario.dataset.targets,
+                                  dl);
+    const SearchResult beam =
+        BeamSearch(scenario.dataset.descriptions, pool, config, evaluator);
+    ASSERT_FALSE(beam.top.empty());
+    EXPECT_EQ(beam.num_evaluated, reference.num_evaluated);
+    EXPECT_EQ(beam.best().quality, reference.best.quality);
+  }
 }
 
 TEST(OptimalSearchTest, BoundDoesNotChangeTheOptimum) {
@@ -296,20 +358,19 @@ TEST(BoundAdmissibilityTest, RandomizedDifferentialWithTiesAndEdges) {
     model.status().CheckOK();
     const ConditionPool pool =
         ConditionPool::Build(data.dataset.descriptions, 4);
-    const QualityFunction quality = MakeSiQuality(model.Value(), y, dl);
+    const reference::Quality quality =
+        reference::SiQuality(model.Value(), y, dl);
 
     for (const size_t min_cov : {size_t{1}, size_t{5}, size_t{25}}) {
       SCOPED_TRACE("seed " + std::to_string(seed) + " min_cov " +
                    std::to_string(min_cov));
-      Result<OptimisticBound> bound =
-          MakeUnivariateSiBound(model.Value(), y, dl, min_cov);
-      ASSERT_TRUE(bound.ok());
       int checked = 0;
       for (size_t a = 0; a < pool.size(); ++a) {
         const pattern::Intention node({pool.condition(a)});
         const pattern::Extension& node_ext = pool.extension(a);
         if (node_ext.count() < min_cov) continue;
-        const double node_bound = bound.Value()(node, node_ext);
+        const double node_bound = reference::UnivariateSiBound(
+            model.Value(), y, dl, min_cov, node.size(), node_ext);
         for (size_t b = 0; b < pool.size(); ++b) {
           if (!node.AllowsRefinementWith(pool.condition(b))) continue;
           pattern::Extension refined =
@@ -340,9 +401,6 @@ TEST(BoundAdmissibilityTest, NegativeIcNodesClampToZero) {
       model::BackgroundModel::CreateFromData(y);
   model.status().CheckOK();
   const si::DescriptionLengthParams dl;
-  Result<OptimisticBound> bound =
-      MakeUnivariateSiBound(model.Value(), y, dl, /*min_coverage=*/13);
-  ASSERT_TRUE(bound.ok());
 
   std::vector<size_t> node_rows;
   for (size_t i = 20; i < 40; ++i) node_rows.push_back(i);
@@ -350,7 +408,8 @@ TEST(BoundAdmissibilityTest, NegativeIcNodesClampToZero) {
       pattern::Extension::FromRows(40, node_rows);
   const pattern::Intention node(
       {pattern::Condition::Equals(/*attribute=*/0, /*level=*/1)});
-  const double node_bound = bound.Value()(node, node_ext);
+  const double node_bound = reference::UnivariateSiBound(
+      model.Value(), y, dl, /*min_coverage=*/13, node.size(), node_ext);
   EXPECT_EQ(node_bound, 0.0);
 
   std::vector<size_t> refined_rows;

