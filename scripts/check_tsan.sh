@@ -19,7 +19,9 @@
 # kernel suites
 # (kernel_dispatch_test flips the process-wide ISA slot while the engine's
 # workers score through it; kernel_parity_test covers the read-once
-# environment resolution). A final stress pass repeats the three hammer
+# environment resolution), and the column-parallel condition-pool builds
+# (pool_incremental_test refreshes pools on a shared pool while a beam
+# search scores on it). A final stress pass repeats the three hammer
 # suites until one fails (at most 20 runs each), so an interleaving that
 # breaks them once in a while cannot pass by luck.
 set -euo pipefail
@@ -35,9 +37,9 @@ cmake --build build-tsan -j \
            optimal_search_test list_miner_test serve_hammer_test \
            serve_loop_test mine_list_serve_test catalog_hammer_test \
            event_loop_test event_loop_hammer_test quality_measures_test \
-           kernel_parity_test kernel_dispatch_test
+           kernel_parity_test kernel_dispatch_test pool_incremental_test
 cd build-tsan
 ctest --output-on-failure \
-  -R 'batch_evaluator_test|thread_invariance_test|beam_search_test|optimal_search_test|list_miner_test|serve_hammer_test|serve_loop_test|mine_list_serve_test|catalog_hammer_test|event_loop_test|event_loop_hammer_test|quality_measures_test|kernel_parity_test|kernel_dispatch_test'
+  -R 'batch_evaluator_test|thread_invariance_test|beam_search_test|optimal_search_test|list_miner_test|serve_hammer_test|serve_loop_test|mine_list_serve_test|catalog_hammer_test|event_loop_test|event_loop_hammer_test|quality_measures_test|kernel_parity_test|kernel_dispatch_test|pool_incremental_test'
 ctest --output-on-failure --repeat until-fail:20 \
   -R 'serve_hammer_test|event_loop_hammer_test|catalog_hammer_test'

@@ -7,7 +7,7 @@ namespace sisd::catalog {
 
 std::shared_ptr<const search::ConditionPool> ArtifactCache::PoolFor(
     uint64_t fingerprint, const data::DataTable& descriptions,
-    int num_splits, bool include_exclusions) {
+    int num_splits, bool include_exclusions, search::ThreadPool* workers) {
   const Key key{fingerprint, num_splits, include_exclusions};
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -22,7 +22,7 @@ std::shared_ptr<const search::ConditionPool> ArtifactCache::PoolFor(
   builds_.fetch_add(1, std::memory_order_relaxed);
   auto built = std::make_shared<const search::ConditionPool>(
       search::ConditionPool::Build(descriptions, num_splits,
-                                   include_exclusions));
+                                   include_exclusions, workers));
   std::lock_guard<std::mutex> lock(mu_);
   auto [it, inserted] = pools_.emplace(key, std::move(built));
   return it->second;
@@ -31,7 +31,8 @@ std::shared_ptr<const search::ConditionPool> ArtifactCache::PoolFor(
 size_t ArtifactCache::RefreshPoolsFor(uint64_t parent_fingerprint,
                                       uint64_t child_fingerprint,
                                       const data::DataTable& child_descriptions,
-                                      size_t parent_rows) {
+                                      size_t parent_rows,
+                                      search::ThreadPool* workers) {
   // Snapshot the parent's pools under the lock; build incrementally
   // outside it (same no-stall rationale as PoolFor's miss path).
   std::vector<std::pair<Key, std::shared_ptr<const search::ConditionPool>>>
@@ -52,7 +53,7 @@ size_t ArtifactCache::RefreshPoolsFor(uint64_t parent_fingerprint,
     auto built = std::make_shared<const search::ConditionPool>(
         search::ConditionPool::BuildIncremental(
             child_descriptions, *parent_pool, parent_rows,
-            std::get<1>(key), std::get<2>(key), &stats));
+            std::get<1>(key), std::get<2>(key), &stats, workers));
     const Key child_key{child_fingerprint, std::get<1>(key),
                         std::get<2>(key)};
     std::lock_guard<std::mutex> lock(mu_);

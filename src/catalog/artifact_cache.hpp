@@ -43,9 +43,11 @@ class ArtifactCache {
   /// `descriptions` on first use. `descriptions` must be the description
   /// table of the dataset `fingerprint` identifies — the cache trusts the
   /// caller on this (the catalog, which owns both, is the only caller).
+  /// A miss builds on `workers` when non-null (same pool either way).
   std::shared_ptr<const search::ConditionPool> PoolFor(
       uint64_t fingerprint, const data::DataTable& descriptions,
-      int num_splits, bool include_exclusions);
+      int num_splits, bool include_exclusions,
+      search::ThreadPool* workers = nullptr);
 
   /// Number of cached pools for one dataset (the `pools` stat).
   size_t PoolCountFor(uint64_t fingerprint) const;
@@ -66,10 +68,12 @@ class ArtifactCache {
   /// cache instead of building from scratch. Returns the number of pools
   /// refreshed (keys the child already had are skipped). Refreshes count
   /// in `refreshes()`/`conditions_*()`, not in `hits()`/`builds()`.
+  /// Each refresh builds on `workers` when non-null.
   size_t RefreshPoolsFor(uint64_t parent_fingerprint,
                          uint64_t child_fingerprint,
                          const data::DataTable& child_descriptions,
-                         size_t parent_rows);
+                         size_t parent_rows,
+                         search::ThreadPool* workers = nullptr);
 
   /// Lookups answered from the cache / lookups that built a pool (the
   /// serve layer's `metrics` verb reports the hit rate).

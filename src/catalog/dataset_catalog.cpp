@@ -237,7 +237,8 @@ std::string DeriveChildName(const std::string& parent_name,
 
 Result<AppendOutcome> DatasetCatalog::Append(const std::string& parent_spec,
                                              const AppendBuilder& build_child,
-                                             bool pin, bool retain) {
+                                             bool pin, bool retain,
+                                             search::ThreadPool* workers) {
   SISD_CHECK(build_child != nullptr);
   // Temporary pin on the parent so a concurrent drop/evict cannot remove
   // it while the child is being built and registered.
@@ -374,7 +375,7 @@ Result<AppendOutcome> DatasetCatalog::Append(const std::string& parent_spec,
   // refreshed (tiny budget), forget the freshly inserted pools again.
   out.pools_refreshed = artifacts_.RefreshPoolsFor(
       parent.fingerprint, child_fp, out.dataset.dataset->descriptions,
-      row_offset);
+      row_offset, workers);
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (entries_.find(child_fp) == entries_.end()) {
@@ -466,10 +467,11 @@ Status DatasetCatalog::Drop(const std::string& name) {
 }
 
 std::shared_ptr<const search::ConditionPool> DatasetCatalog::PoolFor(
-    const PinnedDataset& pinned, int num_splits, bool include_exclusions) {
+    const PinnedDataset& pinned, int num_splits, bool include_exclusions,
+    search::ThreadPool* workers) {
   SISD_CHECK(pinned.dataset != nullptr);
   return artifacts_.PoolFor(pinned.fingerprint, pinned.dataset->descriptions,
-                            num_splits, include_exclusions);
+                            num_splits, include_exclusions, workers);
 }
 
 CatalogEntryInfo DatasetCatalog::InfoLocked(uint64_t fingerprint,

@@ -190,10 +190,12 @@ class DatasetCatalog {
   /// the child before `Append` returns, so a follow-up `PoolFor`/`Rebase`
   /// hits the cache. Appending zero rows is a no-op that returns the
   /// parent entry. Appending to a pinned parent is allowed (the parent is
-  /// immutable; the child is a separate entry).
+  /// immutable; the child is a separate entry). The pool refresh runs on
+  /// `workers` when non-null.
   Result<AppendOutcome> Append(const std::string& parent_spec,
                                const AppendBuilder& build_child, bool pin,
-                               bool retain);
+                               bool retain,
+                               search::ThreadPool* workers = nullptr);
 
   /// The version chain of the entry `spec` resolves to: root first,
   /// ending at the entry itself. Ancestors already dropped from the
@@ -218,9 +220,11 @@ class DatasetCatalog {
   Status Drop(const std::string& name);
 
   /// The memoized condition pool of `pinned`'s dataset for the given
-  /// search alphabet (built on first use, shared afterwards).
+  /// search alphabet (built on first use, on `workers` when non-null;
+  /// shared afterwards).
   std::shared_ptr<const search::ConditionPool> PoolFor(
-      const PinnedDataset& pinned, int num_splits, bool include_exclusions);
+      const PinnedDataset& pinned, int num_splits, bool include_exclusions,
+      search::ThreadPool* workers = nullptr);
 
   /// All entries, sorted by name then fingerprint (deterministic).
   std::vector<CatalogEntryInfo> List() const;

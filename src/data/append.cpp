@@ -1,6 +1,7 @@
 #include "data/append.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <optional>
 #include <unordered_map>
 
@@ -25,9 +26,14 @@ std::string NumberAsLabelText(double v) { return StrFormat("%.6g", v); }
 
 Result<double> CoerceNumeric(const AppendCell& cell, size_t row,
                              const std::string& column) {
-  if (cell.is_number) return cell.number;
+  if (cell.is_number) {
+    if (std::isfinite(cell.number)) return cell.number;
+    return Status::InvalidArgument(
+        StrFormat("append row %zu column '%s': %g is not a finite number",
+                  row, column.c_str(), cell.number));
+  }
   if (!LooksMissing(cell.text)) {
-    std::optional<double> parsed = ParseDouble(cell.text);
+    std::optional<double> parsed = ParseNumericCell(cell.text);
     if (parsed.has_value()) return *parsed;
   }
   return Status::InvalidArgument(

@@ -1,6 +1,7 @@
 #include "data/csv.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <istream>
 #include <set>
@@ -203,7 +204,7 @@ Result<DataTable> CsvLineParser::Finish() const {
     bool all_numeric = true;
     std::set<double> distinct;
     for (size_t k = 0; k < cells[j].size(); ++k) {
-      std::optional<double> value = ParseDouble(cells[j][k]);
+      std::optional<double> value = ParseNumericCell(cells[j][k]);
       if (!value.has_value()) {
         all_numeric = false;
         break;
@@ -266,6 +267,12 @@ Result<DataTable> CsvLineParser::Finish() const {
 }
 
 }  // namespace
+
+std::optional<double> ParseNumericCell(std::string_view text) {
+  const std::optional<double> value = ParseDouble(text);
+  if (value.has_value() && !std::isfinite(*value)) return std::nullopt;
+  return value;
+}
 
 Result<DataTable> ReadCsvText(const std::string& text,
                               const CsvOptions& options) {

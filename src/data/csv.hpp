@@ -17,7 +17,9 @@
 #define SISD_DATA_CSV_HPP_
 
 #include <iosfwd>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -43,11 +45,18 @@ struct CsvOptions {
 /// parser holds at most one partial line across chunk boundaries).
 inline constexpr size_t kCsvChunkBytes = 64 * 1024;
 
+/// \brief The number a data cell's text spells, if any: `ParseDouble`,
+/// except that a non-finite result (`NAN`, `-nan`, `inf`, `-Infinity`,
+/// ...) is not a number. Every data-layer entry point types cells through
+/// this, so numeric columns and targets only ever hold finite values.
+std::optional<double> ParseNumericCell(std::string_view text);
+
 /// \brief Parses CSV text into a DataTable.
 ///
-/// Columns where every non-missing value parses as a double become numeric
-/// (or binary when the distinct values are exactly {0, 1}); everything else
-/// becomes categorical. `options.kind_overrides` wins when present.
+/// Columns where every non-missing value is a number (`ParseNumericCell`)
+/// become numeric (or binary when the distinct values are exactly
+/// {0, 1}); everything else becomes categorical. `options.kind_overrides`
+/// wins when present.
 Result<DataTable> ReadCsvText(const std::string& text,
                               const CsvOptions& options = CsvOptions());
 

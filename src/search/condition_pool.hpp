@@ -18,6 +18,16 @@
 /// child's quantiles shifted) rebuild from scratch. Both paths run the
 /// same candidate enumeration and filters, so the result is bit-identical
 /// to `Build` on the grown table.
+///
+/// Both builds run in two phases. Phase 1 enumerates each column's
+/// candidates and computes (or extends) their extensions into a
+/// per-column slot; given a `workers` pool it runs one column per chunk
+/// in parallel. Phase 2 walks the slots serially in column order and
+/// applies the vacuous filter and the first-wins extension dedup, so the
+/// pool is the same sequence whatever the worker count. A build must never
+/// be started from inside a `ThreadPool::ParallelChunks` job on the same
+/// pool: the nested job would wait on the submission lock its own outer
+/// job holds, and deadlock.
 
 #ifndef SISD_SEARCH_CONDITION_POOL_HPP_
 #define SISD_SEARCH_CONDITION_POOL_HPP_
@@ -29,6 +39,8 @@
 #include "pattern/extension.hpp"
 
 namespace sisd::search {
+
+class ThreadPool;
 
 /// \brief How an incremental pool refresh was served, per condition.
 struct IncrementalPoolStats {
@@ -48,8 +60,11 @@ class ConditionPool {
   /// condition's are dropped (quantile ties on low-cardinality numeric
   /// columns would otherwise add duplicate candidates scored at every beam
   /// level; the first condition with a given extension wins).
+  /// With `workers` non-null, phase 1 runs on that pool (see the file
+  /// comment); the result is identical either way.
   static ConditionPool Build(const data::DataTable& table, int num_splits = 4,
-                             bool include_exclusions = false);
+                             bool include_exclusions = false,
+                             ThreadPool* workers = nullptr);
 
   /// Builds the pool for `table` reusing `parent`, the pool previously
   /// built (with the same `num_splits`/`include_exclusions`) over the
@@ -62,7 +77,8 @@ class ConditionPool {
                                         size_t parent_rows,
                                         int num_splits = 4,
                                         bool include_exclusions = false,
-                                        IncrementalPoolStats* stats = nullptr);
+                                        IncrementalPoolStats* stats = nullptr,
+                                        ThreadPool* workers = nullptr);
 
   /// Number of conditions in the pool.
   size_t size() const { return conditions_.size(); }
@@ -80,6 +96,15 @@ class ConditionPool {
   }
 
  private:
+  /// The one build behind both entry points: scratch when `parent` is
+  /// null, otherwise derived from `parent` over `parent_rows` rows.
+  static ConditionPool Assemble(const data::DataTable& table,
+                                const ConditionPool* parent,
+                                size_t parent_rows, int num_splits,
+                                bool include_exclusions,
+                                IncrementalPoolStats* stats,
+                                ThreadPool* workers);
+
   std::vector<pattern::Condition> conditions_;
   std::vector<pattern::Extension> extensions_;
 };

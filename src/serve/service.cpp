@@ -485,7 +485,8 @@ Result<JsonValue> DoDatasetAppend(SessionManager& manager,
   SISD_ASSIGN_OR_RETURN(
       outcome,
       manager.catalog()->Append(*parent, builder, /*pin=*/false,
-                                /*retain=*/true));
+                                /*retain=*/true,
+                                manager.thread_pool().get()));
   JsonValue result = JsonValue::Object();
   result.Set("name", JsonValue::Str(outcome.dataset.dataset->name));
   result.Set("fingerprint", JsonValue::Str(catalog::FingerprintToHex(

@@ -329,7 +329,7 @@ Result<SessionInfo> SessionManager::OpenPinned(const std::string& name,
   std::unique_lock<std::mutex> entry_lock(entry->mu);
   std::shared_ptr<const search::ConditionPool> shared_pool =
       catalog_->PoolFor(pinned, config.search.num_split_points,
-                        config.search.include_exclusions);
+                        config.search.include_exclusions, pool_.get());
   Result<core::MiningSession> session = core::MiningSession::Create(
       pinned.dataset, std::move(config), std::move(shared_pool),
       pinned.ref());
@@ -464,7 +464,7 @@ Result<RebaseInfo> SessionManager::Rebase(
   // so this is a cache hit, not a scratch build.
   std::shared_ptr<const search::ConditionPool> pool = catalog_->PoolFor(
       target, session.config().search.num_split_points,
-      session.config().search.include_exclusions);
+      session.config().search.include_exclusions, pool_.get());
   Result<core::RebaseOutcome> rebased =
       session.Rebase(target.dataset, std::move(pool), target.ref());
   if (!rebased.ok()) {

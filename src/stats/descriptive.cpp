@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 
 #include "common/status.hpp"
@@ -107,16 +108,47 @@ std::vector<double> QuantileSplitPoints(std::vector<double> values,
                                         int num_splits) {
   SISD_CHECK(num_splits >= 1);
   if (values.empty()) return {};
-  std::sort(values.begin(), values.end());
+  const size_t n = values.size();
+  // Selection hands back sort's bits unless both zero signs are present
+  // (see the header); only then does the column pay for the full sort.
+  bool positive_zero = false;
+  bool negative_zero = false;
+  for (double v : values) {
+    SISD_DCHECK(!std::isnan(v));
+    if (v == 0.0) (std::signbit(v) ? negative_zero : positive_zero) = true;
+  }
+  const bool sorted = positive_zero && negative_zero;
+  if (sorted) std::sort(values.begin(), values.end());
+
+  // Positions below `settled` hold their sorted value or are never read
+  // again: the ranks asked for never decrease, and every element at or
+  // after `settled` compares >= every settled one.
+  size_t settled = 0;
+  const auto order_statistic = [&](size_t rank) {
+    if (!sorted && rank >= settled) {
+      const auto at = values.begin() + static_cast<ptrdiff_t>(rank);
+      if (rank == settled) {
+        std::iter_swap(at, std::min_element(at, values.end()));
+      } else {
+        std::nth_element(values.begin() + static_cast<ptrdiff_t>(settled),
+                         at, values.end());
+      }
+      settled = rank + 1;
+    }
+    return values[rank];
+  };
+
   std::vector<double> splits;
   splits.reserve(static_cast<size_t>(num_splits));
   for (int k = 1; k <= num_splits; ++k) {
     const double p = double(k) / double(num_splits + 1);
-    const double idx = p * double(values.size() - 1);
+    const double idx = p * double(n - 1);
     const size_t lo = static_cast<size_t>(std::floor(idx));
-    const size_t hi = std::min(lo + 1, values.size() - 1);
+    const size_t hi = std::min(lo + 1, n - 1);
     const double frac = idx - double(lo);
-    splits.push_back(values[lo] * (1.0 - frac) + values[hi] * frac);
+    const double lo_value = order_statistic(lo);
+    const double hi_value = order_statistic(hi);
+    splits.push_back(lo_value * (1.0 - frac) + hi_value * frac);
   }
   splits.erase(std::unique(splits.begin(), splits.end()), splits.end());
   return splits;

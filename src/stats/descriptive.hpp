@@ -86,8 +86,19 @@ double Quantile(std::vector<double> values, double p);
 /// \brief Cortana-style numeric split points: the `k` quantiles at
 /// `1/(k+1), ..., k/(k+1)` (k = 4 gives the paper's 1/5..4/5 percentiles).
 /// Duplicates (from ties) are removed; result is sorted ascending.
-/// `values` is taken by value and sorted in place: pass a temporary (or
-/// move) to avoid a copy.
+/// `values` must hold no NaN; it is taken by value and reordered in place:
+/// pass a temporary (or move) to avoid a copy.
+///
+/// The 2k interpolation neighbours are picked by selection, not by
+/// sorting the column: `std::nth_element` on the not-yet-partitioned
+/// suffix for each `lo`, and the minimum of what lies right of `lo` for
+/// its `hi` neighbour. Ranks already placed (tiny columns, where `lo`
+/// repeats or equals the previous `hi`) are reused as they stand. The
+/// result is bit-identical to interpolating over the fully sorted column:
+/// a selected element compares equal to the sorted one at its rank, and
+/// two non-NaN doubles that compare equal under `<` differ in bits only
+/// when they are +0.0 and -0.0. A column holding both zero signs is
+/// therefore sorted in full, exactly as before.
 std::vector<double> QuantileSplitPoints(std::vector<double> values,
                                         int num_splits);
 

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -210,6 +211,43 @@ TEST(AppendRowsTest, SubnormalCsvCellsAppendOverflowAndUnderflowDoNot) {
     ASSERT_FALSE(bad.ok()) << cell;
     EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument) << cell;
   }
+}
+
+TEST(AppendRowsTest, NonFiniteCellsAreRejectedNamingRowAndColumn) {
+  const Dataset parent = SmallParent();
+  // Text spelling NaN or +-inf is not a number, in a description column
+  // or a target: the append fails naming the row and the column.
+  for (const char* cell : {"NAN", "-nan", "inf", "-Infinity"}) {
+    for (const bool in_target : {false, true}) {
+      const std::string row =
+          in_target ? std::string("2.5,red,1,") + cell
+                    : std::string(cell) + ",red,1,0.5";
+      Result<Dataset> bad = AppendRowsFromCsvText(
+          parent, "x,c,b,t\n1.5,red,0,0.1\n" + row + "\n");
+      ASSERT_FALSE(bad.ok()) << row;
+      EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument) << row;
+      const std::string message = bad.status().message();
+      EXPECT_NE(message.find("row 1"), std::string::npos) << message;
+      EXPECT_NE(message.find(in_target ? "'t'" : "'x'"), std::string::npos)
+          << message;
+    }
+  }
+  // Non-finite number cells (a JSON 1e400 reads as inf) are rejected too.
+  for (const double value : {std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN()}) {
+    Result<Dataset> bad = AppendRowsFromCells(
+        parent, {"x", "c", "b", "t"}, {Row(value, "red", "1", 0.5)});
+    ASSERT_FALSE(bad.ok()) << value;
+    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+    Result<Dataset> bad_target = AppendRowsFromCells(
+        parent, {"x", "c", "b", "t"}, {Row(1.0, "red", "1", value)});
+    ASSERT_FALSE(bad_target.ok()) << value;
+  }
+  // The same spelling is an ordinary label in a categorical column.
+  Result<Dataset> label =
+      AppendRowsFromCsvText(parent, "x,c,b,t\n1,inf,1,0.5\n");
+  ASSERT_TRUE(label.ok()) << label.status().ToString();
 }
 
 TEST(AppendSliceTest, TypedFastPathRemapsCodesAndChecksSchema) {

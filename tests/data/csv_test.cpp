@@ -135,6 +135,45 @@ TEST(ReadCsvTest, SubnormalCellsStayNumeric) {
   }
 }
 
+TEST(ReadCsvTest, NonFiniteCellsAreNotNumbers) {
+  // Text that strtod reads as NaN or +-inf is not a number: its column is
+  // categorical, as for an overflowing `1e309`, so no numeric column (and
+  // no quantile split) ever sees a non-finite value.
+  for (const char* cell :
+       {"NAN", "-nan", "nan(0x1)", "inf", "-inf", "INF", "Infinity",
+        "-Infinity", "+inf"}) {
+    Result<DataTable> table =
+        ReadCsvText(std::string("a,b\n0.5,x\n") + cell + ",y\n");
+    ASSERT_TRUE(table.ok()) << table.status().ToString() << " for " << cell;
+    EXPECT_EQ(table.Value().column(0).kind(), AttributeKind::kCategorical)
+        << cell;
+  }
+  // The exact na_values spellings still drop their row instead.
+  Result<DataTable> dropped = ReadCsvText("a,b\n0.5,x\nNaN,y\n");
+  ASSERT_TRUE(dropped.ok()) << dropped.status().ToString();
+  EXPECT_EQ(dropped.Value().num_rows(), 1u);
+  EXPECT_EQ(dropped.Value().column(0).kind(), AttributeKind::kNumeric);
+  // Declaring such a column numeric is a clean error, not a NaN column.
+  CsvOptions numeric;
+  numeric.kind_overrides["a"] = AttributeKind::kNumeric;
+  Result<DataTable> declared = ReadCsvText("a,b\n0.5,x\ninf,y\n", numeric);
+  ASSERT_FALSE(declared.ok());
+  EXPECT_EQ(declared.status().code(), StatusCode::kInvalidArgument);
+  // A non-finite target column is categorical, so it cannot be a target.
+  Result<DataTable> table = ReadCsvText("a,t\n1,0.5\n2,-Infinity\n");
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  EXPECT_FALSE(MakeDataset(table.Value(), {"t"}).ok());
+}
+
+TEST(ParseNumericCellTest, FiniteOnly) {
+  EXPECT_EQ(ParseNumericCell(" 2.5 "), 2.5);
+  EXPECT_EQ(ParseNumericCell("-0"), 0.0);
+  EXPECT_FALSE(ParseNumericCell("inf").has_value());
+  EXPECT_FALSE(ParseNumericCell("-NaN").has_value());
+  EXPECT_FALSE(ParseNumericCell("1e309").has_value());
+  EXPECT_FALSE(ParseNumericCell("abc").has_value());
+}
+
 TEST(ReadCsvRawTest, RecordGrammarCells) {
   // Quoted separators, doubled quotes, quotes opening mid-field, quoted
   // empty fields, a trailing separator, CRLF line ends and a last line

@@ -1,6 +1,13 @@
 #include "search/condition_pool.hpp"
 
+#include <bit>
+#include <cstdint>
+#include <string>
+
 #include <gtest/gtest.h>
+
+#include "datagen/scenarios.hpp"
+#include "search/thread_pool.hpp"
 
 namespace sisd::search {
 namespace {
@@ -146,6 +153,41 @@ TEST(ConditionPoolTest, FewerSplitsFewerConditions) {
   const ConditionPool small = ConditionPool::Build(table, 1);
   const ConditionPool large = ConditionPool::Build(table, 8);
   EXPECT_LT(small.size(), large.size());
+}
+
+TEST(ConditionPoolTest, EveryScenarioPoolIsIndependentOfWorkerCount) {
+  // Phase 1 runs one column per chunk on the workers; phase 2 filters in
+  // column order, so the pool is the same sequence, bit for bit, on any
+  // worker count (thresholds compared by their bits).
+  ThreadPool one(1), two(2), four(4);
+  for (const std::string& name : datagen::ScenarioNames()) {
+    const data::Dataset dataset = datagen::MakeScenarioDataset(name).Value();
+    for (const int splits : {1, 4, 8}) {
+      for (const bool exclusions : {false, true}) {
+        const ConditionPool serial =
+            ConditionPool::Build(dataset.descriptions, splits, exclusions);
+        for (ThreadPool* workers : {&one, &two, &four}) {
+          SCOPED_TRACE(name + " splits=" + std::to_string(splits) +
+                       " exclusions=" + std::to_string(exclusions) +
+                       " workers=" + std::to_string(workers->num_workers()));
+          const ConditionPool parallel = ConditionPool::Build(
+              dataset.descriptions, splits, exclusions, workers);
+          ASSERT_EQ(serial.size(), parallel.size());
+          for (size_t i = 0; i < serial.size(); ++i) {
+            const pattern::Condition& a = serial.condition(i);
+            const pattern::Condition& b = parallel.condition(i);
+            EXPECT_EQ(a.attribute, b.attribute) << i;
+            EXPECT_EQ(a.op, b.op) << i;
+            EXPECT_EQ(a.level, b.level) << i;
+            EXPECT_EQ(std::bit_cast<uint64_t>(a.threshold),
+                      std::bit_cast<uint64_t>(b.threshold))
+                << i;
+            EXPECT_EQ(serial.extension(i), parallel.extension(i)) << i;
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,10 +2,12 @@
 // register catalog versions and refresh pools, rebase moves a session
 // forward with a generation bump, dedup'd appends and same-version
 // rebases report `reused`, malformed requests fail loudly, and the
-// metrics verb exposes the version-chain gauges.
+// metrics verb exposes the version-chain gauges. A dialogue across three
+// appends answers the same bytes on one scoring thread and on four.
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -297,6 +299,113 @@ TEST(AppendServeTest, MalformedAndConflictingRequestsFailLoudly) {
                   "{\"id\":11,\"verb\":\"mine\",\"session\":\"s1\"}\n");
   ASSERT_EQ(responses.size(), 1u);
   EXPECT_TRUE(responses[0].ok) << responses[0].error.ToString();
+}
+
+/// `rows` CSV rows (header included) of a mixed table: two numeric
+/// columns with ties, an integer-valued one, a categorical, a 0/1 binary
+/// and two targets. Row `i` of the whole stream is row `first + k`;
+/// `level` names the categorical value every seventh row takes (a new
+/// level in a later append).
+std::string MixedCsv(size_t first, size_t rows, const std::string& level) {
+  const char* colors[3] = {"red", "green", "blue"};
+  std::string csv = "x,y,k,c,b,t1,t2\n";
+  for (size_t i = first; i < first + rows; ++i) {
+    const double x = double((i * 37) % 101) / 10.0;
+    const double y = double(i % 7) * 1.5;
+    const std::string c = i % 7 == 3 ? level : colors[i % 3];
+    const double t1 = double(i % 11) * 0.3 + (c == "red" ? 1.0 : 0.0);
+    const double t2 = double(i % 13) * 0.2 - (x > 5.0 ? 0.5 : 0.0);
+    char line[160];
+    std::snprintf(line, sizeof(line), "%.17g,%.17g,%zu,%s,%zu,%.17g,%.17g\n",
+                  x, y, i % 5, c.c_str(), i % 2, t1, t2);
+    csv += line;
+  }
+  return csv;
+}
+
+std::string Request(JsonValue request) { return request.Write() + "\n"; }
+
+TEST(AppendServeTest, AppendDialogueIsIdenticalOnOneAndFourThreads) {
+  // load -> open x2 -> assimilate -> 3 x (dataset_append, rebase both,
+  // mine both). Pool builds at open, refreshes at append and the scoring
+  // all run on the manager's shared pool, so every answer must be the same
+  // bytes whatever its size.
+  std::string script;
+  JsonValue load = JsonValue::Object();
+  load.Set("id", JsonValue::Int(1));
+  load.Set("verb", JsonValue::Str("dataset_load"));
+  load.Set("name", JsonValue::Str("mixed"));
+  load.Set("csv_text", JsonValue::Str(MixedCsv(0, 240, "red")));
+  JsonValue targets = JsonValue::Array();
+  targets.Append(JsonValue::Str("t1"));
+  targets.Append(JsonValue::Str("t2"));
+  load.Set("targets", std::move(targets));
+  script += Request(std::move(load));
+  script += std::string("{\"id\":2,\"verb\":\"open\",\"session\":\"s1\","
+                        "\"dataset_ref\":\"mixed\",") +
+            kFastConfig + "}\n";
+  script +=
+      "{\"id\":3,\"verb\":\"open\",\"session\":\"s2\","
+      "\"dataset_ref\":\"mixed\",\"config\":{\"beam_width\":8,"
+      "\"max_depth\":2,\"top_k\":20,\"min_coverage\":5,"
+      "\"exclusions\":true}}\n";
+  script +=
+      "{\"id\":4,\"verb\":\"assimilate\",\"session\":\"s1\","
+      "\"conditions\":[{\"attribute\":\"c\",\"op\":\"=\","
+      "\"level\":\"green\"}]}\n";
+  int64_t id = 5;
+  size_t first = 240;
+  const size_t sizes[3] = {3, 40, 120};
+  const char* levels[3] = {"red", "violet", "blue"};
+  for (int step = 0; step < 3; ++step) {
+    const std::string parent =
+        step == 0 ? "mixed" : "mixed@v" + std::to_string(step + 1);
+    const std::string child = "mixed@v" + std::to_string(step + 2);
+    JsonValue append = JsonValue::Object();
+    append.Set("id", JsonValue::Int(id++));
+    append.Set("verb", JsonValue::Str("dataset_append"));
+    append.Set("dataset", JsonValue::Str(parent));
+    append.Set("csv_text",
+               JsonValue::Str(MixedCsv(first, sizes[step], levels[step])));
+    script += Request(std::move(append));
+    first += sizes[step];
+    for (const char* session : {"s1", "s2"}) {
+      script += "{\"id\":" + std::to_string(id++) +
+                ",\"verb\":\"rebase\",\"session\":\"" + session +
+                "\",\"dataset\":\"" + child + "\"}\n";
+    }
+    for (const char* session : {"s1", "s2"}) {
+      script += "{\"id\":" + std::to_string(id++) +
+                ",\"verb\":\"mine\",\"session\":\"" + session + "\"}\n";
+    }
+  }
+
+  std::vector<std::string> transcripts;
+  for (const int threads : {1, 4}) {
+    ServeConfig config;
+    config.num_threads = threads;
+    SessionManager manager(config);
+    std::istringstream in(script);
+    std::ostringstream out;
+    ServeStream(manager, in, out);
+    transcripts.push_back(out.str());
+  }
+  const std::vector<std::string> one = SplitString(transcripts[0], '\n');
+  const std::vector<std::string> four = SplitString(transcripts[1], '\n');
+  ASSERT_EQ(one.size(), four.size());
+  size_t answered = 0;
+  for (size_t i = 0; i < one.size(); ++i) {
+    EXPECT_EQ(one[i], four[i]) << "response " << i;
+    if (one[i].empty()) continue;
+    ++answered;
+    EXPECT_NE(one[i].find("\"ok\":true"), std::string::npos) << one[i];
+    // Both sessions' alphabets (with and without exclusions) refresh.
+    if (one[i].find("\"verb\":\"dataset_append\"") != std::string::npos) {
+      EXPECT_NE(one[i].find("\"pools_refreshed\":2"), std::string::npos)
+          << one[i];
+    }
+  }
+  EXPECT_EQ(answered, 4u + 3u * 5u);
 }
 
 }  // namespace

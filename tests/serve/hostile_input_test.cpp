@@ -182,5 +182,77 @@ TEST(HostileInputTest, TamperedSpillSnapshotAnswersOkFalseOnMine) {
   std::system(("rm -rf " + spill_dir).c_str());
 }
 
+TEST(HostileInputTest, NonFiniteCellsNeverReachANumericColumn) {
+  SessionManager manager((ServeConfig()));
+  // `x` spells NaN and +-inf in several ways: it loads as a categorical
+  // column (an equality condition on the text 'inf' assimilates), and the
+  // pool build and a mine run on it.
+  std::string csv = "x,y,t\n";
+  const char* spellings[6] = {"inf", "NAN", "-Infinity", "-nan", "2.5", "1"};
+  for (int i = 0; i < 60; ++i) {
+    csv += std::string(spellings[i % 6]) + "," + std::to_string(i % 9) + "," +
+           std::to_string(0.1 * (i % 13)) + "\n";
+  }
+  serialize::JsonValue load = serialize::JsonValue::Object();
+  load.Set("id", serialize::JsonValue::Int(1));
+  load.Set("verb", serialize::JsonValue::Str("dataset_load"));
+  load.Set("name", serialize::JsonValue::Str("odd"));
+  load.Set("csv_text", serialize::JsonValue::Str(csv));
+  serialize::JsonValue targets = serialize::JsonValue::Array();
+  targets.Append(serialize::JsonValue::Str("t"));
+  load.Set("targets", targets);
+  // The same table with the non-finite spellings in the target column.
+  std::string bad_target_csv = "y,t\n";
+  for (int i = 0; i < 12; ++i) {
+    bad_target_csv += std::to_string(i) + "," + spellings[i % 6] + "\n";
+  }
+  serialize::JsonValue bad_load = serialize::JsonValue::Object();
+  bad_load.Set("id", serialize::JsonValue::Int(2));
+  bad_load.Set("verb", serialize::JsonValue::Str("dataset_load"));
+  bad_load.Set("name", serialize::JsonValue::Str("bad"));
+  bad_load.Set("csv_text", serialize::JsonValue::Str(bad_target_csv));
+  bad_load.Set("targets", targets);
+
+  std::vector<serialize::ProtocolResponse> responses = RunScript(
+      manager,
+      load.Write() + "\n" + bad_load.Write() + "\n" +
+          "{\"id\":3,\"verb\":\"open\",\"session\":\"h\","
+          "\"dataset_ref\":\"odd\",\"config\":{\"beam_width\":4,"
+          "\"max_depth\":2,\"min_coverage\":3}}\n"
+          "{\"id\":4,\"verb\":\"assimilate\",\"session\":\"h\","
+          "\"conditions\":[{\"attribute\":\"x\",\"op\":\"=\","
+          "\"level\":\"inf\"}]}\n"
+          "{\"id\":5,\"verb\":\"mine\",\"session\":\"h\"}\n"
+          // Appends: a non-finite CSV cell in the numeric `y`, in the
+          // target, and a JSON number that overflows to inf.
+          "{\"id\":6,\"verb\":\"dataset_append\",\"dataset\":\"odd\","
+          "\"csv_text\":\"x,y,t\\n2.5,-Infinity,0.5\\n\"}\n"
+          "{\"id\":7,\"verb\":\"dataset_append\",\"dataset\":\"odd\","
+          "\"csv_text\":\"x,y,t\\ninf,3,NAN\\n\"}\n"
+          "{\"id\":8,\"verb\":\"dataset_append\",\"dataset\":\"odd\","
+          "\"columns\":[\"x\",\"y\",\"t\"],\"rows\":[[\"inf\",1e400,0.5]]}\n"
+          "{\"id\":9,\"verb\":\"stats\"}\n");
+  ASSERT_EQ(responses.size(), 9u);
+  EXPECT_TRUE(responses[0].ok) << responses[0].error.ToString();
+  EXPECT_FALSE(responses[1].ok) << "a non-finite target column loaded";
+  EXPECT_TRUE(responses[2].ok) << responses[2].error.ToString();
+  EXPECT_TRUE(responses[3].ok) << "x must be categorical: "
+                               << responses[3].error.ToString();
+  // A mine may exhaust, but it answers.
+  EXPECT_TRUE(responses[4].ok ||
+              responses[4].error.code() == StatusCode::kNotFound)
+      << responses[4].error.ToString();
+  for (size_t i = 5; i < 8; ++i) {
+    EXPECT_FALSE(responses[i].ok) << "append " << i << " took a non-finite";
+    EXPECT_EQ(responses[i].error.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(responses[i].error.message().find("row 0"), std::string::npos)
+        << responses[i].error.message();
+  }
+  EXPECT_NE(responses[5].error.message().find("'y'"), std::string::npos);
+  EXPECT_NE(responses[6].error.message().find("'t'"), std::string::npos);
+  EXPECT_NE(responses[7].error.message().find("'y'"), std::string::npos);
+  EXPECT_TRUE(responses[8].ok) << "server stopped answering";
+}
+
 }  // namespace
 }  // namespace sisd::serve

@@ -1,6 +1,13 @@
 #include "stats/descriptive.hpp"
 
+#include <algorithm>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
+#include <sstream>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -118,6 +125,143 @@ TEST(QuantileSplitPointsTest, DeduplicatesTies) {
 
 TEST(QuantileSplitPointsTest, EmptyInput) {
   EXPECT_TRUE(QuantileSplitPoints({}, 4).empty());
+}
+
+/// The sort-based split points `QuantileSplitPoints` computed before it
+/// switched to selection: the oracle its output must match bit for bit.
+std::vector<double> SortedQuantileSplitPoints(std::vector<double> values,
+                                              int num_splits) {
+  if (values.empty()) return {};
+  std::sort(values.begin(), values.end());
+  std::vector<double> splits;
+  for (int k = 1; k <= num_splits; ++k) {
+    const double p = double(k) / double(num_splits + 1);
+    const double idx = p * double(values.size() - 1);
+    const size_t lo = static_cast<size_t>(std::floor(idx));
+    const size_t hi = std::min(lo + 1, values.size() - 1);
+    const double frac = idx - double(lo);
+    splits.push_back(values[lo] * (1.0 - frac) + values[hi] * frac);
+  }
+  splits.erase(std::unique(splits.begin(), splits.end()), splits.end());
+  return splits;
+}
+
+/// Column shapes that stress the selection: continuous draws, 3-5-level
+/// tie grids, all-equal columns, both zero signs (the full-sort
+/// fallback), only -0.0, subnormals, and +-DBL_MAX.
+enum class Shape {
+  kContinuous,
+  kTieGrid,
+  kAllEqual,
+  kMixedZeros,
+  kNegativeZeroOnly,
+  kSubnormal,
+  kExtremes,
+  kCount
+};
+
+std::vector<double> MakeColumn(Shape shape, size_t n, random::Rng& rng) {
+  std::vector<double> levels;
+  switch (shape) {
+    case Shape::kContinuous:
+    case Shape::kCount:
+      break;
+    case Shape::kTieGrid:
+      for (int64_t l = rng.UniformInt(3, 5); l > 0; --l) {
+        levels.push_back(std::round(rng.Gaussian(0.0, 4.0)) * 0.5);
+      }
+      break;
+    case Shape::kAllEqual:
+      levels = {rng.Gaussian()};
+      break;
+    case Shape::kMixedZeros:
+      levels = {0.0, -0.0, 1.5, -2.25};
+      break;
+    case Shape::kNegativeZeroOnly:
+      levels = {-0.0, -0.0, 3.0, -1.0};
+      break;
+    case Shape::kSubnormal: {
+      const double tiny = std::numeric_limits<double>::denorm_min();
+      levels = {tiny, -tiny, 7.0 * tiny, DBL_MIN / 2.0, -DBL_MIN / 4.0, 0.0};
+      break;
+    }
+    case Shape::kExtremes:
+      levels = {DBL_MAX, -DBL_MAX, DBL_MAX, 1.0, -1.0, 0.0};
+      break;
+  }
+  std::vector<double> column(n);
+  for (double& v : column) {
+    v = levels.empty()
+            ? rng.Gaussian(0.0, 10.0)
+            : levels[static_cast<size_t>(rng.UniformInt(
+                  0, static_cast<int64_t>(levels.size()) - 1))];
+  }
+  if (shape == Shape::kMixedZeros && n >= 2) {
+    // Guarantee both signs, so the fallback path really runs.
+    column[static_cast<size_t>(rng.UniformInt(0, int64_t(n) - 1))] = 0.0;
+    column[static_cast<size_t>(rng.UniformInt(0, int64_t(n) - 1))] = -0.0;
+  }
+  return column;
+}
+
+std::string DescribeColumn(const std::vector<double>& column) {
+  std::ostringstream out;
+  out << "{";
+  for (size_t i = 0; i < column.size(); ++i) {
+    out << (i > 0 ? ", " : "") << std::hexfloat << column[i];
+  }
+  out << "}";
+  return out.str();
+}
+
+/// Checks one column against the sort-based oracle with `memcmp`, so a
+/// -0.0 where sorting gives +0.0 (or any other bit flip) fails.
+void ExpectSelectionMatchesSort(const std::vector<double>& column,
+                                int num_splits, uint64_t seed) {
+  const std::vector<double> expected =
+      SortedQuantileSplitPoints(column, num_splits);
+  const std::vector<double> actual = QuantileSplitPoints(column, num_splits);
+  const bool same =
+      expected.size() == actual.size() &&
+      std::memcmp(expected.data(), actual.data(),
+                  expected.size() * sizeof(double)) == 0;
+  EXPECT_TRUE(same) << "seed " << seed << ", num_splits " << num_splits
+                    << ", n " << column.size() << ", column "
+                    << DescribeColumn(column) << "\n  sorted:   "
+                    << DescribeColumn(expected) << "\n  selected: "
+                    << DescribeColumn(actual);
+}
+
+TEST(QuantileSplitPointsTest, SelectionMatchesSortBitForBit) {
+  size_t columns = 0;
+  // Every tiny size (where `lo` repeats or equals the previous `hi`)
+  // against every shape and split count, three seeds each.
+  for (size_t n = 1; n <= 12; ++n) {
+    for (int shape = 0; shape < int(Shape::kCount); ++shape) {
+      for (int num_splits = 1; num_splits <= 10; ++num_splits) {
+        for (uint64_t rep = 0; rep < 3; ++rep) {
+          const uint64_t seed = (n * 1000 + uint64_t(shape)) * 1000 +
+                                uint64_t(num_splits) * 10 + rep;
+          random::Rng rng(seed);
+          ExpectSelectionMatchesSort(MakeColumn(Shape(shape), n, rng),
+                                     num_splits, seed);
+          ++columns;
+        }
+      }
+    }
+  }
+  // Random sizes up to 5000, log-uniform so small and large both appear.
+  for (uint64_t seed = 1; seed <= 8000; ++seed) {
+    random::Rng rng(seed);
+    const size_t n = static_cast<size_t>(
+        std::exp(rng.Uniform(0.0, std::log(5000.0))));
+    const auto shape = Shape(rng.UniformInt(0, int64_t(Shape::kCount) - 1));
+    const int num_splits = static_cast<int>(rng.UniformInt(1, 10));
+    ExpectSelectionMatchesSort(MakeColumn(shape, std::max<size_t>(n, 1), rng),
+                               num_splits, seed);
+    ++columns;
+  }
+  EXPECT_GE(columns, 10000u);
 }
 
 TEST(PearsonCorrelationTest, PerfectAndZero) {
