@@ -5,7 +5,10 @@
 # dy = 124 from iteration 2 on) three times each: with default settings,
 # with SISD_THREADS=4 and with SISD_KERNELS=scalar. Stdout and the saved
 # session snapshot must match the default run byte for byte; lines that
-# report wall-clock time are dropped before the comparison.
+# report wall-clock time are dropped before the comparison. Each variant
+# also restores its mammals snapshot with `sisd_cli resume` and saves it
+# again without mining: the re-saved file must equal the original byte for
+# byte (the inline dataset encoder and decoder round-trip exactly).
 #
 # Usage: scripts/check_determinism.sh [BUILD_DIR]   (default: build)
 set -euo pipefail
@@ -40,6 +43,9 @@ run() {
     env -u SISD_THREADS -u SISD_KERNELS "$@" "$cli" mine --scenario mammals \
       --iterations 2 --beam-width 10 --max-depth 2 \
       --session-save mammals.json | grep -Ev "$timing" > mammals.txt
+    env -u SISD_THREADS -u SISD_KERNELS "$@" "$cli" resume \
+      --session mammals.json --iterations 0 --session-save resaved.json \
+      > /dev/null
   )
 }
 
@@ -48,6 +54,13 @@ run threads4 SISD_THREADS=4
 run scalar SISD_KERNELS=scalar
 
 status=0
+for variant in default threads4 scalar; do
+  if ! cmp -s "$work/$variant/mammals.json" "$work/$variant/resaved.json"; then
+    echo "check_determinism: $variant mammals snapshot changes on" \
+         "resume + re-save" >&2
+    status=1
+  fi
+done
 for variant in threads4 scalar; do
   for file in quickstart.txt mammals.txt mammals.json; do
     if ! cmp -s "$work/default/$file" "$work/$variant/$file"; then
@@ -59,6 +72,7 @@ for variant in threads4 scalar; do
 done
 if [ "$status" -eq 0 ]; then
   echo "check_determinism: quickstart and mammals output identical across" \
-       "default, SISD_THREADS=4 and SISD_KERNELS=scalar"
+       "default, SISD_THREADS=4 and SISD_KERNELS=scalar; mammals snapshots" \
+       "re-save byte-identically"
 fi
 exit "$status"

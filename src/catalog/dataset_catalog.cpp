@@ -50,14 +50,15 @@ void DatasetCatalog::EnforceBudgetLocked() {
 Result<PinnedDataset> DatasetCatalog::Intern(data::Dataset dataset, bool pin,
                                              bool retain) {
   SISD_RETURN_NOT_OK(dataset.Validate());
-  // Fingerprinting serializes the dataset — do it outside the lock.
-  const std::string encoded = serialize::EncodeDataset(dataset).Write();
-  const uint64_t fingerprint = FingerprintBytes(encoded);
-  // Dedup-hit verification re-encodes the stored dataset, which can take
-  // milliseconds for MB-scale data — never do that under mu_ (it would
-  // stall every catalog operation behind each duplicate open). Pattern:
-  // peek under the lock, verify outside it, re-lock to commit; retry when
-  // the entry changed in between (rare: a concurrent drop + re-intern).
+  // Fingerprinting streams the dataset's encoding — do it outside the lock.
+  const DatasetFingerprint address = FingerprintDataset(dataset);
+  const uint64_t fingerprint = address.value;
+  // Dedup-hit verification compares every cell with the stored dataset,
+  // which can take milliseconds for MB-scale data — never do that under
+  // mu_ (it would stall every catalog operation behind each duplicate
+  // open). Pattern: peek under the lock, verify outside it, re-lock to
+  // commit; retry when the entry changed in between (rare: a concurrent
+  // drop + re-intern).
   for (;;) {
     std::shared_ptr<const data::Dataset> existing;
     std::string existing_name;
@@ -67,7 +68,7 @@ Result<PinnedDataset> DatasetCatalog::Intern(data::Dataset dataset, bool pin,
       if (it == entries_.end()) {
         Entry entry;
         entry.name = dataset.name;
-        entry.bytes = encoded.size();
+        entry.bytes = address.bytes;
         entry.retain = retain;
         entry.dataset =
             std::make_shared<const data::Dataset>(std::move(dataset));
@@ -95,12 +96,12 @@ Result<PinnedDataset> DatasetCatalog::Intern(data::Dataset dataset, bool pin,
       // mismatch is already proof of a collision; equal lengths are
       // verified outside the lock.
       existing_name = it->second.name;
-      if (it->second.bytes == encoded.size()) {
+      if (it->second.bytes == address.bytes) {
         existing = it->second.dataset;
       }
     }
     if (existing == nullptr ||
-        serialize::EncodeDataset(*existing).Write() != encoded) {
+        !serialize::SameDatasetEncoding(*existing, dataset)) {
       return Status::Conflict(
           "fingerprint collision: dataset '" + dataset.name +
           "' hashes to " + FingerprintToHex(fingerprint) +
@@ -168,25 +169,25 @@ Result<PinnedDataset> DatasetCatalog::FindByNameOrFingerprint(
   return by_name.status();  // the name-based NotFound message
 }
 
-Result<PinnedDataset> DatasetCatalog::MatchEncoded(
-    const std::string& encoded, bool pin) {
-  const uint64_t fingerprint = FingerprintBytes(encoded);
+Result<PinnedDataset> DatasetCatalog::MatchContent(
+    const data::Dataset& dataset, bool pin) {
+  const DatasetFingerprint address = FingerprintDataset(dataset);
+  const uint64_t fingerprint = address.value;
   // Same peek / verify-outside-the-lock / commit pattern as Intern: the
-  // equality check re-encodes the stored dataset and must not run under
-  // mu_.
+  // equality check visits every cell and must not run under mu_.
   for (;;) {
     std::shared_ptr<const data::Dataset> existing;
     {
       std::lock_guard<std::mutex> lock(mu_);
       auto it = entries_.find(fingerprint);
-      if (it == entries_.end() || it->second.bytes != encoded.size()) {
+      if (it == entries_.end() || it->second.bytes != address.bytes) {
         misses_.fetch_add(1, std::memory_order_relaxed);
         return Status::NotFound(
             "no catalog dataset with this exact content");
       }
       existing = it->second.dataset;
     }
-    if (serialize::EncodeDataset(*existing).Write() != encoded) {
+    if (!serialize::SameDatasetEncoding(*existing, dataset)) {
       misses_.fetch_add(1, std::memory_order_relaxed);
       return Status::NotFound("no catalog dataset with this exact content");
     }

@@ -16,9 +16,10 @@
 ///  - **Content addressing.** `Intern` fingerprints the dataset's snapshot
 ///    encoding; re-interning identical content returns the existing entry
 ///    (`reused = true`) and moves its registered name not at all — first
-///    registration wins the name. Fingerprint hits are verified by byte
-///    equality of the encodings, so a hash collision is a loud `Conflict`,
-///    never a silent aliasing of two different datasets.
+///    registration wins the name. Fingerprint hits are verified by
+///    equality of the encodings (`serialize::SameDatasetEncoding`, which
+///    compares cells without encoding), so a hash collision is a loud
+///    `Conflict`, never a silent aliasing of two different datasets.
 ///  - **Ref counts + lifetime.** Sessions pin the datasets they mine
 ///    (including while spilled to snapshots, when they hold no
 ///    `shared_ptr`), so `Drop` can refuse to remove a dataset that a live
@@ -166,11 +167,11 @@ class DatasetCatalog {
   Result<PinnedDataset> FindByNameOrFingerprint(const std::string& spec,
                                                 bool pin);
 
-  /// Finds the entry whose snapshot encoding equals `encoded` byte for
-  /// byte (fingerprint index plus equality verification, so a hash
-  /// collision reads as "not present", never as the wrong dataset). Used
-  /// by inline-snapshot restores to adopt the shared instance safely.
-  Result<PinnedDataset> MatchEncoded(const std::string& encoded, bool pin);
+  /// Finds the entry whose snapshot encoding equals `dataset`'s byte for
+  /// byte (fingerprint index plus structural equality verification, so a
+  /// hash collision reads as "not present", never as the wrong dataset).
+  /// Used by inline-snapshot restores to adopt the shared instance safely.
+  Result<PinnedDataset> MatchContent(const data::Dataset& dataset, bool pin);
 
   /// Resolves a snapshot/protocol `dataset_ref`: the fingerprint is the
   /// identity; `ref.name` only improves the NotFound message.

@@ -8,15 +8,15 @@ namespace sisd::catalog {
 
 namespace {
 
-/// Incremental FNV-1a 64 (same constants as `FingerprintBytes`).
+/// Incremental FNV-1a 64.
 struct Fnv64 {
-  uint64_t h = 14695981039346656037ull;
+  uint64_t h = 14695981039346656037ull;  // FNV offset basis
 
   void Bytes(const void* data, size_t size) {
     const unsigned char* p = static_cast<const unsigned char*>(data);
     for (size_t i = 0; i < size; ++i) {
       h ^= uint64_t(p[i]);
-      h *= 1099511628211ull;
+      h *= 1099511628211ull;  // FNV prime
     }
   }
   void U64(uint64_t v) {
@@ -34,20 +34,14 @@ struct Fnv64 {
 
 }  // namespace
 
-uint64_t FingerprintBytes(const std::string& bytes) {
-  uint64_t h = 14695981039346656037ull;  // FNV offset basis
-  for (unsigned char c : bytes) {
-    h ^= uint64_t(c);
-    h *= 1099511628211ull;  // FNV prime
-  }
-  return h;
-}
-
 DatasetFingerprint FingerprintDataset(const data::Dataset& dataset) {
-  const std::string encoded = serialize::EncodeDataset(dataset).Write();
+  Fnv64 fnv;
   DatasetFingerprint out;
-  out.value = FingerprintBytes(encoded);
-  out.bytes = encoded.size();
+  serialize::StreamDataset(dataset, [&](std::string_view chunk) {
+    fnv.Bytes(chunk.data(), chunk.size());
+    out.bytes += chunk.size();
+  });
+  out.value = fnv.h;
   return out;
 }
 

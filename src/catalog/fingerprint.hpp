@@ -3,13 +3,15 @@
 /// serialized dataset, used as the catalog's content address.
 ///
 /// The fingerprint is computed with FNV-1a over the deterministic snapshot
-/// encoding of the dataset (`serialize::EncodeDataset(...).Write()`), so it
-/// is a pure function of the dataset's content — columns, targets, names —
-/// and identical across processes, platforms and sessions. Equal snapshot
+/// encoding of the dataset (the bytes `serialize::StreamDataset` emits,
+/// hashed chunk by chunk as they stream, never held whole), so it is a
+/// pure function of the dataset's content — columns, targets, names — and
+/// identical across processes, platforms and sessions. Equal snapshot
 /// bytes always fingerprint equal; the converse is only probabilistic
 /// (FNV-1a is not collision-free), so the catalog treats the fingerprint
-/// as an *index* and verifies byte equality of the encodings before ever
-/// deduplicating two datasets onto one instance.
+/// as an *index* and verifies that the encodings are equal
+/// (`serialize::SameDatasetEncoding`) before ever deduplicating two
+/// datasets onto one instance.
 
 #ifndef SISD_CATALOG_FINGERPRINT_HPP_
 #define SISD_CATALOG_FINGERPRINT_HPP_
@@ -22,9 +24,6 @@
 
 namespace sisd::catalog {
 
-/// \brief FNV-1a 64-bit hash of a byte string.
-uint64_t FingerprintBytes(const std::string& bytes);
-
 /// \brief A fingerprinted dataset encoding: the hash plus the size of the
 /// serialized form (the catalog's unit of memory accounting).
 struct DatasetFingerprint {
@@ -32,8 +31,8 @@ struct DatasetFingerprint {
   size_t bytes = 0;    ///< length of the snapshot encoding
 };
 
-/// \brief Serializes `dataset` through the snapshot codec and fingerprints
-/// the resulting bytes.
+/// \brief Streams `dataset` through the snapshot encoder and fingerprints
+/// and counts the bytes as they pass (no string, no tree).
 DatasetFingerprint FingerprintDataset(const data::Dataset& dataset);
 
 /// \brief Renders a fingerprint as 16 lowercase hex digits (the wire and

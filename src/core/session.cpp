@@ -407,7 +407,8 @@ std::string MiningSession::SaveToString(SnapshotForm form) const {
       out.Set("version_chain", std::move(chain));
     }
   } else {
-    out.Set("dataset", serialize::EncodeDataset(*dataset_));
+    out.Set("dataset", JsonValue::Verbatim(
+                           serialize::EncodeDatasetText(*dataset_)));
   }
   out.Set("config", EncodeMinerConfig(config_));
   out.Set("assimilator", serialize::EncodeAssimilator(assimilator_));
@@ -481,10 +482,10 @@ Result<MiningSession> MiningSession::RestoreFromString(
   } else {
     SISD_ASSIGN_OR_RETURN(dataset, serialize::DecodeDataset(*dataset_json));
     if (catalog != nullptr) {
-      // Byte-verified content match: a fingerprint collision reads as
-      // "not in the catalog" and keeps the private decoded copy.
-      Result<catalog::PinnedDataset> known = catalog->MatchEncoded(
-          serialize::EncodeDataset(dataset).Write(), /*pin=*/false);
+      // Verified content match: a fingerprint collision reads as "not in
+      // the catalog" and keeps the private decoded copy.
+      Result<catalog::PinnedDataset> known =
+          catalog->MatchContent(dataset, /*pin=*/false);
       if (known.ok()) {
         // Same content already registered: share it (and its pool below)
         // instead of keeping the private decoded copy.

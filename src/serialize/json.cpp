@@ -1,7 +1,12 @@
 #include "serialize/json.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cctype>
+#include <cerrno>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -35,6 +40,8 @@ const char* TypeName(JsonValue::Type type) {
       return "array";
     case JsonValue::Type::kObject:
       return "object";
+    case JsonValue::Type::kVerbatim:
+      return "verbatim";
   }
   return "?";
 }
@@ -44,7 +51,7 @@ Status WrongType(const char* wanted, JsonValue::Type got) {
                                            wanted, TypeName(got)));
 }
 
-void EscapeStringTo(const std::string& s, std::string* out) {
+void EscapeStringTo(std::string_view s, std::string* out) {
   out->push_back('"');
   for (unsigned char c : s) {
     switch (c) {
@@ -448,31 +455,40 @@ Result<const JsonValue*> JsonValue::Get(const std::string& key) const {
 
 namespace {
 
-/// Appends the encoding `FormatJsonDouble` returns. `to_chars` in general
-/// format with precision 17 is specified as printf's "%.17g" in the C
-/// locale, so every encoding (and every dataset fingerprint hashed from
-/// one) is exactly the "%.17g" text, minus printf's format parsing and
-/// locale lookups.
-void AppendJsonDouble(double value, std::string* out) {
-  if (std::isnan(value)) {
-    out->append("\"NaN\"");
-    return;
-  }
+/// Room `FormatDouble` needs: "%.17g" is at most 24 chars
+/// ("-d.ddddddddddddddddde-308"), plus ".0"; "\"-Infinity\"" is 11.
+constexpr size_t kDoubleChars = 32;
+
+/// Writes the encoding `FormatJsonDouble` returns into `buf` and returns
+/// its length. `to_chars` in general format with precision 17 is specified
+/// as printf's "%.17g" in the C locale, so every encoding (and every
+/// dataset fingerprint hashed from one) is exactly the "%.17g" text, minus
+/// printf's format parsing and locale lookups.
+size_t FormatDouble(double value, char (&buf)[kDoubleChars]) {
+  const auto literal = [&buf](std::string_view text) {
+    std::memcpy(buf, text.data(), text.size());
+    return text.size();
+  };
+  if (std::isnan(value)) return literal("\"NaN\"");
   if (std::isinf(value)) {
-    out->append(value > 0 ? "\"Infinity\"" : "\"-Infinity\"");
-    return;
+    return literal(value > 0 ? "\"Infinity\"" : "\"-Infinity\"");
   }
-  char buf[32];  // "%.17g" needs at most 24 ("-d.ddddddddddddddddde-308")
-  char* end =
-      std::to_chars(buf, buf + sizeof(buf), value,
-                    std::chars_format::general, 17).ptr;
-  out->append(buf, end);
+  char* end = std::to_chars(buf, buf + kDoubleChars, value,
+                            std::chars_format::general, 17)
+                  .ptr;
   // Force a double back on re-parse: without '.', 'e' or 'E' the token
   // would read back as an int (and "-0" would lose its sign bit).
   if (std::none_of(buf, end,
                    [](char c) { return c == '.' || c == 'e' || c == 'E'; })) {
-    out->append(".0");
+    *end++ = '.';
+    *end++ = '0';
   }
+  return size_t(end - buf);
+}
+
+void AppendJsonDouble(double value, std::string* out) {
+  char buf[kDoubleChars];
+  out->append(buf, FormatDouble(value, buf));
 }
 
 }  // namespace
@@ -481,6 +497,43 @@ std::string FormatJsonDouble(double value) {
   std::string out;
   AppendJsonDouble(value, &out);
   return out;
+}
+
+JsonChunkWriter::JsonChunkWriter(const ChunkSink& sink) : sink_(sink) {
+  buffer_.reserve(kChunkBytes);
+}
+
+void JsonChunkWriter::Raw(std::string_view text) {
+  while (buffer_.size() + text.size() >= kChunkBytes) {
+    const size_t take = kChunkBytes - buffer_.size();
+    buffer_.append(text.data(), take);
+    text.remove_prefix(take);
+    sink_(buffer_);
+    buffer_.clear();
+  }
+  buffer_.append(text.data(), text.size());
+}
+
+void JsonChunkWriter::Int(int64_t value) {
+  char buf[24];
+  Raw(std::string_view(buf, size_t(std::to_chars(buf, buf + sizeof(buf),
+                                                 value).ptr - buf)));
+}
+
+void JsonChunkWriter::Double(double value) {
+  char buf[kDoubleChars];
+  Raw(std::string_view(buf, FormatDouble(value, buf)));
+}
+
+void JsonChunkWriter::String(std::string_view value) {
+  escaped_.clear();
+  EscapeStringTo(value, &escaped_);
+  Raw(escaped_);
+}
+
+void JsonChunkWriter::Flush() {
+  if (!buffer_.empty()) sink_(buffer_);
+  buffer_.clear();
 }
 
 void JsonValue::WriteTo(std::string* out, int indent, int depth) const {
@@ -507,6 +560,9 @@ void JsonValue::WriteTo(std::string* out, int indent, int depth) const {
       break;
     case Type::kString:
       EscapeStringTo(string_, out);
+      break;
+    case Type::kVerbatim:
+      out->append(string_);
       break;
     case Type::kArray: {
       if (array_.empty()) {
@@ -555,15 +611,61 @@ Result<JsonValue> JsonValue::Parse(const std::string& text) {
   return parser.ParseDocument();
 }
 
-Status WriteTextFile(const std::string& path, const std::string& text) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Status::IOError("cannot open for writing: " + path);
+Status WriteTextFile(const std::string& path, const std::string& text,
+                     FileWriteFn write_fn) {
+  if (write_fn == nullptr) write_fn = ::write;
+  // A name no concurrent writer (thread or process) of `path` can share.
+  static std::atomic<uint64_t> serial{0};
+  const std::string temp =
+      StrFormat("%s.tmp.%ld.%llu", path.c_str(), long(::getpid()),
+                static_cast<unsigned long long>(serial.fetch_add(1)));
+  const auto fail = [&temp](const std::string& what, int error) {
+    ::unlink(temp.c_str());
+    return Status::IOError(what + ": " + std::strerror(error));
+  };
+  const int fd =
+      ::open(temp.c_str(), O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0666);
+  if (fd < 0) {
+    return Status::IOError("cannot open for writing: " + path + ": " +
+                           std::strerror(errno));
   }
-  out.write(text.data(), std::streamsize(text.size()));
-  out.flush();
-  if (!out) {
-    return Status::IOError("write failed: " + path);
+  const char* data = text.data();
+  size_t left = text.size();
+  while (left > 0) {
+    const ssize_t wrote = write_fn(fd, data, left);
+    if (wrote < 0 && errno == EINTR) continue;
+    if (wrote <= 0) {
+      // A zero-byte write makes no progress: report it as a full disk.
+      const int error = wrote < 0 ? errno : ENOSPC;
+      ::close(fd);
+      return fail("write failed: " + path, error);
+    }
+    data += wrote;
+    left -= size_t(wrote);
+  }
+  if (::fsync(fd) != 0) {
+    const int error = errno;
+    ::close(fd);
+    return fail("fsync failed: " + path, error);
+  }
+  if (::close(fd) != 0) {
+    const int error = errno;
+    return fail("close failed: " + path, error);
+  }
+  if (::rename(temp.c_str(), path.c_str()) != 0) {
+    const int error = errno;
+    return fail("cannot replace " + path, error);
+  }
+  // Make the rename itself durable. Best effort: the new content is in
+  // place either way, and some file systems refuse to sync a directory.
+  const size_t slash = path.rfind('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0               ? "/"
+                                                     : path.substr(0, slash);
+  const int dir_fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (dir_fd >= 0) {
+    ::fsync(dir_fd);
+    ::close(dir_fd);
   }
   return Status::OK();
 }

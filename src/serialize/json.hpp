@@ -14,13 +14,20 @@
 ///    standard JSON); `GetDouble` accepts those strings back.
 ///  - No exceptions: the parser and all typed accessors return
 ///    Status/Result like the rest of the library.
+///  - Encodings too large for a tree (a dataset's cells) are streamed by
+///    `JsonChunkWriter` with the same token formats, and re-embedded in a
+///    tree as `JsonValue::Verbatim` text.
 
 #ifndef SISD_SERIALIZE_JSON_HPP_
 #define SISD_SERIALIZE_JSON_HPP_
 
+#include <sys/types.h>
+
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -30,10 +37,19 @@
 namespace sisd::serialize {
 
 /// \brief One JSON value: null, bool, integer, double, string, array or
-/// (insertion-ordered) object.
+/// (insertion-ordered) object — or, for writing only, verbatim JSON text.
 class JsonValue {
  public:
-  enum class Type { kNull, kBool, kInt, kDouble, kString, kArray, kObject };
+  enum class Type {
+    kNull,
+    kBool,
+    kInt,
+    kDouble,
+    kString,
+    kArray,
+    kObject,
+    kVerbatim
+  };
 
   /// Null by default.
   JsonValue() = default;
@@ -73,6 +89,15 @@ class JsonValue {
   static JsonValue Object() {
     JsonValue out;
     out.type_ = Type::kObject;
+    return out;
+  }
+  /// An already-encoded compact JSON value that `Write` emits as is, at
+  /// any indent (the parser never produces one). Lets a tree embed text a
+  /// `JsonChunkWriter` streamed without rebuilding it as nodes.
+  static JsonValue Verbatim(std::string json_text) {
+    JsonValue out;
+    out.type_ = Type::kVerbatim;
+    out.string_ = std::move(json_text);
     return out;
   }
   /// @}
@@ -148,6 +173,39 @@ class JsonValue {
 /// the bit-exact round-trip contract lives here).
 std::string FormatJsonDouble(double value);
 
+/// \brief Receives the consecutive chunks of a streamed encoding.
+using ChunkSink = std::function<void(std::string_view chunk)>;
+
+/// \brief Streaming counterpart of `JsonValue::Write` (compact form) for
+/// documents too large to build as a tree: the caller emits punctuation
+/// and keys with `Raw` and values with the typed methods, which format
+/// exactly as the tree writer does, and the writer hands the text to its
+/// sink in chunks of exactly `kChunkBytes` (the last one, from `Flush`,
+/// may be shorter). Memory stays at one chunk whatever the document size.
+class JsonChunkWriter {
+ public:
+  static constexpr size_t kChunkBytes = size_t{64} << 10;
+
+  explicit JsonChunkWriter(const ChunkSink& sink);
+
+  JsonChunkWriter(const JsonChunkWriter&) = delete;
+  JsonChunkWriter& operator=(const JsonChunkWriter&) = delete;
+
+  /// Text that is already JSON (punctuation, quoted keys), copied as is.
+  void Raw(std::string_view text);
+  void Int(int64_t value);
+  void Double(double value);
+  /// A quoted, escaped string.
+  void String(std::string_view value);
+  /// Hands the buffered tail to the sink; call once, after the last token.
+  void Flush();
+
+ private:
+  const ChunkSink& sink_;
+  std::string buffer_;   ///< pending bytes, never more than kChunkBytes
+  std::string escaped_;  ///< scratch for String
+};
+
 /// \brief Reads member `key` of object `json` into `*out` with the getter
 /// matching `T`: double, bool, size_t, std::string or an integer type.
 /// An integer narrower than int64 is range-checked: a value `T` cannot
@@ -182,9 +240,17 @@ Status ReadField(const JsonValue& json, const char* key, T* out) {
   return Status::OK();
 }
 
-/// \brief Writes `text` to `path` atomically-ish (truncate + write + close),
-/// returning IOError on failure.
-Status WriteTextFile(const std::string& path, const std::string& text);
+/// \brief The `write(2)`-shaped call `WriteTextFile` writes through.
+using FileWriteFn = ssize_t (*)(int fd, const void* data, size_t size);
+
+/// \brief Replaces `path` with `text` crash-safely: the bytes go to a
+/// fresh temporary file in the same directory, which is fsync'ed and then
+/// renamed over `path` (and the directory fsync'ed), so `path` holds
+/// either its previous content or all of `text`, never a torn mix.
+/// IOError on failure, with the temporary file removed. `write_fn` is a
+/// seam for tests that simulate short writes or a full disk.
+Status WriteTextFile(const std::string& path, const std::string& text,
+                     FileWriteFn write_fn = nullptr);
 
 /// \brief Reads a whole file into a string; IOError when unreadable.
 Result<std::string> ReadTextFile(const std::string& path);

@@ -1,6 +1,7 @@
 #include "serialize/snapshot.hpp"
 
 #include <bit>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 
@@ -205,42 +206,6 @@ Result<pattern::Intention> DecodeIntention(const JsonValue& json) {
   return pattern::Intention(std::move(conditions));
 }
 
-JsonValue EncodeColumn(const data::Column& column) {
-  JsonValue out = JsonValue::Object();
-  out.Set("name", JsonValue::Str(column.name()));
-  switch (column.kind()) {
-    case data::AttributeKind::kNumeric:
-      out.Set("kind", JsonValue::Str("numeric"));
-      break;
-    case data::AttributeKind::kOrdinal:
-      out.Set("kind", JsonValue::Str("ordinal"));
-      break;
-    case data::AttributeKind::kCategorical:
-      out.Set("kind", JsonValue::Str("categorical"));
-      break;
-    case data::AttributeKind::kBinary:
-      out.Set("kind", JsonValue::Str("binary"));
-      break;
-  }
-  if (data::IsOrderable(column.kind())) {
-    JsonValue values = JsonValue::Array();
-    for (double v : column.numeric_values()) {
-      values.Append(JsonValue::Double(v));
-    }
-    out.Set("values", std::move(values));
-  } else {
-    JsonValue codes = JsonValue::Array();
-    for (int32_t code : column.codes()) codes.Append(JsonValue::Int(code));
-    out.Set("codes", std::move(codes));
-    JsonValue labels = JsonValue::Array();
-    for (const std::string& label : column.labels()) {
-      labels.Append(JsonValue::Str(label));
-    }
-    out.Set("labels", std::move(labels));
-  }
-  return out;
-}
-
 Result<data::Column> DecodeColumn(const JsonValue& json) {
   SISD_ASSIGN_OR_RETURN(name, GetStringField(json, "name"));
   SISD_ASSIGN_OR_RETURN(kind, GetStringField(json, "kind"));
@@ -297,16 +262,6 @@ Result<data::Column> DecodeColumn(const JsonValue& json) {
                                    std::move(labels));
 }
 
-JsonValue EncodeDataTable(const data::DataTable& table) {
-  JsonValue out = JsonValue::Object();
-  JsonValue columns = JsonValue::Array();
-  for (size_t j = 0; j < table.num_columns(); ++j) {
-    columns.Append(EncodeColumn(table.column(j)));
-  }
-  out.Set("columns", std::move(columns));
-  return out;
-}
-
 Result<data::DataTable> DecodeDataTable(const JsonValue& json) {
   SISD_ASSIGN_OR_RETURN(columns, json.Get("columns"));
   if (!columns->is_array()) {
@@ -320,17 +275,126 @@ Result<data::DataTable> DecodeDataTable(const JsonValue& json) {
   return out;
 }
 
-JsonValue EncodeDataset(const data::Dataset& dataset) {
-  JsonValue out = JsonValue::Object();
-  out.Set("name", JsonValue::Str(dataset.name));
-  JsonValue target_names = JsonValue::Array();
-  for (const std::string& name : dataset.target_names) {
-    target_names.Append(JsonValue::Str(name));
+namespace {
+
+const char* ColumnKindName(data::AttributeKind kind) {
+  switch (kind) {
+    case data::AttributeKind::kNumeric:
+      return "numeric";
+    case data::AttributeKind::kOrdinal:
+      return "ordinal";
+    case data::AttributeKind::kCategorical:
+      return "categorical";
+    case data::AttributeKind::kBinary:
+      return "binary";
   }
-  out.Set("target_names", std::move(target_names));
-  out.Set("targets", EncodeMatrix(dataset.targets));
-  out.Set("descriptions", EncodeDataTable(dataset.descriptions));
-  return out;
+  return "?";
+}
+
+/// Same text under the writer: equal bits, or NaNs of any payload.
+bool SameEncodedDouble(double a, double b) {
+  return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b) ||
+         (std::isnan(a) && std::isnan(b));
+}
+
+}  // namespace
+
+void StreamDataset(const data::Dataset& dataset, const ChunkSink& sink) {
+  JsonChunkWriter out(sink);
+  out.Raw("{\"name\":");
+  out.String(dataset.name);
+  out.Raw(",\"target_names\":[");
+  for (size_t t = 0; t < dataset.target_names.size(); ++t) {
+    if (t > 0) out.Raw(",");
+    out.String(dataset.target_names[t]);
+  }
+  // The targets matrix, laid out as `EncodeMatrix` lays out any matrix.
+  const linalg::Matrix& targets = dataset.targets;
+  out.Raw("],\"targets\":{\"rows\":");
+  out.Int(int64_t(targets.rows()));
+  out.Raw(",\"cols\":");
+  out.Int(int64_t(targets.cols()));
+  out.Raw(",\"data\":[");
+  for (size_t r = 0; r < targets.rows(); ++r) {
+    const double* row = targets.RowData(r);
+    for (size_t c = 0; c < targets.cols(); ++c) {
+      if (r > 0 || c > 0) out.Raw(",");
+      out.Double(row[c]);
+    }
+  }
+  out.Raw("]},\"descriptions\":{\"columns\":[");
+  for (size_t j = 0; j < dataset.num_descriptions(); ++j) {
+    const data::Column& column = dataset.descriptions.column(j);
+    out.Raw(j > 0 ? ",{\"name\":" : "{\"name\":");
+    out.String(column.name());
+    out.Raw(",\"kind\":\"");
+    out.Raw(ColumnKindName(column.kind()));
+    if (data::IsOrderable(column.kind())) {
+      out.Raw("\",\"values\":[");
+      column.ForEachNumeric(0, [&out](size_t row, double value) {
+        if (row > 0) out.Raw(",");
+        out.Double(value);
+      });
+    } else {
+      out.Raw("\",\"codes\":[");
+      column.ForEachCode(0, [&out](size_t row, int32_t code) {
+        if (row > 0) out.Raw(",");
+        out.Int(code);
+      });
+      out.Raw("],\"labels\":[");
+      for (size_t k = 0; k < column.labels().size(); ++k) {
+        if (k > 0) out.Raw(",");
+        out.String(column.labels()[k]);
+      }
+    }
+    out.Raw("]}");
+  }
+  out.Raw("]}}");
+  out.Flush();
+}
+
+std::string EncodeDatasetText(const data::Dataset& dataset) {
+  std::string text;
+  StreamDataset(dataset,
+                [&text](std::string_view chunk) { text.append(chunk); });
+  return text;
+}
+
+bool SameDatasetEncoding(const data::Dataset& a, const data::Dataset& b) {
+  if (a.name != b.name || a.target_names != b.target_names ||
+      a.targets.rows() != b.targets.rows() ||
+      a.targets.cols() != b.targets.cols() ||
+      a.num_descriptions() != b.num_descriptions()) {
+    return false;
+  }
+  for (size_t r = 0; r < a.targets.rows(); ++r) {
+    const double* row_a = a.targets.RowData(r);
+    const double* row_b = b.targets.RowData(r);
+    for (size_t c = 0; c < a.targets.cols(); ++c) {
+      if (!SameEncodedDouble(row_a[c], row_b[c])) return false;
+    }
+  }
+  for (size_t j = 0; j < a.num_descriptions(); ++j) {
+    const data::Column& ca = a.descriptions.column(j);
+    const data::Column& cb = b.descriptions.column(j);
+    if (ca.name() != cb.name() || ca.kind() != cb.kind() ||
+        ca.size() != cb.size()) {
+      return false;
+    }
+    bool same = true;
+    if (data::IsOrderable(ca.kind())) {
+      ca.ForEachNumeric(0, [&](size_t row, double value) {
+        same = same && SameEncodedDouble(value, cb.NumericValue(row));
+      });
+    } else {
+      ca.ForEachCode(0, [&](size_t row, int32_t code) {
+        same = same && code == cb.Code(row);
+      });
+      same = same && ca.labels() == cb.labels();
+    }
+    if (!same) return false;
+  }
+  return true;
 }
 
 Result<data::Dataset> DecodeDataset(const JsonValue& json) {

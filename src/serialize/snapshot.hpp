@@ -47,13 +47,26 @@ JsonValue EncodeIntention(const pattern::Intention& intention);
 Result<pattern::Intention> DecodeIntention(const JsonValue& json);
 /// @}
 
-/// \name Data containers.
+/// \name Datasets. A dataset is every cell of a table, so its encoding is
+/// streamed rather than built as a tree: `StreamDataset` is the one
+/// function that knows the layout,
+/// `{"name", "target_names", "targets": <matrix>, "descriptions":
+/// {"columns": [{"name", "kind", "values"} | {"name", "kind", "codes",
+/// "labels"}, ...]}}`, and these canonical bytes are what snapshots
+/// inline and what `catalog::FingerprintDataset` hashes.
 /// @{
-JsonValue EncodeColumn(const data::Column& column);
+/// Emits the canonical encoding of `dataset` to `sink` in
+/// `JsonChunkWriter::kChunkBytes` chunks.
+void StreamDataset(const data::Dataset& dataset, const ChunkSink& sink);
+/// The whole canonical encoding as one string.
+std::string EncodeDatasetText(const data::Dataset& dataset);
+/// True iff `a` and `b` have the same canonical encoding, decided without
+/// encoding either: names, target names, shapes, column kinds, codes and
+/// labels must be equal, and doubles bit-identical or both NaN (every NaN
+/// is written as "NaN"; every other double's text is unique to its bits).
+bool SameDatasetEncoding(const data::Dataset& a, const data::Dataset& b);
 Result<data::Column> DecodeColumn(const JsonValue& json);
-JsonValue EncodeDataTable(const data::DataTable& table);
 Result<data::DataTable> DecodeDataTable(const JsonValue& json);
-JsonValue EncodeDataset(const data::Dataset& dataset);
 Result<data::Dataset> DecodeDataset(const JsonValue& json);
 /// @}
 

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+
 #include "catalog/fingerprint.hpp"
 #include "datagen/scenarios.hpp"
 
@@ -52,6 +55,8 @@ TEST(FingerprintTest, ScenarioDatasetsKeepTheirGoldenFingerprints) {
       {"crime", nullptr, "71709105a70e5b3e", 4918567},
       {"water", nullptr, "67565abd8618c0f9", 403151},
       {"mammals", nullptr, "786a5bf4e89bf016", 3928180},
+      {"gse", nullptr, "f6ce80370c73a794", 140943},
+      {"synthetic", nullptr, "ef20c3cf7d23dfb0", 31584},
   };
   for (const Golden& golden : goldens) {
     data::Dataset dataset =
@@ -63,6 +68,61 @@ TEST(FingerprintTest, ScenarioDatasetsKeepTheirGoldenFingerprints) {
     EXPECT_EQ(fingerprint.bytes, golden.bytes)
         << golden.scenario << " as '" << dataset.name << "'";
   }
+}
+
+// A table exercising every column kind and the encoder's edge cases:
+// labels and names that need JSON escapes (quote, backslash, control
+// characters, multi-byte UTF-8), signed zeros, subnormals, ±DBL_MAX and
+// non-finite description cells, and a numeric column stored in two
+// chunks (as a row append leaves it).
+data::Dataset HandBuiltTable() {
+  data::Dataset dataset;
+  dataset.name = "hand \"built\"\\ caf\xc3\xa9";
+  dataset.descriptions
+      .AddColumn(data::Column::Numeric("num", {-0.0, 0.0, 4.9e-324})
+                     .WithAppendedNumeric({DBL_MAX, -DBL_MAX, NAN}))
+      .CheckOK();
+  dataset.descriptions
+      .AddColumn(data::Column::Ordinal(
+          "ord", {1.0, -2.5e-310, 3.0, INFINITY, -INFINITY, 0.1}))
+      .CheckOK();
+  dataset.descriptions
+      .AddColumn(data::Column::Categorical(
+          "cat\tegory", {2, 0, 1, 1, 3, 0},
+          {"q\"uote", "back\\slash", "bell\x07\x1f\n", "\xe2\x82\xac"}))
+      .CheckOK();
+  dataset.descriptions
+      .AddColumn(data::Column::Binary(
+          "bin", {true, false, false, true, true, false}, "n\xc3\xa5", "y"))
+      .CheckOK();
+  dataset.targets = linalg::Matrix{{-0.0, DBL_MAX},
+                                   {5e-324, -DBL_MAX},
+                                   {0.1, 1e300},
+                                   {-1.0, 2.2250738585072014e-308},
+                                   {1234.5, -1e-320},
+                                   {0.0, 7.0}};
+  dataset.target_names = {"t\x01one", "t\"two\""};
+  return dataset;
+}
+
+// Targets only: the description table has zero columns.
+data::Dataset ZeroColumnTable() {
+  data::Dataset dataset;
+  dataset.name = "targets-only";
+  dataset.targets = linalg::Matrix{{1.0}, {-0.0}, {2.5}};
+  dataset.target_names = {"y"};
+  return dataset;
+}
+
+// Golden identities of the hand-built edge-case tables, recorded with the
+// tree encoder the streaming writer replaced.
+TEST(FingerprintTest, HandBuiltTablesKeepTheirGoldenFingerprints) {
+  const DatasetFingerprint hand = FingerprintDataset(HandBuiltTable());
+  EXPECT_EQ(FingerprintToHex(hand.value), "8ef91d96b582409d");
+  EXPECT_EQ(hand.bytes, 784u);
+  const DatasetFingerprint bare = FingerprintDataset(ZeroColumnTable());
+  EXPECT_EQ(FingerprintToHex(bare.value), "395e013455289d75");
+  EXPECT_EQ(bare.bytes, 126u);
 }
 
 TEST(FingerprintTest, DifferentContentDifferentFingerprint) {

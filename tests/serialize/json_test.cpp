@@ -1,7 +1,12 @@
 /// The JSON layer's contract: deterministic writing, strict parsing, and —
 /// the property snapshots rely on — bit-exact double round trips.
 
+#include <dirent.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <bit>
+#include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -236,6 +241,61 @@ TEST(JsonValueTest, TypedAccessorsRejectWrongTypes) {
   EXPECT_EQ(JsonValue::Int(7).GetSize().Value(), 7u);
 }
 
+TEST(JsonValueTest, VerbatimIsWrittenAsIsAtAnyIndent) {
+  JsonValue doc = JsonValue::Object();
+  doc.Set("a", JsonValue::Int(1));
+  doc.Set("inline", JsonValue::Verbatim("{\"k\":[1,2.5]}"));
+  EXPECT_EQ(doc.Write(), "{\"a\":1,\"inline\":{\"k\":[1,2.5]}}");
+  EXPECT_EQ(doc.Write(2), "{\n  \"a\": 1,\n  \"inline\": {\"k\":[1,2.5]}\n}");
+  EXPECT_FALSE(JsonValue::Verbatim("1").GetInt().ok());
+}
+
+// The chunk writer formats every token as the tree writer does; only the
+// delivery differs.
+TEST(JsonChunkWriterTest, MatchesTreeWriterAcrossChunkBoundaries) {
+  std::mt19937_64 rng(7);
+  JsonValue tree = JsonValue::Array();
+  std::string streamed;
+  std::vector<size_t> chunk_sizes;
+  const ChunkSink sink = [&](std::string_view chunk) {
+    chunk_sizes.push_back(chunk.size());
+    streamed.append(chunk);
+  };
+  {
+    JsonChunkWriter out(sink);
+    out.Raw("[");
+    for (int i = 0; i < 30000; ++i) {
+      if (i > 0) out.Raw(",");
+      switch (i % 3) {
+        case 0: {
+          const double v = std::bit_cast<double>(rng());
+          tree.Append(JsonValue::Double(v));
+          out.Double(v);
+          break;
+        }
+        case 1: {
+          const int64_t v = int64_t(rng());
+          tree.Append(JsonValue::Int(v));
+          out.Int(v);
+          break;
+        }
+        default: {
+          const std::string v = "s\"\\\x01\xc3\xa9" + std::to_string(i);
+          tree.Append(JsonValue::Str(v));
+          out.String(v);
+        }
+      }
+    }
+    out.Raw("]");
+    out.Flush();
+  }
+  EXPECT_EQ(streamed, tree.Write());
+  ASSERT_GT(chunk_sizes.size(), 1u);
+  for (size_t k = 0; k + 1 < chunk_sizes.size(); ++k) {
+    EXPECT_EQ(chunk_sizes[k], JsonChunkWriter::kChunkBytes);
+  }
+}
+
 TEST(JsonFileTest, WriteReadRoundTrip) {
   const std::string path = "/tmp/sisd_json_test_file.json";
   const std::string text = "{\"k\":[1,2.5,\"v\"]}";
@@ -246,6 +306,73 @@ TEST(JsonFileTest, WriteReadRoundTrip) {
   std::remove(path.c_str());
   EXPECT_FALSE(ReadTextFile(path).ok());
   EXPECT_FALSE(WriteTextFile("/nonexistent-dir/x/y.json", text).ok());
+}
+
+}  // namespace
+}  // namespace sisd::serialize
+
+namespace sisd::serialize {
+namespace {
+
+/// A fresh directory of its own, so leftover temporary files are visible.
+std::string MakeTempDir() {
+  std::string pattern = ::testing::TempDir() + "sisd_write_XXXXXX";
+  EXPECT_NE(::mkdtemp(pattern.data()), nullptr);
+  return pattern;
+}
+
+std::vector<std::string> ListDir(const std::string& dir) {
+  std::vector<std::string> names;
+  if (DIR* d = ::opendir(dir.c_str())) {
+    while (const dirent* entry = ::readdir(d)) {
+      const std::string name = entry->d_name;
+      if (name != "." && name != "..") names.push_back(name);
+    }
+    ::closedir(d);
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+int g_write_calls = 0;
+
+/// Writes half of the first request, then reports a full disk.
+ssize_t ShortWriteThenDiskFull(int fd, const void* data, size_t size) {
+  if (g_write_calls++ == 0) return ::write(fd, data, size / 2);
+  errno = ENOSPC;
+  return -1;
+}
+
+/// Accepts nothing: a write that makes no progress.
+ssize_t WritesNothing(int, const void*, size_t) { return 0; }
+
+TEST(JsonFileTest, FailedWriteKeepsThePreviousFile) {
+  const std::string dir = MakeTempDir();
+  const std::string path = dir + "/session.json";
+  const std::string previous = "{\"snapshot\":\"previous\"}";
+  ASSERT_TRUE(WriteTextFile(path, previous).ok());
+  const std::string next(100000, 'x');
+
+  g_write_calls = 0;
+  const Status full = WriteTextFile(path, next, ShortWriteThenDiskFull);
+  EXPECT_EQ(full.code(), StatusCode::kIOError);
+  EXPECT_NE(full.ToString().find(std::strerror(ENOSPC)), std::string::npos)
+      << full.ToString();
+  EXPECT_EQ(g_write_calls, 2);
+  EXPECT_EQ(ReadTextFile(path).Value(), previous);
+
+  EXPECT_EQ(WriteTextFile(path, next, WritesNothing).code(),
+            StatusCode::kIOError);
+  EXPECT_EQ(ReadTextFile(path).Value(), previous);
+  // No temporary file is left behind.
+  EXPECT_EQ(ListDir(dir), std::vector<std::string>{"session.json"});
+
+  // A write that succeeds replaces the content whole.
+  ASSERT_TRUE(WriteTextFile(path, next).ok());
+  EXPECT_EQ(ReadTextFile(path).Value(), next);
+  EXPECT_EQ(ListDir(dir), std::vector<std::string>{"session.json"});
+  std::remove(path.c_str());
+  ::rmdir(dir.c_str());
 }
 
 }  // namespace

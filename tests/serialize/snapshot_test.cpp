@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+
 #include "linalg/cholesky.hpp"
 #include "model/assimilator.hpp"
 #include "random/rng.hpp"
@@ -123,6 +126,15 @@ TEST(SnapshotCodecTest, ConditionAndIntentionRoundTrip) {
   }
 }
 
+/// Dataset -> streamed text -> parse -> decode.
+data::Dataset DatasetWireRoundTrip(const data::Dataset& dataset) {
+  Result<JsonValue> parsed = JsonValue::Parse(EncodeDatasetText(dataset));
+  EXPECT_TRUE(parsed.ok()) << parsed.status().ToString();
+  Result<data::Dataset> decoded = DecodeDataset(parsed.Value());
+  EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
+  return std::move(decoded).MoveValue();
+}
+
 TEST(SnapshotCodecTest, ColumnRoundTripAllKinds) {
   const data::Column columns[] = {
       data::Column::Numeric("num", {1.5, -2.25, 0.0}),
@@ -131,8 +143,13 @@ TEST(SnapshotCodecTest, ColumnRoundTripAllKinds) {
       data::Column::Binary("bin", {true, false, true}, "no", "yes"),
   };
   for (const data::Column& column : columns) {
-    const data::Column back =
-        WireRoundTrip(column, EncodeColumn, DecodeColumn);
+    // A column travels inside a dataset (targets n x 0).
+    data::Dataset dataset;
+    dataset.descriptions.AddColumn(column).CheckOK();
+    dataset.targets = linalg::Matrix(column.size(), 0);
+    const data::Dataset round_tripped = DatasetWireRoundTrip(dataset);
+    ASSERT_EQ(round_tripped.num_descriptions(), 1u);
+    const data::Column& back = round_tripped.descriptions.column(0);
     EXPECT_EQ(back.name(), column.name());
     EXPECT_EQ(back.kind(), column.kind());
     ASSERT_EQ(back.size(), column.size());
@@ -169,13 +186,162 @@ data::Dataset SmallDataset() {
 
 TEST(SnapshotCodecTest, DatasetRoundTrip) {
   const data::Dataset dataset = SmallDataset();
-  const data::Dataset back =
-      WireRoundTrip(dataset, EncodeDataset, DecodeDataset);
+  const data::Dataset back = DatasetWireRoundTrip(dataset);
   EXPECT_EQ(back.name, dataset.name);
   EXPECT_EQ(back.target_names, dataset.target_names);
   EXPECT_EQ(back.targets, dataset.targets);
   ASSERT_EQ(back.num_descriptions(), dataset.num_descriptions());
   EXPECT_TRUE(back.Validate().ok());
+}
+
+/// The fields of a small mixed table, so each test case can mutate one
+/// of them and rebuild.
+struct TableSpec {
+  std::string name = "mutant";
+  std::vector<std::string> target_names = {"y1", "y2"};
+  linalg::Matrix targets{{0.0, 1.5}, {-2.0, 0.25}, {3.0, 1e-310}};
+  std::string numeric_name = "x";
+  data::AttributeKind numeric_kind = data::AttributeKind::kNumeric;
+  std::vector<double> numeric = {0.0, std::nan(""), 2.5};
+  bool numeric_in_two_chunks = false;  // as a row append stores it
+  std::vector<int32_t> codes = {0, 1, 0};
+  std::vector<std::string> labels = {"a", "b"};
+  std::vector<bool> flags = {true, false, true};
+
+  data::Dataset Build() const {
+    data::Dataset dataset;
+    dataset.name = name;
+    dataset.target_names = target_names;
+    dataset.targets = targets;
+    std::vector<double> head = numeric;
+    std::vector<double> tail;
+    if (numeric_in_two_chunks) {
+      tail.assign(head.begin() + 1, head.end());
+      head.resize(1);
+    }
+    data::Column column =
+        numeric_kind == data::AttributeKind::kNumeric
+            ? data::Column::Numeric(numeric_name, std::move(head))
+            : data::Column::Ordinal(numeric_name, std::move(head));
+    if (!tail.empty()) column = column.WithAppendedNumeric(std::move(tail));
+    dataset.descriptions.AddColumn(std::move(column)).CheckOK();
+    dataset.descriptions
+        .AddColumn(data::Column::Categorical("c", codes, labels))
+        .CheckOK();
+    dataset.descriptions.AddColumn(data::Column::Binary("b", flags))
+        .CheckOK();
+    return dataset;
+  }
+};
+
+double NanWithPayload(uint64_t bits) { return std::bit_cast<double>(bits); }
+
+// The structural comparison the catalog verifies dedup hits with must say
+// "equal" exactly when the streamed texts are equal, for every single-
+// field change — including the two double cases where bits and text part
+// ways: signed zeros (different text) and NaN payloads (same text).
+TEST(SnapshotCodecTest, SameDatasetEncodingAgreesWithEncodedText) {
+  struct Case {
+    const char* what;
+    void (*mutate)(TableSpec*);
+    bool same;
+  };
+  const Case cases[] = {
+      {"unchanged", [](TableSpec*) {}, true},
+      {"numeric column in two chunks",
+       [](TableSpec* t) { t->numeric_in_two_chunks = true; }, true},
+      {"NaN with another payload",
+       [](TableSpec* t) { t->numeric[1] = NanWithPayload(0x7ff0000000000123); },
+       true},
+      {"NaN with the sign bit set",
+       [](TableSpec* t) { t->numeric[1] = NanWithPayload(0xfff8000000000000); },
+       true},
+      {"numeric +0.0 -> -0.0", [](TableSpec* t) { t->numeric[0] = -0.0; },
+       false},
+      {"target +0.0 -> -0.0", [](TableSpec* t) { t->targets(0, 0) = -0.0; },
+       false},
+      {"target one ulp up",
+       [](TableSpec* t) {
+         t->targets(1, 1) = std::nextafter(t->targets(1, 1), 1.0);
+       },
+       false},
+      {"target subnormal changed",
+       [](TableSpec* t) { t->targets(2, 1) = 2e-310; }, false},
+      {"numeric NaN -> number", [](TableSpec* t) { t->numeric[1] = 1.0; },
+       false},
+      {"dataset name", [](TableSpec* t) { t->name = "mutant2"; }, false},
+      {"target name", [](TableSpec* t) { t->target_names[1] = "y3"; },
+       false},
+      {"targets reshaped 3x2 -> 2x3",
+       [](TableSpec* t) {
+         t->targets = linalg::Matrix{{0.0, 1.5, -2.0}, {0.25, 3.0, 1e-310}};
+         t->target_names = {"y1", "y2", "y3"};
+       },
+       false},
+      {"column name", [](TableSpec* t) { t->numeric_name = "z"; }, false},
+      {"numeric -> ordinal",
+       [](TableSpec* t) { t->numeric_kind = data::AttributeKind::kOrdinal; },
+       false},
+      {"one code", [](TableSpec* t) { t->codes[2] = 1; }, false},
+      {"label text", [](TableSpec* t) { t->labels[1] = "B"; }, false},
+      {"labels renumbered, same row labels",
+       [](TableSpec* t) {
+         t->labels = {"b", "a"};
+         t->codes = {1, 0, 1};
+       },
+       false},
+      {"unused extra label",
+       [](TableSpec* t) { t->labels.push_back("c"); }, false},
+      {"one binary flag", [](TableSpec* t) { t->flags[1] = true; }, false},
+  };
+  const TableSpec base_spec;
+  const data::Dataset base = base_spec.Build();
+  const std::string base_text = EncodeDatasetText(base);
+  for (const Case& c : cases) {
+    TableSpec spec;
+    c.mutate(&spec);
+    const data::Dataset mutant = spec.Build();
+    const bool same_text = EncodeDatasetText(mutant) == base_text;
+    EXPECT_EQ(same_text, c.same) << c.what;
+    EXPECT_EQ(SameDatasetEncoding(base, mutant), same_text) << c.what;
+    EXPECT_EQ(SameDatasetEncoding(mutant, base), same_text) << c.what;
+  }
+  // A different column count.
+  data::Dataset fewer = base;
+  fewer.descriptions = data::DataTable();
+  EXPECT_FALSE(SameDatasetEncoding(base, fewer));
+  EXPECT_NE(EncodeDatasetText(fewer), base_text);
+}
+
+// The streamed text is the compact tree text: chunking never shows.
+TEST(SnapshotCodecTest, StreamedChunksConcatenateToTheEncoding) {
+  data::Dataset big;
+  big.name = "big";
+  const size_t n = 20000;  // several 64-KiB chunks
+  std::vector<double> values(n);
+  linalg::Matrix targets(n, 1);
+  for (size_t i = 0; i < n; ++i) {
+    values[i] = 1.0 / double(i + 1);
+    targets(i, 0) = double(i) * 0.1;
+  }
+  big.descriptions.AddColumn(data::Column::Numeric("v", values)).CheckOK();
+  big.targets = targets;
+  big.target_names = {"y"};
+  std::vector<size_t> sizes;
+  std::string text;
+  StreamDataset(big, [&](std::string_view chunk) {
+    sizes.push_back(chunk.size());
+    text.append(chunk);
+  });
+  ASSERT_GT(sizes.size(), 2u);
+  for (size_t k = 0; k + 1 < sizes.size(); ++k) {
+    EXPECT_EQ(sizes[k], JsonChunkWriter::kChunkBytes);
+  }
+  EXPECT_GT(sizes.back(), 0u);
+  EXPECT_LE(sizes.back(), JsonChunkWriter::kChunkBytes);
+  EXPECT_EQ(text, EncodeDatasetText(big));
+  // Re-parsed and written by the tree writer, the text comes back as is.
+  EXPECT_EQ(JsonValue::Parse(text).Value().Write(), text);
 }
 
 model::BackgroundModel EvolvedModel() {

@@ -8,6 +8,7 @@
 //  - the catalog ends balanced (all pins released once sessions close).
 
 #include <atomic>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -110,6 +111,51 @@ TEST(CatalogHammerTest, ConcurrentOpenDropMineStorm) {
   EXPECT_EQ(manager.Stats().sessions, 0u);
   EXPECT_TRUE(manager.catalog()->Drop("hammer").ok());
   EXPECT_EQ(manager.catalog()->size(), 0u);
+}
+
+// N threads intern the same content at once. One registers it; the rest
+// find the entry under the lock and verify the content match outside it
+// (the structural comparison running concurrently with the registration
+// and with each other). Every call succeeds with the one shared instance.
+TEST(CatalogHammerTest, ConcurrentDuplicateInternsShareOneEntry) {
+  constexpr int kThreads = 8;
+  catalog::DatasetCatalog catalog;
+  data::Dataset seed = datagen::MakeScenarioDataset("synthetic").Value();
+  seed.name = "twin";
+  std::vector<data::Dataset> copies(kThreads, seed);
+  std::vector<std::optional<Result<catalog::PinnedDataset>>> results(
+      kThreads);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t]() {
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      results[size_t(t)] = catalog.Intern(std::move(copies[size_t(t)]),
+                                          /*pin=*/true, /*retain=*/false);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  int reused = 0;
+  const data::Dataset* shared = nullptr;
+  for (const auto& result : results) {
+    ASSERT_TRUE(result.has_value() && result->ok())
+        << result->status().ToString();
+    const catalog::PinnedDataset& pinned = result->Value();
+    if (shared == nullptr) shared = pinned.dataset.get();
+    EXPECT_EQ(pinned.dataset.get(), shared);
+    reused += pinned.reused ? 1 : 0;
+  }
+  EXPECT_EQ(catalog.size(), 1u);
+  EXPECT_EQ(reused, kThreads - 1);
+  const catalog::CatalogStats stats = catalog.Stats();
+  EXPECT_EQ(stats.interns, 1u);
+  EXPECT_EQ(stats.hits, uint64_t(kThreads - 1));
+  // Every call took a pin: the implicit entry dies with the last one.
+  const uint64_t fingerprint = results[0]->Value().fingerprint;
+  for (int t = 0; t < kThreads; ++t) catalog.Unpin(fingerprint);
+  EXPECT_EQ(catalog.size(), 0u);
 }
 
 // The append-era storm: appenders grow the dataset (dedup racing dedup),
