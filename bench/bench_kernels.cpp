@@ -125,6 +125,80 @@ void BM_MaskedMomentsAnd(sisd::bench::State& state) {
 }
 SISD_BENCHMARK(BM_MaskedMomentsAnd<ScalarTable>)->Arg(2000)->Arg(100000);
 
+/// A density-0.5 parent over `n` rows, bucketed for the parent-major tile
+/// kernels, plus one random 32-condition tile: `rows` holds the parent's
+/// rows by contract slot (`slot_begin`) and again by one of `kBuckets`
+/// round-robin buckets (`bucket_rows`, `bucket_begin`).
+struct TileInputs {
+  static constexpr size_t kBuckets = 20;
+
+  explicit TileInputs(size_t n) : neg_values(n), tile(n) {
+    random::Rng rng(7);
+    std::vector<uint32_t> parent;
+    for (size_t r = 0; r < n; ++r) {
+      neg_values[r] = -rng.Gaussian();
+      tile[r] = uint32_t(rng.UniformInt(0, 0xFFFFFFFF));
+      if (rng.Bernoulli(0.5)) parent.push_back(uint32_t(r));
+    }
+    Bucket(parent, kernels::kContractSlots, &rows, slot_begin);
+    bucket_begin.resize(kBuckets + 1);
+    Bucket(parent, kBuckets, &bucket_rows, bucket_begin.data());
+  }
+
+  /// Stable bucketing of `parent` by `r % buckets` into `*out`, with
+  /// `buckets + 1` offsets in `begin`.
+  static void Bucket(const std::vector<uint32_t>& parent, size_t buckets,
+                     std::vector<uint32_t>* out, uint32_t* begin) {
+    out->clear();
+    begin[0] = 0;
+    for (size_t b = 0; b < buckets; ++b) {
+      for (uint32_t r : parent) {
+        if (r % buckets == b) out->push_back(r);
+      }
+      begin[b + 1] = uint32_t(out->size());
+    }
+  }
+
+  std::vector<double> neg_values;
+  std::vector<uint32_t> tile;
+  std::vector<uint32_t> rows;
+  uint32_t slot_begin[kernels::kContractSlots + 1] = {};
+  std::vector<uint32_t> bucket_rows;
+  std::vector<uint32_t> bucket_begin;
+};
+
+template <const kernels::KernelTable& (*Table)()>
+void BM_TileSlotSums(sisd::bench::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const TileInputs in(n);
+  const kernels::KernelTable& table = Table();
+  double sums[kernels::kTileWidth];
+  for (auto _ : state) {
+    table.tile_slot_sums(in.neg_values.data(), in.tile.data(), in.rows.data(),
+                         in.slot_begin, sums);
+    sisd::bench::DoNotOptimize(sums);
+  }
+  state.SetItemsProcessed(state.iterations() * int64_t(in.rows.size()));
+}
+SISD_BENCHMARK(BM_TileSlotSums<ScalarTable>)->Arg(2000)->Arg(100000);
+
+template <const kernels::KernelTable& (*Table)()>
+void BM_TileBucketCounts(sisd::bench::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const TileInputs in(n);
+  const kernels::KernelTable& table = Table();
+  std::vector<uint32_t> counts(TileInputs::kBuckets * kernels::kTileWidth);
+  for (auto _ : state) {
+    table.tile_bucket_counts(in.tile.data(), in.bucket_rows.data(),
+                             in.bucket_begin.data(), TileInputs::kBuckets,
+                             counts.data());
+    sisd::bench::DoNotOptimize(counts.data());
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          int64_t(in.bucket_rows.size()));
+}
+SISD_BENCHMARK(BM_TileBucketCounts<ScalarTable>)->Arg(2000)->Arg(100000);
+
 // AVX2 twins (runtime-conditional registration).
 [[maybe_unused]] auto* reg_count2_avx2 =
     RegisterIfAvx2("BM_CountAnd2<Avx2Table>", BM_CountAnd2<Avx2Table>)
@@ -141,6 +215,13 @@ SISD_BENCHMARK(BM_MaskedMomentsAnd<ScalarTable>)->Arg(2000)->Arg(100000);
 [[maybe_unused]] auto* reg_moments_avx2 =
     RegisterIfAvx2("BM_MaskedMomentsAnd<Avx2Table>",
                    BM_MaskedMomentsAnd<Avx2Table>)
+        ->Arg(2000)->Arg(100000);
+[[maybe_unused]] auto* reg_tile_sums_avx2 =
+    RegisterIfAvx2("BM_TileSlotSums<Avx2Table>", BM_TileSlotSums<Avx2Table>)
+        ->Arg(2000)->Arg(100000);
+[[maybe_unused]] auto* reg_tile_counts_avx2 =
+    RegisterIfAvx2("BM_TileBucketCounts<Avx2Table>",
+                   BM_TileBucketCounts<Avx2Table>)
         ->Arg(2000)->Arg(100000);
 
 /// Crime-shaped candidate-evaluation fixture: a depth-2 style batch (beam
@@ -172,12 +253,17 @@ struct CandidateEvalFixture {
         if (count >= kMinCoverage) batch.items.push_back({p, c, count});
       }
     }
+    // As in a search, the dy = 1 evaluator scores parent-major over the
+    // pool's row-major view.
+    rows.Assign(pool, data.dataset.targets.rows());
+    batch.rows = &rows;
     scores.resize(batch.items.size());
   }
 
   datagen::CrimeData data;
   model::BackgroundModel model;
   search::ConditionPool pool;
+  search::ConditionRows rows;
   search::CandidateBatch batch;
   std::vector<double> scores;
 };

@@ -41,7 +41,8 @@ def ratio(slow, fast):
 
 kernel_speedups = {}
 for base in ("BM_CountAnd2", "BM_CountAnd3", "BM_AndInto",
-             "BM_MaskedSumAnd", "BM_MaskedMomentsAnd"):
+             "BM_MaskedSumAnd", "BM_MaskedMomentsAnd", "BM_TileSlotSums",
+             "BM_TileBucketCounts"):
     for n in (2000, 100000):
         r = ratio(f"{base}<ScalarTable>/{n}", f"{base}<Avx2Table>/{n}")
         if r is not None:

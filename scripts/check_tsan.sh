@@ -2,6 +2,8 @@
 # ThreadSanitizer variant of the concurrency tests: builds with
 # SISD_SANITIZE=thread and runs the suites that exercise the batch
 # evaluation engine's worker pool (batch_evaluator_test's parallel scoring,
+# including the parent-major dy=1 path on every worker;
+# scoring_alloc_test's two-thread paper-default crime beam;
 # thread_invariance_test's multi-threaded mining, beam_search_test), the
 # concurrent session service (serve_hammer_test's interleaved
 # mine/save/evict/close storm, serve_loop_test's stream transport), and
@@ -33,13 +35,14 @@ cmake -B build-tsan -S . \
   -DSISD_BUILD_BENCH=OFF \
   -DSISD_BUILD_EXAMPLES=OFF
 cmake --build build-tsan -j \
-  --target batch_evaluator_test thread_invariance_test beam_search_test \
+  --target batch_evaluator_test scoring_alloc_test thread_invariance_test \
+           beam_search_test \
            optimal_search_test list_miner_test serve_hammer_test \
            serve_loop_test mine_list_serve_test catalog_hammer_test \
            event_loop_test event_loop_hammer_test quality_measures_test \
            kernel_parity_test kernel_dispatch_test pool_incremental_test
 cd build-tsan
 ctest --output-on-failure \
-  -R 'batch_evaluator_test|thread_invariance_test|beam_search_test|optimal_search_test|list_miner_test|serve_hammer_test|serve_loop_test|mine_list_serve_test|catalog_hammer_test|event_loop_test|event_loop_hammer_test|quality_measures_test|kernel_parity_test|kernel_dispatch_test|pool_incremental_test'
+  -R 'batch_evaluator_test|scoring_alloc_test|thread_invariance_test|beam_search_test|optimal_search_test|list_miner_test|serve_hammer_test|serve_loop_test|mine_list_serve_test|catalog_hammer_test|event_loop_test|event_loop_hammer_test|quality_measures_test|kernel_parity_test|kernel_dispatch_test|pool_incremental_test'
 ctest --output-on-failure --repeat until-fail:20 \
   -R 'serve_hammer_test|event_loop_hammer_test|catalog_hammer_test'

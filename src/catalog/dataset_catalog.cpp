@@ -59,13 +59,15 @@ Result<PinnedDataset> DatasetCatalog::Intern(data::Dataset dataset, bool pin,
   // open). Pattern: peek under the lock, verify outside it, re-lock to
   // commit; retry when the entry changed in between (rare: a concurrent
   // drop + re-intern).
+  bool versions_checked = false;
   for (;;) {
     std::shared_ptr<const data::Dataset> existing;
     std::string existing_name;
+    bool indexed = false;  // some entry is keyed by this content address
     {
       std::lock_guard<std::mutex> lock(mu_);
       auto it = entries_.find(fingerprint);
-      if (it == entries_.end()) {
+      if (it == entries_.end() && versions_checked) {
         Entry entry;
         entry.name = dataset.name;
         entry.bytes = address.bytes;
@@ -95,13 +97,26 @@ Result<PinnedDataset> DatasetCatalog::Intern(data::Dataset dataset, bool pin,
       // The fingerprint is an index, not the identity: a byte-length
       // mismatch is already proof of a collision; equal lengths are
       // verified outside the lock.
-      existing_name = it->second.name;
-      if (it->second.bytes == address.bytes) {
-        existing = it->second.dataset;
+      if (it != entries_.end()) {
+        indexed = true;
+        existing_name = it->second.name;
+        if (it->second.bytes == address.bytes) {
+          existing = it->second.dataset;
+        }
       }
     }
-    if (existing == nullptr ||
-        !serialize::SameDatasetEncoding(*existing, dataset)) {
+    uint64_t key = fingerprint;
+    if (!indexed) {
+      // No root holds this content address; an appended version (keyed by
+      // its chain fingerprint) may still hold the content.
+      versions_checked = true;
+      const std::optional<VersionMatch> version =
+          MatchVersionContent(dataset, address);
+      if (!version.has_value()) continue;  // re-lock and register
+      key = version->fingerprint;
+      existing = version->dataset;
+    } else if (existing == nullptr ||
+               !serialize::SameDatasetEncoding(*existing, dataset)) {
       return Status::Conflict(
           "fingerprint collision: dataset '" + dataset.name +
           "' hashes to " + FingerprintToHex(fingerprint) +
@@ -109,12 +124,12 @@ Result<PinnedDataset> DatasetCatalog::Intern(data::Dataset dataset, bool pin,
           existing_name + "'");
     }
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(fingerprint);
+    auto it = entries_.find(key);
     if (it == entries_.end() || it->second.dataset != existing) {
       continue;  // dropped or replaced while verifying: retry
     }
     it->second.retain = it->second.retain || retain;
-    return TouchLocked(&it->second, fingerprint, pin, /*reused=*/true);
+    return TouchLocked(&it->second, key, pin, /*reused=*/true);
   }
 }
 
@@ -172,32 +187,77 @@ Result<PinnedDataset> DatasetCatalog::FindByNameOrFingerprint(
 Result<PinnedDataset> DatasetCatalog::MatchContent(
     const data::Dataset& dataset, bool pin) {
   const DatasetFingerprint address = FingerprintDataset(dataset);
-  const uint64_t fingerprint = address.value;
   // Same peek / verify-outside-the-lock / commit pattern as Intern: the
   // equality check visits every cell and must not run under mu_.
   for (;;) {
+    uint64_t key = address.value;
     std::shared_ptr<const data::Dataset> existing;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      auto it = entries_.find(fingerprint);
-      if (it == entries_.end() || it->second.bytes != address.bytes) {
-        misses_.fetch_add(1, std::memory_order_relaxed);
-        return Status::NotFound(
-            "no catalog dataset with this exact content");
+      auto it = entries_.find(key);
+      if (it != entries_.end() && it->second.bytes == address.bytes) {
+        existing = it->second.dataset;
       }
-      existing = it->second.dataset;
     }
-    if (!serialize::SameDatasetEncoding(*existing, dataset)) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      return Status::NotFound("no catalog dataset with this exact content");
+    if (existing == nullptr ||
+        !serialize::SameDatasetEncoding(*existing, dataset)) {
+      const std::optional<VersionMatch> version =
+          MatchVersionContent(dataset, address);
+      if (!version.has_value()) {
+        misses_.fetch_add(1, std::memory_order_relaxed);
+        return Status::NotFound("no catalog dataset with this exact content");
+      }
+      key = version->fingerprint;
+      existing = version->dataset;
     }
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = entries_.find(fingerprint);
+    auto it = entries_.find(key);
     if (it == entries_.end() || it->second.dataset != existing) {
       continue;  // dropped or replaced while verifying: retry
     }
-    return TouchLocked(&it->second, fingerprint, pin, /*reused=*/true);
+    return TouchLocked(&it->second, key, pin, /*reused=*/true);
   }
+}
+
+std::optional<DatasetCatalog::VersionMatch>
+DatasetCatalog::MatchVersionContent(const data::Dataset& dataset,
+                                    const DatasetFingerprint& address) {
+  struct Candidate {
+    uint64_t fingerprint;
+    std::shared_ptr<const data::Dataset> dataset;
+    DatasetFingerprint content;
+  };
+  std::vector<Candidate> candidates;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& [fingerprint, entry] : entries_) {
+      const data::Dataset& held = *entry.dataset;
+      if (entry.parent_fingerprint == 0 ||
+          held.num_rows() != dataset.num_rows() ||
+          held.num_descriptions() != dataset.num_descriptions() ||
+          held.num_targets() != dataset.num_targets()) {
+        continue;
+      }
+      candidates.push_back({fingerprint, entry.dataset, entry.content});
+    }
+  }
+  for (Candidate& candidate : candidates) {
+    if (candidate.content.bytes == 0) {
+      candidate.content = FingerprintDataset(*candidate.dataset);
+      std::lock_guard<std::mutex> lock(mu_);
+      auto it = entries_.find(candidate.fingerprint);
+      if (it != entries_.end() && it->second.dataset == candidate.dataset) {
+        it->second.content = candidate.content;
+      }
+    }
+    if (candidate.content.value == address.value &&
+        candidate.content.bytes == address.bytes &&
+        serialize::SameDatasetEncoding(*candidate.dataset, dataset)) {
+      return VersionMatch{candidate.fingerprint,
+                          std::move(candidate.dataset)};
+    }
+  }
+  return std::nullopt;
 }
 
 Result<PinnedDataset> DatasetCatalog::Resolve(const DatasetRef& ref,

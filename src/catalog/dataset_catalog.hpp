@@ -48,6 +48,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -170,7 +171,9 @@ class DatasetCatalog {
   /// Finds the entry whose snapshot encoding equals `dataset`'s byte for
   /// byte (fingerprint index plus structural equality verification, so a
   /// hash collision reads as "not present", never as the wrong dataset).
-  /// Used by inline-snapshot restores to adopt the shared instance safely.
+  /// Appended versions match too, although they are keyed by their chain
+  /// fingerprint (see `Append`). Used by inline-snapshot restores to adopt
+  /// the shared instance safely.
   Result<PinnedDataset> MatchContent(const data::Dataset& dataset, bool pin);
 
   /// Resolves a snapshot/protocol `dataset_ref`: the fingerprint is the
@@ -258,7 +261,26 @@ class DatasetCatalog {
     size_t row_offset = 0;    ///< parent's row count
     size_t shared_bytes = 0;  ///< sum of ancestor `bytes` (frozen at append)
     std::vector<uint64_t> ancestors;  ///< root-first chain above this entry
+    /// A version's content address (it is keyed by its chain
+    /// fingerprint), computed by the first content lookup that needs it;
+    /// `content.bytes == 0` until then. Never computed on `Append`.
+    DatasetFingerprint content;
   };
+
+  /// A version entry whose content equals a probed dataset.
+  struct VersionMatch {
+    uint64_t fingerprint = 0;  ///< the version's chain fingerprint (key)
+    std::shared_ptr<const data::Dataset> dataset;
+  };
+
+  /// Content lookup among versions, for a probe whose content address
+  /// `address` missed: compares against every version of the probe's
+  /// shape (rows, descriptions, targets), fingerprinting each one's
+  /// content on first use and caching it in the entry, and confirms a
+  /// hash hit with `SameDatasetEncoding`. Hashing and verification run
+  /// outside mu_ (mu_ not held on entry).
+  std::optional<VersionMatch> MatchVersionContent(
+      const data::Dataset& dataset, const DatasetFingerprint& address);
 
   /// Renders entry -> CatalogEntryInfo, minus the pool count, which the
   /// caller fills outside the registry lock (mu_ held).

@@ -42,6 +42,35 @@
 ///     order implies identical bits. `kernel_parity_test` enforces this
 ///     differentially, including ±0.0 and denormal inputs.
 ///
+/// ## Parent-major tile sweeps
+///
+/// The lane contract fixes, for every row `r`, the one accumulator slot it
+/// can feed: row `r` is bit `r & 63` of its block, i.e. group
+/// `(r & 63) >> 2` and lane `r & 3`, so it lands in accumulator
+/// `(r >> 2) & 3`, lane `r & 3` — contract slot `s = r & 15` of the
+/// `acc[16]` layout above. Each of the 16 slots is therefore one serial
+/// chain `acc = acc - nx` over the selected rows `r ≡ s (mod 16)` in
+/// ascending row order, and the result is the fixed reduction of the 16
+/// chains. Rows outside the selection contribute the bitwise identity, so
+/// the chain of a slot depends only on *which* rows are selected.
+///
+/// The tile kernels exploit this to score every refinement of one beam
+/// parent in a single sweep over the parent's rows instead of one sweep
+/// over all `n` rows per refinement. They take:
+///   - `tile_bits`: the bits of 32 conditions (one "tile") as one word
+///     per row: bit `c` of `tile_bits[r]` is set iff condition `c` of the
+///     tile holds at row `r`;
+///   - `rows`: the parent's rows bucketed by contract slot (ascending
+///     within each slot), slot `s` holding `rows[begin[s], begin[s + 1])`;
+///   - `neg_values`: the pre-negated target column, so a lane's `nx` is
+///     `-v` or +0.0, selected by the row's tile bit.
+/// `tile_slot_sums` runs each slot's chain for all 32 conditions at once
+/// and finishes with the contract's reduction, so `sums[c]` is bit-identical
+/// to `masked_sum_and(values, parent, condition_c)`. `tile_bucket_counts`
+/// counts, per bucket of rows (e.g. the parent's rows bucketed by model
+/// parameter group), how many rows of each condition are set; counters are
+/// 32 bits wide, so a bucket may hold up to 2^32 - 1 rows.
+///
 /// Inside a block, both implementations are branchless in the mask data
 /// (no per-group skip tests; the only data-dependent branches left are one
 /// whole-block zero skip and the partial final block): candidate masks in
@@ -74,6 +103,13 @@
 #include <cstdint>
 
 namespace sisd::kernels {
+
+/// Conditions per tile of the parent-major kernels (one 32-bit word per
+/// row of the row-major condition view).
+inline constexpr size_t kTileWidth = 32;
+/// Accumulator slots of the lane contract (`acc[16]`; row `r` feeds slot
+/// `r & 15`).
+inline constexpr size_t kContractSlots = 16;
 
 /// \brief Result of the fused count+sum+sum-of-squares kernel.
 struct MaskedMoments {
@@ -112,6 +148,20 @@ struct KernelTable {
   /// kept in registers. `sum` is bit-identical to `masked_sum_and`.
   MaskedMoments (*masked_moments_and)(const double* values, const uint64_t* a,
                                       const uint64_t* b, size_t num_blocks);
+  /// Slot-major masked sums of one 32-condition tile over slot-bucketed
+  /// rows (see "Parent-major tile sweeps"): `sums[c]` is bit-identical to
+  /// `masked_sum_and` over the bucketed rows and condition `c`'s rows.
+  /// `slot_begin` has `kContractSlots + 1` offsets into `rows`.
+  void (*tile_slot_sums)(const double* neg_values, const uint32_t* tile_bits,
+                         const uint32_t* rows, const uint32_t* slot_begin,
+                         double* sums);
+  /// Per-(bucket, condition) counts of one tile: `counts[b * 32 + c]` is
+  /// the number of rows in `rows[begin[b], begin[b + 1])` whose tile bit
+  /// `c` is set, for `b < num_buckets` (`begin` has `num_buckets + 1`
+  /// offsets).
+  void (*tile_bucket_counts)(const uint32_t* tile_bits, const uint32_t* rows,
+                             const uint32_t* begin, size_t num_buckets,
+                             uint32_t* counts);
 };
 
 /// \brief Implementation selector.
@@ -175,6 +225,16 @@ inline double MaskedSumAnd(const double* values, const uint64_t* a,
 inline MaskedMoments MaskedMomentsAnd(const double* values, const uint64_t* a,
                                       const uint64_t* b, size_t num_blocks) {
   return Active().masked_moments_and(values, a, b, num_blocks);
+}
+inline void TileSlotSums(const double* neg_values, const uint32_t* tile_bits,
+                         const uint32_t* rows, const uint32_t* slot_begin,
+                         double* sums) {
+  Active().tile_slot_sums(neg_values, tile_bits, rows, slot_begin, sums);
+}
+inline void TileBucketCounts(const uint32_t* tile_bits, const uint32_t* rows,
+                             const uint32_t* begin, size_t num_buckets,
+                             uint32_t* counts) {
+  Active().tile_bucket_counts(tile_bits, rows, begin, num_buckets, counts);
 }
 /// @}
 

@@ -256,13 +256,99 @@ MaskedMoments Avx2MaskedMomentsAnd(const double* values, const uint64_t* a,
   return out;
 }
 
+/// One contract slot's chain for a 32-condition tile, held in eight
+/// registers (conditions 4q..4q+3 in `acc[q]`): per row, the broadcast
+/// pre-negated value is blended against +0.0 by the row's tile bits and
+/// subtracted — the scalar kernel's operations, four conditions per
+/// instruction. The partials are then reduced four conditions at a time
+/// with the contract's fixed pairing.
+void Avx2TileSlotSums(const double* neg_values, const uint32_t* tile_bits,
+                      const uint32_t* rows, const uint32_t* slot_begin,
+                      double* sums) {
+  alignas(32) double partial[kContractSlots][kTileWidth];
+  // Lane j of `to_sign[q]` shifts tile bit 4q + j into the sign bit, which
+  // is all vblendvpd reads: the blend yields `nv` or +0.0, exactly the
+  // AND-masked lane of the contract.
+  __m256i to_sign[8];
+  for (int q = 0; q < 8; ++q) {
+    to_sign[q] = _mm256_setr_epi64x(63 - 4 * q, 62 - 4 * q, 61 - 4 * q,
+                                    60 - 4 * q);
+  }
+  const __m256d zero = _mm256_setzero_pd();
+  for (size_t s = 0; s < kContractSlots; ++s) {
+    __m256d acc[8];
+    for (__m256d& a : acc) a = _mm256_setzero_pd();
+    for (uint32_t k = slot_begin[s]; k < slot_begin[s + 1]; ++k) {
+      const size_t r = rows[k];
+      const __m256i bits = _mm256_set1_epi64x(int64_t(tile_bits[r]));
+      const __m256d nv = _mm256_broadcast_sd(neg_values + r);
+      for (size_t q = 0; q < 8; ++q) {
+        const __m256d sign =
+            _mm256_castsi256_pd(_mm256_sllv_epi64(bits, to_sign[q]));
+        acc[q] = _mm256_sub_pd(acc[q], _mm256_blendv_pd(zero, nv, sign));
+      }
+    }
+    for (size_t q = 0; q < 8; ++q) {
+      _mm256_store_pd(partial[s] + 4 * q, acc[q]);
+    }
+  }
+  for (size_t q = 0; q < 8; ++q) {
+    const auto p = [&](size_t slot) {
+      return _mm256_load_pd(partial[slot] + 4 * q);
+    };
+    __m256d lane[4];
+    for (size_t j = 0; j < 4; ++j) {
+      lane[j] = _mm256_add_pd(_mm256_add_pd(p(j), p(4 + j)),
+                              _mm256_add_pd(p(8 + j), p(12 + j)));
+    }
+    _mm256_storeu_pd(sums + 4 * q,
+                     _mm256_add_pd(_mm256_add_pd(lane[0], lane[2]),
+                                   _mm256_add_pd(lane[1], lane[3])));
+  }
+}
+
+/// Per-bucket tile counts in four 8 x uint32 registers: each row's bits
+/// are broadcast, tested against one selector bit per lane, and the
+/// all-ones compare result (-1) is subtracted.
+void Avx2TileBucketCounts(const uint32_t* tile_bits, const uint32_t* rows,
+                          const uint32_t* begin, size_t num_buckets,
+                          uint32_t* counts) {
+  __m256i select[4];
+  for (int q = 0; q < 4; ++q) {
+    const int base = 8 * q;
+    select[q] = _mm256_setr_epi32(
+        int(1u << base), int(1u << (base + 1)), int(1u << (base + 2)),
+        int(1u << (base + 3)), int(1u << (base + 4)), int(1u << (base + 5)),
+        int(1u << (base + 6)), int(1u << (base + 7)));
+  }
+  for (size_t b = 0; b < num_buckets; ++b) {
+    __m256i acc[4];
+    for (__m256i& a : acc) a = _mm256_setzero_si256();
+    for (uint32_t k = begin[b]; k < begin[b + 1]; ++k) {
+      const __m256i bits =
+          _mm256_set1_epi32(int(tile_bits[rows[k]]));
+      for (int q = 0; q < 4; ++q) {
+        const __m256i hit = _mm256_cmpeq_epi32(
+            _mm256_and_si256(bits, select[q]), select[q]);
+        acc[q] = _mm256_sub_epi32(acc[q], hit);
+      }
+    }
+    for (int q = 0; q < 4; ++q) {
+      _mm256_storeu_si256(
+          reinterpret_cast<__m256i*>(counts + b * kTileWidth + 8 * q),
+          acc[q]);
+    }
+  }
+}
+
 }  // namespace
 
 const KernelTable* Avx2KernelsOrNull() {
   static constexpr KernelTable table = {
-      "avx2",         Avx2CountAnd2, Avx2CountAnd3,
-      Avx2AndInto,    Avx2OrInto,    Avx2MaskedSum,
+      "avx2",           Avx2CountAnd2,    Avx2CountAnd3,
+      Avx2AndInto,      Avx2OrInto,       Avx2MaskedSum,
       Avx2MaskedSumAnd, Avx2MaskedMomentsAnd,
+      Avx2TileSlotSums, Avx2TileBucketCounts,
   };
   return &table;
 }

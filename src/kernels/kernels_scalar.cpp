@@ -202,13 +202,53 @@ MaskedMoments ScalarMaskedMomentsAnd(const double* values, const uint64_t* a,
   return out;
 }
 
+/// Runs each contract slot's chain for the 32 conditions of one tile, then
+/// the contract reduction per condition. `partial[s][c]` is slot `s`'s
+/// accumulator for condition `c` — the `acc[s]` of `ReduceLanes`.
+void ScalarTileSlotSums(const double* neg_values, const uint32_t* tile_bits,
+                        const uint32_t* rows, const uint32_t* slot_begin,
+                        double* sums) {
+  double partial[kContractSlots][kTileWidth] = {};
+  for (size_t s = 0; s < kContractSlots; ++s) {
+    double* acc = partial[s];
+    for (uint32_t k = slot_begin[s]; k < slot_begin[s + 1]; ++k) {
+      const size_t r = rows[k];
+      const uint32_t bits = tile_bits[r];
+      const uint64_t nv = std::bit_cast<uint64_t>(neg_values[r]);
+      for (size_t c = 0; c < kTileWidth; ++c) {
+        const uint64_t keep = uint64_t{0} - ((bits >> c) & 1u);
+        acc[c] = acc[c] - std::bit_cast<double>(nv & keep);
+      }
+    }
+  }
+  for (size_t c = 0; c < kTileWidth; ++c) {
+    double lanes[kContractSlots];
+    for (size_t s = 0; s < kContractSlots; ++s) lanes[s] = partial[s][c];
+    sums[c] = ReduceLanes(lanes);
+  }
+}
+
+void ScalarTileBucketCounts(const uint32_t* tile_bits, const uint32_t* rows,
+                            const uint32_t* begin, size_t num_buckets,
+                            uint32_t* counts) {
+  for (size_t b = 0; b < num_buckets; ++b) {
+    uint32_t* out = counts + b * kTileWidth;
+    for (size_t c = 0; c < kTileWidth; ++c) out[c] = 0;
+    for (uint32_t k = begin[b]; k < begin[b + 1]; ++k) {
+      const uint32_t bits = tile_bits[rows[k]];
+      for (size_t c = 0; c < kTileWidth; ++c) out[c] += (bits >> c) & 1u;
+    }
+  }
+}
+
 }  // namespace
 
 const KernelTable& ScalarKernels() {
   static constexpr KernelTable table = {
-      "scalar",         ScalarCountAnd2, ScalarCountAnd3,
-      ScalarAndInto,    ScalarOrInto,    ScalarMaskedSum,
+      "scalar",           ScalarCountAnd2,    ScalarCountAnd3,
+      ScalarAndInto,      ScalarOrInto,       ScalarMaskedSum,
       ScalarMaskedSumAnd, ScalarMaskedMomentsAnd,
+      ScalarTileSlotSums, ScalarTileBucketCounts,
   };
   return table;
 }

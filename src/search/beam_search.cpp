@@ -221,6 +221,11 @@ SearchResult BeamSearch(const data::DataTable& table,
   // the buffers have grown to the level's size.
   CandidateBatch batch;
   batch.pool = &pool;
+  ConditionRows condition_rows;
+  if (evaluator.UsesConditionRows()) {
+    condition_rows.Assign(pool, n);
+    batch.rows = &condition_rows;
+  }
   LevelIdSet level_ids;
   std::vector<double> scores;
   std::vector<uint8_t> chunk_scored;

@@ -31,11 +31,7 @@ EvaluationContext::EvaluationContext(const model::BackgroundModel& model,
 double EvaluationContext::LocationIC(const pattern::Extension& extension,
                                      const linalg::Vector& empirical_mean) {
   SISD_CHECK(!extension.empty());
-  if (model_->num_groups() == 1) {
-    counts_.assign(1, extension.count());
-  } else {
-    model_->GroupCountsInto(extension, &counts_);
-  }
+  if (model_->num_groups() > 1) model_->GroupCountsInto(extension, &counts_);
   return ICFromCounts(extension.count(), empirical_mean);
 }
 
@@ -43,33 +39,39 @@ double EvaluationContext::LocationICMasked(
     const pattern::Extension& a, const pattern::Extension& b, size_t count,
     const linalg::Vector& empirical_mean) {
   SISD_CHECK(count > 0);
-  if (model_->num_groups() == 1) {
-    counts_.assign(1, count);
-  } else {
-    model_->GroupCountsMaskedInto(a, b, &counts_);
-  }
+  if (model_->num_groups() > 1) model_->GroupCountsMaskedInto(a, b, &counts_);
   return ICFromCounts(count, empirical_mean);
 }
 
 LocationScore EvaluationContext::ScoreLocation(
     const pattern::Extension& extension, const linalg::Vector& empirical_mean,
     size_t num_conditions, const DescriptionLengthParams& params) {
-  LocationScore score;
-  score.ic = LocationIC(extension, empirical_mean);
-  score.dl = LocationDescriptionLength(num_conditions, params);
-  score.si = score.ic / score.dl;
-  return score;
+  return ScoreFromIC(LocationIC(extension, empirical_mean), num_conditions,
+                     params);
 }
 
 LocationScore EvaluationContext::ScoreLocationMasked(
     const pattern::Extension& a, const pattern::Extension& b, size_t count,
     const linalg::Vector& empirical_mean, size_t num_conditions,
     const DescriptionLengthParams& params) {
-  LocationScore score;
-  score.ic = LocationICMasked(a, b, count, empirical_mean);
-  score.dl = LocationDescriptionLength(num_conditions, params);
-  score.si = score.ic / score.dl;
-  return score;
+  return ScoreFromIC(LocationICMasked(a, b, count, empirical_mean),
+                     num_conditions, params);
+}
+
+LocationScore EvaluationContext::ScoreLocationFromGroupCounts(
+    const uint32_t* group_counts, size_t stride, size_t count,
+    const linalg::Vector& empirical_mean, size_t num_conditions,
+    const DescriptionLengthParams& params) {
+  SISD_CHECK(count > 0);
+  const size_t num_groups = model_->num_groups();
+  if (num_groups > 1) {
+    counts_.resize(num_groups);
+    for (size_t g = 0; g < num_groups; ++g) {
+      counts_[g] = group_counts[g * stride];
+    }
+  }
+  return ScoreFromIC(ICFromCounts(count, empirical_mean), num_conditions,
+                     params);
 }
 
 void EvaluationContext::SubgroupMeanInto(const pattern::Extension& extension,
@@ -98,20 +100,32 @@ kernels::MaskedMoments EvaluationContext::MaskedTargetMomentsAnd(
                                    b.blocks().data(), a.blocks().size());
 }
 
+LocationScore EvaluationContext::ScoreFromIC(
+    double ic, size_t num_conditions, const DescriptionLengthParams& params) {
+  LocationScore score;
+  score.ic = ic;
+  score.dl = LocationDescriptionLength(num_conditions, params);
+  score.si = score.ic / score.dl;
+  return score;
+}
+
 double EvaluationContext::ICFromCounts(size_t total,
                                        const linalg::Vector& empirical_mean) {
   const size_t dy = model_->dim();
   const double size = double(total);
 
   size_t single_group = 0;
-  size_t groups_hit = 0;
-  for (size_t g = 0; g < counts_.size(); ++g) {
-    if (counts_[g] > 0) {
-      ++groups_hit;
-      single_group = g;
+  size_t groups_hit = 1;
+  if (model_->num_groups() > 1) {
+    groups_hit = 0;
+    for (size_t g = 0; g < counts_.size(); ++g) {
+      if (counts_[g] > 0) {
+        ++groups_hit;
+        single_group = g;
+      }
     }
+    SISD_CHECK(groups_hit > 0);
   }
-  SISD_CHECK(groups_hit > 0);
 
   if (groups_hit == 1) {
     // Sigma_I = Sigma_g / |I|  =>  logdet = logdet(Sigma_g) - dy*log|I|,

@@ -76,6 +76,15 @@ class EvaluationContext {
                                     size_t num_conditions,
                                     const DescriptionLengthParams& params);
 
+  /// `ScoreLocationMasked` from precomputed per-group counts: the subgroup
+  /// holds `count > 0` rows, `group_counts[g * stride]` of them in model
+  /// group `g` (not read for a single-group model). Bit-identical to
+  /// `ScoreLocationMasked` when the counts are those of its `a & b`.
+  LocationScore ScoreLocationFromGroupCounts(
+      const uint32_t* group_counts, size_t stride, size_t count,
+      const linalg::Vector& empirical_mean, size_t num_conditions,
+      const DescriptionLengthParams& params);
+
   /// Empirical subgroup mean into `*out` (requires `targets`).
   void SubgroupMeanInto(const pattern::Extension& extension,
                         linalg::Vector* out) const;
@@ -104,8 +113,14 @@ class EvaluationContext {
   linalg::Vector* scratch_mean() { return &scratch_mean_; }
 
  private:
-  /// IC from the per-group counts currently in `counts_` (sum = `total`).
+  /// IC of a `total`-row subgroup. With several model groups it reads the
+  /// per-group counts in `counts_` (sum = `total`); a single-group model
+  /// needs none.
   double ICFromCounts(size_t total, const linalg::Vector& empirical_mean);
+
+  /// (IC, DL, SI) from an IC and the pattern's condition count.
+  static LocationScore ScoreFromIC(double ic, size_t num_conditions,
+                                   const DescriptionLengthParams& params);
 
   const model::BackgroundModel* model_;
   const linalg::Matrix* targets_;

@@ -150,6 +150,44 @@ TEST(CatalogAppendTest, IdenticalAppendDedupsOntoTheExistingVersion) {
   EXPECT_EQ(chain.Value()[2].depth, 2u);
 }
 
+TEST(CatalogAppendTest, ContentLookupsFindAppendedVersions) {
+  // A version is keyed by its chain fingerprint, not its content address;
+  // content lookups must still find it instead of storing the rows twice.
+  DatasetCatalog catalog;
+  Result<PinnedDataset> root =
+      catalog.Intern(Synthetic(), false, /*retain=*/true);
+  ASSERT_TRUE(root.ok());
+  Result<AppendOutcome> appended = catalog.Append(
+      root.Value().dataset->name,
+      SelfSliceBuilder(root.Value().dataset->num_rows()), false, true);
+  ASSERT_TRUE(appended.ok()) << appended.status().ToString();
+  const PinnedDataset& child = appended.Value().dataset;
+  ASSERT_EQ(catalog.size(), 2u);
+
+  Result<PinnedDataset> matched =
+      catalog.MatchContent(*child.dataset, /*pin=*/false);
+  ASSERT_TRUE(matched.ok()) << matched.status().ToString();
+  EXPECT_EQ(matched.Value().fingerprint, child.fingerprint);
+  EXPECT_EQ(matched.Value().dataset.get(), child.dataset.get());
+
+  Result<PinnedDataset> interned =
+      catalog.Intern(data::Dataset(*child.dataset), false, false);
+  ASSERT_TRUE(interned.ok()) << interned.status().ToString();
+  EXPECT_TRUE(interned.Value().reused);
+  EXPECT_EQ(interned.Value().fingerprint, child.fingerprint);
+  EXPECT_EQ(interned.Value().dataset.get(), child.dataset.get());
+  EXPECT_EQ(catalog.size(), 2u) << "no second copy of the version's rows";
+
+  // The root still resolves by content, and other content still misses.
+  Result<PinnedDataset> root_match =
+      catalog.MatchContent(*root.Value().dataset, false);
+  ASSERT_TRUE(root_match.ok());
+  EXPECT_EQ(root_match.Value().fingerprint, root.Value().fingerprint);
+  data::Dataset renamed(*child.dataset);
+  renamed.name = "other";
+  EXPECT_FALSE(catalog.MatchContent(renamed, false).ok());
+}
+
 TEST(CatalogAppendTest, EmptyAppendIsANoOpReturningTheParent) {
   DatasetCatalog catalog;
   Result<PinnedDataset> root =

@@ -7,6 +7,12 @@
 // floating-point lane contract is pinned down by requiring
 // MaskedMomentsAnd's sum to equal MaskedSumAnd bitwise.
 //
+// The parent-major tile kernels (tile_slot_sums, tile_bucket_counts) are
+// checked against the per-candidate kernels they replace: every tile sum
+// must be memcmp-equal to masked_sum_and over (parent, condition), and
+// every per-bucket count equal to count_and3 over (bucket, parent,
+// condition), under both tables.
+//
 // Tests auto-skip the AVX2 legs on hosts without AVX2, so the suite passes
 // (scalar self-consistency only) anywhere. The whole file is ASan/UBSan
 // clean: inputs are sized exactly, so out-of-bounds kernel reads would trip
@@ -215,6 +221,200 @@ TEST(KernelParityTest, TablesAgreeOnSignedZerosAndDenormals) {
       ExpectTablesAgree(in);
     }
   }
+}
+
+/// A parent-major tile input: a parent bitset, a pool of condition
+/// bitsets, a model-group label per row, and the tile words (tile `t`'s
+/// word of row `r` at `tile_bits[t * n + r]`) and bucketings the tile
+/// kernels read — all built naively here, independent
+/// of the engine's transpose and bucketing code.
+struct TileInput {
+  TileInput(size_t universe, size_t pool_size, size_t num_groups)
+      : n(universe),
+        num_blocks((universe + 63) / 64),
+        num_tiles((pool_size + 31) / 32),
+        values(universe),
+        parent(num_blocks, 0),
+        conditions(pool_size, std::vector<uint64_t>(num_blocks, 0)),
+        group_of_row(universe, 0),
+        groups(num_groups, std::vector<uint64_t>(num_blocks, 0)) {}
+
+  static void Set(std::vector<uint64_t>& bits, size_t i) {
+    bits[i >> 6] |= uint64_t{1} << (i & 63);
+  }
+  static bool Test(const std::vector<uint64_t>& bits, size_t i) {
+    return (bits[i >> 6] >> (i & 63)) & 1u;
+  }
+
+  static TileInput Random(size_t n, size_t pool_size, size_t num_groups,
+                          double parent_density, uint64_t seed) {
+    TileInput in(n, pool_size, num_groups);
+    random::Rng rng(seed);
+    for (size_t r = 0; r < n; ++r) {
+      in.values[r] = rng.Gaussian();
+      if (rng.Bernoulli(parent_density)) Set(in.parent, r);
+      in.group_of_row[r] = uint32_t(
+          rng.UniformInt(0, int64_t(num_groups) - 1));
+    }
+    for (std::vector<uint64_t>& cond : in.conditions) {
+      const double density = rng.Uniform(0.0, 1.0);
+      for (size_t r = 0; r < n; ++r) {
+        if (rng.Bernoulli(density)) Set(cond, r);
+      }
+    }
+    in.Finish();
+    return in;
+  }
+
+  /// Derives the tile view, the pre-negated values and both bucketings.
+  void Finish() {
+    neg_values.resize(n);
+    for (size_t r = 0; r < n; ++r) neg_values[r] = -values[r];
+    tile_bits.assign(num_tiles * n, 0);
+    for (size_t c = 0; c < conditions.size(); ++c) {
+      for (size_t r = 0; r < n; ++r) {
+        if (Test(conditions[c], r)) {
+          tile_bits[(c / 32) * n + r] |= uint32_t{1} << (c % 32);
+        }
+      }
+    }
+    for (std::vector<uint64_t>& g : groups) g.assign(num_blocks, 0);
+    for (size_t r = 0; r < n; ++r) Set(groups[group_of_row[r]], r);
+    slot_rows.clear();
+    slot_begin.assign(kContractSlots + 1, 0);
+    for (size_t s = 0; s < kContractSlots; ++s) {
+      for (size_t r = s; r < n; r += kContractSlots) {
+        if (Test(parent, r)) slot_rows.push_back(uint32_t(r));
+      }
+      slot_begin[s + 1] = uint32_t(slot_rows.size());
+    }
+    group_rows.clear();
+    group_begin.assign(groups.size() + 1, 0);
+    for (size_t g = 0; g < groups.size(); ++g) {
+      for (size_t r = 0; r < n; ++r) {
+        if (Test(parent, r) && group_of_row[r] == g) {
+          group_rows.push_back(uint32_t(r));
+        }
+      }
+      group_begin[g + 1] = uint32_t(group_rows.size());
+    }
+  }
+
+  size_t n, num_blocks, num_tiles;
+  std::vector<double> values, neg_values;
+  std::vector<uint64_t> parent;
+  std::vector<std::vector<uint64_t>> conditions;
+  std::vector<uint32_t> group_of_row;
+  std::vector<std::vector<uint64_t>> groups;
+  std::vector<uint32_t> tile_bits, slot_rows, slot_begin, group_rows,
+      group_begin;
+};
+
+/// Runs both tile kernels of `table` on every tile of `in` and compares
+/// each sum (bitwise) and count with the per-candidate kernels of the
+/// scalar table.
+void ExpectTileKernelsMatchPerCandidate(const KernelTable& table,
+                                        const TileInput& in) {
+  SCOPED_TRACE(std::string("table=") + table.name);
+  const KernelTable& scalar = ScalarKernels();
+  const std::vector<uint64_t> empty(in.num_blocks, 0);
+  const size_t num_groups = in.groups.size();
+  std::vector<uint32_t> counts(num_groups * kTileWidth);
+  for (size_t t = 0; t < in.num_tiles; ++t) {
+    const uint32_t* tile = in.tile_bits.data() + t * in.n;
+    double sums[kTileWidth];
+    table.tile_slot_sums(in.neg_values.data(), tile, in.slot_rows.data(),
+                         in.slot_begin.data(), sums);
+    table.tile_bucket_counts(tile, in.group_rows.data(),
+                             in.group_begin.data(), num_groups,
+                             counts.data());
+    for (size_t c = 0; c < kTileWidth; ++c) {
+      const size_t id = t * kTileWidth + c;
+      // Ids past the pool are all-zero columns: sum +0.0, count 0.
+      const uint64_t* cond =
+          id < in.conditions.size() ? in.conditions[id].data() : empty.data();
+      const double expected = scalar.masked_sum_and(
+          in.values.data(), in.parent.data(), cond, in.num_blocks);
+      EXPECT_EQ(Bits(sums[c]), Bits(expected))
+          << "condition " << id << ": " << sums[c] << " vs " << expected;
+      for (size_t g = 0; g < num_groups; ++g) {
+        EXPECT_EQ(counts[g * kTileWidth + c],
+                  scalar.count_and3(in.groups[g].data(), in.parent.data(),
+                                    cond, in.num_blocks))
+            << "condition " << id << " group " << g;
+      }
+    }
+  }
+}
+
+/// Both tables (the AVX2 one where the host has it) on one input.
+void ExpectTileKernelsAgree(const TileInput& in) {
+  ExpectTileKernelsMatchPerCandidate(ScalarKernels(), in);
+  if (HaveAvx2()) ExpectTileKernelsMatchPerCandidate(*Avx2KernelsOrNull(), in);
+}
+
+TEST(KernelParityTest, TileKernelsMatchPerCandidateOnRandomParents) {
+  uint64_t seed = 0;
+  for (const size_t n : {1u, 63u, 64u, 65u, 200u, 1000u, 1994u}) {
+    for (const size_t pool : {1u, 31u, 32u, 33u, 64u, 70u, 100u}) {
+      for (const double density : {0.1, 0.5, 0.9}) {
+        SCOPED_TRACE("n=" + std::to_string(n) +
+                     " pool=" + std::to_string(pool) +
+                     " density=" + std::to_string(density));
+        ExpectTileKernelsAgree(
+            TileInput::Random(n, pool, 1 + seed % 5, density, 500 + seed));
+        ++seed;
+      }
+    }
+  }
+}
+
+TEST(KernelParityTest, TileKernelsMatchPerCandidateOnEmptyAndFullParents) {
+  for (const size_t n : {1u, 65u, 130u, 1000u}) {
+    for (const double density : {0.0, 1.0}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " density=" + std::to_string(density));
+      ExpectTileKernelsAgree(TileInput::Random(n, 45, 3, density, 77 + n));
+    }
+  }
+}
+
+TEST(KernelParityTest, TileKernelsMatchPerCandidateOnSignedZerosAndDenormals) {
+  constexpr double kDenorm = std::numeric_limits<double>::denorm_min();
+  const double specials[] = {+0.0,     -0.0,          kDenorm, -kDenorm,
+                             513 * kDenorm, -97 * kDenorm, 1e308,   -1e308,
+                             1e-308,   -1e-308,       1.0,     -1.0};
+  for (const size_t n : {7u, 64u, 130u, 257u}) {
+    for (uint64_t seed = 0; seed < 6; ++seed) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   " seed=" + std::to_string(seed));
+      TileInput in = TileInput::Random(n, 40, 2, 0.7, 900 + seed);
+      random::Rng rng(9000 + seed);
+      for (size_t r = 0; r < n; ++r) {
+        in.values[r] = specials[size_t(
+            rng.UniformInt(0, int64_t(std::size(specials)) - 1))];
+      }
+      in.Finish();
+      ExpectTileKernelsAgree(in);
+    }
+  }
+}
+
+TEST(KernelParityTest, TileCountsHoldMoreThanSixteenBitsPerGroup) {
+  // One group holds 70,000 parent rows: a 16-bit counter would wrap.
+  constexpr size_t kRows = 70000;
+  TileInput in(kRows, 3, 2);
+  random::Rng rng(4242);
+  for (size_t r = 0; r < kRows; ++r) {
+    in.values[r] = rng.Gaussian();
+    TileInput::Set(in.parent, r);
+    in.group_of_row[r] = r < 100 ? 1 : 0;
+    TileInput::Set(in.conditions[0], r);  // every row
+    if (r % 3 != 0) TileInput::Set(in.conditions[1], r);
+  }
+  in.Finish();
+  ASSERT_GT(in.group_begin[1] - in.group_begin[0], 65535u);
+  ExpectTileKernelsAgree(in);
 }
 
 TEST(KernelParityTest, DispatchedWrappersFollowTheActiveTable) {

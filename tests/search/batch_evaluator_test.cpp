@@ -8,6 +8,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -310,6 +313,180 @@ TEST(BatchEvaluatorTest, ScratchMarginalsMatchReferenceOnWater) {
   const datagen::WaterData data = datagen::MakeWaterLike();
   ASSERT_GT(data.dataset.targets.cols(), 1u);
   ExpectScratchMarginalsMatchReference(data.dataset);
+}
+
+TEST(BatchEvaluatorTest, ConditionRowsTransposeThePool) {
+  // crime: n = 1994 (not a multiple of 64); synthetic: a pool whose size
+  // is not a multiple of 32.
+  const datagen::CrimeData crime = datagen::MakeCrimeLike();
+  const datagen::SyntheticData synthetic = datagen::MakeSyntheticEmbedded();
+  for (const data::DataTable* table :
+       {&crime.dataset.descriptions, &synthetic.dataset.descriptions}) {
+    const ConditionPool pool = ConditionPool::Build(*table, 4);
+    const size_t n = table->num_rows();
+    ConditionRows rows;
+    rows.Assign(pool, n);
+    ASSERT_EQ(rows.num_rows(), n);
+    ASSERT_EQ(rows.num_tiles(), (pool.size() + 31) / 32);
+    for (size_t t = 0; t < rows.num_tiles(); ++t) {
+      for (size_t r = 0; r < n; ++r) {
+        uint32_t expected = 0;
+        for (size_t c = 0; c < 32 && 32 * t + c < pool.size(); ++c) {
+          if (pool.extension(32 * t + c).Contains(r)) expected |= 1u << c;
+        }
+        ASSERT_EQ(rows.tile(t)[r], expected)
+            << "tile " << t << " row " << r;
+      }
+    }
+  }
+}
+
+/// Assimilates location patterns of pool conditions on distinct attributes
+/// until the model has at least `min_groups` parameter groups.
+void AssimilateUntilGroups(const ConditionPool& pool, const linalg::Matrix& y,
+                           size_t min_groups, model::BackgroundModel* model) {
+  std::vector<size_t> used_attributes;
+  for (uint32_t id = 0; id < pool.size() && model->num_groups() < min_groups;
+       id += 5) {
+    const size_t attribute = pool.condition(id).attribute;
+    if (std::find(used_attributes.begin(), used_attributes.end(),
+                  attribute) != used_attributes.end()) {
+      continue;
+    }
+    used_attributes.push_back(attribute);
+    const pattern::Extension& ext = pool.extension(id);
+    ASSERT_TRUE(model->UpdateLocation(ext, pattern::SubgroupMean(y, ext)).ok());
+  }
+  ASSERT_GE(model->num_groups(), min_groups);
+}
+
+/// A batch of one level: every listed parent refined by every pool
+/// condition, kept when the refinement holds between 2 and n - 1 rows.
+/// The id arena stays empty: the SI evaluator never reads it.
+CandidateBatch MakeParentBatch(const ConditionPool& pool,
+                               const std::vector<const pattern::Extension*>&
+                                   parents,
+                               size_t depth, size_t n) {
+  CandidateBatch batch;
+  batch.pool = &pool;
+  batch.depth = depth;
+  batch.parents = parents;
+  for (uint32_t p = 0; p < parents.size(); ++p) {
+    for (uint32_t c = 0; c < pool.size(); ++c) {
+      const size_t count =
+          pattern::Extension::IntersectionCount(*parents[p], pool.extension(c));
+      if (count < 2 || count >= n) continue;
+      batch.items.push_back({p, c, uint32_t(count)});
+    }
+  }
+  return batch;
+}
+
+/// Parent-major `ScoreChunk` (the batch carries the row-major view) equals
+/// the per-candidate masked path — mean from `MaskedSubgroupMeanInto`, IC
+/// from `LocationICMasked` — bit for bit, whatever the chunking: chunks of
+/// 1, 7 and 37 candidates split parents' runs and straddle parents, and a
+/// single chunk covers whole runs.
+void ExpectParentMajorMatchesPerCandidate(const model::BackgroundModel& model,
+                                          const linalg::Matrix& targets,
+                                          const CandidateBatch& batch) {
+  const si::DescriptionLengthParams dl;
+  si::EvaluationContext reference(model, &targets);
+  std::vector<double> expected(batch.size());
+  linalg::Vector mean;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    const CandidateBatch::Item& item = batch.items[i];
+    const pattern::Extension& parent = batch.parent_extension(item);
+    const pattern::Extension& condition = batch.condition_extension(item);
+    reference.MaskedSubgroupMeanInto(parent, condition, item.count, &mean);
+    expected[i] = reference.LocationICMasked(parent, condition, item.count,
+                                             mean) /
+                  si::LocationDescriptionLength(batch.depth, dl);
+  }
+  SiLocationEvaluator evaluator(model, targets, dl);
+  ASSERT_TRUE(evaluator.UsesConditionRows());
+  evaluator.Prepare(2);
+  for (const size_t chunk : {size_t{1}, size_t{7}, size_t{37}, batch.size()}) {
+    SCOPED_TRACE("chunk=" + std::to_string(chunk));
+    std::vector<double> scores(batch.size(), 0.0);
+    for (size_t begin = 0; begin < batch.size(); begin += chunk) {
+      evaluator.ScoreChunk(batch, begin,
+                           std::min(begin + chunk, batch.size()),
+                           (begin / chunk) % 2, scores.data());
+    }
+    for (size_t i = 0; i < batch.size(); ++i) {
+      ASSERT_EQ(std::memcmp(&scores[i], &expected[i], sizeof(double)), 0)
+          << "candidate " << i << ": " << scores[i] << " vs " << expected[i];
+    }
+  }
+}
+
+TEST(BatchEvaluatorTest, ParentMajorScoringMatchesPerCandidateOnCrime) {
+  const datagen::CrimeData data = datagen::MakeCrimeLike();
+  const linalg::Matrix& y = data.dataset.targets;
+  ASSERT_EQ(y.cols(), 1u);
+  const size_t n = y.rows();
+  const ConditionPool pool =
+      ConditionPool::Build(data.dataset.descriptions, 4);
+  ConditionRows rows;
+  rows.Assign(pool, n);
+
+  Result<model::BackgroundModel> fresh =
+      model::BackgroundModel::CreateFromData(y);
+  ASSERT_TRUE(fresh.ok());
+  Result<model::BackgroundModel> split =
+      model::BackgroundModel::CreateFromData(y);
+  ASSERT_TRUE(split.ok());
+  AssimilateUntilGroups(pool, y, 20, &split.Value());
+
+  // Level 1: the full parent. Level 2: six pool conditions as parents.
+  const pattern::Extension full(n, /*full=*/true);
+  CandidateBatch level1 = MakeParentBatch(pool, {&full}, 1, n);
+  std::vector<const pattern::Extension*> parents;
+  for (uint32_t id : {0u, 3u, 17u, 40u, 41u, 90u}) {
+    parents.push_back(&pool.extension(id));
+  }
+  CandidateBatch level2 = MakeParentBatch(pool, parents, 2, n);
+  ASSERT_GT(level1.size(), 200u);
+  ASSERT_GT(level2.size(), 1000u);
+  for (CandidateBatch* batch : {&level1, &level2}) {
+    batch->rows = &rows;
+    for (const model::BackgroundModel* model : {&fresh.Value(),
+                                                &split.Value()}) {
+      SCOPED_TRACE("depth=" + std::to_string(batch->depth) +
+                   " groups=" + std::to_string(model->num_groups()));
+      ExpectParentMajorMatchesPerCandidate(*model, y, *batch);
+    }
+  }
+}
+
+TEST(BatchEvaluatorTest, ParentMajorThreadCountDoesNotChangeResults) {
+  // The dy = 1 crime beam scores parent-major on every worker.
+  const datagen::CrimeData data = datagen::MakeCrimeLike();
+  Result<model::BackgroundModel> model =
+      model::BackgroundModel::CreateFromData(data.dataset.targets);
+  ASSERT_TRUE(model.ok());
+  const ConditionPool pool =
+      ConditionPool::Build(data.dataset.descriptions, 4);
+  AssimilateUntilGroups(pool, data.dataset.targets, 4, &model.Value());
+  const si::DescriptionLengthParams dl;
+  SearchConfig config;
+  config.max_depth = 3;
+  config.beam_width = 10;
+  config.min_coverage = 10;
+  config.num_threads = 1;
+  SiLocationEvaluator single(model.Value(), data.dataset.targets, dl);
+  const SearchResult single_result =
+      BeamSearch(data.dataset.descriptions, pool, config, single);
+  ASSERT_FALSE(single_result.top.empty());
+  for (int threads : {2, 4}) {
+    SearchConfig parallel_config = config;
+    parallel_config.num_threads = threads;
+    SiLocationEvaluator parallel(model.Value(), data.dataset.targets, dl);
+    ExpectIdenticalResults(single_result,
+                           BeamSearch(data.dataset.descriptions, pool,
+                                      parallel_config, parallel));
+  }
 }
 
 }  // namespace

@@ -1,9 +1,10 @@
 // Allocation counts of the candidate scoring path. A counting global
 // `operator new` (every thread, every form that routes through the two
 // replaced functions) shows that the SI batch evaluator scores a prepared
-// batch without touching the heap, on a multi-group model at dy = 1 and
-// dy > 1, and that a paper-default beam search allocates far less often
-// than it evaluates candidates.
+// batch without touching the heap, on a multi-group model at dy = 1
+// (parent-major, over the pool's row-major view) and dy > 1, and that a
+// paper-default beam search allocates far less often than it evaluates
+// candidates.
 
 #include <atomic>
 #include <cmath>
@@ -89,7 +90,7 @@ void ExpectAllocationFreeScoring(const data::Dataset& dataset) {
   const ConditionPool pool = ConditionPool::Build(dataset.descriptions, 4);
   AssimilateTwoConditions(pool, dataset.targets, &model);
 
-  const CandidateBatch batch = MakeDepthTwoBatch(pool, 12);
+  CandidateBatch batch = MakeDepthTwoBatch(pool, 12);
   ASSERT_GT(batch.size(), 500u);
   // The batch must exercise the multi-group marginal path, not only the
   // single-group shortcut.
@@ -107,6 +108,13 @@ void ExpectAllocationFreeScoring(const data::Dataset& dataset) {
   SiLocationEvaluator evaluator(model, dataset.targets,
                                 si::DescriptionLengthParams{});
   evaluator.Prepare(1);
+  // As in a search, the dy = 1 evaluator scores parent-major through the
+  // pool's row-major view; the view is built before counting.
+  ConditionRows rows;
+  if (evaluator.UsesConditionRows()) {
+    rows.Assign(pool, dataset.targets.rows());
+    batch.rows = &rows;
+  }
   std::vector<double> scores(batch.size());
   const size_t before = g_allocations.load();
   evaluator.ScoreChunk(batch, 0, batch.size(), 0, scores.data());
