@@ -12,8 +12,8 @@
 //                          new rows + incremental refresh of the cached
 //                          condition pool), then MiningSession::Rebase
 //                          (prior recomputed on the grown targets, the
-//                          assimilated history replayed through rank-one
-//                          factorization updates).
+//                          assimilated history replayed through the live
+//                          assimilation path).
 //   BM_CrimeFullReopen     the no-versioning path on identical data:
 //                          re-intern the full grown dataset (whole-table
 //                          fingerprint), build the condition pool from

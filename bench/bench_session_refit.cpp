@@ -1,26 +1,20 @@
 // Session-refit benchmarks (bench/harness): the cost of keeping the
 // background model current as a persistent session assimilates patterns.
 //
-// Three families, parameterized over target dimensionality dy (the paper's
+// Two families, parameterized over target dimensionality dy (the paper's
 // Table II axis) or accumulated constraint count k:
 //
-//  - BM_SpreadAssimilate_Incremental: one Theorem-2 spread update with warm
-//    factor caches — the session's live path, where each affected group's
-//    cached Cholesky factor is maintained by an O(dy^2) rank-one
-//    update/downdate.
-//  - BM_SpreadAssimilate_Refactorize: the same update followed by a full
-//    O(dy^3) refactorization of each affected group — the cost the old
-//    invalidate-on-update path paid before the next scoring call.
+//  - BM_SpreadAssimilate: one Theorem-2 spread update, including the
+//    O(dy^3) refactorization of each affected group's covariance.
 //  - BM_RefitWarm / BM_RefitScratch: cyclic coordinate descent over k
 //    accumulated (overlapping) constraints, warm-started from the current
 //    parameters vs restarted from the initial model (Table II's full-refit
 //    cost).
 //
-// scripts/bench_session.sh records these into BENCH_session.json.
+// scripts/bench_baseline.sh records these into its comparison snapshot.
 
 #include "harness/microbench.hpp"
 
-#include "linalg/cholesky.hpp"
 #include "model/assimilator.hpp"
 #include "model/background_model.hpp"
 #include "random/rng.hpp"
@@ -57,11 +51,8 @@ Extension RangeExtension(size_t n, size_t begin, size_t count) {
   return ext;
 }
 
-/// One spread update against a warmed model; `refactorize` additionally
-/// recomputes each affected group's factorization from scratch (the cost
-/// profile of the old invalidation path).
-template <bool refactorize>
-void SpreadAssimilateBench(sisd::bench::State& state) {
+/// One spread update; the model refactorizes each affected group.
+void BM_SpreadAssimilate(sisd::bench::State& state) {
   const size_t d = static_cast<size_t>(state.range(0));
   const size_t n = 2000;
   const Extension ext = RangeExtension(n, n / 4, 400);
@@ -71,39 +62,14 @@ void SpreadAssimilateBench(sisd::bench::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     model::BackgroundModel model = MakeModel(n, d, 2);
-    model.WarmGroupCaches();
     const Vector anchor = model.ExpectedSubgroupMean(ext);
     const double target =
         0.7 * model.ExpectedDirectionalVariance(ext, w, anchor);
     state.ResumeTiming();
     sisd::bench::DoNotOptimize(model.UpdateSpread(ext, w, anchor, target));
-    if constexpr (refactorize) {
-      for (size_t g = 0; g < model.num_groups(); ++g) {
-        Result<linalg::Cholesky> fresh =
-            linalg::Cholesky::Compute(model.group(g).sigma);
-        sisd::bench::DoNotOptimize(fresh.ok());
-      }
-    } else {
-      // The incremental path keeps every factor warm: touching them is
-      // cache-hit cheap (this is what the next scoring pass sees).
-      for (size_t g = 0; g < model.num_groups(); ++g) {
-        sisd::bench::DoNotOptimize(&model.GroupCholesky(g));
-      }
-    }
   }
 }
-
-void BM_SpreadAssimilate_Incremental(sisd::bench::State& state) {
-  SpreadAssimilateBench<false>(state);
-}
-SISD_BENCHMARK(BM_SpreadAssimilate_Incremental)
-    ->Arg(5)->Arg(16)->Arg(64)->Arg(124);
-
-void BM_SpreadAssimilate_Refactorize(sisd::bench::State& state) {
-  SpreadAssimilateBench<true>(state);
-}
-SISD_BENCHMARK(BM_SpreadAssimilate_Refactorize)
-    ->Arg(5)->Arg(16)->Arg(64)->Arg(124);
+SISD_BENCHMARK(BM_SpreadAssimilate)->Arg(5)->Arg(16)->Arg(64)->Arg(124);
 
 /// Builds an assimilator with k overlapping location+spread constraints
 /// already applied once (the session state after k/2 iterations).

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Record the live-dataset append benchmarks into BENCH_append.json: on
 # the crime-like scenario grown to 10x the paper size, one more slice
-# arrives — catalog append + incremental pool refresh + rank-one session
+# arrives — catalog append + incremental pool refresh + session
 # rebase, versus re-interning the grown dataset, rebuilding the pool
 # from scratch and re-assimilating the history into a fresh session.
 # The headline number is the reopen/rebase ratio (how much the version
@@ -46,7 +46,7 @@ def ratio(slow, fast):
     return round(seconds(slow) / seconds(fast), 3)
 
 summary = {
-    # The tentpole number: catalog append + pool refresh + rank-one
+    # The headline number: catalog append + pool refresh + session
     # rebase vs full re-intern + scratch pool + fresh session + replay,
     # both landing on the identical 10x-grown crime dataset.
     "crime10x_reopen_over_rebase":

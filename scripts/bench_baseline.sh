@@ -58,9 +58,7 @@ snapshot = {
     "bench_micro_model": m["benchmarks"],
     "bench_micro_search": s["benchmarks"],
     "bench_miner_e2e": e["benchmarks"],
-    # Warm vs from-scratch refit + incremental vs refactorize assimilation
-    # (the full summary view lives in BENCH_session.json via
-    # scripts/bench_session.sh).
+    # Per-dy spread assimilation + warm vs from-scratch refit.
     "bench_session_refit": r["benchmarks"],
     # Scoring-kernel micro benches under the ISA this run dispatched to
     # (the controlled scalar-vs-AVX2 comparison lives in BENCH_simd.json

@@ -264,9 +264,9 @@ Result<RebaseOutcome> MiningSession::Rebase(
   // failure below leaves *this untouched. The fresh prior is recomputed
   // from the grown targets (cheap two-pass moments); the constraint
   // registry is then rebuilt by replaying each assimilated intention,
-  // which runs the same rank-one factorization updates a live
-  // `AssimilateIntention` call would — so the result is bit-identical to
-  // a fresh session on `dataset` fed the same history.
+  // which runs the same model updates a live `AssimilateIntention` call
+  // would — so the result is bit-identical to a fresh session on
+  // `dataset` fed the same history.
   SISD_ASSIGN_OR_RETURN(fresh,
                         Create(dataset, config_, pool, std::move(origin)));
   fresh.thread_pool_ = thread_pool_;
@@ -523,9 +523,8 @@ Result<MiningSession> MiningSession::RestoreFromString(
   // Derived state is rebuilt or fetched, never stored: the condition pool
   // is a pure function of (descriptions, num_split_points,
   // include_exclusions) — catalog-known datasets reuse the memoized shared
-  // pool and skip construction entirely — and per-group factorization
-  // caches came back with the model (only caches that were cold at save
-  // time are recomputed lazily).
+  // pool and skip construction entirely — and the model recomputed each
+  // group's Cholesky factor from its covariance while decoding.
   std::shared_ptr<const search::ConditionPool> pool;
   if (origin.has_value() && catalog != nullptr) {
     catalog::PinnedDataset pinned;

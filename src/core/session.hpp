@@ -8,9 +8,9 @@
 /// and the full iteration history. `Save` serializes the complete session
 /// state to a versioned JSON snapshot; `Restore` rebuilds it so that the
 /// next `MineNext()` produces byte-identical output to a session that never
-/// stopped: model parameters, cached factorizations (maintained by rank-one
-/// updates, so their bits are state, not derivable), constraints and history
-/// all round-trip exactly.
+/// stopped: model parameters, constraints and history all round-trip
+/// exactly, and each group's Cholesky factor is recomputed from its
+/// covariance, exactly as the live model computed it.
 ///
 /// `IterativeMiner` (core/miner.hpp) remains as a thin non-owning adapter
 /// over this class for callers that manage dataset lifetime themselves.
@@ -149,7 +149,7 @@ struct SessionVersionLink {
 struct RebaseOutcome {
   /// Rows the new version added over the session's previous dataset.
   size_t appended_rows = 0;
-  /// Iterative-dialogue constraints replayed through the rank-one
+  /// Iterative-dialogue constraints replayed through the live
   /// assimilation path.
   size_t replayed_iterations = 0;
   /// Subgroup-list rules re-derived and replayed on the grown data.
@@ -233,18 +233,18 @@ class MiningSession {
   /// current dataset (same description schema and target names, at least
   /// as many rows), without refitting from a cold start: the background
   /// model's prior is recomputed on the grown targets and every
-  /// assimilated constraint is replayed through the same rank-one
-  /// factorization updates `AssimilateIntention` uses, so the rebased
-  /// state is bit-identical to a fresh session on `dataset` that
-  /// assimilated the same history — that equivalence is the determinism
-  /// contract `rebase_test` checks. The iteration history is rewritten in
-  /// assimilate form (candidates 0, ranked = the replayed pattern) and
-  /// subgroup-list rules are re-derived on the grown rows; `origin`
-  /// becomes the new catalog origin (the previous origin is recorded in
-  /// `version_chain()`). `pool` must match `dataset` and the session's
-  /// search config — on catalog appends, `DatasetCatalog::Append` has
-  /// already refreshed it incrementally. Strong exception safety: on any
-  /// error the session is unchanged.
+  /// assimilated constraint is replayed through the same model updates
+  /// `AssimilateIntention` uses, so the rebased state is bit-identical to
+  /// a fresh session on `dataset` that assimilated the same history —
+  /// that equivalence is the determinism contract `rebase_test` checks.
+  /// The iteration history is rewritten in assimilate form (candidates 0,
+  /// ranked = the replayed pattern) and subgroup-list rules are
+  /// re-derived on the grown rows; `origin` becomes the new catalog
+  /// origin (the previous origin is recorded in `version_chain()`).
+  /// `pool` must match `dataset` and the session's search config — on
+  /// catalog appends, `DatasetCatalog::Append` has already refreshed it
+  /// incrementally. Strong exception safety: on any error the session is
+  /// unchanged.
   Result<RebaseOutcome> Rebase(
       std::shared_ptr<const data::Dataset> dataset,
       std::shared_ptr<const search::ConditionPool> pool,
@@ -268,10 +268,9 @@ class MiningSession {
   /// @{
 
   /// Serializes the full session state (dataset, config, model + initial
-  /// model + constraints with cached factorizations, history) as versioned
-  /// JSON text. Deterministic: the same session always produces the same
-  /// bytes. `form` selects how the dataset is stored (inline by default;
-  /// see `SnapshotForm`).
+  /// model + constraints, history) as versioned JSON text. Deterministic:
+  /// the same session always produces the same bytes. `form` selects how
+  /// the dataset is stored (inline by default; see `SnapshotForm`).
   std::string SaveToString(
       SnapshotForm form = SnapshotForm::kInlineDataset) const;
 
@@ -280,8 +279,8 @@ class MiningSession {
 
   /// Rebuilds a session from snapshot text: validates format tag and schema
   /// version, restores the dataset and model state bit-identically, and
-  /// rewarms the derived search structures (condition pool, per-group
-  /// factorization caches) that are rebuilt rather than stored.
+  /// rebuilds the derived structures (condition pool, per-group Cholesky
+  /// factors) that are recomputed rather than stored.
   ///
   /// With a `catalog`:
   ///  - `dataset_ref` snapshots resolve their dataset through it (without a

@@ -66,27 +66,6 @@ Status Cholesky::Refactor(const Matrix& a) {
   return Status::OK();
 }
 
-Result<Cholesky> Cholesky::FromFactor(Matrix l) {
-  if (!l.IsSquare()) {
-    return Status::InvalidArgument("Cholesky factor must be square");
-  }
-  const size_t n = l.rows();
-  for (size_t i = 0; i < n; ++i) {
-    const double d = l(i, i);
-    if (!(d > 0.0) || !std::isfinite(d)) {
-      return Status::NumericalError(StrFormat(
-          "factor diagonal entry %zu not positive (value %.6g)", i, d));
-    }
-    for (size_t j = i + 1; j < n; ++j) l(i, j) = 0.0;
-  }
-  // With the upper triangle zeroed, any remaining NaN/Inf sits on or below
-  // the diagonal and would silently poison every solve through the factor.
-  if (!l.AllFinite()) {
-    return Status::NumericalError("factor has non-finite entries");
-  }
-  return Cholesky(std::move(l));
-}
-
 Vector Cholesky::Solve(const Vector& b) const {
   Vector z = ForwardSolve(b);
   // Back substitution: L' x = z.
@@ -161,69 +140,6 @@ double Cholesky::InverseQuadraticForm(const Vector& b,
                                       Vector* scratch) const {
   ForwardSolveInto(b, scratch);
   return scratch->SquaredNorm();
-}
-
-void Cholesky::RankOneUpdate(Vector x) {
-  SISD_CHECK(x.size() == dim());
-  const size_t n = dim();
-  // Givens-based LINPACK scheme: per column k, rotate (L_kk, x_k) into
-  // (r, 0) and propagate the rotation down the column. O(n^2), and the
-  // updated matrix L L' + x x' is SPD whenever L was, so no failure path.
-  for (size_t k = 0; k < n; ++k) {
-    const double lkk = l_(k, k);
-    const double xk = x[k];
-    const double r = std::sqrt(lkk * lkk + xk * xk);
-    const double c = r / lkk;
-    const double s = xk / lkk;
-    l_(k, k) = r;
-    for (size_t i = k + 1; i < n; ++i) {
-      const double li = (l_(i, k) + s * x[i]) / c;
-      x[i] = c * x[i] - s * li;
-      l_(i, k) = li;
-    }
-  }
-}
-
-Status Cholesky::RankOneDowndate(Vector x) {
-  SISD_CHECK(x.size() == dim());
-  const size_t n = dim();
-  // Hyperbolic-rotation analogue of the update: per column k the new pivot
-  // is sqrt(L_kk^2 - x_k^2), which exists iff the downdated matrix is still
-  // positive definite in that principal direction.
-  for (size_t k = 0; k < n; ++k) {
-    const double lkk = l_(k, k);
-    const double xk = x[k];
-    const double r2 = (lkk - xk) * (lkk + xk);  // lkk^2 - xk^2, less cancellation
-    if (!(r2 > 0.0) || !std::isfinite(r2)) {
-      return Status::NumericalError(StrFormat(
-          "rank-one downdate loses positive definiteness at pivot %zu "
-          "(value %.6g)",
-          k, r2));
-    }
-    const double r = std::sqrt(r2);
-    const double c = r / lkk;
-    const double s = xk / lkk;
-    l_(k, k) = r;
-    for (size_t i = k + 1; i < n; ++i) {
-      const double li = (l_(i, k) - s * x[i]) / c;
-      x[i] = c * x[i] - s * li;
-      l_(i, k) = li;
-    }
-  }
-  return Status::OK();
-}
-
-Status Cholesky::RankOne(const Vector& v, double alpha) {
-  SISD_CHECK(v.size() == dim());
-  if (alpha == 0.0) return Status::OK();
-  const double scale = std::sqrt(std::fabs(alpha));
-  Vector x = v;
-  x *= scale;
-  if (alpha > 0.0) {
-    RankOneUpdate(std::move(x));
-    return Status::OK();
-  }
-  return RankOneDowndate(std::move(x));
 }
 
 Matrix SpdInverse(const Matrix& a) {

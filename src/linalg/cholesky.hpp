@@ -35,11 +35,6 @@ class Cholesky {
   /// refactored before any query.
   Status Refactor(const Matrix& a);
 
-  /// Rebuilds a factorization from an explicit lower-triangular factor
-  /// (snapshot restore): `l` must be square with strictly positive, finite
-  /// diagonal entries; entries above the diagonal are ignored and zeroed.
-  static Result<Cholesky> FromFactor(Matrix l);
-
   /// Dimension of the factored matrix.
   size_t dim() const { return l_.rows(); }
 
@@ -73,33 +68,7 @@ class Cholesky {
   /// Bit-identical to `InverseQuadraticForm(b)`.
   double InverseQuadraticForm(const Vector& b, Vector* scratch) const;
 
-  /// \name Rank-one factor maintenance (O(d^2) instead of an O(d^3)
-  /// refactorization). The background model's spread assimilation perturbs
-  /// each group covariance by `alpha * v v'` (Eq. 11); these keep the cached
-  /// factor in sync with that perturbation.
-  /// @{
-
-  /// In-place rank-one update: refactors to `L L' + x x'`. Always succeeds
-  /// (the updated matrix is SPD whenever the original was). `x` is consumed
-  /// as scratch.
-  void RankOneUpdate(Vector x);
-
-  /// In-place rank-one downdate: refactors to `L L' - x x'`. Fails with
-  /// NumericalError when the downdated matrix is not (numerically) positive
-  /// definite; the factor is left in an unspecified state on failure and
-  /// must be discarded. `x` is consumed as scratch.
-  Status RankOneDowndate(Vector x);
-
-  /// Convenience dispatcher: refactors to `L L' + alpha * v v'`.
-  /// No-op when `alpha == 0`; update when positive, downdate when negative
-  /// (with the downdate's failure contract).
-  Status RankOne(const Vector& v, double alpha);
-
-  /// @}
-
  private:
-  explicit Cholesky(Matrix l) : l_(std::move(l)) {}
-
   Matrix l_;
 };
 

@@ -36,8 +36,7 @@ Result<BackgroundModel> BackgroundModel::Create(size_t num_rows,
   group.rows = pattern::Extension(num_rows, /*full=*/true);
   model.groups_.push_back(std::move(group));
   model.group_of_row_.assign(num_rows, 0);
-  model.group_chol_.push_back(
-      std::make_shared<const linalg::Cholesky>(std::move(chol).MoveValue()));
+  model.group_chol_.push_back(std::move(chol).MoveValue());
   return model;
 }
 
@@ -57,20 +56,16 @@ Result<BackgroundModel> BackgroundModel::CreateFromData(
 }
 
 Result<BackgroundModel> BackgroundModel::RestoreFromParts(
-    size_t num_rows, size_t dim, std::vector<ParameterGroup> groups,
-    std::vector<std::shared_ptr<const linalg::Cholesky>> factors) {
+    size_t num_rows, size_t dim, std::vector<ParameterGroup> groups) {
   if (num_rows == 0 || dim == 0) {
     return Status::InvalidArgument("restored model needs rows and dims");
   }
   if (groups.empty()) {
     return Status::InvalidArgument("restored model needs parameter groups");
   }
-  if (!factors.empty() && factors.size() != groups.size()) {
-    return Status::InvalidArgument(
-        "factor count must match group count (or be zero)");
-  }
   std::vector<uint32_t> group_of_row(num_rows,
                                      uint32_t(groups.size()));  // sentinel
+  std::vector<linalg::Cholesky> group_chol(groups.size());
   for (size_t g = 0; g < groups.size(); ++g) {
     const ParameterGroup& group = groups[g];
     if (group.mu.size() != dim || group.sigma.rows() != dim ||
@@ -83,9 +78,11 @@ Result<BackgroundModel> BackgroundModel::RestoreFromParts(
       return Status::InvalidArgument(
           StrFormat("group %zu row universe disagrees with num_rows", g));
     }
-    if (!factors.empty() && factors[g] && factors[g]->dim() != dim) {
-      return Status::InvalidArgument(
-          StrFormat("group %zu cached factor dimension mismatch", g));
+    const Status factored = group_chol[g].Refactor(group.sigma);
+    if (!factored.ok()) {
+      return Status::InvalidArgument(StrFormat(
+          "group %zu covariance is not SPD: %s", g,
+          factored.message().c_str()));
     }
     bool overlap = false;
     group.rows.ForEachRow([&](size_t row) {
@@ -108,10 +105,7 @@ Result<BackgroundModel> BackgroundModel::RestoreFromParts(
   model.dim_ = dim;
   model.groups_ = std::move(groups);
   model.group_of_row_ = std::move(group_of_row);
-  model.group_chol_.assign(model.groups_.size(), nullptr);
-  for (size_t g = 0; g < factors.size(); ++g) {
-    model.group_chol_[g] = std::move(factors[g]);
-  }
+  model.group_chol_ = std::move(group_chol);
   return model;
 }
 
@@ -125,18 +119,6 @@ linalg::Matrix BackgroundModel::NaturalTheta2(size_t row) const {
   linalg::Matrix inv = GroupCholesky(g).Inverse();
   inv *= -0.5;
   return inv;
-}
-
-const linalg::Cholesky& BackgroundModel::GroupCholesky(size_t g) const {
-  SISD_DCHECK(g < groups_.size());
-  if (!group_chol_[g]) {
-    Result<linalg::Cholesky> chol =
-        linalg::Cholesky::Compute(groups_[g].sigma);
-    chol.status().CheckOK();
-    group_chol_[g] = std::make_shared<const linalg::Cholesky>(
-        std::move(chol).MoveValue());
-  }
-  return *group_chol_[g];
 }
 
 double BackgroundModel::GroupLogDetSigma(size_t g) const {
@@ -172,10 +154,6 @@ void BackgroundModel::GroupCountsMaskedInto(const pattern::Extension& a,
     (*out)[g] =
         pattern::Extension::IntersectionCountAnd(groups_[g].rows, a, b);
   }
-}
-
-void BackgroundModel::WarmGroupCaches() const {
-  for (size_t g = 0; g < groups_.size(); ++g) GroupCholesky(g);
 }
 
 MeanStatisticMarginal BackgroundModel::MeanStatMarginal(
@@ -253,7 +231,7 @@ Result<double> BackgroundModel::UpdateLocation(
   const linalg::Vector lambda = chol.Value().Solve(target_mean - mu_bar);
   for (size_t g : inside) {
     groups_[g].mu += groups_[g].sigma.MatVec(lambda);
-    // Covariance unchanged: cached factorization stays valid.
+    // Covariance unchanged: the group's factor stays valid.
   }
   return lambda.Norm();
 }
@@ -286,20 +264,47 @@ Result<double> BackgroundModel::UpdateSpread(
   }
   SISD_ASSIGN_OR_RETURN(lambda, SolveSpreadLambda(terms, target_variance));
 
-  for (size_t g : inside) {
-    ParameterGroup& group = groups_[g];
+  // Stage every touched group's new parameters and factor, and commit only
+  // when all of them factorize: Sigma stays SPD in exact arithmetic
+  // (Theorem 2), but a near-degenerate target variance can round it to a
+  // singular or indefinite matrix.
+  struct Staged {
+    linalg::Vector mu;
+    linalg::Matrix sigma;
+    linalg::Cholesky chol;
+  };
+  std::vector<Staged> staged(inside.size());
+  for (size_t k = 0; k < inside.size(); ++k) {
+    const ParameterGroup& group = groups_[inside[k]];
     const double s = group.sigma.QuadraticForm(w);
     const double d = (anchor - group.mu).Dot(w);
     const double denom = 1.0 + lambda * s;
-    SISD_CHECK(denom > 0.0);
+    if (!(denom > 0.0)) {
+      return Status::NumericalError(StrFormat(
+          "spread multiplier %.6g leaves group %zu without a variance",
+          lambda, inside[k]));
+    }
     const linalg::Vector sigma_w = group.sigma.MatVec(w);
+    Staged& next = staged[k];
     // Eq. (10): mu += lambda * d * Sigma w / (1 + lambda s).
-    group.mu.AddScaled(sigma_w, lambda * d / denom);
+    next.mu = group.mu;
+    next.mu.AddScaled(sigma_w, lambda * d / denom);
     // Eq. (11): Sigma -= lambda * (Sigma w)(Sigma w)' / (1 + lambda s).
-    const double alpha = -lambda / denom;
-    group.sigma.AddOuter(sigma_w, alpha);
-    group.sigma.Symmetrize();
-    RefreshGroupFactorRankOne(g, sigma_w, alpha);
+    next.sigma = group.sigma;
+    next.sigma.AddOuter(sigma_w, -lambda / denom);
+    next.sigma.Symmetrize();
+    const Status factored = next.chol.Refactor(next.sigma);
+    if (!factored.ok()) {
+      return Status::NumericalError(StrFormat(
+          "spread update leaves group %zu's covariance not SPD: %s",
+          inside[k], factored.message().c_str()));
+    }
+  }
+  for (size_t k = 0; k < inside.size(); ++k) {
+    const size_t g = inside[k];
+    groups_[g].mu = std::move(staged[k].mu);
+    groups_[g].sigma = std::move(staged[k].sigma);
+    group_chol_[g] = std::move(staged[k].chol);
   }
   return lambda;
 }
@@ -408,26 +413,10 @@ std::vector<size_t> BackgroundModel::SplitGroupsFor(
       group_of_row_[row] = static_cast<uint32_t>(fresh_id);
     }
     groups_.push_back(std::move(fresh));
-    group_chol_.push_back(group_chol_[g]);  // same Sigma: share the factor
+    group_chol_.push_back(group_chol_[g]);  // same Sigma, same factor
     inside.push_back(fresh_id);
   }
   return inside;
-}
-
-void BackgroundModel::RefreshGroupFactorRankOne(size_t g,
-                                                const linalg::Vector& v,
-                                                double alpha) {
-  if (!group_chol_[g]) return;  // nothing cached: stays lazy
-  // Copy-on-write: split siblings share the factor pointer, and the old
-  // factor must not mutate under readers holding the shared_ptr.
-  auto updated = std::make_shared<linalg::Cholesky>(*group_chol_[g]);
-  if (updated->RankOne(v, alpha).ok()) {
-    group_chol_[g] = std::move(updated);
-  } else {
-    // Downdate lost positive definiteness numerically (Sigma itself stays
-    // SPD by Theorem 2): drop to the lazy full refactorization path.
-    group_chol_[g] = nullptr;
-  }
 }
 
 Result<double> SolveSpreadLambda(const std::vector<DirectionalTerm>& terms,

@@ -18,7 +18,6 @@
 #ifndef SISD_MODEL_BACKGROUND_MODEL_HPP_
 #define SISD_MODEL_BACKGROUND_MODEL_HPP_
 
-#include <memory>
 #include <vector>
 
 #include "common/status.hpp"
@@ -80,13 +79,12 @@ class BackgroundModel {
                                                 double ridge = 1e-8);
 
   /// Rebuilds a model from serialized parts (snapshot restore). The groups'
-  /// row sets must partition `[0, num_rows)`; `factors[g]` restores group
-  /// `g`'s cached Cholesky factor (nullptr = not cached, stays lazy) so a
-  /// restored model scores bit-identically to the live model it was saved
-  /// from. `factors` may be empty (no cached factors at all).
+  /// row sets must partition `[0, num_rows)`, and every covariance must
+  /// factorize; InvalidArgument otherwise. Each group's factor is computed
+  /// from its covariance, exactly as the live model it was saved from
+  /// computed it, so the restored model scores bit-identically.
   static Result<BackgroundModel> RestoreFromParts(
-      size_t num_rows, size_t dim, std::vector<ParameterGroup> groups,
-      std::vector<std::shared_ptr<const linalg::Cholesky>> factors);
+      size_t num_rows, size_t dim, std::vector<ParameterGroup> groups);
 
   /// Number of rows modeled.
   size_t num_rows() const { return num_rows_; }
@@ -129,21 +127,15 @@ class BackgroundModel {
   linalg::Vector NaturalTheta1(size_t row) const;
   linalg::Matrix NaturalTheta2(size_t row) const;
 
-  /// Cached Cholesky factorization of group `g`'s covariance.
-  const linalg::Cholesky& GroupCholesky(size_t g) const;
-
-  /// The cached factor of group `g` as currently held, or nullptr when none
-  /// is cached (never computes one). Spread assimilation maintains cached
-  /// factors by O(d^2) rank-one updates, so their low-order bits can differ
-  /// from a fresh factorization of `group(g).sigma` (within ~1e-10); the
-  /// snapshot serializer saves exactly this state to make save/restore
-  /// bit-transparent.
-  std::shared_ptr<const linalg::Cholesky> CachedGroupFactor(size_t g) const {
+  /// Cholesky factorization of group `g`'s covariance: always
+  /// `Cholesky::Compute(group(g).sigma)` bit for bit, because every path
+  /// that sets a covariance factorizes it on the spot.
+  const linalg::Cholesky& GroupCholesky(size_t g) const {
     SISD_DCHECK(g < group_chol_.size());
     return group_chol_[g];
   }
 
-  /// Cached log-determinant of group `g`'s covariance.
+  /// Log-determinant of group `g`'s covariance.
   double GroupLogDetSigma(size_t g) const;
 
   /// Number of rows of each group inside `extension`
@@ -160,11 +152,6 @@ class BackgroundModel {
   void GroupCountsMaskedInto(const pattern::Extension& a,
                              const pattern::Extension& b,
                              std::vector<size_t>* out) const;
-
-  /// Forces every group's Cholesky factorization into the cache. Call this
-  /// before sharing the model read-only across threads: `GroupCholesky` is
-  /// lazily caching and therefore not safe for concurrent first access.
-  void WarmGroupCaches() const;
 
   /// Marginal law of the subgroup-mean statistic for `extension`.
   MeanStatisticMarginal MeanStatMarginal(
@@ -198,7 +185,10 @@ class BackgroundModel {
   /// `target_variance`.
   ///
   /// Finds the unique root `lambda` of Eq. (12) and applies the rank-1
-  /// updates of Eqs. (10)-(11). Returns the multiplier `lambda`.
+  /// updates of Eqs. (10)-(11), refactorizing each touched group's new
+  /// covariance. Returns the multiplier `lambda`. When some updated
+  /// covariance does not factorize numerically, returns NumericalError and
+  /// leaves every group's parameters unchanged (the groups may be split).
   Result<double> UpdateSpread(const pattern::Extension& extension,
                               const linalg::Vector& w,
                               const linalg::Vector& anchor,
@@ -231,20 +221,12 @@ class BackgroundModel {
   /// splitting groups as needed; returns ids of groups inside.
   std::vector<size_t> SplitGroupsFor(const pattern::Extension& extension);
 
-  /// Keeps group `g`'s cached factor in sync with the covariance
-  /// perturbation `Sigma += alpha * v v'` via an O(d^2) rank-one
-  /// update/downdate (copy-on-write: split siblings may share the factor).
-  /// No-op when nothing is cached; falls back to invalidation when the
-  /// downdate loses positive definiteness numerically.
-  void RefreshGroupFactorRankOne(size_t g, const linalg::Vector& v,
-                                 double alpha);
-
   size_t num_rows_ = 0;
   size_t dim_ = 0;
   std::vector<ParameterGroup> groups_;
   std::vector<uint32_t> group_of_row_;
-  /// Lazily computed per-group Cholesky factors (nullptr = stale).
-  mutable std::vector<std::shared_ptr<const linalg::Cholesky>> group_chol_;
+  /// `group_chol_[g]` factorizes `groups_[g].sigma`.
+  std::vector<linalg::Cholesky> group_chol_;
 };
 
 /// \brief Root of Eq. (12): finds `lambda` such that

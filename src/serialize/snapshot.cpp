@@ -6,7 +6,6 @@
 #include <cstring>
 
 #include "common/strings.hpp"
-#include "linalg/cholesky.hpp"
 
 namespace sisd::serialize {
 
@@ -430,10 +429,6 @@ JsonValue EncodeBackgroundModel(const model::BackgroundModel& m) {
     entry.Set("mu", EncodeVector(group.mu));
     entry.Set("sigma", EncodeMatrix(group.sigma));
     entry.Set("rows", EncodeExtension(group.rows));
-    const std::shared_ptr<const linalg::Cholesky> factor =
-        m.CachedGroupFactor(g);
-    entry.Set("factor",
-              factor ? EncodeMatrix(factor->L()) : JsonValue::Null());
     groups.Append(std::move(entry));
   }
   out.Set("groups", std::move(groups));
@@ -448,9 +443,7 @@ Result<model::BackgroundModel> DecodeBackgroundModel(const JsonValue& json) {
     return Status::InvalidArgument("model groups must be an array");
   }
   std::vector<model::ParameterGroup> groups;
-  std::vector<std::shared_ptr<const linalg::Cholesky>> factors;
   groups.reserve(groups_json->size());
-  factors.reserve(groups_json->size());
   for (const JsonValue& entry : groups_json->items()) {
     model::ParameterGroup group;
     SISD_ASSIGN_OR_RETURN(mu_json, entry.Get("mu"));
@@ -462,20 +455,12 @@ Result<model::BackgroundModel> DecodeBackgroundModel(const JsonValue& json) {
     SISD_ASSIGN_OR_RETURN(rows_json, entry.Get("rows"));
     SISD_ASSIGN_OR_RETURN(rows, DecodeExtension(*rows_json));
     group.rows = std::move(rows);
-    SISD_ASSIGN_OR_RETURN(factor_json, entry.Get("factor"));
-    if (factor_json->is_null()) {
-      factors.push_back(nullptr);
-    } else {
-      SISD_ASSIGN_OR_RETURN(factor_l, DecodeMatrix(*factor_json));
-      SISD_ASSIGN_OR_RETURN(factor,
-                            linalg::Cholesky::FromFactor(std::move(factor_l)));
-      factors.push_back(
-          std::make_shared<const linalg::Cholesky>(std::move(factor)));
-    }
+    // Older snapshots also carry each group's Cholesky `factor`; it is
+    // ignored, since the restore recomputes every factor from `sigma`.
     groups.push_back(std::move(group));
   }
-  return model::BackgroundModel::RestoreFromParts(
-      num_rows, dim, std::move(groups), std::move(factors));
+  return model::BackgroundModel::RestoreFromParts(num_rows, dim,
+                                                  std::move(groups));
 }
 
 JsonValue EncodeConstraint(const model::AssimilatedConstraint& constraint) {

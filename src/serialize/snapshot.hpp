@@ -70,11 +70,11 @@ Result<data::DataTable> DecodeDataTable(const JsonValue& json);
 Result<data::Dataset> DecodeDataset(const JsonValue& json);
 /// @}
 
-/// \name Background model + assimilator. The model codec saves each group's
-/// cached Cholesky factor (when warm) so a restored model scores
-/// bit-identically to the saved one even after incremental (rank-one)
-/// factor updates have drifted the cache away from a fresh factorization's
-/// low-order bits.
+/// \name Background model + assimilator. The model codec saves each
+/// group's mean, covariance and rows, not its Cholesky factor: the decoder
+/// recomputes the factor from the covariance, which is exactly how the live
+/// model computed it, so a restored model scores bit-identically to the
+/// saved one. A `factor` key in an older snapshot is ignored.
 /// @{
 JsonValue EncodeBackgroundModel(const model::BackgroundModel& m);
 Result<model::BackgroundModel> DecodeBackgroundModel(const JsonValue& json);

@@ -231,7 +231,7 @@ class SessionManager {
   /// fingerprint that must be an *appended version* of the dataset the
   /// session currently mines (a descendant in the catalog's version
   /// chain; InvalidArgument otherwise). The background model is rebased
-  /// through the rank-one replay path (`core::MiningSession::Rebase`),
+  /// by replaying its history (`core::MiningSession::Rebase`),
   /// the session's catalog pin moves to the new version, and the
   /// generation bumps once. Rebasing onto the version the session already
   /// mines is a no-op (`reused`, no generation bump). Same

@@ -18,7 +18,6 @@ EvaluationContext::EvaluationContext(const model::BackgroundModel& model,
       fsolve_(model.dim()),
       scratch_mean_(model.dim()) {
   counts_.reserve(model.num_groups() + 8);
-  model.WarmGroupCaches();
   if (model.num_groups() > 1) {
     // Size the marginal scratch up front so scoring never allocates (a
     // single-group model never takes the marginal path).

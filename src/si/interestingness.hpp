@@ -57,7 +57,7 @@ struct SpreadScore {
 ///       + 0.5*(fhat - mu_I)' Sigma_I^{-1} (fhat - mu_I)`
 /// with `mu_I = sum mu_i/|I|`, `Sigma_I = sum Sigma_i/|I|^2`.
 /// A fast path covers extensions inside a single parameter group (always the
-/// case in the first iteration), reusing the group's cached factorization.
+/// case in the first iteration), reusing the group's factorization.
 double LocationIC(const model::BackgroundModel& model,
                   const pattern::Extension& extension,
                   const linalg::Vector& empirical_mean);

@@ -62,7 +62,7 @@ TEST(MatrixTest, InPlaceArithmetic) {
   EXPECT_DOUBLE_EQ(a(0, 1), 1.0);
 }
 
-TEST(MatrixTest, AddOuterIsSymmetricRankOne) {
+TEST(MatrixTest, AddOuterIsSymmetricRank1) {
   Matrix a = Matrix::Identity(2);
   a.AddOuter(Vector{1.0, 2.0}, 3.0);
   EXPECT_DOUBLE_EQ(a(0, 0), 4.0);    // 1 + 3*1

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "random/rng.hpp"
+
 namespace sisd::model {
 namespace {
 
@@ -114,6 +116,44 @@ TEST(AssimilatorTest, ManyPatternsKeepGroupCountBounded) {
   }
   EXPECT_LE(assim.model().num_groups(), 11u);
   EXPECT_NEAR(assim.MaxConstraintViolation(), 0.0, 1e-12);
+}
+
+TEST(AssimilatorTest, WarmRefitAgreesWithRefitFromScratch) {
+  random::Rng rng(5);
+  const size_t n = 60, dy = 4;
+  Matrix y(n, dy);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < dy; ++j) y(i, j) = rng.Gaussian();
+  }
+  Result<BackgroundModel> model = BackgroundModel::CreateFromData(y);
+  ASSERT_TRUE(model.ok());
+  PatternAssimilator warm(std::move(model).MoveValue());
+
+  // Overlapping location + spread constraints so cyclic descent has real
+  // work to do on a refit.
+  Extension a(n), b(n);
+  for (size_t i = 0; i < 25; ++i) a.Insert(i);
+  for (size_t i = 15; i < 50; ++i) b.Insert(i);
+  const Vector mean_a(dy, 0.4);
+  const Vector mean_b(dy, -0.3);
+  const Vector direction = rng.GaussianVector(dy).Normalized();
+  ASSERT_TRUE(warm.AddLocationPattern(a, mean_a).ok());
+  ASSERT_TRUE(warm.AddSpreadPattern(b, direction, mean_b, 0.5).ok());
+  ASSERT_TRUE(warm.AddLocationPattern(b, mean_b).ok());
+
+  PatternAssimilator scratch = warm;
+  Result<RefitStats> warm_stats = warm.Refit(200, 1e-12);
+  ASSERT_TRUE(warm_stats.ok());
+  EXPECT_TRUE(warm_stats.Value().converged);
+  Result<RefitStats> scratch_stats = scratch.RefitFromScratch(200, 1e-12);
+  ASSERT_TRUE(scratch_stats.ok());
+  EXPECT_TRUE(scratch_stats.Value().converged);
+
+  // Warm start must land on the same joint minimum-KL model, in (usually
+  // strictly) fewer sweeps.
+  EXPECT_LT(warm.model().MaxParameterDelta(scratch.model()), 1e-8);
+  EXPECT_LE(warm_stats.Value().sweeps, scratch_stats.Value().sweeps);
+  EXPECT_LT(warm.MaxConstraintViolation(), 1e-8);
 }
 
 }  // namespace

@@ -180,7 +180,7 @@ TEST(SpreadUpdateTest, InflatingVarianceUsesNegativeLambda) {
   EXPECT_NEAR(model.CovarianceOf(0)(1, 1), 1.0, 1e-12);
 }
 
-TEST(SpreadUpdateTest, CovarianceStaysSpdAndRankOneStructured) {
+TEST(SpreadUpdateTest, CovarianceStaysSpdAndRank1Structured) {
   BackgroundModel model =
       MakeModel(10, Vector{0.0, 0.0, 0.0}, Matrix::Identity(3));
   const Extension ext = Extension::FromRows(10, {0, 1, 2, 3});
@@ -194,6 +194,35 @@ TEST(SpreadUpdateTest, CovarianceStaysSpdAndRankOneStructured) {
   const double c01 = (Matrix::Identity(3) - sigma)(0, 1) / (w[0] * w[1]);
   const double c02 = (Matrix::Identity(3) - sigma)(0, 2) / (w[0] * w[2]);
   EXPECT_NEAR(c01, c02, 1e-10);
+}
+
+TEST(SpreadUpdateTest, DegenerateResultLeavesParametersUnchanged) {
+  // Two groups inside the extension. Shrinking the variance to 1e-40 makes
+  // lambda / (1 + lambda s) round to 1/s, so Eq. (11) rounds Sigma to 0:
+  // the update must fail as a whole and commit neither group.
+  BackgroundModel model = MakeModel(10, Vector{0.0}, Matrix{{1.0}});
+  ASSERT_TRUE(
+      model.UpdateLocation(Extension::FromRows(10, {0, 1, 2}), Vector{0.5})
+          .ok());
+  const Extension ext = Extension::FromRows(10, {0, 1, 2, 3, 4, 5});
+  const Vector anchor = model.ExpectedSubgroupMean(ext);
+  std::vector<Vector> mu_before;
+  std::vector<Matrix> sigma_before;
+  for (size_t i = 0; i < 10; ++i) {
+    mu_before.push_back(model.MeanOf(i));
+    sigma_before.push_back(model.CovarianceOf(i));
+  }
+  Result<double> lambda = model.UpdateSpread(ext, Vector{1.0}, anchor, 1e-40);
+  ASSERT_FALSE(lambda.ok());
+  EXPECT_EQ(lambda.status().code(), StatusCode::kNumericalError);
+  for (size_t i = 0; i < 10; ++i) {
+    EXPECT_EQ(model.MeanOf(i), mu_before[i]) << i;
+    EXPECT_EQ(model.CovarianceOf(i), sigma_before[i]) << i;
+  }
+  for (size_t g = 0; g < model.num_groups(); ++g) {
+    EXPECT_EQ(model.GroupCholesky(g).L(),
+              linalg::Cholesky::Compute(model.group(g).sigma).Value().L());
+  }
 }
 
 TEST(SpreadUpdateTest, MeanMovesTowardAnchorAlongW) {
@@ -398,6 +427,80 @@ TEST(GroupCountsTest, CountsPerGroup) {
   size_t total = 0;
   for (size_t c : counts) total += c;
   EXPECT_EQ(total, 3u);
+}
+
+// --- Snapshot restore -------------------------------------------------------
+
+TEST(RestoreFromPartsTest, RoundTripsModelState) {
+  random::Rng rng(29);
+  const size_t n = 50, dy = 3;
+  Matrix y(n, dy);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = 0; j < dy; ++j) y(i, j) = rng.Gaussian();
+  }
+  Result<BackgroundModel> model = BackgroundModel::CreateFromData(y);
+  ASSERT_TRUE(model.ok());
+  Extension ext(n);
+  for (size_t i = 5; i < 30; ++i) ext.Insert(i);
+  const Vector w = rng.GaussianVector(dy).Normalized();
+  const Vector anchor = model.Value().ExpectedSubgroupMean(ext);
+  const double variance =
+      0.7 * model.Value().ExpectedDirectionalVariance(ext, w, anchor);
+  ASSERT_TRUE(model.Value().UpdateSpread(ext, w, anchor, variance).ok());
+
+  std::vector<ParameterGroup> groups;
+  for (size_t g = 0; g < model.Value().num_groups(); ++g) {
+    groups.push_back(model.Value().group(g));
+  }
+  Result<BackgroundModel> restored =
+      BackgroundModel::RestoreFromParts(n, dy, std::move(groups));
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+
+  ASSERT_EQ(restored.Value().num_groups(), model.Value().num_groups());
+  for (size_t g = 0; g < model.Value().num_groups(); ++g) {
+    EXPECT_EQ(restored.Value().group(g).mu, model.Value().group(g).mu);
+    EXPECT_EQ(restored.Value().group(g).sigma, model.Value().group(g).sigma);
+    EXPECT_EQ(restored.Value().group(g).rows, model.Value().group(g).rows);
+    // Both factors are fresh factorizations of the same sigma.
+    EXPECT_EQ(restored.Value().GroupCholesky(g).L(),
+              model.Value().GroupCholesky(g).L());
+  }
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(restored.Value().GroupOf(i), model.Value().GroupOf(i));
+  }
+}
+
+TEST(RestoreFromPartsTest, Validates) {
+  const BackgroundModel model =
+      MakeModel(10, Vector{0.0, 1.0}, Matrix{{2.0, 0.5}, {0.5, 1.0}});
+  const ParameterGroup whole = model.group(0);
+
+  // Rows not covering the universe.
+  ParameterGroup partial = whole;
+  partial.rows.Erase(3);
+  EXPECT_FALSE(BackgroundModel::RestoreFromParts(10, 2, {partial}).ok());
+
+  // Overlapping groups.
+  EXPECT_FALSE(BackgroundModel::RestoreFromParts(10, 2, {whole, whole}).ok());
+
+  // Dimension mismatch.
+  ParameterGroup bad_mu = whole;
+  bad_mu.mu = Vector(3);
+  EXPECT_FALSE(BackgroundModel::RestoreFromParts(10, 2, {bad_mu}).ok());
+
+  // A covariance that does not factorize.
+  for (const Matrix& sigma :
+       {Matrix{{-1.0, 0.0}, {0.0, 1.0}}, Matrix{{1.0, 2.0}, {2.0, 1.0}},
+        Matrix{{0.0, 0.0}, {0.0, 0.0}}}) {
+    ParameterGroup bad_sigma = whole;
+    bad_sigma.sigma = sigma;
+    Result<BackgroundModel> restored =
+        BackgroundModel::RestoreFromParts(10, 2, {bad_sigma});
+    ASSERT_FALSE(restored.ok());
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+  }
+
+  EXPECT_TRUE(BackgroundModel::RestoreFromParts(10, 2, {whole}).ok());
 }
 
 }  // namespace

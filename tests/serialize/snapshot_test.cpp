@@ -1,7 +1,7 @@
 /// Codec round trips for every snapshot building block: decode(encode(x))
-/// must reproduce x bit-identically — including cached Cholesky factors
-/// maintained by rank-one updates, whose low bits differ from a fresh
-/// factorization and must survive serialization as-is.
+/// must reproduce x bit-identically. Model groups' Cholesky factors are not
+/// stored: a restored factor is a fresh factorization of the restored
+/// covariance, and a `factor` key in an older snapshot is ignored.
 
 #include <gtest/gtest.h>
 
@@ -353,7 +353,6 @@ model::BackgroundModel EvolvedModel() {
   Result<model::BackgroundModel> model =
       model::BackgroundModel::CreateFromData(y);
   model.status().CheckOK();
-  model.Value().WarmGroupCaches();
   pattern::Extension ext(30);
   for (size_t i = 0; i < 12; ++i) ext.Insert(i);
   linalg::Vector w{1.0, 0.0, 0.0};
@@ -379,31 +378,41 @@ TEST(SnapshotCodecTest, BackgroundModelRoundTripIsBitIdentical) {
     EXPECT_EQ(back.group(g).mu, m.group(g).mu) << g;
     EXPECT_EQ(back.group(g).sigma, m.group(g).sigma) << g;
     EXPECT_EQ(back.group(g).rows, m.group(g).rows) << g;
-    // The rank-one-maintained factor round-trips bit-exactly — NOT a fresh
-    // factorization of sigma.
-    ASSERT_NE(m.CachedGroupFactor(g), nullptr) << g;
-    ASSERT_NE(back.CachedGroupFactor(g), nullptr) << g;
-    EXPECT_EQ(back.CachedGroupFactor(g)->L(), m.CachedGroupFactor(g)->L())
-        << g;
+    // The factor is a pure function of sigma.
+    Result<linalg::Cholesky> fresh =
+        linalg::Cholesky::Compute(m.group(g).sigma);
+    ASSERT_TRUE(fresh.ok()) << g;
+    EXPECT_EQ(back.GroupCholesky(g).L(), fresh.Value().L()) << g;
+    EXPECT_EQ(back.GroupCholesky(g).L(), m.GroupCholesky(g).L()) << g;
   }
   EXPECT_EQ(back.GroupOfRows(), m.GroupOfRows());
 }
 
-TEST(SnapshotCodecTest, ModelWithColdFactorsKeepsThemCold) {
-  model::BackgroundModel m = EvolvedModel();
-  // Re-encode with the factor dropped from one group.
-  JsonValue json = EncodeBackgroundModel(m);
-  Result<JsonValue> parsed = JsonValue::Parse(json.Write());
-  ASSERT_TRUE(parsed.ok());
-  Result<model::BackgroundModel> back =
-      DecodeBackgroundModel(parsed.Value());
-  ASSERT_TRUE(back.ok());
-  // Factor null markers for lazily-computed groups are preserved; a fully
-  // warm model stays fully warm (EvolvedModel warms everything).
-  for (size_t g = 0; g < back.Value().num_groups(); ++g) {
-    EXPECT_EQ(back.Value().CachedGroupFactor(g) != nullptr,
-              m.CachedGroupFactor(g) != nullptr);
+TEST(SnapshotCodecTest, StaleFactorKeyIsIgnoredAndNotReEncoded) {
+  const model::BackgroundModel m = EvolvedModel();
+  const JsonValue encoded = EncodeBackgroundModel(m);
+  const std::string text = encoded.Write();
+  EXPECT_EQ(text.find("\"factor\""), std::string::npos);
+  // An older snapshot carries each group's factor; make it stale (a scaled
+  // identity, not the covariance's factor) and add it to every group.
+  linalg::Matrix stale = linalg::Matrix::Identity(m.dim());
+  stale *= 7.0;
+  JsonValue groups = JsonValue::Array();
+  for (const JsonValue& group : encoded.Find("groups")->items()) {
+    JsonValue entry = group;
+    entry.Set("factor", EncodeMatrix(stale));
+    groups.Append(std::move(entry));
   }
+  JsonValue old_form = encoded;
+  old_form.Set("groups", std::move(groups));
+  ASSERT_NE(old_form.Write().find("\"factor\""), std::string::npos);
+
+  Result<model::BackgroundModel> back = DecodeBackgroundModel(old_form);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  for (size_t g = 0; g < m.num_groups(); ++g) {
+    EXPECT_EQ(back.Value().GroupCholesky(g).L(), m.GroupCholesky(g).L()) << g;
+  }
+  EXPECT_EQ(EncodeBackgroundModel(back.Value()).Write(), text);
 }
 
 TEST(SnapshotCodecTest, AssimilatorRoundTrip) {

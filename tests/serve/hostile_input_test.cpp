@@ -3,7 +3,9 @@
 // precondition check — beam_width / max_depth of 0 reached
 // `SISD_CHECK` inside the beam search, gamma < 0 produced SI = inf — and
 // asserts a clean `ok:false` instead, with the server still answering
-// afterwards.
+// afterwards. Numerically degenerate data and snapshots with a non-SPD
+// covariance, which used to reach a failed Cholesky factorization, are
+// covered the same way.
 
 #include <gtest/gtest.h>
 
@@ -16,8 +18,10 @@
 #include "common/strings.hpp"
 #include "core/session.hpp"
 #include "datagen/scenarios.hpp"
+#include "linalg/matrix.hpp"
 #include "serialize/json.hpp"
 #include "serialize/protocol.hpp"
+#include "serialize/snapshot.hpp"
 #include "serve/server.hpp"
 #include "serve/session_manager.hpp"
 
@@ -46,6 +50,34 @@ std::string OpenWithConfig(const std::string& config) {
   return "{\"id\":1,\"verb\":\"open\",\"session\":\"h\","
          "\"scenario\":\"synthetic\",\"config\":" +
          config + "}\n";
+}
+
+/// Session snapshot `text` with the fitted model's first group covariance
+/// replaced by `-I` (not SPD). With `stale_factor`, the group also carries
+/// the `factor` key that older snapshots stored.
+std::string WithNonSpdSigma(const std::string& text, bool stale_factor) {
+  serialize::JsonValue root = serialize::JsonValue::Parse(text).Value();
+  serialize::JsonValue assimilator = *root.Find("assimilator");
+  serialize::JsonValue model = *assimilator.Find("model");
+  const size_t dim = model.Find("dim")->GetSize().Value();
+  linalg::Matrix negative = linalg::Matrix::Identity(dim);
+  negative *= -1.0;
+  serialize::JsonValue groups = serialize::JsonValue::Array();
+  for (const serialize::JsonValue& group : model.Find("groups")->items()) {
+    serialize::JsonValue entry = group;
+    if (groups.size() == 0) {
+      entry.Set("sigma", serialize::EncodeMatrix(negative));
+      if (stale_factor) {
+        entry.Set("factor",
+                  serialize::EncodeMatrix(linalg::Matrix::Identity(dim)));
+      }
+    }
+    groups.Append(std::move(entry));
+  }
+  model.Set("groups", std::move(groups));
+  assimilator.Set("model", std::move(model));
+  root.Set("assimilator", std::move(assimilator));
+  return root.Write();
 }
 
 TEST(HostileInputTest, ConfigsThatUsedToAbortMiningAreRejectedAtOpen) {
@@ -180,6 +212,103 @@ TEST(HostileInputTest, TamperedSpillSnapshotAnswersOkFalseOnMine) {
   EXPECT_FALSE(responses[0].ok);
   EXPECT_TRUE(responses[1].ok) << "server stopped answering";
   std::system(("rm -rf " + spill_dir).c_str());
+}
+
+TEST(HostileInputTest, SnapshotWithNonSpdCovarianceFailsToRestore) {
+  core::MinerConfig config;
+  config.search.beam_width = 8;
+  config.search.max_depth = 2;
+  config.search.top_k = 20;
+  config.search.min_coverage = 20;
+  Result<core::MiningSession> session = core::MiningSession::Create(
+      datagen::MakeScenarioDataset("crime").Value(), config);
+  ASSERT_TRUE(session.ok());
+  ASSERT_TRUE(session.Value().MineNext().ok());
+  const std::string snapshot = session.Value().SaveToString();
+  for (const bool stale_factor : {false, true}) {
+    SCOPED_TRACE(stale_factor ? "with stale factor" : "without factor");
+    Result<core::MiningSession> restored =
+        core::MiningSession::RestoreFromString(
+            WithNonSpdSigma(snapshot, stale_factor));
+    ASSERT_FALSE(restored.ok());
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(HostileInputTest, SpillSnapshotWithNonSpdCovarianceAnswersOkFalse) {
+  const std::string spill_dir = "/tmp/sisd_hostile_input_spd_spill";
+  ASSERT_EQ(std::system(("rm -rf " + spill_dir + " && mkdir -p " +
+                         spill_dir).c_str()),
+            0);
+  ServeConfig serve_config;
+  serve_config.spill_dir = spill_dir;
+  SessionManager manager(serve_config);
+  std::vector<serialize::ProtocolResponse> responses = RunScript(
+      manager,
+      OpenWithConfig("{\"beam_width\":8,\"max_depth\":2,\"top_k\":20,"
+                     "\"min_coverage\":5}") +
+          "{\"id\":2,\"verb\":\"mine\",\"session\":\"h\"}\n"
+          "{\"id\":3,\"verb\":\"evict\",\"session\":\"h\"}\n");
+  ASSERT_EQ(responses.size(), 3u);
+  ASSERT_TRUE(responses[1].ok) << responses[1].error.ToString();
+  ASSERT_TRUE(responses[2].ok) << responses[2].error.ToString();
+
+  const std::string path = manager.SpillPathFor("h");
+  Result<std::string> text = serialize::ReadTextFile(path);
+  ASSERT_TRUE(text.ok()) << path;
+  ASSERT_TRUE(
+      serialize::WriteTextFile(path, WithNonSpdSigma(text.Value(), false))
+          .ok());
+
+  responses = RunScript(manager,
+                        "{\"id\":4,\"verb\":\"mine\",\"session\":\"h\"}\n"
+                        "{\"id\":5,\"verb\":\"stats\"}\n");
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_FALSE(responses[0].ok);
+  EXPECT_TRUE(responses[1].ok) << "server stopped answering";
+  std::system(("rm -rf " + spill_dir).c_str());
+}
+
+TEST(HostileInputTest, DegenerateSpreadIsRecordedNotAssimilated) {
+  // Group 'a' holds two values 1e-13 apart, so its spread pattern asks for
+  // a variance of about 2.5e-27. Eq. (11) rounds the group's covariance to
+  // 0: that used to be assimilated and abort the next mine.
+  std::string csv = "g,y\n";
+  for (int i = 0; i < 10; ++i) {
+    csv += i % 2 == 0 ? "a,10\n" : "a,10.000000000000099\n";
+  }
+  for (int i = 10; i < 40; ++i) {
+    csv += "b," + std::to_string((7 * i) % 11) + "\n";
+  }
+  serialize::JsonValue open = serialize::JsonValue::Object();
+  open.Set("id", serialize::JsonValue::Int(1));
+  open.Set("verb", serialize::JsonValue::Str("open"));
+  open.Set("session", serialize::JsonValue::Str("h"));
+  open.Set("csv_text", serialize::JsonValue::Str(csv));
+  serialize::JsonValue targets = serialize::JsonValue::Array();
+  targets.Append(serialize::JsonValue::Str("y"));
+  open.Set("targets", targets);
+
+  SessionManager manager((ServeConfig()));
+  const std::vector<serialize::ProtocolResponse> responses = RunScript(
+      manager, open.Write() + "\n" +
+                   "{\"id\":2,\"verb\":\"mine\",\"session\":\"h\","
+                   "\"iterations\":2}\n"
+                   "{\"id\":3,\"verb\":\"stats\"}\n");
+  ASSERT_EQ(responses.size(), 3u);
+  for (const serialize::ProtocolResponse& response : responses) {
+    EXPECT_TRUE(response.ok) << response.error.ToString();
+  }
+  const serialize::JsonValue* iterations =
+      responses[1].result.Find("iterations");
+  ASSERT_NE(iterations, nullptr);
+  ASSERT_EQ(iterations->size(), 2u);
+  const serialize::JsonValue& first = iterations->items()[0];
+  EXPECT_EQ(first.Find("spread"), nullptr);
+  ASSERT_NE(first.Find("spread_error"), nullptr);
+  EXPECT_NE(first.Find("spread_error")->GetString().Value().find(
+                "not SPD"),
+            std::string::npos);
 }
 
 TEST(HostileInputTest, NonFiniteCellsNeverReachANumericColumn) {

@@ -19,8 +19,8 @@
 //           rule. Resumable through the same snapshot format as mine.
 //   append  grow a saved session's dataset with new CSV rows: the
 //           condition pool refreshes incrementally and the session
-//           rebases onto the grown data (rank-one constraint replay, no
-//           cold refit) — the live-dataset workflow from the shell.
+//           rebases onto the grown data (constraint replay, no cold
+//           refit) — the live-dataset workflow from the shell.
 //
 // Every datagen scenario and arbitrary user data are drivable end to end:
 //   sisd_cli mine --scenario crime --iterations 3 --session-save s.json
@@ -115,7 +115,7 @@ APPEND
   condition pool incrementally from the session's own pool, and rebases
   the session onto the grown dataset: the background model's prior is
   recomputed on the grown targets and every assimilated constraint is
-  replayed through rank-one factorization updates — bit-identical to a
+  replayed through the live assimilation path — bit-identical to a
   fresh session on the grown data fed the same history, without the cold
   refit. --iterations N mines further on the grown data; the session
   saves back to --session-save when given, else to the --session file.
@@ -258,6 +258,9 @@ void PrintIteration(size_t index, const core::IterationResult& iteration,
   if (iteration.spread.has_value()) {
     std::printf("  spread:   %s\n",
                 iteration.spread->Describe(descriptions).c_str());
+  } else if (!iteration.spread_error.empty()) {
+    std::printf("  spread:   not assimilated (%s)\n",
+                iteration.spread_error.c_str());
   }
 }
 
