@@ -5,7 +5,7 @@
 
 #include <cstdio>
 
-#include "core/miner.hpp"
+#include "core/session.hpp"
 #include "datagen/crime.hpp"
 
 int main() {
@@ -23,10 +23,10 @@ int main() {
       config.search.beam_width = width;
       config.search.max_depth = depth;
       config.search.min_coverage = 20;
-      Result<core::IterativeMiner> miner =
-          core::IterativeMiner::Create(data.dataset, config);
-      miner.status().CheckOK();
-      Result<core::IterationResult> result = miner.Value().MineNext();
+      Result<core::MiningSession> session =
+          core::MiningSession::Create(data.dataset, config);
+      session.status().CheckOK();
+      Result<core::IterationResult> result = session.Value().MineNext();
       result.status().CheckOK();
       std::printf("%8d %7d %14zu %12.2f %10zu\n", width, depth,
                   result.Value().candidates_evaluated,
@@ -52,10 +52,10 @@ int main() {
     config.search.max_depth = 2;
     config.search.num_split_points = splits;
     config.search.min_coverage = 20;
-    Result<core::IterativeMiner> miner =
-        core::IterativeMiner::Create(data.dataset, config);
-    miner.status().CheckOK();
-    Result<core::IterationResult> result = miner.Value().MineNext();
+    Result<core::MiningSession> session =
+        core::MiningSession::Create(data.dataset, config);
+    session.status().CheckOK();
+    Result<core::IterationResult> result = session.Value().MineNext();
     result.status().CheckOK();
     std::printf("%8d %14zu %12.2f\n", splits,
                 result.Value().candidates_evaluated,

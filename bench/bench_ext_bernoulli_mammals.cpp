@@ -17,7 +17,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/miner.hpp"
+#include "core/session.hpp"
 #include "datagen/mammals.hpp"
 #include "model/bernoulli_model.hpp"
 #include "si/interestingness.hpp"
@@ -36,25 +36,26 @@ int main() {
   config.search.max_depth = 2;
   config.search.beam_width = 16;
   config.search.min_coverage = 50;
-  Result<core::IterativeMiner> miner =
-      core::IterativeMiner::Create(data.dataset, config);
-  miner.status().CheckOK();
-  Result<core::IterationResult> result = miner.Value().MineNext();
+  Result<core::MiningSession> session =
+      core::MiningSession::Create(data.dataset, config);
+  session.status().CheckOK();
+  const data::Dataset& dataset = session.Value().dataset();
+  Result<core::IterationResult> result = session.Value().MineNext();
   result.status().CheckOK();
   const auto& top = result.Value().location;
   const auto& ext = top.pattern.subgroup.extension;
   std::printf("pattern under study: %s (n=%zu)\n\n",
               top.pattern.subgroup.intention
-                  .ToString(data.dataset.descriptions)
+                  .ToString(dataset.descriptions)
                   .c_str(),
               ext.count());
 
   // Fresh prior models of both families.
   Result<model::BackgroundModel> gaussian =
-      model::BackgroundModel::CreateFromData(data.dataset.targets);
+      model::BackgroundModel::CreateFromData(dataset.targets);
   gaussian.status().CheckOK();
   Result<model::BernoulliBackgroundModel> bernoulli =
-      model::BernoulliBackgroundModel::CreateFromData(data.dataset.targets);
+      model::BernoulliBackgroundModel::CreateFromData(dataset.targets);
   bernoulli.status().CheckOK();
 
   const model::MeanStatisticMarginal gauss_marginal =
@@ -69,7 +70,7 @@ int main() {
   // How often does the Gaussian 95% interval leave [0, 1]? For large
   // subgroups the mean-statistic sd shrinks as 1/sqrt(|I|), so the effect
   // shows on small subgroups: check a 12-cell one.
-  pattern::Extension small(data.dataset.num_rows());
+  pattern::Extension small(dataset.num_rows());
   {
     const std::vector<size_t> rows = ext.ToRows();
     for (size_t k = 0; k < 12 && k < rows.size(); ++k) {
@@ -79,7 +80,7 @@ int main() {
   const model::MeanStatisticMarginal small_marginal =
       gaussian.Value().MeanStatMarginal(small);
   size_t gaussian_escapes = 0;
-  for (size_t s = 0; s < data.dataset.num_targets(); ++s) {
+  for (size_t s = 0; s < dataset.num_targets(); ++s) {
     const double sd = std::sqrt(small_marginal.cov(s, s));
     const double lo = small_marginal.mean[s] - 1.96 * sd;
     const double hi = small_marginal.mean[s] + 1.96 * sd;
@@ -89,7 +90,7 @@ int main() {
       "for a 12-cell subgroup: Gaussian 95%% expectation intervals\n"
       "escaping [0,1]: %zu / %zu species; Bernoulli expectations stay in\n"
       "[0,1] by construction.\n\n",
-      gaussian_escapes, data.dataset.num_targets());
+      gaussian_escapes, dataset.num_targets());
 
   // Top-5 species under each model's per-attribute IC ranking.
   auto top5 = [&](const linalg::Vector& ic) {
@@ -105,13 +106,13 @@ int main() {
   std::printf("top-5 surprising species, Gaussian model:\n");
   for (size_t s : gauss_top) {
     std::printf("  %-28s observed %.2f expected %.2f (IC %.1f)\n",
-                data.dataset.target_names[s].c_str(), top.pattern.mean[s],
+                dataset.target_names[s].c_str(), top.pattern.mean[s],
                 gauss_marginal.mean[s], gauss_ic[s]);
   }
   std::printf("top-5 surprising species, Bernoulli model:\n");
   for (size_t s : bern_top) {
     std::printf("  %-28s observed %.2f expected %.2f (IC %.1f)\n",
-                data.dataset.target_names[s].c_str(), top.pattern.mean[s],
+                dataset.target_names[s].c_str(), top.pattern.mean[s],
                 bern_expected[s], bern_ic[s]);
   }
   size_t overlap = 0;

@@ -11,7 +11,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/miner.hpp"
+#include "core/session.hpp"
 #include "datagen/crime.hpp"
 #include "stats/kde.hpp"
 
@@ -25,20 +25,21 @@ int main() {
   config.mix = core::PatternMix::kLocationOnly;
   config.search.max_depth = 2;
   config.search.min_coverage = 20;
-  Result<core::IterativeMiner> miner =
-      core::IterativeMiner::Create(data.dataset, config);
-  miner.status().CheckOK();
-  Result<core::IterationResult> result = miner.Value().MineNext();
+  Result<core::MiningSession> session =
+      core::MiningSession::Create(data.dataset, config);
+  session.status().CheckOK();
+  const data::Dataset& dataset = session.Value().dataset();
+  Result<core::IterationResult> result = session.Value().MineNext();
   result.status().CheckOK();
   const core::ScoredLocationPattern& top = result.Value().location;
 
   const double coverage = 100.0 * double(top.pattern.subgroup.Coverage()) /
-                          double(data.dataset.num_rows());
+                          double(dataset.num_rows());
   std::printf("%-34s %-28s %s\n", "", "paper reports", "measured");
   std::printf("%-34s %-28s %s\n", "top pattern intention",
               "PctIlleg >= 0.39",
               top.pattern.subgroup.intention
-                  .ToString(data.dataset.descriptions)
+                  .ToString(dataset.descriptions)
                   .c_str());
   std::printf("%-34s %-28s %.1f%%\n", "coverage", "20.5%", coverage);
   std::printf("%-34s %-28s %.2f\n", "crime mean within subgroup", "0.53",
@@ -50,11 +51,11 @@ int main() {
 
   // KDE series (the two curves of Fig. 1), printed as columns.
   std::vector<double> all_values, subgroup_values;
-  for (size_t i = 0; i < data.dataset.num_rows(); ++i) {
-    all_values.push_back(data.dataset.targets(i, 0));
+  for (size_t i = 0; i < dataset.num_rows(); ++i) {
+    all_values.push_back(dataset.targets(i, 0));
   }
   for (size_t i : top.pattern.subgroup.extension.ToRows()) {
-    subgroup_values.push_back(data.dataset.targets(i, 0));
+    subgroup_values.push_back(dataset.targets(i, 0));
   }
   const auto kde_all =
       stats::KernelDensity::WithSilvermanBandwidth(all_values);

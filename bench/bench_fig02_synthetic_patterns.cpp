@@ -16,7 +16,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "core/miner.hpp"
+#include "core/session.hpp"
 #include "datagen/synthetic.hpp"
 
 int main() {
@@ -29,12 +29,13 @@ int main() {
 
   core::MinerConfig config;
   config.search.min_coverage = 5;
-  Result<core::IterativeMiner> miner =
-      core::IterativeMiner::Create(data.dataset, config);
-  miner.status().CheckOK();
+  Result<core::MiningSession> session =
+      core::MiningSession::Create(data.dataset, config);
+  session.status().CheckOK();
+  const data::Dataset& dataset = session.Value().dataset();
 
   for (int iteration = 1; iteration <= 3; ++iteration) {
-    Result<core::IterationResult> result = miner.Value().MineNext();
+    Result<core::IterationResult> result = session.Value().MineNext();
     result.status().CheckOK();
     const core::IterationResult& it = result.Value();
 
@@ -48,7 +49,7 @@ int main() {
     std::printf("iteration %d (Fig. 2%c):\n", iteration, 'a' + iteration);
     std::printf("  pattern: %s, n=%zu, SI=%.2f\n",
                 it.location.pattern.subgroup.intention
-                    .ToString(data.dataset.descriptions)
+                    .ToString(dataset.descriptions)
                     .c_str(),
                 it.location.pattern.subgroup.Coverage(),
                 it.location.score.si);

@@ -17,7 +17,7 @@
 
 #include <algorithm>
 
-#include "core/miner.hpp"
+#include "core/session.hpp"
 #include "datagen/mammals.hpp"
 #include "si/interestingness.hpp"
 
@@ -32,9 +32,10 @@ int main() {
   config.search.max_depth = 2;
   config.search.beam_width = 16;
   config.search.min_coverage = 50;
-  Result<core::IterativeMiner> miner =
-      core::IterativeMiner::Create(data.dataset, config);
-  miner.status().CheckOK();
+  Result<core::MiningSession> session =
+      core::MiningSession::Create(data.dataset, config);
+  session.status().CheckOK();
+  const data::Dataset& dataset = session.Value().dataset();
 
   static const char* kPaperPatterns[3] = {
       "temp_mar <= -1.68 (northern Europe + Alps)",
@@ -44,7 +45,7 @@ int main() {
   for (int iteration = 1; iteration <= 3; ++iteration) {
     // Snapshot the model BEFORE mining so the species ranking reflects the
     // surprise at discovery time.
-    Result<core::IterationResult> result = miner.Value().MineNext();
+    Result<core::IterationResult> result = session.Value().MineNext();
     result.status().CheckOK();
     const core::ScoredLocationPattern& top = result.Value().location;
     const auto& ext = top.pattern.subgroup.extension;
@@ -62,11 +63,11 @@ int main() {
     std::printf("  paper:    %s\n", kPaperPatterns[iteration - 1]);
     std::printf("  measured: %s\n",
                 top.pattern.subgroup.intention
-                    .ToString(data.dataset.descriptions)
+                    .ToString(dataset.descriptions)
                     .c_str());
     std::printf("  coverage %zu/%zu cells, centroid (lat %.1f, lon %.1f), "
                 "IC %.1f, SI %.2f\n",
-                ext.count(), data.dataset.num_rows(), lat, lon, top.score.ic,
+                ext.count(), dataset.num_rows(), lat, lon, top.score.ic,
                 top.score.si);
 
     if (iteration == 1) {
@@ -74,7 +75,7 @@ int main() {
       // model ("the most surprising species as ranked by SI", Fig. 5) and
       // print observed vs expected with the model's 95% CI.
       Result<model::BackgroundModel> prior =
-          model::BackgroundModel::CreateFromData(data.dataset.targets);
+          model::BackgroundModel::CreateFromData(dataset.targets);
       prior.status().CheckOK();
       const model::MeanStatisticMarginal marginal =
           prior.Value().MeanStatMarginal(ext);
@@ -86,7 +87,7 @@ int main() {
         const size_t s = ranking[static_cast<size_t>(r)];
         const double sd = std::sqrt(marginal.cov(s, s));
         std::printf("    %-28s %.2f | %.2f [%.2f, %.2f]\n",
-                    data.dataset.target_names[s].c_str(),
+                    dataset.target_names[s].c_str(),
                     top.pattern.mean[s], marginal.mean[s],
                     marginal.mean[s] - 1.96 * sd,
                     marginal.mean[s] + 1.96 * sd);

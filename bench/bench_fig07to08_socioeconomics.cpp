@@ -13,7 +13,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/miner.hpp"
+#include "core/session.hpp"
 #include "datagen/gse.hpp"
 #include "stats/special.hpp"
 
@@ -26,9 +26,10 @@ int main() {
   core::MinerConfig config;
   config.spread_sparsity = 2;
   config.search.min_coverage = 10;
-  Result<core::IterativeMiner> miner =
-      core::IterativeMiner::Create(data.dataset, config);
-  miner.status().CheckOK();
+  Result<core::MiningSession> session =
+      core::MiningSession::Create(data.dataset, config);
+  session.status().CheckOK();
+  const data::Dataset& dataset = session.Value().dataset();
 
   static const char* kPaperPatterns[3] = {
       "Children Pop. <= 14.1 (East Germany; LEFT up, all others down)",
@@ -38,7 +39,7 @@ int main() {
   for (int iteration = 1; iteration <= 3; ++iteration) {
     // Expected subgroup mean under the model BEFORE this iteration's
     // patterns are assimilated (the "Model" bars of Fig. 8a).
-    Result<core::IterationResult> result = miner.Value().MineNext();
+    Result<core::IterationResult> result = session.Value().MineNext();
     result.status().CheckOK();
     const core::IterationResult& it = result.Value();
     const auto& ext = it.location.pattern.subgroup.extension;
@@ -48,7 +49,7 @@ int main() {
     std::printf("  paper:    %s\n", kPaperPatterns[iteration - 1]);
     std::printf("  measured: %s (n=%zu, SI=%.2f)\n",
                 it.location.pattern.subgroup.intention
-                    .ToString(data.dataset.descriptions)
+                    .ToString(dataset.descriptions)
                     .c_str(),
                 ext.count(), it.location.score.si);
 
@@ -65,16 +66,16 @@ int main() {
       // expectation coincides with the observation (Theorem 1), which is
       // exactly the paper's "Updated Model" bars.
       Result<model::BackgroundModel> prior =
-          model::BackgroundModel::CreateFromData(data.dataset.targets);
+          model::BackgroundModel::CreateFromData(dataset.targets);
       prior.status().CheckOK();
       const model::MeanStatisticMarginal before =
           prior.Value().MeanStatMarginal(ext);
       const linalg::Vector after =
-          miner.Value().model().ExpectedSubgroupMean(ext);
+          session.Value().model().ExpectedSubgroupMean(ext);
       std::printf("\n  Fig. 8a: party | observed | model-before | model-after\n");
-      for (size_t t = 0; t < data.dataset.num_targets(); ++t) {
+      for (size_t t = 0; t < dataset.num_targets(); ++t) {
         std::printf("    %-11s %7.2f %10.2f %12.2f\n",
-                    data.dataset.target_names[t].c_str(),
+                    dataset.target_names[t].c_str(),
                     it.location.pattern.mean[t], before.mean[t], after[t]);
       }
 
@@ -84,7 +85,7 @@ int main() {
         for (size_t t = 0; t < w.size(); ++t) {
           if (std::fabs(w[t]) > 1e-9) {
             std::printf("    %-11s %+.4f\n",
-                        data.dataset.target_names[t].c_str(), w[t]);
+                        dataset.target_names[t].c_str(), w[t]);
           }
         }
         std::printf("    paper: CDU_2009 +0.5704, SPD_2009 +0.8214\n");
@@ -98,7 +99,7 @@ int main() {
         // Fig. 8c curve: marginal CDF of the location-updated background
         // model along w vs the empirical CDF of the projected subgroup.
         Result<model::BackgroundModel> after_location =
-            model::BackgroundModel::CreateFromData(data.dataset.targets);
+            model::BackgroundModel::CreateFromData(dataset.targets);
         after_location.status().CheckOK();
         after_location.Value()
             .UpdateLocation(ext, it.location.pattern.mean)
@@ -108,7 +109,7 @@ int main() {
         for (size_t i : ext.ToRows()) {
           double proj = 0.0;
           for (size_t t = 0; t < w.size(); ++t) {
-            proj += data.dataset.targets(i, t) * w[t];
+            proj += dataset.targets(i, t) * w[t];
           }
           projected.push_back(proj);
         }

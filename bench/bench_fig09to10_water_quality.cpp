@@ -12,7 +12,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/miner.hpp"
+#include "core/session.hpp"
 #include "datagen/water.hpp"
 #include "stats/special.hpp"
 
@@ -25,11 +25,12 @@ int main() {
   core::MinerConfig config;
   config.search.min_coverage = 20;
   config.search.max_depth = 2;
-  Result<core::IterativeMiner> miner =
-      core::IterativeMiner::Create(data.dataset, config);
-  miner.status().CheckOK();
+  Result<core::MiningSession> session =
+      core::MiningSession::Create(data.dataset, config);
+  session.status().CheckOK();
+  const data::Dataset& dataset = session.Value().dataset();
 
-  Result<core::IterationResult> result = miner.Value().MineNext();
+  Result<core::IterationResult> result = session.Value().MineNext();
   result.status().CheckOK();
   const core::IterationResult& it = result.Value();
   const auto& ext = it.location.pattern.subgroup.extension;
@@ -38,7 +39,7 @@ int main() {
   std::printf("  paper:    Gammarus fossarum <= 0 AND Tubifex >= 3 (n=91)\n");
   std::printf("  measured: %s (n=%zu, SI=%.2f)\n",
               it.location.pattern.subgroup.intention
-                  .ToString(data.dataset.descriptions)
+                  .ToString(dataset.descriptions)
                   .c_str(),
               ext.count(), it.location.score.si);
   const size_t overlap =
@@ -48,18 +49,18 @@ int main() {
 
   // Observed vs model-expected chemistry means (Fig. 10 top-5 attributes).
   Result<model::BackgroundModel> prior =
-      model::BackgroundModel::CreateFromData(data.dataset.targets);
+      model::BackgroundModel::CreateFromData(dataset.targets);
   prior.status().CheckOK();
   const model::MeanStatisticMarginal before =
       prior.Value().MeanStatMarginal(ext);
   std::printf("  attribute | observed | expected (paper: bod, cl, conduct,\n"
               "  kmno4, k2cr2o7 all above average)\n");
-  for (size_t t = 0; t < data.dataset.num_targets(); ++t) {
+  for (size_t t = 0; t < dataset.num_targets(); ++t) {
     const double sd = std::sqrt(before.cov(t, t));
     const double z = (it.location.pattern.mean[t] - before.mean[t]) /
                      (sd > 1e-12 ? sd : 1e-12);
     std::printf("    %-9s %8.2f %9.2f  (z=%+6.1f)\n",
-                data.dataset.target_names[t].c_str(),
+                dataset.target_names[t].c_str(),
                 it.location.pattern.mean[t], before.mean[t], z);
   }
 
@@ -69,7 +70,7 @@ int main() {
                 "(paper: high weights on bod and kmno4):\n");
     for (size_t t = 0; t < w.size(); ++t) {
       if (std::fabs(w[t]) > 0.10) {
-        std::printf("    %-9s %+.3f\n", data.dataset.target_names[t].c_str(),
+        std::printf("    %-9s %+.3f\n", dataset.target_names[t].c_str(),
                     w[t]);
       }
     }
@@ -86,7 +87,7 @@ int main() {
     // pattern the empirical CDF is the SHALLOWER of the two (the mirror
     // image of Fig. 8c).
     Result<model::BackgroundModel> after_location =
-        model::BackgroundModel::CreateFromData(data.dataset.targets);
+        model::BackgroundModel::CreateFromData(dataset.targets);
     after_location.status().CheckOK();
     after_location.Value()
         .UpdateLocation(ext, it.location.pattern.mean)
@@ -96,7 +97,7 @@ int main() {
     for (size_t i : ext.ToRows()) {
       double proj = 0.0;
       for (size_t t = 0; t < w.size(); ++t) {
-        proj += data.dataset.targets(i, t) * w[t];
+        proj += dataset.targets(i, t) * w[t];
       }
       projected.push_back(proj);
     }

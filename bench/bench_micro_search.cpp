@@ -5,11 +5,12 @@
 
 #include "harness/microbench.hpp"
 
-#include "core/miner.hpp"
 #include "datagen/crime.hpp"
 #include "optimize/sphere_optimizer.hpp"
+#include "pattern/patterns.hpp"
 #include "random/rng.hpp"
 #include "search/condition_pool.hpp"
+#include "si/interestingness.hpp"
 
 namespace {
 

@@ -17,7 +17,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/miner.hpp"
+#include "core/session.hpp"
 #include "datagen/synthetic.hpp"
 
 int main() {
@@ -28,12 +28,13 @@ int main() {
 
   core::MinerConfig config;
   config.search.min_coverage = 5;
-  Result<core::IterativeMiner> miner =
-      core::IterativeMiner::Create(data.dataset, config);
-  miner.status().CheckOK();
+  Result<core::MiningSession> session =
+      core::MiningSession::Create(data.dataset, config);
+  session.status().CheckOK();
+  const data::Dataset& dataset = session.Value().dataset();
 
   // Iteration 1: mine and remember the top-10 ranked patterns.
-  Result<core::IterationResult> first = miner.Value().MineNext();
+  Result<core::IterationResult> first = session.Value().MineNext();
   first.status().CheckOK();
   const size_t kTrack = std::min<size_t>(10, first.Value().ranked.size());
   std::vector<pattern::Intention> tracked;
@@ -48,12 +49,12 @@ int main() {
   for (int iteration = 2; iteration <= 4; ++iteration) {
     for (size_t r = 0; r < kTrack; ++r) {
       Result<core::ScoredLocationPattern> rescored =
-          miner.Value().ScoreIntention(tracked[r]);
+          session.Value().ScoreIntention(tracked[r]);
       rescored.status().CheckOK();
       si[r].push_back(rescored.Value().score.si);
     }
     if (iteration < 4) {
-      miner.Value().MineNext().status().CheckOK();
+      session.Value().MineNext().status().CheckOK();
     }
   }
   // Note: SI column k reflects the model AFTER k patterns were assimilated,
@@ -63,10 +64,10 @@ int main() {
               "Iter3", "Iter4");
   for (size_t r = 0; r < kTrack; ++r) {
     Result<core::ScoredLocationPattern> info =
-        miner.Value().ScoreIntention(tracked[r]);
+        session.Value().ScoreIntention(tracked[r]);
     info.status().CheckOK();
     std::printf("%-36s %8.2f %8.2f %8.2f %8.2f   %zu\n",
-                tracked[r].ToString(data.dataset.descriptions).c_str(),
+                tracked[r].ToString(dataset.descriptions).c_str(),
                 si[r][0], si[r][1], si[r][2], si[r][3],
                 info.Value().pattern.subgroup.Coverage());
   }

@@ -19,7 +19,7 @@
 #include <optional>
 #include <vector>
 
-#include "core/miner.hpp"
+#include "core/session.hpp"
 #include "datagen/crime.hpp"
 #include "datagen/gse.hpp"
 #include "datagen/mammals.hpp"
@@ -60,9 +60,9 @@ Column MeasureDataset(const data::Dataset& dataset, const std::string& name,
   config.spread_optimizer.num_random_starts = 1;
   config.spread_optimizer.max_iterations = 60;
 
-  Result<core::IterativeMiner> miner =
-      core::IterativeMiner::Create(dataset, config);
-  miner.status().CheckOK();
+  Result<core::MiningSession> session =
+      core::MiningSession::Create(dataset, config);
+  session.status().CheckOK();
 
   // Timed initial fit (empirical moments + Cholesky).
   const Clock::time_point t0 = Clock::now();
@@ -74,7 +74,7 @@ Column MeasureDataset(const data::Dataset& dataset, const std::string& name,
 
   model::PatternAssimilator timed(std::move(initial).MoveValue());
   for (int iter = 0; iter < kIterations; ++iter) {
-    Result<core::IterationResult> mined = miner.Value().MineNext();
+    Result<core::IterationResult> mined = session.Value().MineNext();
     mined.status().CheckOK();
     const core::IterationResult& it = mined.Value();
     if (spread_mode && it.spread.has_value()) {

@@ -9,7 +9,7 @@
 #include <string>
 #include <vector>
 
-#include "core/miner.hpp"
+#include "core/session.hpp"
 #include "datagen/crime.hpp"
 #include "stats/kde.hpp"
 
@@ -44,18 +44,19 @@ int main() {
   config.mix = core::PatternMix::kLocationOnly;
   config.search.max_depth = 2;
   config.search.min_coverage = 20;
-  Result<core::IterativeMiner> miner =
-      core::IterativeMiner::Create(data.dataset, config);
-  miner.status().CheckOK();
+  Result<core::MiningSession> session =
+      core::MiningSession::Create(data.dataset, config);
+  session.status().CheckOK();
+  const data::Dataset& dataset = session.Value().dataset();
 
-  Result<core::IterationResult> result = miner.Value().MineNext();
+  Result<core::IterationResult> result = session.Value().MineNext();
   result.status().CheckOK();
   const core::ScoredLocationPattern& top = result.Value().location;
 
   std::printf("top pattern: %s\n",
-              top.Describe(data.dataset.descriptions).c_str());
+              top.Describe(dataset.descriptions).c_str());
   const double coverage = 100.0 * double(top.pattern.subgroup.Coverage()) /
-                          double(data.dataset.num_rows());
+                          double(dataset.num_rows());
   std::printf("coverage: %.1f%% of districts ", coverage);
   std::printf("(paper: 20.5%%, intention 'PctIlleg >= 0.39')\n");
   std::printf("crime mean: %.2f in subgroup vs %.2f overall ",
@@ -65,11 +66,11 @@ int main() {
   // Fig. 1: distribution of the target over the full data and within the
   // subgroup, as Gaussian-kernel smoothed estimates.
   std::vector<double> all_values, subgroup_values;
-  for (size_t i = 0; i < data.dataset.num_rows(); ++i) {
-    all_values.push_back(data.dataset.targets(i, 0));
+  for (size_t i = 0; i < dataset.num_rows(); ++i) {
+    all_values.push_back(dataset.targets(i, 0));
   }
   for (size_t i : top.pattern.subgroup.extension.ToRows()) {
-    subgroup_values.push_back(data.dataset.targets(i, 0));
+    subgroup_values.push_back(dataset.targets(i, 0));
   }
   const auto kde_all =
       stats::KernelDensity::WithSilvermanBandwidth(all_values);

@@ -7,8 +7,9 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
-#include "core/miner.hpp"
+#include "core/session.hpp"
 #include "data/csv.hpp"
 #include "datagen/crime.hpp"
 
@@ -54,15 +55,15 @@ int main() {
   core::MinerConfig config;
   config.mix = core::PatternMix::kLocationOnly;
   config.search.min_coverage = 10;
-  Result<core::IterativeMiner> miner =
-      core::IterativeMiner::Create(dataset.Value(), config);
-  miner.status().CheckOK();
+  Result<core::MiningSession> session =
+      core::MiningSession::Create(std::move(dataset).MoveValue(), config);
+  session.status().CheckOK();
 
-  Result<core::IterationResult> result = miner.Value().MineNext();
+  Result<core::IterationResult> result = session.Value().MineNext();
   result.status().CheckOK();
   std::printf("\nmost informative subgroup:\n  %s\n",
               result.Value()
-                  .location.Describe(dataset.Value().descriptions)
+                  .location.Describe(session.Value().dataset().descriptions)
                   .c_str());
 
   std::remove(path.c_str());

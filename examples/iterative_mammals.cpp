@@ -13,7 +13,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "core/miner.hpp"
+#include "core/session.hpp"
 #include "datagen/mammals.hpp"
 #include "si/interestingness.hpp"
 
@@ -42,22 +42,23 @@ int main() {
   config.search.beam_width = 16;   // keep the 124-dim search brisk
   config.search.min_coverage = 50;
 
-  Result<core::IterativeMiner> miner =
-      core::IterativeMiner::Create(data.dataset, config);
-  miner.status().CheckOK();
+  Result<core::MiningSession> session =
+      core::MiningSession::Create(data.dataset, config);
+  session.status().CheckOK();
+  const data::Dataset& dataset = session.Value().dataset();
 
   for (int iteration = 1; iteration <= 3; ++iteration) {
     // Snapshot the belief state BEFORE mining: the surprise ranking below
     // must be measured against what the user believed at discovery time
     // (after assimilation the expectation equals the observation).
-    const model::BackgroundModel before = miner.Value().model();
-    Result<core::IterationResult> result = miner.Value().MineNext();
+    const model::BackgroundModel before = session.Value().model();
+    Result<core::IterationResult> result = session.Value().MineNext();
     result.status().CheckOK();
     const core::ScoredLocationPattern& top = result.Value().location;
     std::printf("--- iteration %d ---\n", iteration);
     std::printf("pattern: %s\n",
                 top.pattern.subgroup.intention
-                    .ToString(data.dataset.descriptions)
+                    .ToString(dataset.descriptions)
                     .c_str());
     std::printf("  n=%zu cells, IC=%.1f, SI=%.2f\n",
                 top.pattern.subgroup.Coverage(), top.score.ic, top.score.si);
@@ -68,7 +69,7 @@ int main() {
     const auto& ext = top.pattern.subgroup.extension;
     std::vector<SpeciesSurprise> surprises;
     const auto marginal = before.MeanStatMarginal(ext);
-    for (size_t s = 0; s < data.dataset.num_targets(); ++s) {
+    for (size_t s = 0; s < dataset.num_targets(); ++s) {
       const double sd = std::sqrt(marginal.cov(s, s));
       const double dev =
           std::fabs(top.pattern.mean[s] - marginal.mean[s]) /
@@ -83,7 +84,7 @@ int main() {
     for (int r = 0; r < 5; ++r) {
       const size_t s = surprises[static_cast<size_t>(r)].species;
       std::printf("    %-28s rate %.2f (expected %.2f)\n",
-                  data.dataset.target_names[s].c_str(), top.pattern.mean[s],
+                  dataset.target_names[s].c_str(), top.pattern.mean[s],
                   marginal.mean[s]);
     }
     std::printf("\n");

@@ -2,8 +2,8 @@
 //
 // We generate a Communities-&-Crime-shaped dataset (1994 districts, one
 // real-valued target "violent crimes per population", 122 demographic
-// descriptors), build a miner whose background model starts from the
-// empirical mean/covariance (i.e. the user knows the overall statistics,
+// descriptors), open a mining session whose background model starts from
+// the empirical mean/covariance (i.e. the user knows the overall statistics,
 // nothing else), and ask for the three most informative subgroups.
 //
 // Build & run:
@@ -12,7 +12,7 @@
 
 #include <cstdio>
 
-#include "core/miner.hpp"
+#include "core/session.hpp"
 #include "datagen/crime.hpp"
 
 int main() {
@@ -33,18 +33,20 @@ int main() {
   config.search.max_depth = 2;
   config.search.min_coverage = 20;
 
-  Result<core::IterativeMiner> miner =
-      core::IterativeMiner::Create(data.dataset, config);
-  miner.status().CheckOK();
+  // The session keeps its own copy of the dataset.
+  Result<core::MiningSession> session =
+      core::MiningSession::Create(data.dataset, config);
+  session.status().CheckOK();
+  const data::Dataset& dataset = session.Value().dataset();
 
   // 3. Iterate: each call returns the currently most informative pattern
   //    and assimilates it, so the next iteration is non-redundant.
   for (int iteration = 1; iteration <= 3; ++iteration) {
-    Result<core::IterationResult> result = miner.Value().MineNext();
+    Result<core::IterationResult> result = session.Value().MineNext();
     result.status().CheckOK();
     const core::ScoredLocationPattern& top = result.Value().location;
     std::printf("iteration %d: %s\n", iteration,
-                top.Describe(data.dataset.descriptions).c_str());
+                top.Describe(dataset.descriptions).c_str());
     std::printf("  subgroup crime mean %.3f vs overall %.3f\n\n",
                 top.pattern.mean[0], data.truth.overall_mean);
   }

@@ -10,7 +10,7 @@
 
 #include <cstdio>
 
-#include "core/miner.hpp"
+#include "core/session.hpp"
 #include "datagen/gse.hpp"
 
 int main() {
@@ -28,33 +28,34 @@ int main() {
   config.spread_sparsity = 2;  // the paper's interpretability constraint
   config.search.min_coverage = 10;
 
-  Result<core::IterativeMiner> miner =
-      core::IterativeMiner::Create(data.dataset, config);
-  miner.status().CheckOK();
+  Result<core::MiningSession> session =
+      core::MiningSession::Create(data.dataset, config);
+  session.status().CheckOK();
+  const data::Dataset& dataset = session.Value().dataset();
 
   for (int iteration = 1; iteration <= 3; ++iteration) {
-    Result<core::IterationResult> result = miner.Value().MineNext();
+    Result<core::IterationResult> result = session.Value().MineNext();
     result.status().CheckOK();
     const core::IterationResult& it = result.Value();
 
     std::printf("--- iteration %d ---\n", iteration);
     std::printf("location: %s\n",
-                it.location.Describe(data.dataset.descriptions).c_str());
+                it.location.Describe(dataset.descriptions).c_str());
     std::printf("  vote means within subgroup vs overall:\n");
-    for (size_t t = 0; t < data.dataset.num_targets(); ++t) {
+    for (size_t t = 0; t < dataset.num_targets(); ++t) {
       double overall = 0.0;
-      for (size_t i = 0; i < data.dataset.num_rows(); ++i) {
-        overall += data.dataset.targets(i, t);
+      for (size_t i = 0; i < dataset.num_rows(); ++i) {
+        overall += dataset.targets(i, t);
       }
-      overall /= double(data.dataset.num_rows());
+      overall /= double(dataset.num_rows());
       std::printf("    %-11s %6.2f vs %6.2f (%+.2f)\n",
-                  data.dataset.target_names[t].c_str(),
+                  dataset.target_names[t].c_str(),
                   it.location.pattern.mean[t], overall,
                   it.location.pattern.mean[t] - overall);
     }
     if (it.spread.has_value()) {
       std::printf("spread:   %s\n",
-                  it.spread->Describe(data.dataset.descriptions).c_str());
+                  it.spread->Describe(dataset.descriptions).c_str());
       const double expected = it.spread->score.approx.MeanValue();
       std::printf(
           "  observed variance along w: %.3f, model expected: %.3f "

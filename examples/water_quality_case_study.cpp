@@ -12,7 +12,7 @@
 #include <cmath>
 #include <cstdio>
 
-#include "core/miner.hpp"
+#include "core/session.hpp"
 #include "datagen/water.hpp"
 
 int main() {
@@ -27,36 +27,37 @@ int main() {
   config.search.min_coverage = 20;
   config.search.max_depth = 2;
 
-  Result<core::IterativeMiner> miner =
-      core::IterativeMiner::Create(data.dataset, config);
-  miner.status().CheckOK();
+  Result<core::MiningSession> session =
+      core::MiningSession::Create(data.dataset, config);
+  session.status().CheckOK();
+  const data::Dataset& dataset = session.Value().dataset();
 
-  Result<core::IterationResult> result = miner.Value().MineNext();
+  Result<core::IterationResult> result = session.Value().MineNext();
   result.status().CheckOK();
   const core::IterationResult& it = result.Value();
 
   std::printf("location pattern: %s\n",
-              it.location.Describe(data.dataset.descriptions).c_str());
+              it.location.Describe(dataset.descriptions).c_str());
   std::printf("(paper: 'Gammarus fossarum <= 0 AND Tubifex >= 3', 91 records)\n\n");
 
   std::printf("chemistry means, subgroup vs overall:\n");
-  for (size_t t = 0; t < data.dataset.num_targets(); ++t) {
+  for (size_t t = 0; t < dataset.num_targets(); ++t) {
     double overall = 0.0;
-    for (size_t i = 0; i < data.dataset.num_rows(); ++i) {
-      overall += data.dataset.targets(i, t);
+    for (size_t i = 0; i < dataset.num_rows(); ++i) {
+      overall += dataset.targets(i, t);
     }
-    overall /= double(data.dataset.num_rows());
+    overall /= double(dataset.num_rows());
     std::printf("  %-9s %8.2f vs %8.2f\n",
-                data.dataset.target_names[t].c_str(),
+                dataset.target_names[t].c_str(),
                 it.location.pattern.mean[t], overall);
   }
 
   if (it.spread.has_value()) {
     std::printf("\nspread pattern direction w (largest weights):\n");
-    for (size_t t = 0; t < data.dataset.num_targets(); ++t) {
+    for (size_t t = 0; t < dataset.num_targets(); ++t) {
       const double weight = it.spread->pattern.direction[t];
       if (std::fabs(weight) > 0.15) {
-        std::printf("  %-9s %+.3f\n", data.dataset.target_names[t].c_str(),
+        std::printf("  %-9s %+.3f\n", dataset.target_names[t].c_str(),
                     weight);
       }
     }

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "common/status.hpp"
-#include "core/miner.hpp"
+#include "core/session.hpp"
 #include "data/table.hpp"
 
 namespace sisd::core {
@@ -29,11 +29,8 @@ data::DataTable IterationSummaryTable(
 data::DataTable RankedListTable(const IterationResult& iteration,
                                 const data::DataTable& descriptions);
 
-/// \brief Writes the miner's history (one row per completed iteration) to
-/// a CSV file.
-Status ExportHistoryCsv(const IterativeMiner& miner, const std::string& path);
-
-/// \brief Session overload of `ExportHistoryCsv`.
+/// \brief Writes the session's history (one row per completed iteration)
+/// to a CSV file.
 Status ExportHistoryCsv(const MiningSession& session,
                         const std::string& path);
 

@@ -345,25 +345,6 @@ Result<ScoredLocationPattern> MiningSession::ScoreIntention(
   return out;
 }
 
-Result<ScoredSpreadPattern> MiningSession::ScoreSpreadForIntention(
-    const pattern::Intention& intention, const linalg::Vector& w) const {
-  pattern::Subgroup subgroup =
-      pattern::Subgroup::FromIntention(dataset_->descriptions, intention);
-  if (subgroup.extension.empty()) {
-    return Status::InvalidArgument("intention matches no rows");
-  }
-  ScoredSpreadPattern out;
-  out.pattern =
-      pattern::SpreadPattern::Compute(std::move(subgroup), dataset_->targets,
-                                      w);
-  out.score = si::ScoreSpread(assimilator_.model(),
-                              out.pattern.subgroup.extension,
-                              out.pattern.direction, out.pattern.variance,
-                              out.pattern.subgroup.intention.size(),
-                              config_.dl);
-  return out;
-}
-
 Result<ScoredSpreadPattern> MiningSession::FindSpreadPattern(
     const pattern::Subgroup& subgroup) const {
   if (subgroup.extension.empty()) {

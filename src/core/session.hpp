@@ -11,9 +11,6 @@
 /// stopped: model parameters, constraints and history all round-trip
 /// exactly, and each group's Cholesky factor is recomputed from its
 /// covariance, exactly as the live model computed it.
-///
-/// `IterativeMiner` (core/miner.hpp) remains as a thin non-owning adapter
-/// over this class for callers that manage dataset lifetime themselves.
 
 #ifndef SISD_CORE_SESSION_HPP_
 #define SISD_CORE_SESSION_HPP_
@@ -318,11 +315,6 @@ class MiningSession {
   /// Table I). Fails on empty extensions.
   Result<ScoredLocationPattern> ScoreIntention(
       const pattern::Intention& intention) const;
-
-  /// Scores a spread pattern (direction `w`) for an arbitrary intention
-  /// under the current model.
-  Result<ScoredSpreadPattern> ScoreSpreadForIntention(
-      const pattern::Intention& intention, const linalg::Vector& w) const;
 
   /// Finds the best spread direction for a given subgroup under the current
   /// model (without assimilating anything).

@@ -1,6 +1,8 @@
 #include "model/background_model.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/strings.hpp"
 #include "stats/descriptive.hpp"
@@ -10,6 +12,34 @@ namespace sisd::model {
 namespace {
 
 constexpr double kSqrtTwoPiLog = 1.8378770664093453;  // log(2*pi)
+
+/// InvalidArgument unless every entry of `mu` and `sigma` is finite and
+/// `sigma` is bitwise symmetric. The Cholesky factorization reads only the
+/// lower triangle, so it accepts a covariance whose upper triangle is
+/// wrong; the model's quadratic forms read both.
+Status CheckGroupParameters(const linalg::Vector& mu,
+                            const linalg::Matrix& sigma) {
+  for (size_t i = 0; i < mu.size(); ++i) {
+    if (!std::isfinite(mu[i])) {
+      return Status::InvalidArgument(
+          StrFormat("mean entry %zu is not finite", i));
+    }
+  }
+  for (size_t i = 0; i < sigma.rows(); ++i) {
+    for (size_t j = 0; j < sigma.cols(); ++j) {
+      if (!std::isfinite(sigma(i, j))) {
+        return Status::InvalidArgument(
+            StrFormat("covariance entry (%zu,%zu) is not finite", i, j));
+      }
+      if (j < i && std::bit_cast<uint64_t>(sigma(i, j)) !=
+                       std::bit_cast<uint64_t>(sigma(j, i))) {
+        return Status::InvalidArgument(
+            StrFormat("covariance is not symmetric at (%zu,%zu)", i, j));
+      }
+    }
+  }
+  return Status::OK();
+}
 
 }  // namespace
 
@@ -22,6 +52,7 @@ Result<BackgroundModel> BackgroundModel::Create(size_t num_rows,
   if (sigma.rows() != mu.size() || sigma.cols() != mu.size()) {
     return Status::InvalidArgument("mu/sigma dimension mismatch");
   }
+  SISD_RETURN_NOT_OK(CheckGroupParameters(mu, sigma));
   Result<linalg::Cholesky> chol = linalg::Cholesky::Compute(sigma);
   if (!chol.ok()) {
     return Status::NumericalError("initial covariance is not SPD: " +
@@ -77,6 +108,11 @@ Result<BackgroundModel> BackgroundModel::RestoreFromParts(
     if (group.rows.universe_size() != num_rows) {
       return Status::InvalidArgument(
           StrFormat("group %zu row universe disagrees with num_rows", g));
+    }
+    const Status parameters = CheckGroupParameters(group.mu, group.sigma);
+    if (!parameters.ok()) {
+      return Status::InvalidArgument(
+          StrFormat("group %zu: %s", g, parameters.message().c_str()));
     }
     const Status factored = group_chol[g].Refactor(group.sigma);
     if (!factored.ok()) {

@@ -67,7 +67,8 @@ struct DirectionalTerm {
 class BackgroundModel {
  public:
   /// Initial MaxEnt model: all `num_rows` rows are `N(mu, sigma)`.
-  /// Fails when `sigma` is not SPD or dimensions disagree.
+  /// Fails when dimensions disagree, an entry is not finite, `sigma` is not
+  /// bitwise symmetric (InvalidArgument) or not SPD (NumericalError).
   static Result<BackgroundModel> Create(size_t num_rows, linalg::Vector mu,
                                         linalg::Matrix sigma);
 
@@ -79,8 +80,9 @@ class BackgroundModel {
                                                 double ridge = 1e-8);
 
   /// Rebuilds a model from serialized parts (snapshot restore). The groups'
-  /// row sets must partition `[0, num_rows)`, and every covariance must
-  /// factorize; InvalidArgument otherwise. Each group's factor is computed
+  /// row sets must partition `[0, num_rows)`, every mean and covariance
+  /// entry must be finite, and every covariance must be bitwise symmetric
+  /// and factorize; InvalidArgument otherwise. Each group's factor is computed
   /// from its covariance, exactly as the live model it was saved from
   /// computed it, so the restored model scores bit-identically.
   static Result<BackgroundModel> RestoreFromParts(

@@ -9,7 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/miner.hpp"
+#include "core/session.hpp"
 #include "datagen/synthetic.hpp"
 
 namespace sisd::core {
@@ -30,12 +30,12 @@ MinerConfig ConfigWithThreads(int num_threads) {
 /// (top location + spread + full ranked list) to one transcript string.
 std::string MineTranscript(const data::Dataset& dataset, int num_threads,
                            int iterations) {
-  Result<IterativeMiner> miner =
-      IterativeMiner::Create(dataset, ConfigWithThreads(num_threads));
-  if (!miner.ok()) return "create failed: " + miner.status().ToString();
+  Result<MiningSession> session =
+      MiningSession::Create(dataset, ConfigWithThreads(num_threads));
+  if (!session.ok()) return "create failed: " + session.status().ToString();
   std::string transcript;
   for (int i = 0; i < iterations; ++i) {
-    Result<IterationResult> iteration = miner.Value().MineNext();
+    Result<IterationResult> iteration = session.Value().MineNext();
     if (!iteration.ok()) {
       return "iteration failed: " + iteration.status().ToString();
     }

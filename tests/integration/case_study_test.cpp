@@ -1,12 +1,12 @@
-/// Integration tests for the three case studies (§III-B, C, D): the miner
-/// must recover the planted structure of each generated dataset — the same
-/// qualitative findings the paper reports on the real data.
+/// Integration tests for the three case studies (§III-B, C, D): a mining
+/// session must recover the planted structure of each generated dataset —
+/// the same qualitative findings the paper reports on the real data.
 
 #include <cmath>
 
 #include <gtest/gtest.h>
 
-#include "core/miner.hpp"
+#include "core/session.hpp"
 #include "datagen/crime.hpp"
 #include "datagen/gse.hpp"
 #include "datagen/water.hpp"
@@ -21,10 +21,11 @@ TEST(CrimeCaseStudyTest, TopPatternIsTheDriverUpperTail) {
   config.search.max_depth = 2;  // keep runtime moderate on 122 attributes
   config.search.beam_width = 20;
   config.search.min_coverage = 20;
-  Result<core::IterativeMiner> miner =
-      core::IterativeMiner::Create(data.dataset, config);
-  ASSERT_TRUE(miner.ok()) << miner.status().ToString();
-  Result<core::IterationResult> result = miner.Value().MineNext();
+  Result<core::MiningSession> session =
+      core::MiningSession::Create(data.dataset, config);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  const data::Dataset& dataset = session.Value().dataset();
+  Result<core::IterationResult> result = session.Value().MineNext();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   // Paper §I: top pattern "PctIlleg >= 0.39", 20.5% coverage, mean 0.53 vs
@@ -33,14 +34,14 @@ TEST(CrimeCaseStudyTest, TopPatternIsTheDriverUpperTail) {
   const auto& intention = result.Value().location.pattern.subgroup.intention;
   ASSERT_GE(intention.size(), 1u);
   const pattern::Condition& top_cond = intention.conditions()[0];
-  EXPECT_EQ(data.dataset.descriptions.column(top_cond.attribute).name(),
+  EXPECT_EQ(dataset.descriptions.column(top_cond.attribute).name(),
             data.truth.driver_name);
   EXPECT_EQ(top_cond.op, pattern::ConditionOp::kGreaterEqual);
   EXPECT_NEAR(top_cond.threshold, data.truth.driver_threshold, 0.1);
 
   const double coverage =
       double(result.Value().location.pattern.subgroup.Coverage()) /
-      double(data.dataset.num_rows());
+      double(dataset.num_rows());
   EXPECT_NEAR(coverage, 0.205, 0.06);
   EXPECT_GT(result.Value().location.pattern.mean[0],
             data.truth.overall_mean + 0.15);
@@ -51,10 +52,11 @@ TEST(GseCaseStudyTest, FirstPatternIsLowChildrenEastWithLeftElevated) {
   core::MinerConfig config;
   config.spread_sparsity = 2;  // the paper's §III-C 2-sparsity constraint
   config.search.min_coverage = 10;
-  Result<core::IterativeMiner> miner =
-      core::IterativeMiner::Create(data.dataset, config);
-  ASSERT_TRUE(miner.ok());
-  Result<core::IterationResult> result = miner.Value().MineNext();
+  Result<core::MiningSession> session =
+      core::MiningSession::Create(data.dataset, config);
+  ASSERT_TRUE(session.ok());
+  const data::Dataset& dataset = session.Value().dataset();
+  Result<core::IterationResult> result = session.Value().MineNext();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   // Top pattern: a low-children condition (paper: "Children Pop. <= 14.1").
@@ -68,7 +70,7 @@ TEST(GseCaseStudyTest, FirstPatternIsLowChildrenEastWithLeftElevated) {
   }
   EXPECT_TRUE(has_children_le)
       << "top intention: "
-      << intention.ToString(data.dataset.descriptions);
+      << intention.ToString(dataset.descriptions);
 
   // Extension mostly covers the East stratum.
   const auto& ext = result.Value().location.pattern.subgroup.extension;
@@ -78,10 +80,10 @@ TEST(GseCaseStudyTest, FirstPatternIsLowChildrenEastWithLeftElevated) {
 
   // LEFT elevated within the subgroup vs the overall mean.
   double left_overall = 0.0;
-  for (size_t i = 0; i < data.dataset.num_rows(); ++i) {
-    left_overall += data.dataset.targets(i, data.truth.left_target);
+  for (size_t i = 0; i < dataset.num_rows(); ++i) {
+    left_overall += dataset.targets(i, data.truth.left_target);
   }
-  left_overall /= double(data.dataset.num_rows());
+  left_overall /= double(dataset.num_rows());
   EXPECT_GT(result.Value().location.pattern.mean[data.truth.left_target],
             left_overall + 8.0);
 }
@@ -91,10 +93,10 @@ TEST(GseCaseStudyTest, SpreadPatternFindsCduSpdLowVarianceDirection) {
   core::MinerConfig config;
   config.spread_sparsity = 2;
   config.search.min_coverage = 10;
-  Result<core::IterativeMiner> miner =
-      core::IterativeMiner::Create(data.dataset, config);
-  ASSERT_TRUE(miner.ok());
-  Result<core::IterationResult> result = miner.Value().MineNext();
+  Result<core::MiningSession> session =
+      core::MiningSession::Create(data.dataset, config);
+  ASSERT_TRUE(session.ok());
+  Result<core::IterationResult> result = session.Value().MineNext();
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(result.Value().spread.has_value());
   const core::ScoredSpreadPattern& spread = *result.Value().spread;
@@ -126,10 +128,11 @@ TEST(WaterCaseStudyTest, TopPatternMatchesBioindicatorSignature) {
   core::MinerConfig config;
   config.search.min_coverage = 20;
   config.search.max_depth = 2;
-  Result<core::IterativeMiner> miner =
-      core::IterativeMiner::Create(data.dataset, config);
-  ASSERT_TRUE(miner.ok());
-  Result<core::IterationResult> result = miner.Value().MineNext();
+  Result<core::MiningSession> session =
+      core::MiningSession::Create(data.dataset, config);
+  ASSERT_TRUE(session.ok());
+  const data::Dataset& dataset = session.Value().dataset();
+  Result<core::IterationResult> result = session.Value().MineNext();
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
   // The subgroup must be pollution-driven: strong overlap with the planted
@@ -143,10 +146,10 @@ TEST(WaterCaseStudyTest, TopPatternMatchesBioindicatorSignature) {
   // BOD elevated within the subgroup (paper Fig. 10). Targets are
   // standardized, so the gap is in global-SD units.
   double bod_overall = 0.0;
-  for (size_t i = 0; i < data.dataset.num_rows(); ++i) {
-    bod_overall += data.dataset.targets(i, data.truth.bod_target);
+  for (size_t i = 0; i < dataset.num_rows(); ++i) {
+    bod_overall += dataset.targets(i, data.truth.bod_target);
   }
-  bod_overall /= double(data.dataset.num_rows());
+  bod_overall /= double(dataset.num_rows());
   EXPECT_GT(result.Value().location.pattern.mean[data.truth.bod_target],
             bod_overall + 0.6);
 }
@@ -157,10 +160,10 @@ TEST(WaterCaseStudyTest, SpreadPatternIsHighVarianceDirection) {
   config.search.min_coverage = 20;
   config.search.max_depth = 2;
   config.spread_optimizer.num_random_starts = 4;
-  Result<core::IterativeMiner> miner =
-      core::IterativeMiner::Create(data.dataset, config);
-  ASSERT_TRUE(miner.ok());
-  Result<core::IterationResult> result = miner.Value().MineNext();
+  Result<core::MiningSession> session =
+      core::MiningSession::Create(data.dataset, config);
+  ASSERT_TRUE(session.ok());
+  Result<core::IterationResult> result = session.Value().MineNext();
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(result.Value().spread.has_value());
   const core::ScoredSpreadPattern& spread = *result.Value().spread;

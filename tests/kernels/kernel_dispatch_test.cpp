@@ -13,7 +13,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/miner.hpp"
+#include "core/session.hpp"
 #include "datagen/synthetic.hpp"
 #include "kernels/kernels.hpp"
 
@@ -38,13 +38,13 @@ std::string MineTranscript(const data::Dataset& dataset, kernels::Isa isa,
   const kernels::Isa previous = kernels::ActiveIsa();
   kernels::SetActiveIsaForTesting(isa);
   std::string transcript;
-  Result<IterativeMiner> miner = IterativeMiner::Create(dataset, TestConfig());
-  if (!miner.ok()) {
+  Result<MiningSession> session = MiningSession::Create(dataset, TestConfig());
+  if (!session.ok()) {
     kernels::SetActiveIsaForTesting(previous);
-    return "create failed: " + miner.status().ToString();
+    return "create failed: " + session.status().ToString();
   }
   for (int i = 0; i < iterations; ++i) {
-    Result<IterationResult> iteration = miner.Value().MineNext();
+    Result<IterationResult> iteration = session.Value().MineNext();
     if (!iteration.ok()) {
       transcript += "iteration failed: " + iteration.status().ToString();
       break;

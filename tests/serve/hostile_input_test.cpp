@@ -5,11 +5,16 @@
 // asserts a clean `ok:false` instead, with the server still answering
 // afterwards. Numerically degenerate data and snapshots with a non-SPD
 // covariance, which used to reach a failed Cholesky factorization, are
-// covered the same way.
+// covered the same way, as are snapshots whose group mean or covariance
+// holds a non-finite or asymmetric entry (the factorization reads only the
+// lower triangle, so those used to restore and later abort the spread
+// optimizer or be written back).
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -52,32 +57,111 @@ std::string OpenWithConfig(const std::string& config) {
          config + "}\n";
 }
 
-/// Session snapshot `text` with the fitted model's first group covariance
-/// replaced by `-I` (not SPD). With `stale_factor`, the group also carries
-/// the `factor` key that older snapshots stored.
-std::string WithNonSpdSigma(const std::string& text, bool stale_factor) {
+/// Edits one encoded parameter group of a snapshot's fitted model; `dim`
+/// is the model's target dimension.
+using GroupEdit = std::function<void(serialize::JsonValue* group, size_t dim)>;
+
+/// Session snapshot `text` with `edit` applied to the fitted model's first
+/// parameter group.
+std::string WithFirstGroupEdited(const std::string& text,
+                                 const GroupEdit& edit) {
   serialize::JsonValue root = serialize::JsonValue::Parse(text).Value();
   serialize::JsonValue assimilator = *root.Find("assimilator");
   serialize::JsonValue model = *assimilator.Find("model");
   const size_t dim = model.Find("dim")->GetSize().Value();
-  linalg::Matrix negative = linalg::Matrix::Identity(dim);
-  negative *= -1.0;
   serialize::JsonValue groups = serialize::JsonValue::Array();
   for (const serialize::JsonValue& group : model.Find("groups")->items()) {
     serialize::JsonValue entry = group;
-    if (groups.size() == 0) {
-      entry.Set("sigma", serialize::EncodeMatrix(negative));
-      if (stale_factor) {
-        entry.Set("factor",
-                  serialize::EncodeMatrix(linalg::Matrix::Identity(dim)));
-      }
-    }
+    if (groups.size() == 0) edit(&entry, dim);
     groups.Append(std::move(entry));
   }
   model.Set("groups", std::move(groups));
   assimilator.Set("model", std::move(model));
   root.Set("assimilator", std::move(assimilator));
   return root.Write();
+}
+
+/// Session snapshot `text` with the fitted model's first group covariance
+/// replaced by `-I` (not SPD). With `stale_factor`, the group also carries
+/// the `factor` key that older snapshots stored.
+std::string WithNonSpdSigma(const std::string& text, bool stale_factor) {
+  return WithFirstGroupEdited(
+      text, [stale_factor](serialize::JsonValue* group, size_t dim) {
+        linalg::Matrix negative = linalg::Matrix::Identity(dim);
+        negative *= -1.0;
+        group->Set("sigma", serialize::EncodeMatrix(negative));
+        if (stale_factor) {
+          group->Set("factor",
+                     serialize::EncodeMatrix(linalg::Matrix::Identity(dim)));
+        }
+      });
+}
+
+/// Sets the upper-triangle covariance entry (0,1) of the edited group.
+GroupEdit SetSigmaUpper(double value) {
+  return [value](serialize::JsonValue* group, size_t) {
+    linalg::Matrix sigma =
+        serialize::DecodeMatrix(*group->Find("sigma")).Value();
+    sigma(0, 1) = value;
+    group->Set("sigma", serialize::EncodeMatrix(sigma));
+  };
+}
+
+/// Sets mean entry 0 of the edited group.
+GroupEdit SetMu0(double value) {
+  return [value](serialize::JsonValue* group, size_t) {
+    linalg::Vector mu = serialize::DecodeVector(*group->Find("mu")).Value();
+    mu[0] = value;
+    group->Set("mu", serialize::EncodeVector(mu));
+  };
+}
+
+/// Group tamperings the Cholesky factorization does not see: a NaN or a
+/// wrong value in the covariance's upper triangle, and a NaN mean.
+struct Tampering {
+  const char* name;
+  GroupEdit edit;
+};
+std::vector<Tampering> UnfactoredTamperings() {
+  return {{"sigma(0,1) = NaN", SetSigmaUpper(std::nan(""))},
+          {"sigma(0,1) = 1e6", SetSigmaUpper(1e6)},
+          {"mu[0] = NaN", SetMu0(std::nan(""))}};
+}
+
+/// Opens a synthetic session on a fresh manager spilling to `spill_dir`,
+/// mines once, evicts it, applies `tamper` to the spill file and then
+/// expects `mine` to answer ok:false with the server still answering.
+void ExpectTamperedSpillAnswersOkFalse(
+    const std::string& spill_dir,
+    const std::function<std::string(const std::string&)>& tamper) {
+  ASSERT_EQ(std::system(("rm -rf " + spill_dir + " && mkdir -p " +
+                         spill_dir).c_str()),
+            0);
+  ServeConfig serve_config;
+  serve_config.spill_dir = spill_dir;
+  SessionManager manager(serve_config);
+  std::vector<serialize::ProtocolResponse> responses = RunScript(
+      manager,
+      OpenWithConfig("{\"beam_width\":8,\"max_depth\":2,\"top_k\":20,"
+                     "\"min_coverage\":5}") +
+          "{\"id\":2,\"verb\":\"mine\",\"session\":\"h\"}\n"
+          "{\"id\":3,\"verb\":\"evict\",\"session\":\"h\"}\n");
+  ASSERT_EQ(responses.size(), 3u);
+  ASSERT_TRUE(responses[1].ok) << responses[1].error.ToString();
+  ASSERT_TRUE(responses[2].ok) << responses[2].error.ToString();
+
+  const std::string path = manager.SpillPathFor("h");
+  Result<std::string> text = serialize::ReadTextFile(path);
+  ASSERT_TRUE(text.ok()) << path;
+  ASSERT_TRUE(serialize::WriteTextFile(path, tamper(text.Value())).ok());
+
+  responses = RunScript(manager,
+                        "{\"id\":4,\"verb\":\"mine\",\"session\":\"h\"}\n"
+                        "{\"id\":5,\"verb\":\"stats\"}\n");
+  ASSERT_EQ(responses.size(), 2u);
+  EXPECT_FALSE(responses[0].ok);
+  EXPECT_TRUE(responses[1].ok) << "server stopped answering";
+  std::system(("rm -rf " + spill_dir).c_str());
 }
 
 TEST(HostileInputTest, ConfigsThatUsedToAbortMiningAreRejectedAtOpen) {
@@ -236,37 +320,80 @@ TEST(HostileInputTest, SnapshotWithNonSpdCovarianceFailsToRestore) {
 }
 
 TEST(HostileInputTest, SpillSnapshotWithNonSpdCovarianceAnswersOkFalse) {
-  const std::string spill_dir = "/tmp/sisd_hostile_input_spd_spill";
-  ASSERT_EQ(std::system(("rm -rf " + spill_dir + " && mkdir -p " +
-                         spill_dir).c_str()),
+  ExpectTamperedSpillAnswersOkFalse(
+      "/tmp/sisd_hostile_input_spd_spill", [](const std::string& text) {
+        return WithNonSpdSigma(text, false);
+      });
+}
+
+TEST(HostileInputTest, SnapshotWithUnfactoredTamperingFailsToRestore) {
+  core::MinerConfig config;
+  config.search.beam_width = 10;
+  config.search.max_depth = 2;
+  Result<core::MiningSession> session = core::MiningSession::Create(
+      datagen::MakeScenarioDataset("synthetic").Value(), config);
+  ASSERT_TRUE(session.ok());
+  ASSERT_TRUE(session.Value().MineIterations(2).ok());
+  const std::string snapshot = session.Value().SaveToString();
+  for (const Tampering& tampering : UnfactoredTamperings()) {
+    SCOPED_TRACE(tampering.name);
+    Result<core::MiningSession> restored =
+        core::MiningSession::RestoreFromString(
+            WithFirstGroupEdited(snapshot, tampering.edit));
+    ASSERT_FALSE(restored.ok());
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+#ifdef SISD_CLI_BIN
+TEST(HostileInputTest, CliResumeOfUnfactoredTamperingExitsOne) {
+  const std::string dir = "/tmp/sisd_hostile_input_cli";
+  ASSERT_EQ(std::system(("rm -rf " + dir + " && mkdir -p " + dir).c_str()),
             0);
-  ServeConfig serve_config;
-  serve_config.spill_dir = spill_dir;
-  SessionManager manager(serve_config);
-  std::vector<serialize::ProtocolResponse> responses = RunScript(
-      manager,
-      OpenWithConfig("{\"beam_width\":8,\"max_depth\":2,\"top_k\":20,"
-                     "\"min_coverage\":5}") +
-          "{\"id\":2,\"verb\":\"mine\",\"session\":\"h\"}\n"
-          "{\"id\":3,\"verb\":\"evict\",\"session\":\"h\"}\n");
-  ASSERT_EQ(responses.size(), 3u);
-  ASSERT_TRUE(responses[1].ok) << responses[1].error.ToString();
-  ASSERT_TRUE(responses[2].ok) << responses[2].error.ToString();
+  const std::string cli = SISD_CLI_BIN;
+  const std::string saved = dir + "/s.json";
+  ASSERT_EQ(std::system((cli + " mine --scenario synthetic --iterations 2 "
+                               "--beam-width 10 --max-depth 2 "
+                               "--session-save " + saved + " > /dev/null")
+                            .c_str()),
+            0);
+  Result<std::string> text = serialize::ReadTextFile(saved);
+  ASSERT_TRUE(text.ok());
+  for (const Tampering& tampering : UnfactoredTamperings()) {
+    SCOPED_TRACE(tampering.name);
+    const std::string tampered = dir + "/tampered.json";
+    const std::string resumed = dir + "/resumed.json";
+    const std::string error = dir + "/stderr.txt";
+    ASSERT_TRUE(serialize::WriteTextFile(
+                    tampered, WithFirstGroupEdited(text.Value(),
+                                                   tampering.edit))
+                    .ok());
+    const int rc = std::system((cli + " resume --session " + tampered +
+                                " --iterations 1 --session-save " + resumed +
+                                " > /dev/null 2> " + error)
+                                   .c_str());
+    ASSERT_TRUE(WIFEXITED(rc));
+    EXPECT_EQ(WEXITSTATUS(rc), 1);
+    Result<std::string> message = serialize::ReadTextFile(error);
+    ASSERT_TRUE(message.ok());
+    EXPECT_NE(message.Value().find("InvalidArgument"), std::string::npos)
+        << message.Value();
+    EXPECT_FALSE(serialize::ReadTextFile(resumed).ok())
+        << "the tampered state was written back";
+  }
+  std::system(("rm -rf " + dir).c_str());
+}
+#endif
 
-  const std::string path = manager.SpillPathFor("h");
-  Result<std::string> text = serialize::ReadTextFile(path);
-  ASSERT_TRUE(text.ok()) << path;
-  ASSERT_TRUE(
-      serialize::WriteTextFile(path, WithNonSpdSigma(text.Value(), false))
-          .ok());
-
-  responses = RunScript(manager,
-                        "{\"id\":4,\"verb\":\"mine\",\"session\":\"h\"}\n"
-                        "{\"id\":5,\"verb\":\"stats\"}\n");
-  ASSERT_EQ(responses.size(), 2u);
-  EXPECT_FALSE(responses[0].ok);
-  EXPECT_TRUE(responses[1].ok) << "server stopped answering";
-  std::system(("rm -rf " + spill_dir).c_str());
+TEST(HostileInputTest, SpillWithUnfactoredTamperingAnswersOkFalse) {
+  for (const Tampering& tampering : UnfactoredTamperings()) {
+    SCOPED_TRACE(tampering.name);
+    ExpectTamperedSpillAnswersOkFalse(
+        "/tmp/sisd_hostile_input_tamper_spill",
+        [&tampering](const std::string& text) {
+          return WithFirstGroupEdited(text, tampering.edit);
+        });
+  }
 }
 
 TEST(HostileInputTest, DegenerateSpreadIsRecordedNotAssimilated) {
