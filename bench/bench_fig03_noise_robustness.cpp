@@ -10,6 +10,12 @@
 // Paper shape: all three curves decay with distortion and cross the
 // baseline around p ~ 0.22-0.30; the embedded patterns are fully
 // recoverable up to p ~ 0.22.
+//
+// Shape on the generated data (asserted by case_study_test's
+// NoiseRobustnessTest): the curves fall from 53-62 at p = 0 to about zero
+// at p ~ 0.25-0.30 (first negative value at p = 0.250-0.275), decaying
+// over every 0.1 step in p but not at every 0.025 step. The baseline stays
+// flat between -3.0 and -2.5, and no curve reaches it within p <= 0.35.
 
 #include <algorithm>
 #include <cstdio>
@@ -77,7 +83,9 @@ int main() {
                 si_true[1], si_true[2], si_baseline);
   }
   std::printf(
-      "\npaper shape: monotone decay with distortion; true-description SI\n"
-      "stays above the baseline until p ~ 0.22-0.30, then merges with it.\n");
+      "\npaper shape: the true-description SI decays with distortion and\n"
+      "crosses the baseline around p ~ 0.22-0.30.\n"
+      "generated data: the curves reach about zero at p ~ 0.25-0.30 and\n"
+      "stay above the flat baseline through p = 0.35.\n");
   return 0;
 }

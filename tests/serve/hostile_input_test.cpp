@@ -265,37 +265,16 @@ TEST(HostileInputTest, SnapshotWithOutOfRangeIntegersFailsToRestore) {
 }
 
 TEST(HostileInputTest, TamperedSpillSnapshotAnswersOkFalseOnMine) {
-  const std::string spill_dir = "/tmp/sisd_hostile_input_spill";
-  ASSERT_EQ(std::system(("rm -rf " + spill_dir + " && mkdir -p " +
-                         spill_dir).c_str()),
-            0);
-  ServeConfig serve_config;
-  serve_config.spill_dir = spill_dir;
-  SessionManager manager(serve_config);
-  std::vector<serialize::ProtocolResponse> responses = RunScript(
-      manager,
-      OpenWithConfig("{\"beam_width\":8,\"max_depth\":2,\"top_k\":20,"
-                     "\"min_coverage\":5}") +
-          "{\"id\":2,\"verb\":\"evict\",\"session\":\"h\"}\n");
-  ASSERT_EQ(responses.size(), 2u);
-  ASSERT_TRUE(responses[1].ok);
-
-  const std::string path = manager.SpillPathFor("h");
-  Result<std::string> text = serialize::ReadTextFile(path);
-  ASSERT_TRUE(text.ok()) << path;
-  std::string snapshot = text.Value();
-  const size_t at = snapshot.find("\"beam_width\":8");
-  ASSERT_NE(at, std::string::npos);
-  snapshot.replace(at, 14, "\"beam_width\":0");
-  ASSERT_TRUE(serialize::WriteTextFile(path, snapshot).ok());
-
-  responses = RunScript(manager,
-                        "{\"id\":3,\"verb\":\"mine\",\"session\":\"h\"}\n"
-                        "{\"id\":4,\"verb\":\"stats\"}\n");
-  ASSERT_EQ(responses.size(), 2u);
-  EXPECT_FALSE(responses[0].ok);
-  EXPECT_TRUE(responses[1].ok) << "server stopped answering";
-  std::system(("rm -rf " + spill_dir).c_str());
+  ExpectTamperedSpillAnswersOkFalse(
+      "/tmp/sisd_hostile_input_spill", [](const std::string& text) {
+        std::string snapshot = text;
+        const size_t at = snapshot.find("\"beam_width\":8");
+        EXPECT_NE(at, std::string::npos);
+        if (at != std::string::npos) {
+          snapshot.replace(at, 14, "\"beam_width\":0");
+        }
+        return snapshot;
+      });
 }
 
 TEST(HostileInputTest, SnapshotWithNonSpdCovarianceFailsToRestore) {

@@ -5,8 +5,7 @@
 // assimilate / history / close script, validating every response
 // (parse, id correlation, verb echo, status), and measuring
 // client-observed latency per request. The run summary — RPS, latency
-// percentiles, validation counters — prints as one JSON object so
-// scripts/bench_serve.sh can record it (BENCH_serve.json).
+// percentiles, validation counters — prints as one JSON object.
 //
 //   sisd_serve --epoll 0 --workers 4 &        # announces its port
 //   sisd_loadgen --port 38741 --connections 64 --rounds 10
