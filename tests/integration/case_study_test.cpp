@@ -247,12 +247,15 @@ std::vector<NoiseRow> NoiseRobustnessCurves() {
   const model::BackgroundModel model =
       model::BackgroundModel::CreateFromData(data.dataset.targets).Value();
   const si::DescriptionLengthParams dl;
+  // Scores `attr = level` on `corrupted`; false when it covers no rows,
+  // or every row and `skip_full` is set (the baseline's rule).
   auto score = [&](const data::Dataset& corrupted, size_t attr,
-                   int32_t level, double* si) {
+                   int32_t level, bool skip_full, double* si) {
     const pattern::Intention intention(
         {pattern::Condition::Equals(attr, level)});
     const pattern::Extension ext = intention.Evaluate(corrupted.descriptions);
-    if (ext.empty() || ext.count() == corrupted.num_rows()) return false;
+    if (ext.empty()) return false;
+    if (skip_full && ext.count() == corrupted.num_rows()) return false;
     const linalg::Vector mean = pattern::SubgroupMean(corrupted.targets, ext);
     *si = si::ScoreLocation(model, ext, mean, 1, dl).si;
     return true;
@@ -267,13 +270,13 @@ std::vector<NoiseRow> NoiseRobustnessCurves() {
           data.dataset, row.p, 1000 + uint64_t(step) * 17 + uint64_t(rep));
       for (size_t k = 0; k < 3; ++k) {
         double si = 0.0;
-        if (score(corrupted, k, 1, &si)) row.si_true[k] += si / kReps;
+        if (score(corrupted, k, 1, false, &si)) row.si_true[k] += si / kReps;
       }
       double best_noise = -1e300;
       for (size_t attr = 3; attr < 5; ++attr) {
         for (int32_t level = 0; level <= 1; ++level) {
           double si = 0.0;
-          if (score(corrupted, attr, level, &si)) {
+          if (score(corrupted, attr, level, true, &si)) {
             best_noise = std::max(best_noise, si);
           }
         }
@@ -298,8 +301,12 @@ TEST(NoiseRobustnessTest, TrueDescriptionsDecayToZeroAboveAFlatBaseline) {
       // gap is 0.74 (a3 = '1' at p = 0.35).
       EXPECT_GT(row.si_true[k] - row.baseline, 0.5) << "curve " << k;
       // Clearly positive up to p = 0.2, about zero from p = 0.3 on.
-      if (row.p < 0.2 + 1e-9) EXPECT_GT(row.si_true[k], 1.0) << "curve " << k;
-      if (row.p > 0.3 - 1e-9) EXPECT_LT(row.si_true[k], 1.0) << "curve " << k;
+      if (row.p < 0.2 + 1e-9) {
+        EXPECT_GT(row.si_true[k], 1.0) << "curve " << k;
+      }
+      if (row.p > 0.3 - 1e-9) {
+        EXPECT_LT(row.si_true[k], 1.0) << "curve " << k;
+      }
     }
   }
   // Strong at p = 0 and decaying over every 0.1 step in p (rows 0, 4, 8,
@@ -345,7 +352,9 @@ TEST(MammalsCaseStudyTest, ThreeIterationsFindNorthSouthAndSouthWest) {
     lat[i] /= double(ext.count());
     lon[i] /= double(ext.count());
     EXPECT_TRUE(std::isfinite(found[i].score.ic)) << "iteration " << i + 1;
-    if (i > 0) EXPECT_LT(found[i].score.si, found[i - 1].score.si);
+    if (i > 0) {
+      EXPECT_LT(found[i].score.si, found[i - 1].score.si);
+    }
   }
   auto share = [&](int i, const pattern::Extension& region) {
     const pattern::Extension& ext = found[i].pattern.subgroup.extension;
