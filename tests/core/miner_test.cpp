@@ -1,6 +1,14 @@
-#include "core/miner.hpp"
+/// The iterative mining loop (mine, score, assimilate) driven through
+/// MiningSession: top-pattern recovery, non-redundant iterations, model
+/// evolution, config switches and the per-iteration accounting.
+
+#include "core/session.hpp"
 
 #include <cmath>
+#include <limits>
+#include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -24,16 +32,15 @@ TEST(MinerTest, CreateValidatesDataset) {
   data::Dataset empty;
   empty.targets = linalg::Matrix(1, 1);
   empty.target_names = {"t"};
-  EXPECT_FALSE(IterativeMiner::Create(empty, FastConfig()).ok());
+  EXPECT_FALSE(MiningSession::Create(empty, FastConfig()).ok());
 }
 
 TEST(MinerTest, MinesSyntheticTopPattern) {
-  const datagen::SyntheticData data = datagen::MakeSyntheticEmbedded();
-  Result<IterativeMiner> miner =
-      IterativeMiner::Create(data.dataset, FastConfig());
-  ASSERT_TRUE(miner.ok()) << miner.status().ToString();
+  Result<MiningSession> session = MiningSession::Create(
+      datagen::MakeSyntheticEmbedded().dataset, FastConfig());
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
 
-  Result<IterationResult> iteration = miner.Value().MineNext();
+  Result<IterationResult> iteration = session.Value().MineNext();
   ASSERT_TRUE(iteration.ok()) << iteration.status().ToString();
   // Top pattern covers one of the planted 40-point clusters via a single
   // condition on its label attribute.
@@ -48,12 +55,11 @@ TEST(MinerTest, MinesSyntheticTopPattern) {
 }
 
 TEST(MinerTest, IterationsProduceDistinctPatterns) {
-  const datagen::SyntheticData data = datagen::MakeSyntheticEmbedded();
-  Result<IterativeMiner> miner =
-      IterativeMiner::Create(data.dataset, FastConfig());
-  ASSERT_TRUE(miner.ok());
+  Result<MiningSession> session = MiningSession::Create(
+      datagen::MakeSyntheticEmbedded().dataset, FastConfig());
+  ASSERT_TRUE(session.ok());
   Result<std::vector<IterationResult>> iterations =
-      miner.Value().MineIterations(3);
+      session.Value().MineIterations(3);
   ASSERT_TRUE(iterations.ok()) << iterations.status().ToString();
   ASSERT_EQ(iterations.Value().size(), 3u);
   std::set<std::string> signatures;
@@ -64,67 +70,94 @@ TEST(MinerTest, IterationsProduceDistinctPatterns) {
                     .second)
         << "iterative mining returned a redundant pattern";
   }
-  EXPECT_EQ(miner.Value().history().size(), 3u);
+  EXPECT_EQ(session.Value().history().size(), 3u);
 }
 
 TEST(MinerTest, ScoreIntentionTracksModelEvolution) {
-  const datagen::SyntheticData data = datagen::MakeSyntheticEmbedded();
-  Result<IterativeMiner> miner =
-      IterativeMiner::Create(data.dataset, FastConfig());
-  ASSERT_TRUE(miner.ok());
+  Result<MiningSession> session = MiningSession::Create(
+      datagen::MakeSyntheticEmbedded().dataset, FastConfig());
+  ASSERT_TRUE(session.ok());
 
-  Result<IterationResult> first = miner.Value().MineNext();
+  Result<IterationResult> first = session.Value().MineNext();
   ASSERT_TRUE(first.ok());
   const pattern::Intention top_intention =
       first.Value().location.pattern.subgroup.intention;
   // Scored now (post-assimilation): SI collapsed vs the mined score.
   Result<ScoredLocationPattern> rescored =
-      miner.Value().ScoreIntention(top_intention);
+      session.Value().ScoreIntention(top_intention);
   ASSERT_TRUE(rescored.ok());
   EXPECT_LT(rescored.Value().score.si,
             0.2 * first.Value().location.score.si);
 }
 
 TEST(MinerTest, ScoreIntentionRejectsEmptyExtension) {
-  const datagen::SyntheticData data = datagen::MakeSyntheticEmbedded();
-  Result<IterativeMiner> miner =
-      IterativeMiner::Create(data.dataset, FastConfig());
-  ASSERT_TRUE(miner.ok());
-  // a3 = '1' AND a3-with-level-0 is unsatisfiable together with itself;
-  // build an intention matching nothing: label attr equals 0 and 1.
+  Result<MiningSession> session = MiningSession::Create(
+      datagen::MakeSyntheticEmbedded().dataset, FastConfig());
+  ASSERT_TRUE(session.ok());
+  // The label attribute cannot equal both 0 and 1: the intention matches
+  // no rows.
   pattern::Intention impossible({pattern::Condition::Equals(0, 0),
                                  pattern::Condition::Equals(0, 1)});
-  EXPECT_FALSE(miner.Value().ScoreIntention(impossible).ok());
+  EXPECT_FALSE(session.Value().ScoreIntention(impossible).ok());
 }
 
 TEST(MinerTest, LocationOnlyModeSkipsSpread) {
-  const datagen::SyntheticData data = datagen::MakeSyntheticEmbedded();
   MinerConfig config = FastConfig();
   config.mix = PatternMix::kLocationOnly;
-  Result<IterativeMiner> miner = IterativeMiner::Create(data.dataset, config);
-  ASSERT_TRUE(miner.ok());
-  Result<IterationResult> iteration = miner.Value().MineNext();
+  Result<MiningSession> session = MiningSession::Create(
+      datagen::MakeSyntheticEmbedded().dataset, config);
+  ASSERT_TRUE(session.ok());
+  Result<IterationResult> iteration = session.Value().MineNext();
   ASSERT_TRUE(iteration.ok());
   EXPECT_FALSE(iteration.Value().spread.has_value());
 }
 
 TEST(MinerTest, ExplicitPriorIsRespected) {
-  const datagen::SyntheticData data = datagen::MakeSyntheticEmbedded();
   MinerConfig config = FastConfig();
   config.prior_mean = linalg::Vector{10.0, 10.0};  // absurd prior
   config.prior_covariance = linalg::Matrix::Identity(2);
-  Result<IterativeMiner> miner = IterativeMiner::Create(data.dataset, config);
-  ASSERT_TRUE(miner.ok());
-  EXPECT_EQ(miner.Value().model().MeanOf(0), (linalg::Vector{10.0, 10.0}));
+  Result<MiningSession> session = MiningSession::Create(
+      datagen::MakeSyntheticEmbedded().dataset, config);
+  ASSERT_TRUE(session.ok());
+  EXPECT_EQ(session.Value().model().MeanOf(0), (linalg::Vector{10.0, 10.0}));
+}
+
+TEST(MinerTest, AsymmetricOrNonFinitePriorIsRejected) {
+  // The Cholesky factorization reads only the lower triangle, so these
+  // priors would factorize; the model must reject them itself.
+  MinerConfig config = FastConfig();
+  config.prior_mean = linalg::Vector{0.0, 0.0};
+  config.prior_covariance = linalg::Matrix{{2.0, 0.5}, {0.3, 1.5}};
+  Result<MiningSession> asymmetric = MiningSession::Create(
+      datagen::MakeSyntheticEmbedded().dataset, config);
+  ASSERT_FALSE(asymmetric.ok());
+  EXPECT_EQ(asymmetric.status().code(), StatusCode::kInvalidArgument);
+
+  config.prior_covariance = linalg::Matrix{
+      {2.0, std::numeric_limits<double>::quiet_NaN()}, {0.3, 1.5}};
+  EXPECT_EQ(MiningSession::Create(datagen::MakeSyntheticEmbedded().dataset,
+                                  config)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+
+  config.prior_covariance = linalg::Matrix{{2.0, 0.3}, {0.3, 1.5}};
+  config.prior_mean =
+      linalg::Vector{std::numeric_limits<double>::infinity(), 0.0};
+  EXPECT_EQ(MiningSession::Create(datagen::MakeSyntheticEmbedded().dataset,
+                                  config)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(MinerTest, PairSparseSpreadDirection) {
-  const datagen::SyntheticData data = datagen::MakeSyntheticEmbedded();
   MinerConfig config = FastConfig();
   config.spread_sparsity = 2;
-  Result<IterativeMiner> miner = IterativeMiner::Create(data.dataset, config);
-  ASSERT_TRUE(miner.ok());
-  Result<IterationResult> iteration = miner.Value().MineNext();
+  Result<MiningSession> session = MiningSession::Create(
+      datagen::MakeSyntheticEmbedded().dataset, config);
+  ASSERT_TRUE(session.ok());
+  Result<IterationResult> iteration = session.Value().MineNext();
   ASSERT_TRUE(iteration.ok());
   ASSERT_TRUE(iteration.Value().spread.has_value());
   // With dy = 2 the pair sweep is the full problem; direction still unit.
@@ -132,11 +165,10 @@ TEST(MinerTest, PairSparseSpreadDirection) {
 }
 
 TEST(MinerTest, RankedListIsSortedBySiAndDeduplicated) {
-  const datagen::SyntheticData data = datagen::MakeSyntheticEmbedded();
-  Result<IterativeMiner> miner =
-      IterativeMiner::Create(data.dataset, FastConfig());
-  ASSERT_TRUE(miner.ok());
-  Result<IterationResult> iteration = miner.Value().MineNext();
+  Result<MiningSession> session = MiningSession::Create(
+      datagen::MakeSyntheticEmbedded().dataset, FastConfig());
+  ASSERT_TRUE(session.ok());
+  Result<IterationResult> iteration = session.Value().MineNext();
   ASSERT_TRUE(iteration.ok());
   const auto& ranked = iteration.Value().ranked;
   ASSERT_GT(ranked.size(), 1u);
@@ -155,12 +187,12 @@ TEST(MinerTest, RankedListIsSortedBySiAndDeduplicated) {
 }
 
 TEST(MinerTest, TimeBudgetIsReportedThrough) {
-  const datagen::SyntheticData data = datagen::MakeSyntheticEmbedded();
   MinerConfig config = FastConfig();
   config.search.time_budget_seconds = 0.0;
-  Result<IterativeMiner> miner = IterativeMiner::Create(data.dataset, config);
-  ASSERT_TRUE(miner.ok());
-  Result<IterationResult> iteration = miner.Value().MineNext();
+  Result<MiningSession> session = MiningSession::Create(
+      datagen::MakeSyntheticEmbedded().dataset, config);
+  ASSERT_TRUE(session.ok());
+  Result<IterationResult> iteration = session.Value().MineNext();
   // Either nothing was found in time (NotFound) or the result is flagged.
   if (iteration.ok()) {
     EXPECT_TRUE(iteration.Value().hit_time_budget);
@@ -170,12 +202,12 @@ TEST(MinerTest, TimeBudgetIsReportedThrough) {
 }
 
 TEST(MinerTest, MinCoverageHonoredInResults) {
-  const datagen::SyntheticData data = datagen::MakeSyntheticEmbedded();
   MinerConfig config = FastConfig();
   config.search.min_coverage = 60;  // larger than the planted clusters
-  Result<IterativeMiner> miner = IterativeMiner::Create(data.dataset, config);
-  ASSERT_TRUE(miner.ok());
-  Result<IterationResult> iteration = miner.Value().MineNext();
+  Result<MiningSession> session = MiningSession::Create(
+      datagen::MakeSyntheticEmbedded().dataset, config);
+  ASSERT_TRUE(session.ok());
+  Result<IterationResult> iteration = session.Value().MineNext();
   ASSERT_TRUE(iteration.ok());
   for (const auto& entry : iteration.Value().ranked) {
     EXPECT_GE(entry.pattern.subgroup.Coverage(), 60u);
@@ -183,23 +215,21 @@ TEST(MinerTest, MinCoverageHonoredInResults) {
 }
 
 TEST(MinerTest, ConditionPoolAccessor) {
-  const datagen::SyntheticData data = datagen::MakeSyntheticEmbedded();
-  Result<IterativeMiner> miner =
-      IterativeMiner::Create(data.dataset, FastConfig());
-  ASSERT_TRUE(miner.ok());
+  Result<MiningSession> session = MiningSession::Create(
+      datagen::MakeSyntheticEmbedded().dataset, FastConfig());
+  ASSERT_TRUE(session.ok());
   // 5 binary attributes x 2 levels = 10 candidate conditions.
-  EXPECT_EQ(miner.Value().condition_pool().size(), 10u);
+  EXPECT_EQ(session.Value().condition_pool().size(), 10u);
 }
 
 TEST(MinerTest, DescribeRendersHumanReadableText) {
-  const datagen::SyntheticData data = datagen::MakeSyntheticEmbedded();
-  Result<IterativeMiner> miner =
-      IterativeMiner::Create(data.dataset, FastConfig());
-  ASSERT_TRUE(miner.ok());
-  Result<IterationResult> iteration = miner.Value().MineNext();
+  Result<MiningSession> session = MiningSession::Create(
+      datagen::MakeSyntheticEmbedded().dataset, FastConfig());
+  ASSERT_TRUE(session.ok());
+  Result<IterationResult> iteration = session.Value().MineNext();
   ASSERT_TRUE(iteration.ok());
   const std::string text = iteration.Value().location.Describe(
-      data.dataset.descriptions);
+      session.Value().dataset().descriptions);
   EXPECT_NE(text.find("SI="), std::string::npos);
   EXPECT_NE(text.find("n=40"), std::string::npos);
 }
@@ -209,26 +239,26 @@ TEST(MinerTest, CandidatesEvaluatedCountsSearchOnly) {
   // search itself scored: rescoring the returned top-k for the ranked list
   // reuses the engine's contexts and must not re-enter (and so not
   // double-count) the batch evaluation path.
-  const datagen::SyntheticData data = datagen::MakeSyntheticEmbedded();
-  Result<IterativeMiner> miner =
-      IterativeMiner::Create(data.dataset, FastConfig());
-  ASSERT_TRUE(miner.ok());
-  Result<IterationResult> iteration = miner.Value().MineNext();
+  Result<MiningSession> session = MiningSession::Create(
+      datagen::MakeSyntheticEmbedded().dataset, FastConfig());
+  ASSERT_TRUE(session.ok());
+  Result<IterationResult> iteration = session.Value().MineNext();
   ASSERT_TRUE(iteration.ok());
 
   // Reference: the identical search run standalone against the same
   // (initial) model snapshot.
+  const data::Dataset& dataset = session.Value().dataset();
   Result<model::BackgroundModel> model =
-      model::BackgroundModel::CreateFromData(data.dataset.targets);
+      model::BackgroundModel::CreateFromData(dataset.targets);
   ASSERT_TRUE(model.ok());
-  search::SiLocationEvaluator evaluator(model.Value(), data.dataset.targets,
+  search::SiLocationEvaluator evaluator(model.Value(), dataset.targets,
                                         FastConfig().dl);
   const search::SearchResult reference =
-      search::BeamSearch(data.dataset.descriptions,
-                         miner.Value().condition_pool(), FastConfig().search,
-                         evaluator);
+      search::BeamSearch(dataset.descriptions,
+                         session.Value().condition_pool(),
+                         FastConfig().search, evaluator);
 
-  // Equal to the standalone search count: had the miner's ranked-list
+  // Equal to the standalone search count: had the session's ranked-list
   // rescoring gone through the batch path again, the iteration counter
   // would exceed this by `ranked.size()`.
   ASSERT_GT(iteration.Value().ranked.size(), 1u);
