@@ -9,8 +9,8 @@
 // AVX2 variants register only when the host supports AVX2, so the binary
 // runs (scalar-only) anywhere.
 //
-// scripts/bench_kernels.sh records both ISAs into BENCH_simd.json with
-// computed speedup summaries.
+// `scripts/bench_record.py simd` records both ISAs into BENCH_simd.json
+// with computed speedup summaries.
 
 #include "harness/microbench.hpp"
 

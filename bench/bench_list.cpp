@@ -3,8 +3,8 @@
 // single-threaded and at the hardware thread count, on the synthetic and
 // crime scenarios.
 //
-// scripts/bench_list.sh records the comparison into BENCH_list.json; the
-// binary's --quality-json mode emits the list-vs-iterative quality
+// `scripts/bench_record.py list` records the comparison into
+// BENCH_list.json; the binary's --quality-json mode emits the list-vs-iterative quality
 // comparison on all five paper scenarios (deterministic search outputs,
 // measured once, not timings): the greedy list's MDL compression gain vs
 // the gain of a list assembled from the iterative miner's patterns in

@@ -8,8 +8,8 @@
 //    scoring + assimilation) over a synthetic N rows x M descriptions
 //    sweep; items/s counts evaluated candidates.
 //
-// Regenerate the tracked snapshot with scripts/bench_baseline.sh, which
-// merges this binary's output into BENCH_*.json.
+// `scripts/bench_record.py baseline` records this binary's output into an
+// untracked comparison snapshot; no committed BENCH_*.json holds it.
 
 #include "harness/microbench.hpp"
 

@@ -3,8 +3,8 @@
 // beam heuristic, on the crime-shaped data (univariate target, tight bound
 // engages) and the synthetic data (bivariate, pure best-first).
 //
-// scripts/bench_optimal.sh records the comparison into BENCH_optimal.json
-// with computed engine-over-beam wall-clock ratios; the binary's
+// `scripts/bench_record.py optimal` records the comparison into
+// BENCH_optimal.json with computed engine-over-beam wall-clock ratios; the binary's
 // --gap-json mode emits the beam-vs-optimal quality gap (a deterministic
 // number, measured once, not a timing).
 

@@ -11,7 +11,8 @@
 //    parameters vs restarted from the initial model (Table II's full-refit
 //    cost).
 //
-// scripts/bench_baseline.sh records these into its comparison snapshot.
+// `scripts/bench_record.py baseline` records these into its comparison
+// snapshot.
 
 #include "harness/microbench.hpp"
 

@@ -15,11 +15,11 @@
 ///    (`State` range-for, `range(i)`, `PauseTiming`/`ResumeTiming`,
 ///    `SetItemsProcessed`, `iterations()`, `DoNotOptimize`, `Arg`/`Args`/
 ///    `Unit` chaining, `--benchmark_format=json`, `--benchmark_filter`);
-///  - same JSON output schema (top-level `context` + `benchmarks`), so the
-///    scripts/bench_*.sh merge steps keep working unchanged;
+///  - same JSON output schema (top-level `context` + `benchmarks`), which
+///    scripts/bench_record.py reads;
 ///  - an honest `library_build_type`: derived from NDEBUG *in this
 ///    translation unit*, which is compiled with the same flags as the
-///    benchmarks themselves. The bench scripts abort when it is not
+///    benchmarks themselves. The recorder aborts when it is not
 ///    "release".
 ///
 /// Measurement model (mirrors Google Benchmark): each benchmark instance is

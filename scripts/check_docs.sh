@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Docs link checker: every intra-repo markdown link in every tracked
 # *.md file must resolve to an existing file (anchors are stripped;
-# http(s)/mailto links are skipped). Run by the CI docs job; no build
-# required.
+# http(s)/mailto links are skipped), and every script, bench or BENCH
+# record path the current docs name in code must exist. Run by the CI
+# docs job; no build required.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -37,8 +38,31 @@ done < <(find . -name '*.md' \
               -not -path './build*' -not -path './.git/*' \
               -not -path './Testing/*' | sort)
 
+# Stale references: a repo-relative `scripts/<file>`, `bench/<file>` or
+# `BENCH_<name>.json` path in an inline code span or a fenced code block
+# of the current docs must name an existing file. CHANGES.md and
+# ROADMAP.md are history and may name retired files; perfbench/README.md
+# is owned by the benchmark and is not checked here.
+refs=0
+for file in README.md docs/*.md .claude/skills/verify/SKILL.md; do
+  [ -f "$file" ] || continue
+  while IFS= read -r path; do
+    refs=$((refs + 1))
+    if [ ! -e "$path" ]; then
+      echo "STALE: $file names $path (no such file)" >&2
+      fail=1
+    fi
+  done < <(awk '/^ *```/ { fence = !fence; next }
+                fence { print; next }
+                { while (match($0, /`[^`]+`/)) {
+                    print substr($0, RSTART, RLENGTH)
+                    $0 = substr($0, RSTART + RLENGTH) } }' "$file" |
+           grep -oP '(?<![\w./-])((scripts|bench)/[\w.*/-]*[\w*]|BENCH_[\w*]+\.json)' |
+           grep -v '[*]' | sort -u)   # a glob names no one file
+done
+
 if [ "$fail" -ne 0 ]; then
-  echo "check_docs: broken intra-repo markdown links found" >&2
+  echo "check_docs: broken links or stale file references found" >&2
   exit 1
 fi
-echo "check_docs: $checked intra-repo links OK"
+echo "check_docs: $checked intra-repo links and $refs file references OK"

@@ -213,6 +213,10 @@ Status ValidateMinerConfig(const MinerConfig& config) {
     return Status::InvalidArgument(
         "gamma and eta cannot both be 0 (zero description length)");
   }
+  if (config.prior_mean.has_value() != config.prior_covariance.has_value()) {
+    return Status::InvalidArgument(
+        "prior_mean and prior_covariance must be set together");
+  }
   return Status::OK();
 }
 

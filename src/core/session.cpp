@@ -65,7 +65,7 @@ Result<MiningSession> MiningSession::Create(
   }
 
   Result<model::BackgroundModel> model =
-      (config.prior_mean.has_value() && config.prior_covariance.has_value())
+      config.prior_mean.has_value()
           ? model::BackgroundModel::Create(dataset->num_rows(),
                                            *config.prior_mean,
                                            *config.prior_covariance)

@@ -53,7 +53,9 @@ struct MinerConfig {
   /// 0 = dense spread direction; 2 = the §III-C pair sweep (2-sparse w).
   int spread_sparsity = 0;
   optimize::SphereOptimizerConfig spread_optimizer;
-  /// Prior mean/covariance; empty -> empirical values (the paper's setup).
+  /// Prior mean/covariance; both empty -> empirical values (the paper's
+  /// setup). They are set together or not at all: `ValidateMinerConfig`
+  /// rejects a config (or snapshot) that sets only one of them.
   std::optional<linalg::Vector> prior_mean;
   std::optional<linalg::Matrix> prior_covariance;
   /// Ridge added to an empirical prior covariance (keeps it SPD).
@@ -74,8 +76,9 @@ struct MinerConfig {
 
 /// \brief Rejects, with InvalidArgument, a config the engine cannot run:
 /// any key of the config table (core/config_table.hpp) outside its range,
-/// or `gamma` and `eta` both 0 (a location pattern's description length
-/// would be 0 and its SI infinite). Every path a config enters by —
+/// `gamma` and `eta` both 0 (a location pattern's description length
+/// would be 0 and its SI infinite), or only one of `prior_mean` and
+/// `prior_covariance` set. Every path a config enters by —
 /// session creation, snapshot restore, the serve `open` verb, `sisd_cli` —
 /// calls it, so no client-supplied value reaches an engine precondition
 /// check.

@@ -188,84 +188,4 @@ Result<Dataset> AppendRowsFromCsvText(const Dataset& parent,
   return AppendRowsFromCells(parent, raw.header, rows);
 }
 
-Result<Dataset> AppendDatasetSlice(const Dataset& parent,
-                                   const Dataset& extra) {
-  SISD_RETURN_NOT_OK(parent.Validate());
-  SISD_RETURN_NOT_OK(extra.Validate());
-  if (extra.target_names != parent.target_names) {
-    return Status::InvalidArgument(
-        "appended slice target columns do not match the parent dataset");
-  }
-  if (extra.num_descriptions() != parent.num_descriptions()) {
-    return Status::InvalidArgument(StrFormat(
-        "appended slice has %zu description columns, parent has %zu",
-        extra.num_descriptions(), parent.num_descriptions()));
-  }
-  for (size_t j = 0; j < parent.num_descriptions(); ++j) {
-    const Column& a = parent.descriptions.column(j);
-    const Column& b = extra.descriptions.column(j);
-    if (a.name() != b.name() || a.kind() != b.kind()) {
-      return Status::InvalidArgument(StrFormat(
-          "appended slice column %zu is '%s' (%s), parent has '%s' (%s)", j,
-          b.name().c_str(), AttributeKindToString(b.kind()),
-          a.name().c_str(), AttributeKindToString(a.kind())));
-    }
-  }
-
-  const size_t n_old = parent.num_rows();
-  const size_t extra_rows = extra.num_rows();
-  Dataset child;
-  child.name = parent.name;
-  child.target_names = parent.target_names;
-  child.targets = ExtendTargets(parent.targets, extra_rows);
-  for (size_t i = 0; i < extra_rows; ++i) {
-    for (size_t t = 0; t < parent.num_targets(); ++t) {
-      child.targets(n_old + i, t) = extra.targets(i, t);
-    }
-  }
-  for (size_t j = 0; j < parent.num_descriptions(); ++j) {
-    const Column& a = parent.descriptions.column(j);
-    const Column& b = extra.descriptions.column(j);
-    if (IsOrderable(a.kind())) {
-      SISD_RETURN_NOT_OK(child.descriptions.AddColumn(
-          a.WithAppendedNumeric(b.numeric_values())));
-      continue;
-    }
-    std::unordered_map<std::string, int32_t> code_of;
-    for (size_t l = 0; l < a.labels().size(); ++l) {
-      code_of.emplace(a.labels()[l], static_cast<int32_t>(l));
-    }
-    std::vector<std::string> new_labels;
-    std::vector<int32_t> remap(b.labels().size());
-    for (size_t l = 0; l < b.labels().size(); ++l) {
-      auto it = code_of.find(b.labels()[l]);
-      if (it != code_of.end()) {
-        remap[l] = it->second;
-        continue;
-      }
-      if (a.kind() == AttributeKind::kBinary) {
-        return Status::InvalidArgument(StrFormat(
-            "appended slice column '%s': label '%s' is not one of the "
-            "binary labels ('%s', '%s')",
-            a.name().c_str(), b.labels()[l].c_str(), a.labels()[0].c_str(),
-            a.labels()[1].c_str()));
-      }
-      const int32_t code =
-          static_cast<int32_t>(a.labels().size() + new_labels.size());
-      code_of.emplace(b.labels()[l], code);
-      new_labels.push_back(b.labels()[l]);
-      remap[l] = code;
-    }
-    std::vector<int32_t> tail;
-    tail.reserve(extra_rows);
-    b.ForEachCode(0, [&](size_t, int32_t code) {
-      tail.push_back(remap[static_cast<size_t>(code)]);
-    });
-    SISD_RETURN_NOT_OK(child.descriptions.AddColumn(
-        a.WithAppendedCodes(std::move(tail), std::move(new_labels))));
-  }
-  SISD_RETURN_NOT_OK(child.Validate());
-  return child;
-}
-
 }  // namespace sisd::data

@@ -67,14 +67,6 @@ Result<Dataset> AppendRowsFromCells(
 Result<Dataset> AppendRowsFromCsvText(const Dataset& parent,
                                       const std::string& csv_text);
 
-/// \brief Appends every row of `extra` to `parent` (the typed fast path —
-/// no string coercion). Schemas must match: identical target names, and
-/// description columns with the same names and kinds in the same order.
-/// Categorical codes are remapped through labels; unknown categorical
-/// labels extend the table, unknown binary labels are rejected.
-Result<Dataset> AppendDatasetSlice(const Dataset& parent,
-                                   const Dataset& extra);
-
 }  // namespace sisd::data
 
 #endif  // SISD_DATA_APPEND_HPP_

@@ -149,6 +149,23 @@ TEST(MinerTest, AsymmetricOrNonFinitePriorIsRejected) {
                 .status()
                 .code(),
             StatusCode::kInvalidArgument);
+
+  // Half a prior is rejected too, rather than silently replaced by the
+  // empirical one.
+  MinerConfig mean_only = FastConfig();
+  mean_only.prior_mean = linalg::Vector{0.0, 0.0};
+  EXPECT_EQ(MiningSession::Create(datagen::MakeSyntheticEmbedded().dataset,
+                                  mean_only)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  MinerConfig covariance_only = FastConfig();
+  covariance_only.prior_covariance = linalg::Matrix{{2.0, 0.3}, {0.3, 1.5}};
+  EXPECT_EQ(MiningSession::Create(datagen::MakeSyntheticEmbedded().dataset,
+                                  covariance_only)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(MinerTest, PairSparseSpreadDirection) {

@@ -135,6 +135,27 @@ TEST(MiningSessionTest, ConfigRoundTripsThroughSnapshots) {
   EXPECT_TRUE(back.use_optimal_search);
 }
 
+TEST(MiningSessionTest, HalfSetPriorSnapshotIsRejected) {
+  // A prior needs both its mean and its covariance; a snapshot that keeps
+  // only the mean must fail to restore, not mine on the empirical prior.
+  MinerConfig config = FastConfig();
+  config.prior_mean = linalg::Vector{0.1, -0.2};
+  config.prior_covariance = linalg::Matrix{{2.0, 0.3}, {0.3, 1.5}};
+  Result<MiningSession> session = MiningSession::Create(
+      datagen::MakeSyntheticEmbedded().dataset, config);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  std::string text = session.Value().SaveToString();
+  const std::string key = "\"prior_covariance\":";
+  const size_t begin = text.find(key);
+  ASSERT_NE(begin, std::string::npos);
+  const size_t end = text.find('}', begin);
+  ASSERT_NE(end, std::string::npos);
+  text.replace(begin + key.size(), end + 1 - begin - key.size(), "null");
+  Result<MiningSession> restored = MiningSession::RestoreFromString(text);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+}
+
 TEST(MiningSessionTest, OptimalSearchMinesTheProvableOptimum) {
   // On the synthetic data the beam reaches the global optimum, so the
   // branch-and-bound session must return the exact same first pattern.

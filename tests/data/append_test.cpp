@@ -250,57 +250,9 @@ TEST(AppendRowsTest, NonFiniteCellsAreRejectedNamingRowAndColumn) {
   ASSERT_TRUE(label.ok()) << label.status().ToString();
 }
 
-TEST(AppendSliceTest, TypedFastPathRemapsCodesAndChecksSchema) {
-  const Dataset parent = SmallParent();
-
-  // A slice with the same schema but its own label numbering: "green"
-  // first, so its codes differ from the parent's and must be remapped.
-  DataTable desc;
-  ASSERT_TRUE(desc.AddColumn(Column::Numeric("x", {9.0, 10.0})).ok());
-  ASSERT_TRUE(desc.AddColumn(Column::CategoricalFromStrings(
-      "c", {"green", "red"})).ok());
-  ASSERT_TRUE(desc.AddColumn(Column::Binary("b", {true, false})).ok());
-  Dataset extra;
-  extra.descriptions = std::move(desc);
-  extra.targets = linalg::Matrix{{0.8}, {0.9}};
-  extra.target_names = {"t"};
-  extra.name = "slice";
-  ASSERT_TRUE(extra.Validate().ok());
-
-  Result<Dataset> child = AppendDatasetSlice(parent, extra);
-  ASSERT_TRUE(child.ok()) << child.status().ToString();
-  EXPECT_EQ(child.Value().num_rows(), 6u);
-  const Column& c = child.Value().descriptions.column(1);
-  EXPECT_EQ(c.Label(c.Code(4)), "green");
-  EXPECT_EQ(c.Label(c.Code(5)), "red");
-  EXPECT_EQ(c.NumLevels(), 3u) << "no new labels were introduced";
-
-  // Binary labels that disagree with the parent's are a schema error,
-  // not an extension.
-  Dataset bad = extra;
-  DataTable bad_desc;
-  ASSERT_TRUE(bad_desc.AddColumn(Column::Numeric("x", {9.0})).ok());
-  ASSERT_TRUE(bad_desc.AddColumn(Column::CategoricalFromStrings(
-      "c", {"red"})).ok());
-  ASSERT_TRUE(bad_desc.AddColumn(
-      Column::Binary("b", {true}, "no", "yes")).ok());
-  bad.descriptions = std::move(bad_desc);
-  bad.targets = linalg::Matrix{{0.8}};
-  Result<Dataset> rejected = AppendDatasetSlice(parent, bad);
-  ASSERT_FALSE(rejected.ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
-
-  // Mismatched target names are rejected too.
-  Dataset wrong_targets = extra;
-  wrong_targets.target_names = {"u"};
-  Result<Dataset> rejected2 = AppendDatasetSlice(parent, wrong_targets);
-  ASSERT_FALSE(rejected2.ok());
-  EXPECT_EQ(rejected2.status().code(), StatusCode::kInvalidArgument);
-}
-
 TEST(AppendRowsTest, CsvRoundTripEqualsSliceAppend) {
   // Appending rows parsed from CSV text equals appending the same rows
-  // through the typed fast path, column for column.
+  // as typed cells, column for column.
   const Dataset parent = SmallParent();
   Result<Dataset> via_csv = AppendRowsFromCsvText(
       parent, "x,c,b,t\n5,green,1,0.5\n6,red,0,0.6\n");
