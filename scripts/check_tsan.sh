@@ -4,7 +4,9 @@
 # evaluation engine's worker pool (batch_evaluator_test's parallel scoring,
 # including the parent-major dy=1 path on every worker;
 # scoring_alloc_test's two-thread paper-default crime beam;
-# thread_invariance_test's multi-threaded mining, beam_search_test), the
+# thread_invariance_test's multi-threaded mining, beam_search_test's
+# per-parent generation on several workers, time_budget_test's deadlines
+# landing in four-worker generation), the
 # concurrent session service (serve_hammer_test's interleaved
 # mine/save/evict/close storm, serve_loop_test's stream transport), and
 # the shared dataset catalog (catalog_hammer_test's concurrent
@@ -40,9 +42,10 @@ cmake --build build-tsan -j \
            optimal_search_test list_miner_test serve_hammer_test \
            serve_loop_test mine_list_serve_test catalog_hammer_test \
            event_loop_test event_loop_hammer_test quality_measures_test \
-           kernel_parity_test kernel_dispatch_test pool_incremental_test
+           kernel_parity_test kernel_dispatch_test pool_incremental_test \
+           time_budget_test
 cd build-tsan
 ctest --output-on-failure \
-  -R 'batch_evaluator_test|scoring_alloc_test|thread_invariance_test|beam_search_test|optimal_search_test|list_miner_test|serve_hammer_test|serve_loop_test|mine_list_serve_test|catalog_hammer_test|event_loop_test|event_loop_hammer_test|quality_measures_test|kernel_parity_test|kernel_dispatch_test|pool_incremental_test'
+  -R 'batch_evaluator_test|scoring_alloc_test|thread_invariance_test|beam_search_test|optimal_search_test|list_miner_test|serve_hammer_test|serve_loop_test|mine_list_serve_test|catalog_hammer_test|event_loop_test|event_loop_hammer_test|quality_measures_test|kernel_parity_test|kernel_dispatch_test|pool_incremental_test|time_budget_test'
 ctest --output-on-failure --repeat until-fail:20 \
   -R 'serve_hammer_test|event_loop_hammer_test|catalog_hammer_test'

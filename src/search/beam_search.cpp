@@ -36,71 +36,84 @@ pattern::Intention MakeIntention(const ConditionPool& pool,
   return pattern::Intention(std::move(conditions));
 }
 
-/// One beam level's set of candidate id sets, for dedup during generation:
-/// open addressing (linear probing) over candidate indices into the batch's
-/// flat id arena. Every probe compares the full id span, so two distinct
-/// sets never merge. Per level suffices: a level-d candidate holds exactly
-/// d ids (`AllowsRefinementWith` rejects a condition the parent already
-/// has), so sets of different levels never compare equal. Storage is kept
-/// across levels; steady-state generation allocates nothing.
-class LevelIdSet {
- public:
-  /// Forgets every set, keeping the table's storage.
-  void Clear() {
-    std::fill(slots_.begin(), slots_.end(), kEmpty);
-    size_ = 0;
-  }
-
-  /// Records candidate `index`, whose id set is already in `batch.ids`.
-  /// False when an earlier candidate of this level holds the same set.
-  bool Insert(const CandidateBatch& batch, uint32_t index) {
-    if (2 * (size_ + 1) > slots_.size()) Grow(batch);
-    const std::span<const uint32_t> ids = batch.candidate_ids(index);
-    const size_t mask = slots_.size() - 1;
-    size_t slot = Hash(ids) & mask;
-    for (; slots_[slot] != kEmpty; slot = (slot + 1) & mask) {
-      const std::span<const uint32_t> held =
-          batch.candidate_ids(slots_[slot]);
-      if (std::equal(ids.begin(), ids.end(), held.begin())) return false;
-    }
-    slots_[slot] = index;
-    ++size_;
-    return true;
-  }
-
- private:
-  static constexpr uint32_t kEmpty = UINT32_MAX;
-  static constexpr size_t kMinSlots = 1024;
-
-  static size_t Hash(std::span<const uint32_t> ids) {
-    uint64_t h = 1469598103934665603ull;  // FNV-1a, then a final mix
-    for (uint32_t id : ids) {
-      h ^= id;
-      h *= 1099511628211ull;
-    }
-    return size_t(h ^ (h >> 29));
-  }
-
-  void Grow(const CandidateBatch& batch) {
-    std::vector<uint32_t> old = std::move(slots_);
-    slots_.assign(std::max(kMinSlots, 2 * old.size()), kEmpty);
-    const size_t mask = slots_.size() - 1;
-    for (uint32_t index : old) {
-      if (index == kEmpty) continue;
-      size_t slot = Hash(batch.candidate_ids(index)) & mask;
-      while (slots_[slot] != kEmpty) slot = (slot + 1) & mask;
-      slots_[slot] = index;
-    }
-  }
-
-  std::vector<uint32_t> slots_;  ///< candidate indices; power-of-two size
-  size_t size_ = 0;
+/// One parent's refinements at one beam level, generated independently of
+/// the other parents and concatenated in parent order afterwards. Storage
+/// is kept across levels; steady-state generation allocates nothing.
+struct ParentCandidates {
+  std::vector<CandidateBatch::Item> items;
+  /// Sorted id sets of `items`, `depth` ids each (the batch's arena layout).
+  std::vector<uint32_t> ids;
+  /// False when the deadline cut the parent's generation short.
+  bool complete = false;
 };
 
+/// Every parent's skip list for one level: the ascending condition ids
+/// whose refinement of the parent an earlier parent already generates.
+struct SkipLists {
+  std::vector<uint32_t> ids;
+  /// Parent `i` skips `ids[offsets[i], offsets[i + 1])`.
+  std::vector<size_t> offsets;
+
+  std::span<const uint32_t> of(size_t parent) const {
+    return std::span<const uint32_t>(ids).subspan(
+        offsets[parent], offsets[parent + 1] - offsets[parent]);
+  }
+};
+
+/// Builds the level's skip lists from the parent pairs.
+///
+/// Exact without a set of generated ids: the parents hold distinct sorted
+/// id sets of one size, and `AllowsRefinementWith` rejects a condition a
+/// parent already holds, so refinement `(i, b)` repeats an earlier one iff
+/// some parent `j < i` has `P_j \ P_i = {b}` and `P_i \ P_j = {x}` and
+/// admits `x` (then `(j, x)` is the same id set). Same id set means same
+/// extension, so the coverage filter never separates the two.
+void BuildSkipLists(std::span<const BeamEntry> beam,
+                    std::span<const pattern::Intention> intentions,
+                    const ConditionPool& pool, SkipLists* out) {
+  out->ids.clear();
+  out->offsets.assign(1, 0);
+  for (size_t i = 0; i < beam.size(); ++i) {
+    const size_t first = out->ids.size();
+    const std::vector<uint32_t>& pi = beam[i].condition_ids;
+    for (size_t j = 0; j < i; ++j) {
+      const std::vector<uint32_t>& pj = beam[j].condition_ids;
+      // One sorted merge: the single id only `pj` holds (b) and the single
+      // id only `pi` holds (x); give up on a second difference.
+      uint32_t only_j = 0;
+      uint32_t only_i = 0;
+      size_t diff_j = 0;
+      size_t diff_i = 0;
+      size_t a = 0;
+      size_t b = 0;
+      while ((a < pi.size() || b < pj.size()) && diff_i < 2 && diff_j < 2) {
+        if (b == pj.size() || (a < pi.size() && pi[a] < pj[b])) {
+          only_i = pi[a++];
+          ++diff_i;
+        } else if (a == pi.size() || pj[b] < pi[a]) {
+          only_j = pj[b++];
+          ++diff_j;
+        } else {
+          ++a;
+          ++b;
+        }
+      }
+      if (diff_i == 1 && diff_j == 1 &&
+          intentions[j].AllowsRefinementWith(pool.condition(only_i))) {
+        out->ids.push_back(only_j);
+      }
+    }
+    const auto begin = out->ids.begin() + ptrdiff_t(first);
+    std::sort(begin, out->ids.end());
+    out->ids.erase(std::unique(begin, out->ids.end()), out->ids.end());
+    out->offsets.push_back(out->ids.size());
+  }
+}
+
 /// Bounded best-list. Each id set is offered at most once per search (the
-/// generation dedup guarantees it), so the list keeps no signature set: an
-/// evicted candidate had lower quality than everything kept, and it is never
-/// re-offered.
+/// generation's skip lists guarantee it), so the list keeps no signature
+/// set: an evicted candidate had lower quality than everything kept, and it
+/// is never re-offered.
 class TopList {
  public:
   /// `max_ids` bounds the id sets offered; `spares` are retired entries
@@ -212,10 +225,11 @@ SearchResult BeamSearch(const data::DataTable& table,
                                  ? config.time_budget_seconds
                                  : 1e9));
 
-  std::vector<BeamEntry> beam;
+  // Level 1 refines one root parent: no conditions, every row.
+  std::vector<BeamEntry> beam(1);
+  beam[0].extension = pattern::Extension(n, /*full=*/true);
   // The beam before `beam`: its storage seeds the next level's list.
   std::vector<BeamEntry> retired;
-  const pattern::Extension full_extension(n, /*full=*/true);
 
   // Reused across levels, so a level's candidates cost no allocations once
   // the buffers have grown to the level's size.
@@ -226,13 +240,16 @@ SearchResult BeamSearch(const data::DataTable& table,
     condition_rows.Assign(pool, n);
     batch.rows = &condition_rows;
   }
-  LevelIdSet level_ids;
+  // Grown to the widest level's parent count (never to `beam_width`, which
+  // a client may set far beyond the pool).
+  std::vector<ParentCandidates> per_parent;
+  std::vector<pattern::Intention> parent_intentions;
+  SkipLists skips;
   std::vector<double> scores;
   std::vector<uint8_t> chunk_scored;
   pattern::Extension merge_extension(n);
-  size_t generation_ticks = 0;
 
-  // Level 1 candidates: every pool condition. Deeper levels: beam x pool.
+  // Every level refines the previous level's beam with every pool condition.
   for (int depth = 1; depth <= config.max_depth; ++depth) {
     if (Clock::now() >= deadline) {
       result.hit_time_budget = true;
@@ -240,59 +257,84 @@ SearchResult BeamSearch(const data::DataTable& table,
     }
 
     // ---- Phase 1: generate this level's candidate batch ----------------
-    // Deterministic order: parents in beam order, conditions ascending.
+    // Each parent's refinements are generated on their own (on the workers
+    // when there are several), then concatenated in parent order: parents
+    // in beam order, conditions ascending, the same order as one serial
+    // pass. The skip lists drop repeated id sets exactly (`BuildSkipLists`).
     const size_t d = static_cast<size_t>(depth);
     batch.depth = d;
     batch.parents.clear();
     batch.items.clear();
     batch.ids.clear();
-    level_ids.Clear();
-    if (depth == 1) {
-      batch.parents.push_back(&full_extension);
-    } else {
-      for (const BeamEntry& entry : beam) {
-        batch.parents.push_back(&entry.extension);
-      }
+    parent_intentions.clear();
+    for (const BeamEntry& entry : beam) {
+      batch.parents.push_back(&entry.extension);
+      parent_intentions.push_back(MakeIntention(pool, entry.condition_ids));
     }
-    if (batch.parents.empty()) break;
+    const size_t num_parents = beam.size();
+    if (num_parents == 0) break;
+    if (per_parent.size() < num_parents) per_parent.resize(num_parents);
+    BuildSkipLists(beam, parent_intentions, pool, &skips);
 
-    for (uint32_t pi = 0;
-         pi < batch.parents.size() && !result.hit_time_budget; ++pi) {
-      const std::span<const uint32_t> parent_ids =
-          depth == 1 ? std::span<const uint32_t>()
-                     : std::span<const uint32_t>(beam[pi].condition_ids);
-      // Reconstruct the parent's intention once for the constraint checks.
-      const pattern::Intention parent_intention =
-          MakeIntention(pool, parent_ids);
-      const pattern::Extension& parent_extension = *batch.parents[pi];
-      for (uint32_t cid = 0; cid < pool.size(); ++cid) {
-        if ((++generation_ticks & (kCandidateChunk - 1)) == 0 &&
-            Clock::now() >= deadline) {
-          result.hit_time_budget = true;
-          break;
+    const auto generate = [&](size_t begin, size_t end, size_t /*worker*/) {
+      for (size_t pi = begin; pi < end; ++pi) {
+        ParentCandidates& out = per_parent[pi];
+        out.items.clear();
+        out.ids.clear();
+        // A parent has at most one refinement per pool condition: sized
+        // once, the buffers never grow again within the search.
+        out.items.reserve(pool.size());
+        out.ids.reserve(pool.size() * max_ids);
+        out.complete = false;
+        const std::vector<uint32_t>& parent_ids = beam[pi].condition_ids;
+        const pattern::Intention& parent_intention = parent_intentions[pi];
+        const pattern::Extension& parent_extension = *batch.parents[pi];
+        const std::span<const uint32_t> skip = skips.of(pi);
+        auto next_skip = skip.begin();
+        for (uint32_t cid = 0; cid < pool.size(); ++cid) {
+          if ((cid & (kCandidateChunk - 1)) == 0 && Clock::now() >= deadline) {
+            return;
+          }
+          if (next_skip != skip.end() && *next_skip == cid) {
+            ++next_skip;
+            continue;
+          }
+          if (!parent_intention.AllowsRefinementWith(pool.condition(cid))) {
+            continue;
+          }
+          const size_t count = pattern::Extension::IntersectionCount(
+              parent_extension, pool.extension(cid));
+          if (count < min_coverage || count > max_coverage || count == n) {
+            continue;
+          }
+          const auto split =
+              std::upper_bound(parent_ids.begin(), parent_ids.end(), cid);
+          out.ids.insert(out.ids.end(), parent_ids.begin(), split);
+          out.ids.push_back(cid);
+          out.ids.insert(out.ids.end(), split, parent_ids.end());
+          out.items.push_back({static_cast<uint32_t>(pi), cid,
+                               static_cast<uint32_t>(count)});
         }
-        const pattern::Condition& cond = pool.condition(cid);
-        if (!parent_intention.AllowsRefinementWith(cond)) continue;
-        const size_t count = pattern::Extension::IntersectionCount(
-            parent_extension, pool.extension(cid));
-        if (count < min_coverage || count > max_coverage || count == n) {
-          continue;
-        }
-        // Append the sorted id set to the arena, and drop it again when the
-        // level already holds it. A duplicate shares extension and count,
-        // so deduping after the coverage filter is exact.
-        const uint32_t index = static_cast<uint32_t>(batch.items.size());
-        const auto split =
-            std::upper_bound(parent_ids.begin(), parent_ids.end(), cid);
-        batch.ids.insert(batch.ids.end(), parent_ids.begin(), split);
-        batch.ids.push_back(cid);
-        batch.ids.insert(batch.ids.end(), split, parent_ids.end());
-        if (!level_ids.Insert(batch, index)) {
-          batch.ids.resize(size_t(index) * d);
-          continue;
-        }
-        batch.items.push_back({pi, cid, static_cast<uint32_t>(count)});
+        out.complete = true;
       }
+    };
+    if (workers != nullptr) {
+      workers->ParallelChunks(num_parents, /*grain=*/1, generate);
+    } else {
+      generate(0, num_parents, 0);
+    }
+    // Keep the parents generated in full up to the first one the deadline
+    // cut short: every skip of a kept parent points at a kept parent, so
+    // the kept prefix is still free of repeated id sets.
+    for (size_t pi = 0; pi < num_parents; ++pi) {
+      const ParentCandidates& part = per_parent[pi];
+      if (!part.complete) {
+        result.hit_time_budget = true;
+        break;
+      }
+      batch.items.insert(batch.items.end(), part.items.begin(),
+                         part.items.end());
+      batch.ids.insert(batch.ids.end(), part.ids.begin(), part.ids.end());
     }
 
     // ---- Phase 2: score the batch in chunks ----------------------------

@@ -6,7 +6,8 @@
 /// (a) the SI-based location-pattern search of the paper, (b) the
 /// subgroup-list gain of `list_miner` and (c) the baseline quality measures
 /// used for comparison. Per beam level the search generates one candidate
-/// batch and scores it in parallel through a `BatchEvaluator`; the beam
+/// batch (each parent's refinements in parallel, concatenated in parent
+/// order) and scores it in parallel through a `BatchEvaluator`; the beam
 /// keeps the `beam_width` best per level and a global top-`k` list collects
 /// the best subgroups seen anywhere in the search. Results are merged in
 /// candidate generation order, so the output is bit-identical for any

@@ -1,10 +1,12 @@
 /// \file thread_pool.hpp
-/// \brief Minimal internal worker pool for parallel candidate scoring.
+/// \brief Minimal internal worker pool for parallel candidate generation
+/// and scoring.
 ///
-/// The beam search scores each level's candidate batch in chunks; chunks
-/// are claimed dynamically (atomic cursor) for load balance, but every
-/// result is written to its candidate's index, so the merged output is
-/// independent of the thread count and of scheduling (bit-deterministic).
+/// The beam search generates each level's candidates per parent and scores
+/// the level's batch in chunks; chunks are claimed dynamically (atomic
+/// cursor) for load balance, but every result is written to its parent's
+/// or candidate's slot, so the merged output is independent of the thread
+/// count and of scheduling (bit-deterministic).
 ///
 /// A pool may be shared by many owners (the serve layer runs one pool for
 /// all live sessions instead of a per-search pool): `ParallelChunks` is

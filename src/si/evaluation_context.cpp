@@ -18,9 +18,9 @@ EvaluationContext::EvaluationContext(const model::BackgroundModel& model,
       fsolve_(model.dim()),
       scratch_mean_(model.dim()) {
   counts_.reserve(model.num_groups() + 8);
-  if (model.num_groups() > 1) {
+  if (model.num_groups() > 1 && model.dim() > 1) {
     // Size the marginal scratch up front so scoring never allocates (a
-    // single-group model never takes the marginal path).
+    // single-group model and dy = 1 never take the generic marginal path).
     marginal_mean_ = linalg::Vector(model.dim());
     marginal_cov_ = linalg::Matrix::Identity(model.dim());
     marginal_chol_.Refactor(marginal_cov_).CheckOK();
@@ -139,6 +139,24 @@ double EvaluationContext::ICFromCounts(size_t total,
     return 0.5 * (double(dy) * kLog2Pi + logdet) + 0.5 * quad;
   }
 
+  if (dy == 1) {
+    // The multi-group marginal in scalar arithmetic: the operations of
+    // `MeanStatMarginalInto` + `Cholesky::Refactor` + `LogDeterminant` +
+    // `InverseQuadraticForm` below on 1 x 1 matrices, in the same order, so
+    // every bit matches the generic path.
+    double mean = 0.0;
+    double variance = 0.0;
+    for (size_t g = 0; g < counts_.size(); ++g) {
+      if (counts_[g] == 0) continue;
+      const double weight = double(counts_[g]);
+      mean += weight / size * model_->group(g).mu[0];
+      variance += weight / (size * size) * model_->group(g).sigma(0, 0);
+    }
+    SISD_CHECK(variance > 0.0 && std::isfinite(variance));
+    const double root = std::sqrt(variance);
+    const double z = (empirical_mean[0] - mean) / root;
+    return 0.5 * (kLog2Pi + 2.0 * std::log(root)) + 0.5 * (z * z);
+  }
   model_->MeanStatMarginalInto(counts_, size, &marginal_mean_,
                                &marginal_cov_);
   marginal_chol_.Refactor(marginal_cov_).CheckOK();

@@ -130,7 +130,8 @@ class EvaluationContext {
   linalg::Vector fsolve_;       ///< forward-solve scratch (dy)
   linalg::Vector scratch_mean_;  ///< caller-visible mean buffer (dy)
 
-  /// Multi-group marginal of the mean statistic, rebuilt per subgroup.
+  /// Multi-group marginal of the mean statistic at dy > 1, rebuilt per
+  /// subgroup (dy = 1 computes it in scalars).
   linalg::Vector marginal_mean_;   ///< (dy)
   linalg::Matrix marginal_cov_;    ///< (dy x dy)
   linalg::Cholesky marginal_chol_; ///< factor of `marginal_cov_`

@@ -383,20 +383,26 @@ void ExpectMatchesNaiveReference(const data::DataTable& table,
   NaiveCounters counters;
   const SearchResult expected =
       NaiveBeamSearch(table, pool, config, &counters);
-  const SearchResult actual =
-      ReferenceBeamSearch(table, pool, config, HashedQuality);
   // The pools must exercise both dedup outcomes.
   EXPECT_GT(counters.duplicates_accepted, 0u);
   EXPECT_GT(counters.duplicates_rejected, 0u);
-  EXPECT_EQ(actual.num_evaluated, expected.num_evaluated);
-  ASSERT_EQ(actual.top.size(), expected.top.size());
-  for (size_t i = 0; i < actual.top.size(); ++i) {
-    EXPECT_EQ(actual.top[i].intention.CanonicalSignature(),
-              expected.top[i].intention.CanonicalSignature())
-        << "rank " << i;
-    EXPECT_EQ(actual.top[i].extension, expected.top[i].extension)
-        << "rank " << i;
-    EXPECT_EQ(actual.top[i].quality, expected.top[i].quality) << "rank " << i;
+  // `HashedQuality` is pure, so the engine may score (and generate) on
+  // several workers; the output must not depend on how many.
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE(testing::Message() << threads << " workers");
+    const SearchResult actual =
+        ReferenceBeamSearch(table, pool, config, HashedQuality, threads);
+    EXPECT_EQ(actual.num_evaluated, expected.num_evaluated);
+    ASSERT_EQ(actual.top.size(), expected.top.size());
+    for (size_t i = 0; i < actual.top.size(); ++i) {
+      EXPECT_EQ(actual.top[i].intention.CanonicalSignature(),
+                expected.top[i].intention.CanonicalSignature())
+          << "rank " << i;
+      EXPECT_EQ(actual.top[i].extension, expected.top[i].extension)
+          << "rank " << i;
+      EXPECT_EQ(actual.top[i].quality, expected.top[i].quality)
+          << "rank " << i;
+    }
   }
 }
 
@@ -418,6 +424,20 @@ TEST(BeamSearchTest, MatchesNaiveReferenceWithExclusions) {
   config.top_k = 80;
   config.min_coverage = 10;
   config.max_coverage_fraction = 0.9;
+  config.include_exclusions = true;
+  ExpectMatchesNaiveReference(table, /*include_exclusions=*/true, config);
+}
+
+TEST(BeamSearchTest, MatchesNaiveReferenceAtDepthFourWithExclusions) {
+  // Depth 4: parents hold three ids, so two parents can differ in one id
+  // out of several, including `!=` exclusions on one attribute.
+  const data::DataTable table = MakeMixedTable(180, 13);
+  SearchConfig config;
+  config.beam_width = 20;
+  config.max_depth = 4;
+  config.top_k = 70;
+  config.min_coverage = 8;
+  config.max_coverage_fraction = 0.95;
   config.include_exclusions = true;
   ExpectMatchesNaiveReference(table, /*include_exclusions=*/true, config);
 }

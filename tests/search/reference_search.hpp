@@ -1,10 +1,10 @@
 /// \file reference_search.hpp
 /// \brief Test-only references the search engines are checked against:
-/// a materializing single-worker `BatchEvaluator` over a plain quality
-/// function, a naive depth-first enumerator of the description language,
-/// and the prefix-sum univariate SI bound. Each is the slowest honest way
-/// to compute its answer: no fused kernels, no scratch reuse, no pruning,
-/// no budget.
+/// a materializing `BatchEvaluator` over a plain quality function (single
+/// worker unless the function is pure), a naive depth-first enumerator of
+/// the description language, and the prefix-sum univariate SI bound. Each
+/// is the slowest honest way to compute its answer: no fused kernels, no
+/// scratch reuse, no pruning, no budget.
 
 #ifndef SISD_TESTS_SEARCH_REFERENCE_SEARCH_HPP_
 #define SISD_TESTS_SEARCH_REFERENCE_SEARCH_HPP_
@@ -47,14 +47,17 @@ inline Quality SiQuality(const model::BackgroundModel& model,
 }
 
 /// Materializes every candidate's extension and intention and scores it
-/// through `quality`. Runs on a single worker, so `quality` need not be
-/// thread-safe.
+/// through `quality`. Runs on at most `max_workers` workers: one unless the
+/// caller vouches that `quality` is pure (thread-safe, a function of its
+/// arguments only), so an impure `quality` need not be thread-safe.
 class ReferenceEvaluator final : public BatchEvaluator {
  public:
-  explicit ReferenceEvaluator(Quality quality)
-      : quality_(std::move(quality)) {}
+  explicit ReferenceEvaluator(Quality quality, size_t max_workers = 1)
+      : quality_(std::move(quality)), max_workers_(max_workers) {}
 
-  void Prepare(size_t num_workers) override { SISD_CHECK(num_workers == 1); }
+  void Prepare(size_t num_workers) override {
+    SISD_CHECK(num_workers <= max_workers_);
+  }
 
   void ScoreChunk(const CandidateBatch& batch, size_t begin, size_t end,
                   size_t /*worker*/, double* scores) override {
@@ -73,14 +76,17 @@ class ReferenceEvaluator final : public BatchEvaluator {
 
  private:
   Quality quality_;
+  size_t max_workers_;
 };
 
-/// `BeamSearch` scoring through a `ReferenceEvaluator` on one thread.
+/// `BeamSearch` scoring through a `ReferenceEvaluator` on `num_threads`
+/// workers (one by default); more than one requires a pure `quality`.
 inline SearchResult ReferenceBeamSearch(const data::DataTable& table,
                                         const ConditionPool& pool,
-                                        SearchConfig config, Quality quality) {
-  config.num_threads = 1;
-  ReferenceEvaluator evaluator(std::move(quality));
+                                        SearchConfig config, Quality quality,
+                                        int num_threads = 1) {
+  config.num_threads = num_threads;
+  ReferenceEvaluator evaluator(std::move(quality), size_t(num_threads));
   return BeamSearch(table, pool, config, evaluator);
 }
 

@@ -144,19 +144,24 @@ TEST(ScoringAllocTest, PaperDefaultBeamSearchAllocatesUnderOnePercent) {
       ConditionPool::Build(data.dataset.descriptions, 4);
   AssimilateTwoConditions(pool, data.dataset.targets, &model);
 
-  SearchConfig config;  // paper defaults: beam 40, depth 4, top 150
-  config.num_threads = 2;
-  SiLocationEvaluator evaluator(model, data.dataset.targets,
-                                si::DescriptionLengthParams{});
-  const size_t before = g_allocations.load();
-  const SearchResult result =
-      BeamSearch(data.dataset.descriptions, pool, config, evaluator);
-  const size_t allocations = g_allocations.load() - before;
-  ASSERT_EQ(result.top.size(), config.top_k);
-  EXPECT_GT(result.num_evaluated, 100000u);
-  EXPECT_LT(allocations * 100, result.num_evaluated)
-      << allocations << " allocations for " << result.num_evaluated
-      << " evaluated candidates";
+  // Four threads generate every parent's refinements on its own worker:
+  // the per-parent buffers must be reused across levels, not reallocated.
+  for (int threads : {2, 4}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    SearchConfig config;  // paper defaults: beam 40, depth 4, top 150
+    config.num_threads = threads;
+    SiLocationEvaluator evaluator(model, data.dataset.targets,
+                                  si::DescriptionLengthParams{});
+    const size_t before = g_allocations.load();
+    const SearchResult result =
+        BeamSearch(data.dataset.descriptions, pool, config, evaluator);
+    const size_t allocations = g_allocations.load() - before;
+    ASSERT_EQ(result.top.size(), config.top_k);
+    EXPECT_GT(result.num_evaluated, 100000u);
+    EXPECT_LT(allocations * 100, result.num_evaluated)
+        << allocations << " allocations for " << result.num_evaluated
+        << " evaluated candidates";
+  }
 }
 
 }  // namespace

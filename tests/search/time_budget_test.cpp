@@ -3,8 +3,12 @@
 /// and overshoot the deadline by at most a bounded number of scoring
 /// chunks — not a whole beam level.
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
+#include <set>
+#include <string>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -19,14 +23,15 @@ namespace {
 
 using reference::ReferenceBeamSearch;
 
-/// 200 rows x 12 numeric columns: a pool of ~96 conditions, so level 2
-/// generates thousands of candidates — plenty of work to interrupt.
-data::DataTable MakeWideTable() {
+/// `rows` x `cols` numeric columns; the default 200 x 12 gives a pool of
+/// ~96 conditions, so level 2 generates thousands of candidates — plenty
+/// of work to interrupt.
+data::DataTable MakeWideTable(int rows = 200, int cols = 12) {
   data::DataTable table;
-  for (int j = 0; j < 12; ++j) {
+  for (int j = 0; j < cols; ++j) {
     std::vector<double> values;
-    values.reserve(200);
-    for (int i = 0; i < 200; ++i) {
+    values.reserve(size_t(rows));
+    for (int i = 0; i < rows; ++i) {
       values.push_back(std::fmod(double(i) * (1.3 + 0.17 * double(j)), 19.0));
     }
     table.AddColumn(data::Column::Numeric(StrFormat("x%d", j), values))
@@ -130,6 +135,86 @@ TEST(TimeBudgetTest, ExpiredSearchCountsOnlyScoredCandidates) {
   // num_evaluated reflects work actually done: consistent with the elapsed
   // wall clock at ~200us each (never the full candidate universe).
   EXPECT_LE(partial.num_evaluated, 3000u);
+}
+
+/// Coverage quality that counts its calls and records when the last
+/// level-1 and the first level-2 score ran (nanoseconds since creation).
+/// The score is still a pure function of the candidate, so any worker
+/// count may call it.
+struct TimedCoverage {
+  using Clock = std::chrono::steady_clock;
+
+  const Clock::time_point origin = Clock::now();
+  std::atomic<size_t> calls{0};
+  std::atomic<int64_t> last_level1_ns{INT64_MIN};
+  std::atomic<int64_t> first_level2_ns{INT64_MAX};
+
+  reference::Quality Quality() {
+    return [this](const pattern::Intention& intention,
+                  const pattern::Extension& extension) {
+      const int64_t now = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                              Clock::now() - origin)
+                              .count();
+      const bool level1 = intention.size() == 1;
+      std::atomic<int64_t>& bound = level1 ? last_level1_ns : first_level2_ns;
+      int64_t seen = bound.load();
+      while ((level1 ? now > seen : now < seen) &&
+             !bound.compare_exchange_weak(seen, now)) {
+      }
+      calls.fetch_add(1);
+      return double(extension.count()) / double(1 + intention.size());
+    };
+  }
+};
+
+TEST(TimeBudgetTest, DeadlineDuringGenerationAtFourWorkersKeepsListValid) {
+  // 20,000 rows x 24 columns: level 2 generates 100 parents x ~190 pool
+  // conditions, each intersection count sweeping 313 words, so its
+  // generation is a window of its own between the last level-1 score and
+  // the first level-2 score.
+  const data::DataTable table = MakeWideTable(20000, 24);
+  const ConditionPool pool = ConditionPool::Build(table, 4);
+  SearchConfig config = WideConfig();
+  config.beam_width = 100;
+  config.max_depth = 2;
+  config.min_coverage = 1000;
+  config.max_coverage_fraction = 0.65;
+
+  TimedCoverage unbudgeted;
+  const SearchResult full = ReferenceBeamSearch(
+      table, pool, config, unbudgeted.Quality(), /*num_threads=*/4);
+  ASSERT_FALSE(full.hit_time_budget);
+  ASSERT_EQ(full.num_evaluated, unbudgeted.calls.load());
+  const int64_t window_begin = unbudgeted.last_level1_ns.load();
+  const int64_t window_end = unbudgeted.first_level2_ns.load();
+  ASSERT_LT(window_begin, window_end);
+
+  // Aim deadlines across the generation window (where each lands depends
+  // on the machine), and check every outcome: a cut in generation keeps
+  // only the parents generated in full, so no id set repeats.
+  for (int step = 0; step < 8; ++step) {
+    SCOPED_TRACE(testing::Message() << "step " << step);
+    const int64_t at_ns =
+        window_begin + (window_end - window_begin) * (2 * step + 1) / 16;
+    config.time_budget_seconds = double(at_ns) * 1e-9;
+    TimedCoverage timed;
+    const SearchResult partial = ReferenceBeamSearch(
+        table, pool, config, timed.Quality(), /*num_threads=*/4);
+    EXPECT_LE(partial.num_evaluated, full.num_evaluated);
+    EXPECT_EQ(partial.num_evaluated, timed.calls.load());
+    std::set<std::string> signatures;
+    for (size_t i = 0; i < partial.top.size(); ++i) {
+      const ScoredSubgroup& entry = partial.top[i];
+      EXPECT_TRUE(
+          signatures.insert(entry.intention.CanonicalSignature()).second)
+          << "rank " << i;
+      EXPECT_TRUE(std::isfinite(entry.quality));
+      EXPECT_EQ(entry.extension, entry.intention.Evaluate(table));
+      if (i > 0) {
+        EXPECT_LE(entry.quality, partial.top[i - 1].quality);
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,10 +1,16 @@
 #include "si/interestingness.hpp"
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "linalg/cholesky.hpp"
 #include "random/rng.hpp"
+#include "si/evaluation_context.hpp"
 
 namespace sisd::si {
 namespace {
@@ -103,6 +109,96 @@ TEST(LocationIcTest, FastPathMatchesGeneralPath) {
   // Probe straddling both groups (general path) still finite and sane.
   const Extension straddle = Extension::FromRows(20, {4, 5, 6});
   EXPECT_TRUE(std::isfinite(LocationIC(model, straddle, observed)));
+}
+
+/// A dy = 1 model of `num_groups` groups over `n` rows (rows dealt round
+/// robin), with random means and variances spanning `min_log10` to
+/// `max_log10` decades.
+BackgroundModel MakeUnivariateGroups(size_t n, size_t num_groups,
+                                     double min_log10, double max_log10,
+                                     random::Rng* rng) {
+  std::vector<model::ParameterGroup> groups(num_groups);
+  std::vector<std::vector<size_t>> rows(num_groups);
+  for (size_t i = 0; i < n; ++i) rows[i % num_groups].push_back(i);
+  for (size_t g = 0; g < num_groups; ++g) {
+    groups[g].mu = Vector{rng->Gaussian(0.0, 3.0)};
+    groups[g].sigma =
+        Matrix{{std::pow(10.0, rng->Uniform(min_log10, max_log10))}};
+    groups[g].rows = Extension::FromRows(n, rows[g]);
+  }
+  Result<BackgroundModel> model =
+      BackgroundModel::RestoreFromParts(n, 1, std::move(groups));
+  model.status().CheckOK();
+  return std::move(model).MoveValue();
+}
+
+/// The generic multi-group composition the dy = 1 scalar path replaces.
+double GenericMarginalIC(const BackgroundModel& model, const Extension& ext,
+                         const Vector& empirical_mean) {
+  Vector mean;
+  Matrix cov;
+  model.MeanStatMarginalInto(model.GroupCounts(ext), double(ext.count()),
+                             &mean, &cov);
+  Result<linalg::Cholesky> chol = linalg::Cholesky::Compute(cov);
+  chol.status().CheckOK();
+  Vector diff;
+  diff.AssignDifference(empirical_mean, mean);
+  Vector scratch;
+  return 0.5 * (double(model.dim()) * kLog2Pi +
+                chol.Value().LogDeterminant()) +
+         0.5 * chol.Value().InverseQuadraticForm(diff, &scratch);
+}
+
+TEST(LocationIcTest, UnivariateMultiGroupIcIsBitIdenticalToGenericPath) {
+  random::Rng rng(2026);
+  size_t straddling = 0;
+  // Unit-scale variances, then ridge-scale ones (1e-8 of a unit variance,
+  // as `CreateFromData` adds to a rank-deficient covariance).
+  for (const auto& [lo, hi] : {std::pair{-2.0, 2.0}, std::pair{-10.0, -6.0}}) {
+    for (size_t num_groups : {2u, 3u, 7u, 24u}) {
+      const size_t n = 300;
+      const BackgroundModel model =
+          MakeUnivariateGroups(n, num_groups, lo, hi, &rng);
+      si::EvaluationContext context(model);
+      for (int trial = 0; trial < 200; ++trial) {
+        std::vector<size_t> rows;
+        const double density = rng.Uniform(0.01, 0.9);
+        for (size_t i = 0; i < n; ++i) {
+          if (rng.Bernoulli(density)) rows.push_back(i);
+        }
+        if (rows.empty()) rows.push_back(size_t(rng.UniformInt(0, n - 1)));
+        const Extension ext = Extension::FromRows(n, rows);
+        size_t groups_hit = 0;
+        for (size_t count : model.GroupCounts(ext)) groups_hit += count > 0;
+        if (groups_hit < 2) continue;
+        ++straddling;
+        const Vector observed{rng.Gaussian(0.0, 3.0)};
+        const double actual = context.LocationIC(ext, observed);
+        const double expected = GenericMarginalIC(model, ext, observed);
+        ASSERT_EQ(std::memcmp(&actual, &expected, sizeof(double)), 0)
+            << "groups " << num_groups << ", trial " << trial << ": "
+            << actual << " vs " << expected;
+      }
+    }
+  }
+  EXPECT_GT(straddling, 1000u);
+}
+
+TEST(LocationIcTest, UnivariateMultiGroupZeroMarginalVarianceAborts) {
+  // Two groups of the smallest subnormal variance: each factorizes, but the
+  // straddling marginal variance 2/16 * 4.9e-324 underflows to 0, which the
+  // generic path's factorization rejects as well.
+  std::vector<model::ParameterGroup> groups(2);
+  for (size_t g = 0; g < 2; ++g) {
+    groups[g].mu = Vector{0.0};
+    groups[g].sigma = Matrix{{std::numeric_limits<double>::denorm_min()}};
+    groups[g].rows = Extension::FromRows(4, {2 * g, 2 * g + 1});
+  }
+  Result<BackgroundModel> model =
+      BackgroundModel::RestoreFromParts(4, 1, std::move(groups));
+  ASSERT_TRUE(model.ok());
+  const Extension all = Extension::FromRows(4, {0, 1, 2, 3});
+  EXPECT_DEATH(LocationIC(model.Value(), all, Vector{0.0}), "SISD_CHECK");
 }
 
 TEST(LocationIcTest, DropsAfterAssimilation) {
