@@ -21,6 +21,13 @@ using Clock = std::chrono::steady_clock;
 /// measurable on the hot path).
 constexpr size_t kCandidateChunk = 256;
 
+/// Fewest refinement checks (parents x pool conditions) a level must hold
+/// before its generation runs on the workers. Below it, waking the helpers
+/// costs about as much as the checks they would take over, and the
+/// wake-up's latency varies from call to call, so a small level generates
+/// on the calling thread.
+constexpr size_t kMinParallelRefinements = 32 * kCandidateChunk;
+
 /// Beam entry: intention as pool-condition indices (sorted = canonical).
 struct BeamEntry {
   std::vector<uint32_t> condition_ids;
@@ -273,7 +280,16 @@ SearchResult BeamSearch(const data::DataTable& table,
     }
     const size_t num_parents = beam.size();
     if (num_parents == 0) break;
-    if (per_parent.size() < num_parents) per_parent.resize(num_parents);
+    if (per_parent.size() < num_parents) {
+      per_parent.resize(num_parents);
+      // A parent has at most one refinement per pool condition: sized once
+      // here, on the calling thread, the buffers never grow again within
+      // the search and the workers never allocate.
+      for (ParentCandidates& part : per_parent) {
+        part.items.reserve(pool.size());
+        part.ids.reserve(pool.size() * max_ids);
+      }
+    }
     BuildSkipLists(beam, parent_intentions, pool, &skips);
 
     const auto generate = [&](size_t begin, size_t end, size_t /*worker*/) {
@@ -281,10 +297,6 @@ SearchResult BeamSearch(const data::DataTable& table,
         ParentCandidates& out = per_parent[pi];
         out.items.clear();
         out.ids.clear();
-        // A parent has at most one refinement per pool condition: sized
-        // once, the buffers never grow again within the search.
-        out.items.reserve(pool.size());
-        out.ids.reserve(pool.size() * max_ids);
         out.complete = false;
         const std::vector<uint32_t>& parent_ids = beam[pi].condition_ids;
         const pattern::Intention& parent_intention = parent_intentions[pi];
@@ -319,7 +331,11 @@ SearchResult BeamSearch(const data::DataTable& table,
       }
     };
     if (workers != nullptr) {
-      workers->ParallelChunks(num_parents, /*grain=*/1, generate);
+      // One chunk of every parent runs inline (`ParallelChunks`' fast path).
+      const size_t grain =
+          num_parents * pool.size() >= kMinParallelRefinements ? 1
+                                                               : num_parents;
+      workers->ParallelChunks(num_parents, grain, generate);
     } else {
       generate(0, num_parents, 0);
     }

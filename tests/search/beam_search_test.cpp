@@ -386,8 +386,9 @@ void ExpectMatchesNaiveReference(const data::DataTable& table,
   // The pools must exercise both dedup outcomes.
   EXPECT_GT(counters.duplicates_accepted, 0u);
   EXPECT_GT(counters.duplicates_rejected, 0u);
-  // `HashedQuality` is pure, so the engine may score (and generate) on
-  // several workers; the output must not depend on how many.
+  // `HashedQuality` is pure, so the engine may score (and, on levels with
+  // enough refinement checks, generate) on several workers; the output
+  // must not depend on how many.
   for (int threads : {1, 2, 4}) {
     SCOPED_TRACE(testing::Message() << threads << " workers");
     const SearchResult actual =
@@ -437,6 +438,21 @@ TEST(BeamSearchTest, MatchesNaiveReferenceAtDepthFourWithExclusions) {
   config.max_depth = 4;
   config.top_k = 70;
   config.min_coverage = 8;
+  config.max_coverage_fraction = 0.95;
+  config.include_exclusions = true;
+  ExpectMatchesNaiveReference(table, /*include_exclusions=*/true, config);
+}
+
+TEST(BeamSearchTest, MatchesNaiveReferenceWhenWideLevelsGenerateOnWorkers) {
+  // A pool of ~32 conditions under a 400-wide beam: levels 3 and 4 refine
+  // hundreds of parents (over ten thousand refinement checks each), enough
+  // that generation runs on the workers rather than inline.
+  const data::DataTable table = MakeMixedTable(240, 14);
+  SearchConfig config;
+  config.beam_width = 400;
+  config.max_depth = 4;
+  config.top_k = 120;
+  config.min_coverage = 4;
   config.max_coverage_fraction = 0.95;
   config.include_exclusions = true;
   ExpectMatchesNaiveReference(table, /*include_exclusions=*/true, config);
