@@ -5,14 +5,10 @@
 #include <utility>
 
 #include "common/strings.hpp"
-#include "core/session_io.hpp"
 #include "search/optimal_search.hpp"
 #include "search/si_evaluator.hpp"
-#include "serialize/snapshot.hpp"
 
 namespace sisd::core {
-
-using serialize::JsonValue;
 
 std::string ScoredLocationPattern::Describe(
     const data::DataTable& table) const {
@@ -366,210 +362,6 @@ Result<ScoredSpreadPattern> MiningSession::FindSpreadPattern(
                               out.pattern.direction, out.pattern.variance,
                               subgroup.intention.size(), config_.dl);
   return out;
-}
-
-std::string MiningSession::SaveToString(SnapshotForm form) const {
-  JsonValue out = JsonValue::Object();
-  out.Set("format", JsonValue::Str(kSessionFormatTag));
-  out.Set("schema_version", JsonValue::Int(kSessionSchemaVersion));
-  if (form == SnapshotForm::kDatasetRef && origin_.has_value()) {
-    // Additive schema: `dataset_ref` replaces `dataset` for sessions with
-    // a catalog origin; everything else is unchanged. A session without an
-    // origin has no catalog to point at, so it falls back to inline.
-    out.Set("dataset_ref", EncodeDatasetRef(*origin_));
-    // Additive field: the pre-rebase dataset lineage. Written only for
-    // rebased sessions in ref form, so never-rebased snapshots (and all
-    // inline ones) keep their exact historical bytes.
-    if (!version_chain_.empty()) {
-      JsonValue chain = JsonValue::Array();
-      for (const SessionVersionLink& link : version_chain_) {
-        chain.Append(EncodeVersionLink(link));
-      }
-      out.Set("version_chain", std::move(chain));
-    }
-  } else {
-    out.Set("dataset", JsonValue::Verbatim(
-                           serialize::EncodeDatasetText(*dataset_)));
-  }
-  out.Set("config", EncodeMinerConfig(config_));
-  out.Set("assimilator", serialize::EncodeAssimilator(assimilator_));
-  JsonValue history = JsonValue::Array();
-  for (const IterationResult& iteration : history_) {
-    history.Append(EncodeIterationResult(iteration));
-  }
-  out.Set("history", std::move(history));
-  // Additive schema field: written only when list mining happened, so
-  // sessions that never called MineList keep their exact historical bytes
-  // (same policy as `spread_error` above and `use_optimal_search` in the
-  // config codec).
-  if (!list_history_.empty()) {
-    JsonValue list_history = JsonValue::Array();
-    for (const ListMineResult& entry : list_history_) {
-      list_history.Append(EncodeListMineResult(entry));
-    }
-    out.Set("list_history", std::move(list_history));
-  }
-  return out.Write();
-}
-
-Status MiningSession::Save(const std::string& path) const {
-  return serialize::WriteTextFile(path, SaveToString());
-}
-
-Result<MiningSession> MiningSession::RestoreFromString(
-    const std::string& text, catalog::DatasetCatalog* catalog) {
-  SISD_ASSIGN_OR_RETURN(root, JsonValue::Parse(text));
-  SISD_ASSIGN_OR_RETURN(format_json, root.Get("format"));
-  SISD_ASSIGN_OR_RETURN(format, format_json->GetString());
-  if (format != kSessionFormatTag) {
-    return Status::InvalidArgument("not a sisd session snapshot (format '" +
-                                   format + "')");
-  }
-  SISD_ASSIGN_OR_RETURN(version_json, root.Get("schema_version"));
-  SISD_ASSIGN_OR_RETURN(version, version_json->GetInt());
-  if (version != kSessionSchemaVersion) {
-    return Status::InvalidArgument(
-        StrFormat("unsupported session schema version %lld (expected %lld)",
-                  static_cast<long long>(version),
-                  static_cast<long long>(kSessionSchemaVersion)));
-  }
-
-  SISD_ASSIGN_OR_RETURN(config_json, root.Get("config"));
-  SISD_ASSIGN_OR_RETURN(config, DecodeMinerConfig(*config_json));
-
-  // The dataset is stored inline (self-contained snapshot) or as a
-  // `dataset_ref` the catalog resolves; a catalog also lets an inline
-  // snapshot adopt the shared instance when the content fingerprint
-  // matches a registered dataset.
-  const JsonValue* dataset_json = root.Find("dataset");
-  const JsonValue* ref_json = root.Find("dataset_ref");
-  if ((dataset_json != nullptr) == (ref_json != nullptr)) {
-    return Status::InvalidArgument(
-        "snapshot must store exactly one of 'dataset' and 'dataset_ref'");
-  }
-  std::shared_ptr<const data::Dataset> shared_dataset;
-  std::optional<catalog::DatasetRef> origin;
-  if (ref_json != nullptr) {
-    SISD_ASSIGN_OR_RETURN(ref, DecodeDatasetRef(*ref_json));
-    if (catalog == nullptr) {
-      return Status::InvalidArgument(
-          "snapshot stores dataset_ref {fingerprint: " +
-          catalog::FingerprintToHex(ref.fingerprint) + ", name: '" +
-          ref.name + "'} but no catalog was given to resolve it");
-    }
-    SISD_ASSIGN_OR_RETURN(pinned, catalog->Resolve(ref, /*pin=*/false));
-    shared_dataset = pinned.dataset;
-    origin = pinned.ref();
-  } else {
-    SISD_ASSIGN_OR_RETURN(dataset, serialize::DecodeDataset(*dataset_json));
-    if (catalog != nullptr) {
-      // Verified content match: a fingerprint collision reads as "not in
-      // the catalog" and keeps the private decoded copy.
-      Result<catalog::PinnedDataset> known =
-          catalog->MatchContent(dataset, /*pin=*/false);
-      if (known.ok()) {
-        // Same content already registered: share it (and its pool below)
-        // instead of keeping the private decoded copy.
-        shared_dataset = known.Value().dataset;
-        origin = known.Value().ref();
-      }
-    }
-    if (shared_dataset == nullptr) {
-      shared_dataset =
-          std::make_shared<const data::Dataset>(std::move(dataset));
-    }
-  }
-
-  std::vector<SessionVersionLink> version_chain;
-  if (const JsonValue* chain_json = root.Find("version_chain")) {
-    if (!chain_json->is_array()) {
-      return Status::InvalidArgument("version_chain must be an array");
-    }
-    version_chain.reserve(chain_json->size());
-    for (const JsonValue& entry : chain_json->items()) {
-      SISD_ASSIGN_OR_RETURN(link, DecodeVersionLink(entry));
-      version_chain.push_back(std::move(link));
-    }
-  }
-
-  SISD_ASSIGN_OR_RETURN(assimilator_json, root.Get("assimilator"));
-  SISD_ASSIGN_OR_RETURN(assimilator,
-                        serialize::DecodeAssimilator(*assimilator_json));
-  if (assimilator.model().num_rows() != shared_dataset->num_rows() ||
-      assimilator.model().dim() != shared_dataset->num_targets()) {
-    return Status::InvalidArgument(
-        "snapshot model shape disagrees with its dataset");
-  }
-
-  // Derived state is rebuilt or fetched, never stored: the condition pool
-  // is a pure function of (descriptions, num_split_points,
-  // include_exclusions) — catalog-known datasets reuse the memoized shared
-  // pool and skip construction entirely — and the model recomputed each
-  // group's Cholesky factor from its covariance while decoding.
-  std::shared_ptr<const search::ConditionPool> pool;
-  if (origin.has_value() && catalog != nullptr) {
-    catalog::PinnedDataset pinned;
-    pinned.dataset = shared_dataset;
-    pinned.fingerprint = origin->fingerprint;
-    pool = catalog->PoolFor(pinned, config.search.num_split_points,
-                            config.search.include_exclusions);
-  } else {
-    pool = std::make_shared<const search::ConditionPool>(
-        search::ConditionPool::Build(shared_dataset->descriptions,
-                                     config.search.num_split_points,
-                                     config.search.include_exclusions));
-  }
-  MiningSession session(std::move(shared_dataset), std::move(config),
-                        std::move(pool), std::move(assimilator),
-                        std::move(origin));
-  session.version_chain_ = std::move(version_chain);
-
-  SISD_ASSIGN_OR_RETURN(history_json, root.Get("history"));
-  if (!history_json->is_array()) {
-    return Status::InvalidArgument("session history must be an array");
-  }
-  session.history_.reserve(history_json->size());
-  for (const JsonValue& entry : history_json->items()) {
-    SISD_ASSIGN_OR_RETURN(iteration, DecodeIterationResult(entry));
-    session.history_.push_back(std::move(iteration));
-  }
-
-  // Additive field: the subgroup-list history. The current list is derived
-  // state — rebuilt by replaying the saved rules in order (integer bitset
-  // ops plus stored doubles) onto a freshly fitted default model, which is
-  // a deterministic function of the targets. The rebuilt list therefore
-  // continues mining bit-identically to the saved one.
-  if (const JsonValue* list_history_json = root.Find("list_history")) {
-    if (!list_history_json->is_array()) {
-      return Status::InvalidArgument("session list_history must be an array");
-    }
-    session.list_history_.reserve(list_history_json->size());
-    for (const JsonValue& entry : list_history_json->items()) {
-      SISD_ASSIGN_OR_RETURN(list_result, DecodeListMineResult(entry));
-      session.list_history_.push_back(std::move(list_result));
-    }
-    if (!session.list_history_.empty()) {
-      session.list_ = search::MakeEmptySubgroupList(
-          session.dataset_->targets, session.config_.list_gain);
-      const size_t num_rows = session.dataset_->num_rows();
-      for (const ListMineResult& entry : session.list_history_) {
-        for (const search::SubgroupRule& rule : entry.rules) {
-          if (rule.extension.universe_size() != num_rows) {
-            return Status::InvalidArgument(
-                "list rule extension universe disagrees with the dataset");
-          }
-          search::ReplaySubgroupRule(rule, &*session.list_);
-        }
-      }
-    }
-  }
-  return session;
-}
-
-Result<MiningSession> MiningSession::Restore(
-    const std::string& path, catalog::DatasetCatalog* catalog) {
-  SISD_ASSIGN_OR_RETURN(text, serialize::ReadTextFile(path));
-  return RestoreFromString(text, catalog);
 }
 
 }  // namespace sisd::core

@@ -5,12 +5,12 @@
 ///
 /// A `MiningSession` owns its dataset (shared ownership, no lifetime traps),
 /// the evolving background model with its assimilated-constraint registry,
-/// and the full iteration history. `Save` serializes the complete session
-/// state to a versioned JSON snapshot; `Restore` rebuilds it so that the
-/// next `MineNext()` produces byte-identical output to a session that never
-/// stopped: model parameters, constraints and history all round-trip
-/// exactly, and each group's Cholesky factor is recomputed from its
-/// covariance, exactly as the live model computed it.
+/// and the full iteration history. `Save` writes the session's inputs — the
+/// dataset, the config and the dialogue history — to a versioned JSON
+/// snapshot; `Restore` rebuilds the background model by replaying that
+/// history through the same model updates `MineNext` made, so the next
+/// `MineNext()` produces byte-identical output to a session that never
+/// stopped.
 
 #ifndef SISD_CORE_SESSION_HPP_
 #define SISD_CORE_SESSION_HPP_
@@ -157,9 +157,9 @@ struct RebaseOutcome {
 };
 
 /// \brief Snapshot schema version written by `Save`. Bumped only on
-/// incompatible layout changes; `Restore` rejects versions it does not
-/// know (see README "Session snapshots" for the policy).
-inline constexpr int64_t kSessionSchemaVersion = 1;
+/// incompatible layout changes; `Restore` also reads version 1 and rejects
+/// any other (see docs/PROTOCOL.md for the policy).
+inline constexpr int64_t kSessionSchemaVersion = 2;
 
 /// \brief The `format` tag identifying session snapshot files.
 inline constexpr const char* kSessionFormatTag = "sisd-session";
@@ -267,10 +267,10 @@ class MiningSession {
   /// \name Persistence.
   /// @{
 
-  /// Serializes the full session state (dataset, config, model + initial
-  /// model + constraints, history) as versioned JSON text. Deterministic:
-  /// the same session always produces the same bytes. `form` selects how
-  /// the dataset is stored (inline by default; see `SnapshotForm`).
+  /// Serializes the session's inputs (dataset, config, history) as
+  /// versioned JSON text. Deterministic: the same session always produces
+  /// the same bytes. `form` selects how the dataset is stored (inline by
+  /// default; see `SnapshotForm`).
   std::string SaveToString(
       SnapshotForm form = SnapshotForm::kInlineDataset) const;
 
@@ -278,9 +278,11 @@ class MiningSession {
   Status Save(const std::string& path) const;
 
   /// Rebuilds a session from snapshot text: validates format tag and schema
-  /// version, restores the dataset and model state bit-identically, and
-  /// rebuilds the derived structures (condition pool, per-group Cholesky
-  /// factors) that are recomputed rather than stored.
+  /// version, restores the dataset, builds the initial model as `Create`
+  /// does and replays the history through the model updates `MineNext`
+  /// made. A history field that does not fit the dataset or does not
+  /// replay, or (version 1) a stored model, extension or mean that differs
+  /// from the rebuilt one, fails with InvalidArgument.
   ///
   /// With a `catalog`:
   ///  - `dataset_ref` snapshots resolve their dataset through it (without a
@@ -310,7 +312,9 @@ class MiningSession {
     return assimilator_;
   }
 
-  /// Mutable assimilator access, e.g. for refit timing studies.
+  /// Mutable assimilator access, e.g. for refit timing studies. The history
+  /// is the model's log: a restore replays it, so state changed through
+  /// this accessor is not saved.
   model::PatternAssimilator* mutable_assimilator() { return &assimilator_; }
 
   /// Scores an arbitrary intention as a location pattern under the *current*

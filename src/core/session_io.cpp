@@ -1,5 +1,10 @@
 #include "core/session_io.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <string>
+
+#include "common/strings.hpp"
 #include "serialize/snapshot.hpp"
 
 namespace sisd::core {
@@ -129,24 +134,335 @@ Result<si::SpreadScore> DecodeSpreadScore(const JsonValue& json) {
   return out;
 }
 
+// A pattern is stored as its intention plus its reported scores (and a
+// spread's direction and variance). The decoders rebuild each extension
+// and location mean on the dataset, and reject any field the replay could
+// not take (InvalidArgument).
+
+/// InvalidArgument unless every condition of `intention` names a column of
+/// `table` with an op that fits the column kind, a categorical level
+/// inside the label table, and a finite threshold: a snapshot intention
+/// is client input, and the evaluators index columns and labels unchecked.
+Status CheckIntentionFits(const data::DataTable& table,
+                          const pattern::Intention& intention) {
+  for (const pattern::Condition& c : intention.conditions()) {
+    const bool orderable_op = c.op == pattern::ConditionOp::kLessEqual ||
+                              c.op == pattern::ConditionOp::kGreaterEqual;
+    const bool fits =
+        c.attribute < table.num_columns() && std::isfinite(c.threshold) &&
+        orderable_op == data::IsOrderable(table.column(c.attribute).kind()) &&
+        (orderable_op ||
+         (c.level >= 0 &&
+          size_t(c.level) < table.column(c.attribute).labels().size()));
+    if (!fits) {
+      return Status::InvalidArgument(StrFormat(
+          "condition {attribute %zu, op '%s', threshold %g, level %d} does "
+          "not fit the %zu description columns",
+          c.attribute, ConditionOpToString(c.op), c.threshold, c.level,
+          table.num_columns()));
+    }
+  }
+  return Status::OK();
+}
+
+/// Encodes only the intention: the extension is derived data.
 JsonValue EncodeSubgroup(const pattern::Subgroup& subgroup) {
   JsonValue out = JsonValue::Object();
   out.Set("intention", serialize::EncodeIntention(subgroup.intention));
-  out.Set("extension", serialize::EncodeExtension(subgroup.extension));
   return out;
 }
 
-Result<pattern::Subgroup> DecodeSubgroup(const JsonValue& json) {
-  pattern::Subgroup out;
+/// Checks that a stored derived value (an older snapshot's `extension` or
+/// `mean`), when present, is the encoding of the rebuilt one.
+Status CheckStored(const JsonValue& json, const char* key,
+                   const JsonValue& rebuilt) {
+  const JsonValue* stored = json.Find(key);
+  if (stored != nullptr && stored->Write() != rebuilt.Write()) {
+    return Status::InvalidArgument(
+        std::string("stored ") + key +
+        " disagrees with the one its intention gives on the dataset");
+  }
+  return Status::OK();
+}
+
+/// Rebuilds the subgroup from its stored intention on `table`.
+Result<pattern::Subgroup> DecodeSubgroup(const JsonValue& json,
+                                         const data::DataTable& table) {
   SISD_ASSIGN_OR_RETURN(intention_json, json.Get("intention"));
   SISD_ASSIGN_OR_RETURN(intention,
                         serialize::DecodeIntention(*intention_json));
+  SISD_RETURN_NOT_OK(CheckIntentionFits(table, intention));
+  pattern::Subgroup out =
+      pattern::Subgroup::FromIntention(table, std::move(intention));
+  if (out.extension.empty()) {
+    return Status::InvalidArgument("history intention matches no rows");
+  }
+  SISD_RETURN_NOT_OK(CheckStored(
+      json, "extension", serialize::EncodeExtension(out.extension)));
+  return out;
+}
+
+JsonValue EncodeScoredLocation(const ScoredLocationPattern& p) {
+  JsonValue out = JsonValue::Object();
+  out.Set("subgroup", EncodeSubgroup(p.pattern.subgroup));
+  out.Set("score", EncodeLocationScore(p.score));
+  return out;
+}
+
+Result<ScoredLocationPattern> DecodeScoredLocation(
+    const JsonValue& json, const data::Dataset& dataset) {
+  ScoredLocationPattern out;
+  SISD_ASSIGN_OR_RETURN(subgroup_json, json.Get("subgroup"));
+  SISD_ASSIGN_OR_RETURN(subgroup,
+                        DecodeSubgroup(*subgroup_json, dataset.descriptions));
+  out.pattern =
+      pattern::LocationPattern::Compute(std::move(subgroup), dataset.targets);
+  SISD_RETURN_NOT_OK(
+      CheckStored(json, "mean", serialize::EncodeVector(out.pattern.mean)));
+  SISD_ASSIGN_OR_RETURN(score_json, json.Get("score"));
+  SISD_ASSIGN_OR_RETURN(score, DecodeLocationScore(*score_json));
+  out.score = score;
+  return out;
+}
+
+JsonValue EncodeScoredSpread(const ScoredSpreadPattern& p) {
+  JsonValue out = JsonValue::Object();
+  out.Set("subgroup", EncodeSubgroup(p.pattern.subgroup));
+  out.Set("direction", serialize::EncodeVector(p.pattern.direction));
+  out.Set("variance", JsonValue::Double(p.pattern.variance));
+  out.Set("score", EncodeSpreadScore(p.score));
+  return out;
+}
+
+Result<ScoredSpreadPattern> DecodeScoredSpread(const JsonValue& json,
+                                               const data::Dataset& dataset) {
+  ScoredSpreadPattern out;
+  SISD_ASSIGN_OR_RETURN(subgroup_json, json.Get("subgroup"));
+  SISD_ASSIGN_OR_RETURN(subgroup,
+                        DecodeSubgroup(*subgroup_json, dataset.descriptions));
+  out.pattern.subgroup = std::move(subgroup);
+  SISD_ASSIGN_OR_RETURN(direction_json, json.Get("direction"));
+  SISD_ASSIGN_OR_RETURN(direction,
+                        serialize::DecodeVector(*direction_json));
+  out.pattern.direction = std::move(direction);
+  SISD_RETURN_NOT_OK(ReadField(json, "variance", &out.pattern.variance));
+  // The replay normalizes the direction, which needs a positive norm.
+  const double norm = out.pattern.direction.Norm();
+  if (out.pattern.direction.size() != dataset.num_targets() ||
+      !(norm > 0.0 && std::isfinite(norm)) ||
+      !std::isfinite(out.pattern.variance)) {
+    return Status::InvalidArgument(StrFormat(
+        "spread needs a finite nonzero %zu-dim direction and a finite "
+        "variance",
+        dataset.num_targets()));
+  }
+  SISD_ASSIGN_OR_RETURN(score_json, json.Get("score"));
+  SISD_ASSIGN_OR_RETURN(score, DecodeSpreadScore(*score_json));
+  out.score = score;
+  return out;
+}
+
+JsonValue EncodeSubgroupRule(const search::SubgroupRule& rule) {
+  JsonValue out = JsonValue::Object();
+  out.Set("intention", serialize::EncodeIntention(rule.intention));
+  out.Set("extension", serialize::EncodeExtension(rule.extension));
+  out.Set("captured", serialize::EncodeExtension(rule.captured));
+  out.Set("mean", serialize::EncodeVector(rule.local.mean));
+  out.Set("variance", serialize::EncodeVector(rule.local.variance));
+  out.Set("gain", JsonValue::Double(rule.gain));
+  return out;
+}
+
+Result<search::SubgroupRule> DecodeSubgroupRule(
+    const JsonValue& json, const data::DataTable& table) {
+  search::SubgroupRule out;
+  SISD_ASSIGN_OR_RETURN(intention_json, json.Get("intention"));
+  SISD_ASSIGN_OR_RETURN(intention,
+                        serialize::DecodeIntention(*intention_json));
+  SISD_RETURN_NOT_OK(CheckIntentionFits(table, intention));
   out.intention = std::move(intention);
   SISD_ASSIGN_OR_RETURN(extension_json, json.Get("extension"));
   SISD_ASSIGN_OR_RETURN(extension,
                         serialize::DecodeExtension(*extension_json));
   out.extension = std::move(extension);
+  SISD_ASSIGN_OR_RETURN(captured_json, json.Get("captured"));
+  SISD_ASSIGN_OR_RETURN(captured,
+                        serialize::DecodeExtension(*captured_json));
+  out.captured = std::move(captured);
+  if (out.captured.universe_size() != out.extension.universe_size()) {
+    return Status::InvalidArgument(
+        "rule captured/extension universe sizes disagree");
+  }
+  SISD_ASSIGN_OR_RETURN(mean_json, json.Get("mean"));
+  SISD_ASSIGN_OR_RETURN(mean, serialize::DecodeVector(*mean_json));
+  out.local.mean = std::move(mean);
+  SISD_ASSIGN_OR_RETURN(variance_json, json.Get("variance"));
+  SISD_ASSIGN_OR_RETURN(variance,
+                        serialize::DecodeVector(*variance_json));
+  out.local.variance = std::move(variance);
+  if (out.local.variance.size() != out.local.mean.size()) {
+    return Status::InvalidArgument(
+        "rule mean/variance dimensions disagree");
+  }
+  SISD_RETURN_NOT_OK(ReadField(json, "gain", &out.gain));
   return out;
+}
+
+JsonValue EncodeDatasetRef(const catalog::DatasetRef& ref) {
+  JsonValue out = JsonValue::Object();
+  out.Set("fingerprint",
+          JsonValue::Str(catalog::FingerprintToHex(ref.fingerprint)));
+  out.Set("name", JsonValue::Str(ref.name));
+  return out;
+}
+
+Result<catalog::DatasetRef> DecodeDatasetRef(const JsonValue& json) {
+  if (!json.is_object()) {
+    return Status::InvalidArgument("dataset_ref must be an object");
+  }
+  catalog::DatasetRef out;
+  SISD_ASSIGN_OR_RETURN(fingerprint_json, json.Get("fingerprint"));
+  SISD_ASSIGN_OR_RETURN(hex, fingerprint_json->GetString());
+  SISD_ASSIGN_OR_RETURN(fingerprint, catalog::FingerprintFromHex(hex));
+  out.fingerprint = fingerprint;
+  SISD_RETURN_NOT_OK(ReadField(json, "name", &out.name));
+  return out;
+}
+
+JsonValue EncodeVersionLink(const SessionVersionLink& link) {
+  JsonValue out = JsonValue::Object();
+  out.Set("fingerprint",
+          JsonValue::Str(catalog::FingerprintToHex(link.fingerprint)));
+  out.Set("name", JsonValue::Str(link.name));
+  out.Set("rows", JsonValue::Int(static_cast<int64_t>(link.rows)));
+  return out;
+}
+
+Result<SessionVersionLink> DecodeVersionLink(const JsonValue& json) {
+  if (!json.is_object()) {
+    return Status::InvalidArgument("version_chain entry must be an object");
+  }
+  SessionVersionLink out;
+  SISD_ASSIGN_OR_RETURN(fingerprint_json, json.Get("fingerprint"));
+  SISD_ASSIGN_OR_RETURN(hex, fingerprint_json->GetString());
+  SISD_ASSIGN_OR_RETURN(fingerprint, catalog::FingerprintFromHex(hex));
+  out.fingerprint = fingerprint;
+  SISD_RETURN_NOT_OK(ReadField(json, "name", &out.name));
+  SISD_RETURN_NOT_OK(ReadField(json, "rows", &out.rows));
+  return out;
+}
+
+JsonValue EncodeIterationResult(const IterationResult& iteration) {
+  JsonValue out = JsonValue::Object();
+  out.Set("location", EncodeScoredLocation(iteration.location));
+  out.Set("spread", iteration.spread.has_value()
+                        ? EncodeScoredSpread(*iteration.spread)
+                        : JsonValue::Null());
+  // Written only when set: snapshots of sessions that never hit a spread
+  // failure keep their exact historical bytes.
+  if (!iteration.spread_error.empty()) {
+    out.Set("spread_error", JsonValue::Str(iteration.spread_error));
+  }
+  JsonValue ranked = JsonValue::Array();
+  for (const ScoredLocationPattern& entry : iteration.ranked) {
+    ranked.Append(EncodeScoredLocation(entry));
+  }
+  out.Set("ranked", std::move(ranked));
+  out.Set("candidates_evaluated",
+          JsonValue::Int(int64_t(iteration.candidates_evaluated)));
+  out.Set("hit_time_budget", JsonValue::Bool(iteration.hit_time_budget));
+  return out;
+}
+
+Result<IterationResult> DecodeIterationResult(const JsonValue& json,
+                                              const data::Dataset& dataset) {
+  IterationResult out;
+  SISD_ASSIGN_OR_RETURN(location_json, json.Get("location"));
+  SISD_ASSIGN_OR_RETURN(location,
+                        DecodeScoredLocation(*location_json, dataset));
+  out.location = std::move(location);
+  SISD_ASSIGN_OR_RETURN(spread_json, json.Get("spread"));
+  if (!spread_json->is_null()) {
+    SISD_ASSIGN_OR_RETURN(spread, DecodeScoredSpread(*spread_json, dataset));
+    out.spread = std::move(spread);
+  }
+  if (const JsonValue* spread_error = json.Find("spread_error")) {
+    SISD_ASSIGN_OR_RETURN(text, spread_error->GetString());
+    out.spread_error = std::move(text);
+  }
+  SISD_ASSIGN_OR_RETURN(ranked_json, json.Get("ranked"));
+  if (!ranked_json->is_array()) {
+    return Status::InvalidArgument("ranked list must be an array");
+  }
+  out.ranked.reserve(ranked_json->size());
+  for (const JsonValue& entry : ranked_json->items()) {
+    SISD_ASSIGN_OR_RETURN(ranked_entry, DecodeScoredLocation(entry, dataset));
+    out.ranked.push_back(std::move(ranked_entry));
+  }
+  SISD_RETURN_NOT_OK(
+      ReadField(json, "candidates_evaluated", &out.candidates_evaluated));
+  SISD_RETURN_NOT_OK(ReadField(json, "hit_time_budget", &out.hit_time_budget));
+  return out;
+}
+
+JsonValue EncodeListMineResult(const ListMineResult& result) {
+  JsonValue out = JsonValue::Object();
+  JsonValue rules = JsonValue::Array();
+  for (const search::SubgroupRule& rule : result.rules) {
+    rules.Append(EncodeSubgroupRule(rule));
+  }
+  out.Set("rules", std::move(rules));
+  out.Set("total_gain", JsonValue::Double(result.total_gain));
+  out.Set("candidates_evaluated",
+          JsonValue::Int(int64_t(result.candidates_evaluated)));
+  out.Set("exhausted", JsonValue::Bool(result.exhausted));
+  out.Set("hit_time_budget", JsonValue::Bool(result.hit_time_budget));
+  return out;
+}
+
+Result<ListMineResult> DecodeListMineResult(const JsonValue& json,
+                                            const data::DataTable& table) {
+  ListMineResult out;
+  SISD_ASSIGN_OR_RETURN(rules_json, json.Get("rules"));
+  if (!rules_json->is_array()) {
+    return Status::InvalidArgument("list rules must be an array");
+  }
+  out.rules.reserve(rules_json->size());
+  for (const JsonValue& entry : rules_json->items()) {
+    SISD_ASSIGN_OR_RETURN(rule, DecodeSubgroupRule(entry, table));
+    out.rules.push_back(std::move(rule));
+  }
+  SISD_RETURN_NOT_OK(ReadField(json, "total_gain", &out.total_gain));
+  SISD_RETURN_NOT_OK(
+      ReadField(json, "candidates_evaluated", &out.candidates_evaluated));
+  SISD_RETURN_NOT_OK(ReadField(json, "exhausted", &out.exhausted));
+  SISD_RETURN_NOT_OK(ReadField(json, "hit_time_budget", &out.hit_time_budget));
+  return out;
+}
+
+/// True iff `stored` and `expected` are the same JSON value member for
+/// member, with every double compared by its written text, leaving out a
+/// `factor` member of any `stored` object (older snapshots stored each
+/// group's Cholesky factor).
+bool SameEncodingIgnoringFactor(const JsonValue& stored,
+                                const JsonValue& expected) {
+  if (stored.type() != expected.type()) return false;
+  if (stored.is_array()) {
+    return std::equal(stored.items().begin(), stored.items().end(),
+                      expected.items().begin(), expected.items().end(),
+                      SameEncodingIgnoringFactor);
+  }
+  if (!stored.is_object()) return stored.Write() == expected.Write();
+  size_t compared = 0;
+  for (const auto& [key, value] : stored.members()) {
+    if (key == "factor") continue;
+    const JsonValue* other = expected.Find(key);
+    if (other == nullptr || !SameEncodingIgnoringFactor(value, *other)) {
+      return false;
+    }
+    ++compared;
+  }
+  return compared == expected.size();
 }
 
 }  // namespace
@@ -238,224 +554,230 @@ Result<MinerConfig> DecodeMinerConfig(const JsonValue& json) {
   return out;
 }
 
-JsonValue EncodeDatasetRef(const catalog::DatasetRef& ref) {
+std::string MiningSession::SaveToString(SnapshotForm form) const {
   JsonValue out = JsonValue::Object();
-  out.Set("fingerprint",
-          JsonValue::Str(catalog::FingerprintToHex(ref.fingerprint)));
-  out.Set("name", JsonValue::Str(ref.name));
-  return out;
-}
-
-Result<catalog::DatasetRef> DecodeDatasetRef(const JsonValue& json) {
-  if (!json.is_object()) {
-    return Status::InvalidArgument("dataset_ref must be an object");
+  out.Set("format", JsonValue::Str(kSessionFormatTag));
+  out.Set("schema_version", JsonValue::Int(kSessionSchemaVersion));
+  if (form == SnapshotForm::kDatasetRef && origin_.has_value()) {
+    // Additive schema: `dataset_ref` replaces `dataset` for sessions with
+    // a catalog origin; everything else is unchanged. A session without an
+    // origin has no catalog to point at, so it falls back to inline.
+    out.Set("dataset_ref", EncodeDatasetRef(*origin_));
+    // Additive field: the pre-rebase dataset lineage. Written only for
+    // rebased sessions in ref form, so never-rebased snapshots (and all
+    // inline ones) keep their exact historical bytes.
+    if (!version_chain_.empty()) {
+      JsonValue chain = JsonValue::Array();
+      for (const SessionVersionLink& link : version_chain_) {
+        chain.Append(EncodeVersionLink(link));
+      }
+      out.Set("version_chain", std::move(chain));
+    }
+  } else {
+    out.Set("dataset", JsonValue::Verbatim(
+                           serialize::EncodeDatasetText(*dataset_)));
   }
-  catalog::DatasetRef out;
-  SISD_ASSIGN_OR_RETURN(fingerprint_json, json.Get("fingerprint"));
-  SISD_ASSIGN_OR_RETURN(hex, fingerprint_json->GetString());
-  SISD_ASSIGN_OR_RETURN(fingerprint, catalog::FingerprintFromHex(hex));
-  out.fingerprint = fingerprint;
-  SISD_RETURN_NOT_OK(ReadField(json, "name", &out.name));
-  return out;
-}
-
-JsonValue EncodeVersionLink(const SessionVersionLink& link) {
-  JsonValue out = JsonValue::Object();
-  out.Set("fingerprint",
-          JsonValue::Str(catalog::FingerprintToHex(link.fingerprint)));
-  out.Set("name", JsonValue::Str(link.name));
-  out.Set("rows", JsonValue::Int(static_cast<int64_t>(link.rows)));
-  return out;
-}
-
-Result<SessionVersionLink> DecodeVersionLink(const JsonValue& json) {
-  if (!json.is_object()) {
-    return Status::InvalidArgument("version_chain entry must be an object");
+  // The models are not stored: they are a pure function of (dataset,
+  // config, history), and a restore replays the history to rebuild them.
+  out.Set("config", EncodeMinerConfig(config_));
+  JsonValue history = JsonValue::Array();
+  for (const IterationResult& iteration : history_) {
+    history.Append(EncodeIterationResult(iteration));
   }
-  SessionVersionLink out;
-  SISD_ASSIGN_OR_RETURN(fingerprint_json, json.Get("fingerprint"));
-  SISD_ASSIGN_OR_RETURN(hex, fingerprint_json->GetString());
-  SISD_ASSIGN_OR_RETURN(fingerprint, catalog::FingerprintFromHex(hex));
-  out.fingerprint = fingerprint;
-  SISD_RETURN_NOT_OK(ReadField(json, "name", &out.name));
-  SISD_RETURN_NOT_OK(ReadField(json, "rows", &out.rows));
-  return out;
-}
-
-JsonValue EncodeScoredLocation(const ScoredLocationPattern& p) {
-  JsonValue out = JsonValue::Object();
-  out.Set("subgroup", EncodeSubgroup(p.pattern.subgroup));
-  out.Set("mean", serialize::EncodeVector(p.pattern.mean));
-  out.Set("score", EncodeLocationScore(p.score));
-  return out;
-}
-
-Result<ScoredLocationPattern> DecodeScoredLocation(const JsonValue& json) {
-  ScoredLocationPattern out;
-  SISD_ASSIGN_OR_RETURN(subgroup_json, json.Get("subgroup"));
-  SISD_ASSIGN_OR_RETURN(subgroup, DecodeSubgroup(*subgroup_json));
-  out.pattern.subgroup = std::move(subgroup);
-  SISD_ASSIGN_OR_RETURN(mean_json, json.Get("mean"));
-  SISD_ASSIGN_OR_RETURN(mean, serialize::DecodeVector(*mean_json));
-  out.pattern.mean = std::move(mean);
-  SISD_ASSIGN_OR_RETURN(score_json, json.Get("score"));
-  SISD_ASSIGN_OR_RETURN(score, DecodeLocationScore(*score_json));
-  out.score = score;
-  return out;
-}
-
-JsonValue EncodeScoredSpread(const ScoredSpreadPattern& p) {
-  JsonValue out = JsonValue::Object();
-  out.Set("subgroup", EncodeSubgroup(p.pattern.subgroup));
-  out.Set("direction", serialize::EncodeVector(p.pattern.direction));
-  out.Set("variance", JsonValue::Double(p.pattern.variance));
-  out.Set("score", EncodeSpreadScore(p.score));
-  return out;
-}
-
-Result<ScoredSpreadPattern> DecodeScoredSpread(const JsonValue& json) {
-  ScoredSpreadPattern out;
-  SISD_ASSIGN_OR_RETURN(subgroup_json, json.Get("subgroup"));
-  SISD_ASSIGN_OR_RETURN(subgroup, DecodeSubgroup(*subgroup_json));
-  out.pattern.subgroup = std::move(subgroup);
-  SISD_ASSIGN_OR_RETURN(direction_json, json.Get("direction"));
-  SISD_ASSIGN_OR_RETURN(direction,
-                        serialize::DecodeVector(*direction_json));
-  out.pattern.direction = std::move(direction);
-  SISD_RETURN_NOT_OK(ReadField(json, "variance", &out.pattern.variance));
-  SISD_ASSIGN_OR_RETURN(score_json, json.Get("score"));
-  SISD_ASSIGN_OR_RETURN(score, DecodeSpreadScore(*score_json));
-  out.score = score;
-  return out;
-}
-
-JsonValue EncodeIterationResult(const IterationResult& iteration) {
-  JsonValue out = JsonValue::Object();
-  out.Set("location", EncodeScoredLocation(iteration.location));
-  out.Set("spread", iteration.spread.has_value()
-                        ? EncodeScoredSpread(*iteration.spread)
-                        : JsonValue::Null());
-  // Written only when set: snapshots of sessions that never hit a spread
-  // failure keep their exact historical bytes.
-  if (!iteration.spread_error.empty()) {
-    out.Set("spread_error", JsonValue::Str(iteration.spread_error));
+  out.Set("history", std::move(history));
+  // Additive schema field: written only when list mining happened, so
+  // sessions that never called MineList keep their exact historical bytes
+  // (same policy as `spread_error` above and `use_optimal_search` in the
+  // config codec).
+  if (!list_history_.empty()) {
+    JsonValue list_history = JsonValue::Array();
+    for (const ListMineResult& entry : list_history_) {
+      list_history.Append(EncodeListMineResult(entry));
+    }
+    out.Set("list_history", std::move(list_history));
   }
-  JsonValue ranked = JsonValue::Array();
-  for (const ScoredLocationPattern& entry : iteration.ranked) {
-    ranked.Append(EncodeScoredLocation(entry));
-  }
-  out.Set("ranked", std::move(ranked));
-  out.Set("candidates_evaluated",
-          JsonValue::Int(int64_t(iteration.candidates_evaluated)));
-  out.Set("hit_time_budget", JsonValue::Bool(iteration.hit_time_budget));
-  return out;
+  return out.Write();
 }
 
-Result<IterationResult> DecodeIterationResult(const JsonValue& json) {
-  IterationResult out;
-  SISD_ASSIGN_OR_RETURN(location_json, json.Get("location"));
-  SISD_ASSIGN_OR_RETURN(location, DecodeScoredLocation(*location_json));
-  out.location = std::move(location);
-  SISD_ASSIGN_OR_RETURN(spread_json, json.Get("spread"));
-  if (!spread_json->is_null()) {
-    SISD_ASSIGN_OR_RETURN(spread, DecodeScoredSpread(*spread_json));
-    out.spread = std::move(spread);
-  }
-  if (const JsonValue* spread_error = json.Find("spread_error")) {
-    SISD_ASSIGN_OR_RETURN(text, spread_error->GetString());
-    out.spread_error = std::move(text);
-  }
-  SISD_ASSIGN_OR_RETURN(ranked_json, json.Get("ranked"));
-  if (!ranked_json->is_array()) {
-    return Status::InvalidArgument("ranked list must be an array");
-  }
-  out.ranked.reserve(ranked_json->size());
-  for (const JsonValue& entry : ranked_json->items()) {
-    SISD_ASSIGN_OR_RETURN(ranked_entry, DecodeScoredLocation(entry));
-    out.ranked.push_back(std::move(ranked_entry));
-  }
-  SISD_RETURN_NOT_OK(
-      ReadField(json, "candidates_evaluated", &out.candidates_evaluated));
-  SISD_RETURN_NOT_OK(ReadField(json, "hit_time_budget", &out.hit_time_budget));
-  return out;
+Status MiningSession::Save(const std::string& path) const {
+  return serialize::WriteTextFile(path, SaveToString());
 }
 
-JsonValue EncodeSubgroupRule(const search::SubgroupRule& rule) {
-  JsonValue out = JsonValue::Object();
-  out.Set("intention", serialize::EncodeIntention(rule.intention));
-  out.Set("extension", serialize::EncodeExtension(rule.extension));
-  out.Set("captured", serialize::EncodeExtension(rule.captured));
-  out.Set("mean", serialize::EncodeVector(rule.local.mean));
-  out.Set("variance", serialize::EncodeVector(rule.local.variance));
-  out.Set("gain", JsonValue::Double(rule.gain));
-  return out;
-}
-
-Result<search::SubgroupRule> DecodeSubgroupRule(const JsonValue& json) {
-  search::SubgroupRule out;
-  SISD_ASSIGN_OR_RETURN(intention_json, json.Get("intention"));
-  SISD_ASSIGN_OR_RETURN(intention,
-                        serialize::DecodeIntention(*intention_json));
-  out.intention = std::move(intention);
-  SISD_ASSIGN_OR_RETURN(extension_json, json.Get("extension"));
-  SISD_ASSIGN_OR_RETURN(extension,
-                        serialize::DecodeExtension(*extension_json));
-  out.extension = std::move(extension);
-  SISD_ASSIGN_OR_RETURN(captured_json, json.Get("captured"));
-  SISD_ASSIGN_OR_RETURN(captured,
-                        serialize::DecodeExtension(*captured_json));
-  out.captured = std::move(captured);
-  if (out.captured.universe_size() != out.extension.universe_size()) {
+Result<MiningSession> MiningSession::RestoreFromString(
+    const std::string& text, catalog::DatasetCatalog* catalog) {
+  SISD_ASSIGN_OR_RETURN(root, JsonValue::Parse(text));
+  SISD_ASSIGN_OR_RETURN(format_json, root.Get("format"));
+  SISD_ASSIGN_OR_RETURN(format, format_json->GetString());
+  if (format != kSessionFormatTag) {
+    return Status::InvalidArgument("not a sisd session snapshot (format '" +
+                                   format + "')");
+  }
+  SISD_ASSIGN_OR_RETURN(version_json, root.Get("schema_version"));
+  SISD_ASSIGN_OR_RETURN(version, version_json->GetInt());
+  if (version != 1 && version != kSessionSchemaVersion) {
     return Status::InvalidArgument(
-        "rule captured/extension universe sizes disagree");
+        StrFormat("unsupported session schema version %lld (expected 1 or "
+                  "%lld)",
+                  static_cast<long long>(version),
+                  static_cast<long long>(kSessionSchemaVersion)));
   }
-  SISD_ASSIGN_OR_RETURN(mean_json, json.Get("mean"));
-  SISD_ASSIGN_OR_RETURN(mean, serialize::DecodeVector(*mean_json));
-  out.local.mean = std::move(mean);
-  SISD_ASSIGN_OR_RETURN(variance_json, json.Get("variance"));
-  SISD_ASSIGN_OR_RETURN(variance,
-                        serialize::DecodeVector(*variance_json));
-  out.local.variance = std::move(variance);
-  if (out.local.variance.size() != out.local.mean.size()) {
+
+  SISD_ASSIGN_OR_RETURN(config_json, root.Get("config"));
+  SISD_ASSIGN_OR_RETURN(config, DecodeMinerConfig(*config_json));
+
+  // The dataset is stored inline (self-contained snapshot) or as a
+  // `dataset_ref` the catalog resolves; a catalog also lets an inline
+  // snapshot adopt the shared instance when the content fingerprint
+  // matches a registered dataset.
+  const JsonValue* dataset_json = root.Find("dataset");
+  const JsonValue* ref_json = root.Find("dataset_ref");
+  if ((dataset_json != nullptr) == (ref_json != nullptr)) {
     return Status::InvalidArgument(
-        "rule mean/variance dimensions disagree");
+        "snapshot must store exactly one of 'dataset' and 'dataset_ref'");
   }
-  SISD_RETURN_NOT_OK(ReadField(json, "gain", &out.gain));
-  return out;
+  std::shared_ptr<const data::Dataset> shared_dataset;
+  std::optional<catalog::DatasetRef> origin;
+  if (ref_json != nullptr) {
+    SISD_ASSIGN_OR_RETURN(ref, DecodeDatasetRef(*ref_json));
+    if (catalog == nullptr) {
+      return Status::InvalidArgument(
+          "snapshot stores dataset_ref {fingerprint: " +
+          catalog::FingerprintToHex(ref.fingerprint) + ", name: '" +
+          ref.name + "'} but no catalog was given to resolve it");
+    }
+    SISD_ASSIGN_OR_RETURN(pinned, catalog->Resolve(ref, /*pin=*/false));
+    shared_dataset = pinned.dataset;
+    origin = pinned.ref();
+  } else {
+    SISD_ASSIGN_OR_RETURN(dataset, serialize::DecodeDataset(*dataset_json));
+    if (catalog != nullptr) {
+      // Verified content match: a fingerprint collision reads as "not in
+      // the catalog" and keeps the private decoded copy.
+      Result<catalog::PinnedDataset> known =
+          catalog->MatchContent(dataset, /*pin=*/false);
+      if (known.ok()) {
+        // Same content already registered: share it (and its pool below)
+        // instead of keeping the private decoded copy.
+        shared_dataset = known.Value().dataset;
+        origin = known.Value().ref();
+      }
+    }
+    if (shared_dataset == nullptr) {
+      shared_dataset =
+          std::make_shared<const data::Dataset>(std::move(dataset));
+    }
+  }
+
+  std::vector<SessionVersionLink> version_chain;
+  if (const JsonValue* chain_json = root.Find("version_chain")) {
+    if (!chain_json->is_array()) {
+      return Status::InvalidArgument("version_chain must be an array");
+    }
+    version_chain.reserve(chain_json->size());
+    for (const JsonValue& entry : chain_json->items()) {
+      SISD_ASSIGN_OR_RETURN(link, DecodeVersionLink(entry));
+      version_chain.push_back(std::move(link));
+    }
+  }
+
+  // The initial model comes from (dataset, config) exactly as for a fresh
+  // session, and so does the condition pool — or, for a catalog-known
+  // dataset, the catalog's memoized shared pool. The history is then
+  // replayed onto the model below.
+  std::shared_ptr<const search::ConditionPool> pool;
+  if (origin.has_value()) {
+    catalog::PinnedDataset pinned;
+    pinned.dataset = shared_dataset;
+    pinned.fingerprint = origin->fingerprint;
+    pool = catalog->PoolFor(pinned, config.search.num_split_points,
+                            config.search.include_exclusions);
+  }
+  SISD_ASSIGN_OR_RETURN(
+      session, pool != nullptr
+                   ? Create(std::move(shared_dataset), std::move(config),
+                            std::move(pool), std::move(origin))
+                   : Create(std::move(shared_dataset), std::move(config)));
+  session.version_chain_ = std::move(version_chain);
+
+  SISD_ASSIGN_OR_RETURN(history_json, root.Get("history"));
+  if (!history_json->is_array()) {
+    return Status::InvalidArgument("session history must be an array");
+  }
+  session.history_.reserve(history_json->size());
+  for (const JsonValue& entry : history_json->items()) {
+    SISD_ASSIGN_OR_RETURN(iteration,
+                          DecodeIterationResult(entry, *session.dataset_));
+    // The two model updates `MineNext` made. A failed spread step
+    // (`spread_error`) left the model as its location update did.
+    Status replayed = session.assimilator_.AddLocationPattern(
+        iteration.location.pattern.subgroup.extension,
+        iteration.location.pattern.mean);
+    if (replayed.ok() && iteration.spread.has_value()) {
+      replayed = session.assimilator_.AddSpreadPattern(
+          iteration.spread->pattern.subgroup.extension,
+          iteration.spread->pattern.direction,
+          iteration.location.pattern.mean, iteration.spread->pattern.variance);
+    }
+    if (!replayed.ok()) {
+      return Status::InvalidArgument(
+          StrFormat("history iteration %zu does not replay: %s",
+                    session.history_.size() + 1,
+                    replayed.ToString().c_str()));
+    }
+    session.history_.push_back(std::move(iteration));
+  }
+
+  // Additive field: the subgroup-list history. The current list is derived
+  // state — rebuilt by replaying the saved rules in order (integer bitset
+  // ops plus stored doubles) onto a freshly fitted default model, which is
+  // a deterministic function of the targets. The rebuilt list therefore
+  // continues mining bit-identically to the saved one.
+  if (const JsonValue* list_history_json = root.Find("list_history")) {
+    if (!list_history_json->is_array()) {
+      return Status::InvalidArgument("session list_history must be an array");
+    }
+    session.list_history_.reserve(list_history_json->size());
+    for (const JsonValue& entry : list_history_json->items()) {
+      SISD_ASSIGN_OR_RETURN(list_result,
+                            DecodeListMineResult(
+                                entry, session.dataset_->descriptions));
+      session.list_history_.push_back(std::move(list_result));
+    }
+    if (!session.list_history_.empty()) {
+      session.list_ = search::MakeEmptySubgroupList(
+          session.dataset_->targets, session.config_.list_gain);
+      const size_t num_rows = session.dataset_->num_rows();
+      for (const ListMineResult& entry : session.list_history_) {
+        for (const search::SubgroupRule& rule : entry.rules) {
+          if (rule.extension.universe_size() != num_rows) {
+            return Status::InvalidArgument(
+                "list rule extension universe disagrees with the dataset");
+          }
+          search::ReplaySubgroupRule(rule, &*session.list_);
+        }
+      }
+    }
+  }
+
+  // Version 1 stored the fitted models too. They must be exactly what the
+  // replay rebuilt, so a v1 snapshot upgrades only when nothing in it was
+  // derived from anything but its own history.
+  if (version == 1) {
+    SISD_ASSIGN_OR_RETURN(assimilator_json, root.Get("assimilator"));
+    if (!SameEncodingIgnoringFactor(
+            *assimilator_json,
+            serialize::EncodeAssimilator(session.assimilator_))) {
+      return Status::InvalidArgument(
+          "snapshot assimilator disagrees with the replay of its history");
+    }
+  }
+  return session;
 }
 
-JsonValue EncodeListMineResult(const ListMineResult& result) {
-  JsonValue out = JsonValue::Object();
-  JsonValue rules = JsonValue::Array();
-  for (const search::SubgroupRule& rule : result.rules) {
-    rules.Append(EncodeSubgroupRule(rule));
-  }
-  out.Set("rules", std::move(rules));
-  out.Set("total_gain", JsonValue::Double(result.total_gain));
-  out.Set("candidates_evaluated",
-          JsonValue::Int(int64_t(result.candidates_evaluated)));
-  out.Set("exhausted", JsonValue::Bool(result.exhausted));
-  out.Set("hit_time_budget", JsonValue::Bool(result.hit_time_budget));
-  return out;
-}
-
-Result<ListMineResult> DecodeListMineResult(const JsonValue& json) {
-  ListMineResult out;
-  SISD_ASSIGN_OR_RETURN(rules_json, json.Get("rules"));
-  if (!rules_json->is_array()) {
-    return Status::InvalidArgument("list rules must be an array");
-  }
-  out.rules.reserve(rules_json->size());
-  for (const JsonValue& entry : rules_json->items()) {
-    SISD_ASSIGN_OR_RETURN(rule, DecodeSubgroupRule(entry));
-    out.rules.push_back(std::move(rule));
-  }
-  SISD_RETURN_NOT_OK(ReadField(json, "total_gain", &out.total_gain));
-  SISD_RETURN_NOT_OK(
-      ReadField(json, "candidates_evaluated", &out.candidates_evaluated));
-  SISD_RETURN_NOT_OK(ReadField(json, "exhausted", &out.exhausted));
-  SISD_RETURN_NOT_OK(ReadField(json, "hit_time_budget", &out.hit_time_budget));
-  return out;
+Result<MiningSession> MiningSession::Restore(
+    const std::string& path, catalog::DatasetCatalog* catalog) {
+  SISD_ASSIGN_OR_RETURN(text, serialize::ReadTextFile(path));
+  return RestoreFromString(text, catalog);
 }
 
 }  // namespace sisd::core

@@ -1,11 +1,10 @@
 /// \file session_io.hpp
-/// \brief JSON codecs for the core session types (MinerConfig, scored
-/// patterns, iteration results) — the top of the snapshot schema stack.
-///
-/// Exposed separately from MiningSession so tools (sisd_cli export) and
-/// tests can encode/decode session pieces without a live session. Same
-/// contract as serialize/snapshot.hpp: strict bit-exact round trips,
-/// Result-based validation.
+/// \brief The session snapshot codec. `MiningSession`'s persistence members
+/// (`SaveToString`, `RestoreFromString`, `Save`, `Restore`) are defined in
+/// session_io.cpp next to the codecs of the snapshot's parts — dataset
+/// reference, version chain, iteration and list history — which are
+/// private to it. Same contract as serialize/snapshot.hpp: strict
+/// bit-exact round trips, Result-based validation.
 
 #ifndef SISD_CORE_SESSION_IO_HPP_
 #define SISD_CORE_SESSION_IO_HPP_
@@ -16,49 +15,10 @@
 
 namespace sisd::core {
 
-/// \name Config codec.
+/// \name Config codec (the snapshot's `config` field).
 /// @{
 serialize::JsonValue EncodeMinerConfig(const MinerConfig& config);
 Result<MinerConfig> DecodeMinerConfig(const serialize::JsonValue& json);
-/// @}
-
-/// \name Dataset-ref codec: the `dataset_ref {fingerprint, name}` snapshot
-/// form (fingerprint as 16 hex digits).
-/// @{
-serialize::JsonValue EncodeDatasetRef(const catalog::DatasetRef& ref);
-Result<catalog::DatasetRef> DecodeDatasetRef(
-    const serialize::JsonValue& json);
-/// @}
-
-/// \name Version-chain link codec: one entry of the additive
-/// `version_chain` snapshot field of rebased sessions.
-/// @{
-serialize::JsonValue EncodeVersionLink(const SessionVersionLink& link);
-Result<SessionVersionLink> DecodeVersionLink(
-    const serialize::JsonValue& json);
-/// @}
-
-/// \name Scored pattern + iteration codecs.
-/// @{
-serialize::JsonValue EncodeScoredLocation(const ScoredLocationPattern& p);
-Result<ScoredLocationPattern> DecodeScoredLocation(
-    const serialize::JsonValue& json);
-serialize::JsonValue EncodeScoredSpread(const ScoredSpreadPattern& p);
-Result<ScoredSpreadPattern> DecodeScoredSpread(
-    const serialize::JsonValue& json);
-serialize::JsonValue EncodeIterationResult(const IterationResult& iteration);
-Result<IterationResult> DecodeIterationResult(
-    const serialize::JsonValue& json);
-/// @}
-
-/// \name Subgroup-list codecs (the `list_history` snapshot field).
-/// @{
-serialize::JsonValue EncodeSubgroupRule(const search::SubgroupRule& rule);
-Result<search::SubgroupRule> DecodeSubgroupRule(
-    const serialize::JsonValue& json);
-serialize::JsonValue EncodeListMineResult(const ListMineResult& result);
-Result<ListMineResult> DecodeListMineResult(
-    const serialize::JsonValue& json);
 /// @}
 
 }  // namespace sisd::core

@@ -49,27 +49,12 @@ class PatternAssimilator {
   explicit PatternAssimilator(BackgroundModel model)
       : initial_model_(model), model_(std::move(model)) {}
 
-  /// Rebuilds an assimilator from serialized parts (snapshot restore): the
-  /// pattern-free initial model, the fitted current model, and the
-  /// registered constraints, exactly as saved.
-  static PatternAssimilator Restore(
-      BackgroundModel initial_model, BackgroundModel model,
-      std::vector<AssimilatedConstraint> constraints) {
-    PatternAssimilator out(std::move(initial_model));
-    out.model_ = std::move(model);
-    out.constraints_ = std::move(constraints);
-    return out;
-  }
-
   /// The current (fitted) background model.
   const BackgroundModel& model() const { return model_; }
 
   /// The pattern-free model the session started from (`RefitFromScratch`
-  /// resets to this; the snapshot serializer saves it).
+  /// resets to this).
   const BackgroundModel& initial_model() const { return initial_model_; }
-
-  /// Mutable access (tests only).
-  BackgroundModel* mutable_model() { return &model_; }
 
   /// Number of assimilated constraints.
   size_t num_constraints() const { return constraints_.size(); }

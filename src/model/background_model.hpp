@@ -79,12 +79,12 @@ class BackgroundModel {
   static Result<BackgroundModel> CreateFromData(const linalg::Matrix& y,
                                                 double ridge = 1e-8);
 
-  /// Rebuilds a model from serialized parts (snapshot restore). The groups'
-  /// row sets must partition `[0, num_rows)`, every mean and covariance
-  /// entry must be finite, and every covariance must be bitwise symmetric
-  /// and factorize; InvalidArgument otherwise. Each group's factor is computed
-  /// from its covariance, exactly as the live model it was saved from
-  /// computed it, so the restored model scores bit-identically.
+  /// Builds a model from explicit parameter groups (tests build multi-group
+  /// models this way). The groups' row sets must partition
+  /// `[0, num_rows)`, every mean and covariance entry must be finite, and
+  /// every covariance must be bitwise symmetric and factorize;
+  /// InvalidArgument otherwise. Each group's factor is computed from its
+  /// covariance, exactly as a live model computes it.
   static Result<BackgroundModel> RestoreFromParts(
       size_t num_rows, size_t dim, std::vector<ParameterGroup> groups);
 

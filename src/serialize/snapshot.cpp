@@ -418,6 +418,8 @@ Result<data::Dataset> DecodeDataset(const JsonValue& json) {
   return out;
 }
 
+namespace {
+
 JsonValue EncodeBackgroundModel(const model::BackgroundModel& m) {
   JsonValue out = JsonValue::Object();
   out.Set("num_rows", JsonValue::Int(int64_t(m.num_rows())));
@@ -435,34 +437,6 @@ JsonValue EncodeBackgroundModel(const model::BackgroundModel& m) {
   return out;
 }
 
-Result<model::BackgroundModel> DecodeBackgroundModel(const JsonValue& json) {
-  SISD_ASSIGN_OR_RETURN(num_rows, GetSizeField(json, "num_rows"));
-  SISD_ASSIGN_OR_RETURN(dim, GetSizeField(json, "dim"));
-  SISD_ASSIGN_OR_RETURN(groups_json, json.Get("groups"));
-  if (!groups_json->is_array()) {
-    return Status::InvalidArgument("model groups must be an array");
-  }
-  std::vector<model::ParameterGroup> groups;
-  groups.reserve(groups_json->size());
-  for (const JsonValue& entry : groups_json->items()) {
-    model::ParameterGroup group;
-    SISD_ASSIGN_OR_RETURN(mu_json, entry.Get("mu"));
-    SISD_ASSIGN_OR_RETURN(mu, DecodeVector(*mu_json));
-    group.mu = std::move(mu);
-    SISD_ASSIGN_OR_RETURN(sigma_json, entry.Get("sigma"));
-    SISD_ASSIGN_OR_RETURN(sigma, DecodeMatrix(*sigma_json));
-    group.sigma = std::move(sigma);
-    SISD_ASSIGN_OR_RETURN(rows_json, entry.Get("rows"));
-    SISD_ASSIGN_OR_RETURN(rows, DecodeExtension(*rows_json));
-    group.rows = std::move(rows);
-    // Older snapshots also carry each group's Cholesky `factor`; it is
-    // ignored, since the restore recomputes every factor from `sigma`.
-    groups.push_back(std::move(group));
-  }
-  return model::BackgroundModel::RestoreFromParts(num_rows, dim,
-                                                  std::move(groups));
-}
-
 JsonValue EncodeConstraint(const model::AssimilatedConstraint& constraint) {
   JsonValue out = JsonValue::Object();
   const bool is_location =
@@ -476,30 +450,7 @@ JsonValue EncodeConstraint(const model::AssimilatedConstraint& constraint) {
   return out;
 }
 
-Result<model::AssimilatedConstraint> DecodeConstraint(const JsonValue& json) {
-  model::AssimilatedConstraint out;
-  SISD_ASSIGN_OR_RETURN(kind, GetStringField(json, "kind"));
-  if (kind == "location") {
-    out.kind = model::AssimilatedConstraint::Kind::kLocation;
-  } else if (kind == "spread") {
-    out.kind = model::AssimilatedConstraint::Kind::kSpread;
-  } else {
-    return Status::InvalidArgument("unknown constraint kind '" + kind + "'");
-  }
-  SISD_ASSIGN_OR_RETURN(extension_json, json.Get("extension"));
-  SISD_ASSIGN_OR_RETURN(extension, DecodeExtension(*extension_json));
-  out.extension = std::move(extension);
-  SISD_ASSIGN_OR_RETURN(mean_json, json.Get("mean"));
-  SISD_ASSIGN_OR_RETURN(mean, DecodeVector(*mean_json));
-  out.mean = std::move(mean);
-  SISD_ASSIGN_OR_RETURN(direction_json, json.Get("direction"));
-  if (!direction_json->is_null()) {
-    SISD_ASSIGN_OR_RETURN(direction, DecodeVector(*direction_json));
-    out.direction = std::move(direction);
-  }
-  SISD_RETURN_NOT_OK(ReadField(json, "variance", &out.variance));
-  return out;
-}
+}  // namespace
 
 JsonValue EncodeAssimilator(const model::PatternAssimilator& assimilator) {
   JsonValue out = JsonValue::Object();
@@ -512,26 +463,6 @@ JsonValue EncodeAssimilator(const model::PatternAssimilator& assimilator) {
   }
   out.Set("constraints", std::move(constraints));
   return out;
-}
-
-Result<model::PatternAssimilator> DecodeAssimilator(const JsonValue& json) {
-  SISD_ASSIGN_OR_RETURN(initial_json, json.Get("initial_model"));
-  SISD_ASSIGN_OR_RETURN(initial_model, DecodeBackgroundModel(*initial_json));
-  SISD_ASSIGN_OR_RETURN(model_json, json.Get("model"));
-  SISD_ASSIGN_OR_RETURN(current_model, DecodeBackgroundModel(*model_json));
-  SISD_ASSIGN_OR_RETURN(constraints_json, json.Get("constraints"));
-  if (!constraints_json->is_array()) {
-    return Status::InvalidArgument("constraints must be an array");
-  }
-  std::vector<model::AssimilatedConstraint> constraints;
-  constraints.reserve(constraints_json->size());
-  for (const JsonValue& entry : constraints_json->items()) {
-    SISD_ASSIGN_OR_RETURN(constraint, DecodeConstraint(entry));
-    constraints.push_back(std::move(constraint));
-  }
-  return model::PatternAssimilator::Restore(std::move(initial_model),
-                                            std::move(current_model),
-                                            std::move(constraints));
 }
 
 }  // namespace sisd::serialize

@@ -70,19 +70,12 @@ Result<data::DataTable> DecodeDataTable(const JsonValue& json);
 Result<data::Dataset> DecodeDataset(const JsonValue& json);
 /// @}
 
-/// \name Background model + assimilator. The model codec saves each
-/// group's mean, covariance and rows, not its Cholesky factor: the decoder
-/// recomputes the factor from the covariance, which is exactly how the live
-/// model computed it, so a restored model scores bit-identically to the
-/// saved one. A `factor` key in an older snapshot is ignored.
-/// @{
-JsonValue EncodeBackgroundModel(const model::BackgroundModel& m);
-Result<model::BackgroundModel> DecodeBackgroundModel(const JsonValue& json);
-JsonValue EncodeConstraint(const model::AssimilatedConstraint& constraint);
-Result<model::AssimilatedConstraint> DecodeConstraint(const JsonValue& json);
+/// Encodes the fitted models (each group's mean, covariance and rows) and
+/// the constraint registry in the layout version-1 snapshots stored. A
+/// snapshot stores no model — a restore replays the history — so this
+/// encoder serves the version-1 upgrade check, which compares a stored
+/// `assimilator` with the replayed one. It has no decoder.
 JsonValue EncodeAssimilator(const model::PatternAssimilator& assimilator);
-Result<model::PatternAssimilator> DecodeAssimilator(const JsonValue& json);
-/// @}
 
 }  // namespace sisd::serialize
 

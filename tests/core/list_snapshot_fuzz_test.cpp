@@ -1,33 +1,46 @@
-// Property/fuzz harness for the session snapshot codec with the second
-// (subgroup-list) history type: randomized sessions interleaving mine and
-// mine_list calls must save→restore→save byte-identically and continue
-// mining identically after restore; truncated and bit-flipped snapshots
-// must fail cleanly (Status, not UB — the suite runs under ASan in CI).
+// Property/fuzz harness for the session snapshot codec. Randomized
+// sessions interleaving mine and mine_list calls, with location-only and
+// with location+spread dialogues, must save→restore→save byte-identically
+// and continue mining identically after restore. Hostile snapshots —
+// truncated, bit-flipped, or edited field by field (every key deleted,
+// every value given a wrong type) — must restore or fail with a Status,
+// never crash: the suite runs under ASan and UBSan in
+// `scripts/check_asan.sh`.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <optional>
 #include <random>
 #include <string>
+#include <vector>
 
+#include "catalog/dataset_catalog.hpp"
 #include "core/session.hpp"
 #include "datagen/scenarios.hpp"
+#include "snapshot_edit.hpp"
 
 namespace sisd::core {
 namespace {
 
-MinerConfig FastConfig() {
+using serialize::JsonValue;
+using testing::JsonPath;
+
+MinerConfig FastConfig(PatternMix mix) {
   MinerConfig config;
   config.search.beam_width = 4;
   config.search.max_depth = 1;
   config.search.top_k = 8;
   config.search.min_coverage = 5;
-  config.mix = PatternMix::kLocationOnly;
+  config.spread_optimizer.num_random_starts = 1;
+  config.mix = mix;
   return config;
 }
 
-MiningSession MakeSession() {
+MiningSession MakeSession(PatternMix mix) {
   data::Dataset dataset = datagen::MakeScenarioDataset("synthetic").Value();
-  return MiningSession::Create(std::move(dataset), FastConfig()).Value();
+  return MiningSession::Create(std::move(dataset), FastConfig(mix)).Value();
 }
 
 /// Applies op `op` (0 = one iterative mine, 1/2 = a 1- or 2-rule list
@@ -45,78 +58,200 @@ void ApplyOp(MiningSession* session, int op) {
   }
 }
 
+const char* MixName(PatternMix mix) {
+  return mix == PatternMix::kLocationOnly ? "location only"
+                                          : "location and spread";
+}
+
 TEST(ListSnapshotFuzzTest, MixedHistoriesRoundTripByteExact) {
   std::mt19937 rng(20240807);
   std::uniform_int_distribution<int> op_dist(0, 2);
   std::uniform_int_distribution<int> len_dist(1, 5);
-  for (int trial = 0; trial < 8; ++trial) {
-    SCOPED_TRACE("trial " + std::to_string(trial));
-    MiningSession session = MakeSession();
-    const int num_ops = len_dist(rng);
-    bool mined_list = false;
-    for (int i = 0; i < num_ops; ++i) {
-      const int op = op_dist(rng);
-      mined_list = mined_list || op != 0;
-      ApplyOp(&session, op);
-    }
-    // Make sure the property is exercised on the new history type, not
-    // only on pure-mine sequences.
-    if (!mined_list) {
-      ApplyOp(&session, 1);
-    }
+  for (const PatternMix mix :
+       {PatternMix::kLocationOnly, PatternMix::kLocationAndSpread}) {
+    for (int trial = 0; trial < 8; ++trial) {
+      SCOPED_TRACE(std::string(MixName(mix)) + ", trial " +
+                   std::to_string(trial));
+      MiningSession session = MakeSession(mix);
+      const int num_ops = len_dist(rng);
+      bool mined_list = false;
+      for (int i = 0; i < num_ops; ++i) {
+        const int op = op_dist(rng);
+        mined_list = mined_list || op != 0;
+        ApplyOp(&session, op);
+      }
+      // Make sure the property is exercised on the list history type, not
+      // only on pure-mine sequences.
+      if (!mined_list) {
+        ApplyOp(&session, 1);
+      }
 
-    const std::string saved = session.SaveToString();
-    Result<MiningSession> restored = MiningSession::RestoreFromString(saved);
-    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-    EXPECT_EQ(restored.Value().SaveToString(), saved);
-    EXPECT_EQ(restored.Value().list_history().size(),
-              session.list_history().size());
+      const std::string saved = session.SaveToString();
+      Result<MiningSession> restored =
+          MiningSession::RestoreFromString(saved);
+      ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+      EXPECT_EQ(restored.Value().SaveToString(), saved);
+      EXPECT_EQ(restored.Value().list_history().size(),
+                session.list_history().size());
 
-    // Continue both sessions with the same op: a restored session must
-    // mine (iteratively and list-wise) byte-identically to one that never
-    // stopped.
-    const int next_op = op_dist(rng);
-    ApplyOp(&session, next_op);
-    ApplyOp(&restored.Value(), next_op);
-    EXPECT_EQ(restored.Value().SaveToString(), session.SaveToString());
+      // Continue both sessions with the same op: a restored session must
+      // mine (iteratively and list-wise) byte-identically to one that
+      // never stopped.
+      const int next_op = op_dist(rng);
+      ApplyOp(&session, next_op);
+      ApplyOp(&restored.Value(), next_op);
+      EXPECT_EQ(restored.Value().SaveToString(), session.SaveToString());
+    }
   }
 }
 
-TEST(ListSnapshotFuzzTest, TruncatedSnapshotsFailCleanly) {
-  MiningSession session = MakeSession();
+/// A session with both history types: two mines and a 2-rule list round.
+MiningSession MakeMixedSession(PatternMix mix) {
+  MiningSession session = MakeSession(mix);
+  ApplyOp(&session, 0);
   ApplyOp(&session, 0);
   ApplyOp(&session, 2);
-  const std::string saved = session.SaveToString();
-  ASSERT_GT(saved.size(), 64u);
-  // Cut at many points, denser near the tail where the list history lives.
-  for (size_t cut = 0; cut < saved.size(); cut += 1 + saved.size() / 97) {
-    const Result<MiningSession> restored =
-        MiningSession::RestoreFromString(saved.substr(0, cut));
-    EXPECT_FALSE(restored.ok()) << "cut=" << cut;
+  return session;
+}
+
+TEST(ListSnapshotFuzzTest, TruncatedSnapshotsFailCleanly) {
+  for (const PatternMix mix :
+       {PatternMix::kLocationOnly, PatternMix::kLocationAndSpread}) {
+    SCOPED_TRACE(MixName(mix));
+    const std::string saved = MakeMixedSession(mix).SaveToString();
+    ASSERT_GT(saved.size(), 64u);
+    // Cut at many points, denser near the tail where the histories live.
+    for (size_t cut = 0; cut < saved.size(); cut += 1 + saved.size() / 97) {
+      const Result<MiningSession> restored =
+          MiningSession::RestoreFromString(saved.substr(0, cut));
+      EXPECT_FALSE(restored.ok()) << "cut=" << cut;
+    }
   }
 }
 
 TEST(ListSnapshotFuzzTest, BitFlippedSnapshotsNeverCrash) {
-  MiningSession session = MakeSession();
-  ApplyOp(&session, 0);
-  ApplyOp(&session, 2);
-  const std::string saved = session.SaveToString();
-  std::mt19937 rng(7);
-  std::uniform_int_distribution<size_t> pos_dist(0, saved.size() - 1);
-  std::uniform_int_distribution<int> bit_dist(0, 7);
-  for (int flip = 0; flip < 200; ++flip) {
-    std::string mutated = saved;
-    const size_t pos = pos_dist(rng);
-    mutated[pos] = char(mutated[pos] ^ (1 << bit_dist(rng)));
-    // Most flips must fail with a clean Status; a flip inside a number or
-    // free-text field may still decode — then the decoded session must be
-    // internally consistent enough to save again without dying.
-    Result<MiningSession> restored =
-        MiningSession::RestoreFromString(mutated);
-    if (restored.ok()) {
-      EXPECT_FALSE(restored.Value().SaveToString().empty());
+  const unsigned seed = 7;
+  std::mt19937 rng(seed);
+  size_t flips = 0;
+  for (const PatternMix mix :
+       {PatternMix::kLocationOnly, PatternMix::kLocationAndSpread}) {
+    SCOPED_TRACE(MixName(mix));
+    const std::string saved = MakeMixedSession(mix).SaveToString();
+    std::uniform_int_distribution<size_t> pos_dist(0, saved.size() - 1);
+    std::uniform_int_distribution<int> bit_dist(0, 7);
+    for (int flip = 0; flip < 200; ++flip, ++flips) {
+      std::string mutated = saved;
+      const size_t pos = pos_dist(rng);
+      mutated[pos] = char(mutated[pos] ^ (1 << bit_dist(rng)));
+      // Most flips must fail with a clean Status; a flip inside a number
+      // or free-text field may still decode — then the decoded session
+      // must be internally consistent enough to save again.
+      Result<MiningSession> restored =
+          MiningSession::RestoreFromString(mutated);
+      if (restored.ok()) {
+        EXPECT_FALSE(restored.Value().SaveToString().empty());
+      }
     }
   }
+  std::printf("bit flips: seed %u, %zu edits\n", seed, flips);
+}
+
+/// Every path in `value`, parents first. An array inside the inline
+/// `dataset` contributes its first element only: its cells share one
+/// decoder, and walking each of them would cost thousands of restores.
+void CollectPaths(const JsonValue& value, bool in_dataset, JsonPath* path,
+                  std::vector<JsonPath>* out) {
+  out->push_back(*path);
+  if (value.is_object()) {
+    for (const auto& [key, member] : value.members()) {
+      path->push_back(key);
+      CollectPaths(member, in_dataset || key == "dataset", path, out);
+      path->pop_back();
+    }
+  } else if (value.is_array()) {
+    const size_t count =
+        in_dataset ? std::min<size_t>(value.size(), 1) : value.size();
+    for (size_t i = 0; i < count; ++i) {
+      path->push_back(std::to_string(i));
+      CollectPaths(value.items()[i], in_dataset, path, out);
+      path->pop_back();
+    }
+  }
+}
+
+/// A value of a JSON type other than `value`'s (ints and doubles count as
+/// one type), picked by `rng`.
+JsonValue WrongType(const JsonValue& value, std::mt19937* rng) {
+  const auto number_or = [](JsonValue::Type type) {
+    return type == JsonValue::Type::kDouble ? JsonValue::Type::kInt : type;
+  };
+  std::vector<JsonValue> others;
+  for (JsonValue candidate :
+       {JsonValue::Null(), JsonValue::Bool(true), JsonValue::Int(7),
+        JsonValue::Str("x"), JsonValue::Array(), JsonValue::Object()}) {
+    if (number_or(candidate.type()) != number_or(value.type())) {
+      others.push_back(std::move(candidate));
+    }
+  }
+  std::uniform_int_distribution<size_t> pick(0, others.size() - 1);
+  return others[pick(*rng)];
+}
+
+TEST(ListSnapshotFuzzTest, StructureAwareEditsFailCleanly) {
+  const unsigned seed = 20261020;
+  std::mt19937 rng(seed);
+  catalog::DatasetCatalog catalog;
+  catalog::PinnedDataset pinned =
+      catalog
+          .Intern(datagen::MakeScenarioDataset("synthetic").Value(),
+                  /*pin=*/true, /*retain=*/true)
+          .Value();
+  const MinerConfig config = FastConfig(PatternMix::kLocationAndSpread);
+  MiningSession session =
+      MiningSession::Create(
+          pinned.dataset, config,
+          catalog.PoolFor(pinned, config.search.num_split_points,
+                          config.search.include_exclusions),
+          pinned.ref())
+          .Value();
+  ApplyOp(&session, 0);
+  ApplyOp(&session, 0);
+  ApplyOp(&session, 2);
+  ASSERT_TRUE(session.history()[0].spread.has_value());
+
+  size_t edits = 0;
+  size_t restored_ok = 0;
+  for (const SnapshotForm form :
+       {SnapshotForm::kDatasetRef, SnapshotForm::kInlineDataset}) {
+    const JsonValue root = JsonValue::Parse(session.SaveToString(form)).Value();
+    std::vector<JsonPath> paths;
+    JsonPath path;
+    CollectPaths(root, false, &path, &paths);
+    for (const JsonPath& at : paths) {
+      // Delete the value (not the root), then give it a wrong type.
+      for (const bool remove : {true, false}) {
+        if (remove && at.empty()) continue;
+        const std::string text =
+            testing::EditAt(root, at,
+                            [&](const JsonValue& value)
+                                -> std::optional<JsonValue> {
+                              if (remove) return std::nullopt;
+                              return WrongType(value, &rng);
+                            })
+                .Write();
+        Result<MiningSession> restored =
+            MiningSession::RestoreFromString(text, &catalog);
+        ++edits;
+        if (restored.ok()) {
+          ++restored_ok;
+          EXPECT_FALSE(restored.Value().SaveToString().empty());
+        }
+      }
+    }
+  }
+  std::printf("structure-aware edits: seed %u, %zu edits, %zu restored\n",
+              seed, edits, restored_ok);
+  EXPECT_GT(edits, 1000u);
 }
 
 }  // namespace

@@ -64,8 +64,8 @@ TEST(MiningSessionTest, SnapshotTextRoundTripIsByteIdentical) {
   EXPECT_EQ(restored.Value().history().size(), 1u);
   EXPECT_EQ(restored.Value().model().num_groups(),
             session.Value().model().num_groups());
-  EXPECT_EQ(restored.Value().mutable_assimilator()->num_constraints(),
-            session.Value().mutable_assimilator()->num_constraints());
+  EXPECT_EQ(restored.Value().assimilator().num_constraints(),
+            session.Value().assimilator().num_constraints());
   EXPECT_EQ(restored.Value().condition_pool().size(),
             session.Value().condition_pool().size());
 }
@@ -96,7 +96,7 @@ TEST(MiningSessionTest, RestoreRejectsForeignAndFutureSnapshots) {
       datagen::MakeSyntheticEmbedded().dataset, FastConfig());
   ASSERT_TRUE(session.ok());
   std::string text = session.Value().SaveToString();
-  const std::string tag = "\"schema_version\":1";
+  const std::string tag = "\"schema_version\":2";
   const size_t pos = text.find(tag);
   ASSERT_NE(pos, std::string::npos);
   text.replace(pos, tag.size(), "\"schema_version\":999");

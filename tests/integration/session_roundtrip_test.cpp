@@ -2,9 +2,12 @@
 /// datagen scenario: save a session after iteration k, restore it, mine
 /// iteration k+1 — the restored session's output must be byte-identical to
 /// a session that never stopped (Describe strings, ranked lists, search
-/// diagnostics, and the full re-saved snapshot). Also verifies that a
-/// warm-started refit agrees with RefitFromScratch, and that every group's
-/// factor is a fresh factorization of its covariance.
+/// diagnostics, and the full re-saved snapshot). Snapshots store no model,
+/// so the restored model — replayed from the history — must encode to the
+/// saved session's bytes. A version-1 snapshot (the committed fixture)
+/// must upgrade to exactly the session a fresh mine builds. Also verifies
+/// that a warm-started refit agrees with RefitFromScratch, and that every
+/// group's factor is a fresh factorization of its covariance.
 
 #include <string>
 #include <vector>
@@ -15,9 +18,13 @@
 #include "datagen/crime.hpp"
 #include "datagen/gse.hpp"
 #include "datagen/mammals.hpp"
+#include "datagen/scenarios.hpp"
 #include "datagen/synthetic.hpp"
 #include "datagen/water.hpp"
 #include "linalg/cholesky.hpp"
+#include "serialize/snapshot.hpp"
+
+#include "../core/snapshot_edit.hpp"
 
 namespace sisd::core {
 namespace {
@@ -116,6 +123,10 @@ std::string DescribeIteration(const IterationResult& iteration,
   return out;
 }
 
+std::string AssimilatorBytes(const MiningSession& session) {
+  return serialize::EncodeAssimilator(session.assimilator()).Write();
+}
+
 TEST(SessionRoundTripTest, RestoredSessionMinesByteIdentically) {
   for (Scenario& scenario : AllScenarios()) {
     SCOPED_TRACE(scenario.name);
@@ -133,6 +144,9 @@ TEST(SessionRoundTripTest, RestoredSessionMinesByteIdentically) {
     Result<MiningSession> restored =
         MiningSession::RestoreFromString(snapshot);
     ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    // The snapshot holds no model: the replayed one must be the same.
+    EXPECT_EQ(AssimilatorBytes(restored.Value()),
+              AssimilatorBytes(unbroken.Value()));
 
     // The restored history reproduces the saved iterations byte-for-byte.
     const data::DataTable& descriptions =
@@ -163,7 +177,7 @@ TEST(SessionRoundTripTest, RestoredSessionMinesByteIdentically) {
     // Warm-started refit (cyclic descent from the session's current
     // parameters) must converge to the
     // same joint minimum-KL model as a full from-scratch refit.
-    model::PatternAssimilator warm = *unbroken.Value().mutable_assimilator();
+    model::PatternAssimilator warm = unbroken.Value().assimilator();
     model::PatternAssimilator scratch = warm;
     Result<model::RefitStats> warm_stats = warm.Refit(300, 1e-12);
     ASSERT_TRUE(warm_stats.ok()) << warm_stats.status().ToString();
@@ -183,6 +197,139 @@ TEST(SessionRoundTripTest, RestoredSessionMinesByteIdentically) {
           << scenario.name << " group " << g;
     }
   }
+}
+
+/// The version-1 fixture (`sisd_cli mine --scenario synthetic --iterations
+/// 2 --top-k 5`, written before schema version 2) with a stale `factor`
+/// key in every model group when `stale_factor`, as snapshots before the
+/// factor was dropped stored one.
+std::string V1Snapshot(bool stale_factor) {
+  Result<std::string> text = serialize::ReadTextFile(SISD_V1_SNAPSHOT);
+  EXPECT_TRUE(text.ok()) << SISD_V1_SNAPSHOT;
+  if (!text.ok() || !stale_factor) return text.ok() ? text.Value() : "";
+  const serialize::JsonValue root =
+      serialize::JsonValue::Parse(text.Value()).Value();
+  serialize::JsonValue out = root;
+  for (const char* model : {"initial_model", "model"}) {
+    const serialize::JsonValue* groups =
+        root.Find("assimilator")->Find(model)->Find("groups");
+    for (size_t g = 0; g < groups->size(); ++g) {
+      out = testing::EditAt(
+          out, {"assimilator", model, "groups", std::to_string(g)},
+          [](const serialize::JsonValue& group) {
+            serialize::JsonValue stale = group;
+            stale.Set("factor", serialize::EncodeMatrix(
+                                    linalg::Matrix::Identity(2) * 7.0));
+            return std::optional<serialize::JsonValue>(stale);
+          });
+    }
+  }
+  return out.Write();
+}
+
+TEST(SessionRoundTripTest, VersionOneSnapshotUpgradesExactly) {
+  for (const bool stale_factor : {false, true}) {
+    SCOPED_TRACE(stale_factor ? "with stale factors" : "as written");
+    const std::string v1 = V1Snapshot(stale_factor);
+    ASSERT_EQ(v1.find("\"factor\"") != std::string::npos, stale_factor);
+    Result<MiningSession> upgraded = MiningSession::RestoreFromString(v1);
+    ASSERT_TRUE(upgraded.ok()) << upgraded.status().ToString();
+
+    // The same dialogue mined afresh by this build.
+    Result<MiningSession> fresh = MiningSession::Create(
+        datagen::MakeScenarioDataset("synthetic").Value(),
+        upgraded.Value().config());
+    ASSERT_TRUE(fresh.ok());
+    ASSERT_TRUE(fresh.Value().MineIterations(2).ok());
+    EXPECT_EQ(upgraded.Value().SaveToString(), fresh.Value().SaveToString());
+    EXPECT_EQ(AssimilatorBytes(upgraded.Value()),
+              AssimilatorBytes(fresh.Value()));
+    ASSERT_TRUE(upgraded.Value().MineNext().ok());
+    ASSERT_TRUE(fresh.Value().MineNext().ok());
+    EXPECT_EQ(upgraded.Value().SaveToString(), fresh.Value().SaveToString());
+  }
+}
+
+TEST(SessionRoundTripTest, VersionOneDerivedFieldsMustMatchTheReplay) {
+  const std::string v1 = V1Snapshot(false);
+  const serialize::JsonValue root = serialize::JsonValue::Parse(v1).Value();
+  const serialize::JsonValue& location =
+      *root.Find("history")->items()[0].Find("location");
+  // One flipped extension bit: row 60, the low bit of the first hex digit.
+  std::string blocks =
+      location.Find("subgroup")->Find("extension")->Find("blocks")
+          ->GetString()
+          .Value();
+  const int digit = std::stoi(blocks.substr(0, 1), nullptr, 16) ^ 1;
+  blocks[0] = "0123456789abcdef"[digit];
+  std::vector<double> mean;
+  for (const serialize::JsonValue& entry : location.Find("mean")->items()) {
+    mean.push_back(entry.GetDouble().Value());
+  }
+  mean[0] += 1e-9;
+  serialize::JsonValue edited_mean = serialize::JsonValue::Array();
+  for (double value : mean) {
+    edited_mean.Append(serialize::JsonValue::Double(value));
+  }
+  for (const auto& [name, text] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"extension bit",
+            testing::WithValueAt(v1,
+                                 {"history", "0", "location", "subgroup",
+                                  "extension", "blocks"},
+                                 serialize::JsonValue::Str(blocks))},
+           {"location mean",
+            testing::WithValueAt(v1, {"history", "0", "location", "mean"},
+                                 edited_mean)},
+           {"ranked mean",
+            testing::WithValueAt(v1,
+                                 {"history", "1", "ranked", "2", "mean"},
+                                 edited_mean)},
+           {"constraint variance",
+            testing::WithValueAt(v1,
+                                 {"assimilator", "constraints", "1",
+                                  "variance"},
+                                 serialize::JsonValue::Double(0.5))}}) {
+    SCOPED_TRACE(name);
+    ASSERT_NE(text, v1);
+    Result<MiningSession> restored = MiningSession::RestoreFromString(text);
+    ASSERT_FALSE(restored.ok());
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(SessionRoundTripTest, FailedSpreadStepReplaysExactly) {
+  // Group 'a' holds two values 1e-13 apart, so its spread update rounds
+  // the covariance to 0 and fails: the iteration is recorded location-only
+  // with a `spread_error`, and the replay assimilates no spread for it.
+  data::Dataset dataset;
+  dataset.name = "degenerate";
+  dataset.target_names = {"y"};
+  dataset.targets = linalg::Matrix(40, 1);
+  std::vector<int32_t> codes(40);
+  for (size_t i = 0; i < 40; ++i) {
+    codes[i] = i < 10 ? 0 : 1;
+    dataset.targets(i, 0) = i < 10 ? (i % 2 == 0 ? 10.0 : 10.000000000000099)
+                                   : double((7 * i) % 11);
+  }
+  ASSERT_TRUE(dataset.descriptions
+                  .AddColumn(data::Column::Categorical("g", codes,
+                                                       {"a", "b"}))
+                  .ok());
+  MinerConfig config;
+  config.search.min_coverage = 2;
+  Result<MiningSession> session =
+      MiningSession::Create(std::move(dataset), config);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  ASSERT_TRUE(session.Value().MineIterations(2).ok());
+  ASSERT_FALSE(session.Value().history()[0].spread_error.empty());
+
+  const std::string saved = session.Value().SaveToString();
+  Result<MiningSession> restored = MiningSession::RestoreFromString(saved);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(AssimilatorBytes(restored.Value()),
+            AssimilatorBytes(session.Value()));
+  EXPECT_EQ(restored.Value().SaveToString(), saved);
 }
 
 }  // namespace

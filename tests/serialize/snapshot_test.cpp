@@ -1,15 +1,13 @@
 /// Codec round trips for every snapshot building block: decode(encode(x))
-/// must reproduce x bit-identically. Model groups' Cholesky factors are not
-/// stored: a restored factor is a fresh factorization of the restored
-/// covariance, and a `factor` key in an older snapshot is ignored.
+/// must reproduce x bit-identically. Snapshots store no model, so the
+/// model encoders are checked at the session level (session_roundtrip_test,
+/// hostile_input_test).
 
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
 
-#include "linalg/cholesky.hpp"
-#include "model/assimilator.hpp"
 #include "random/rng.hpp"
 #include "serialize/snapshot.hpp"
 
@@ -342,110 +340,6 @@ TEST(SnapshotCodecTest, StreamedChunksConcatenateToTheEncoding) {
   EXPECT_EQ(text, EncodeDatasetText(big));
   // Re-parsed and written by the tree writer, the text comes back as is.
   EXPECT_EQ(JsonValue::Parse(text).Value().Write(), text);
-}
-
-model::BackgroundModel EvolvedModel() {
-  random::Rng rng(77);
-  linalg::Matrix y(30, 3);
-  for (size_t i = 0; i < 30; ++i) {
-    for (size_t j = 0; j < 3; ++j) y(i, j) = rng.Gaussian();
-  }
-  Result<model::BackgroundModel> model =
-      model::BackgroundModel::CreateFromData(y);
-  model.status().CheckOK();
-  pattern::Extension ext(30);
-  for (size_t i = 0; i < 12; ++i) ext.Insert(i);
-  linalg::Vector w{1.0, 0.0, 0.0};
-  const linalg::Vector anchor = model.Value().ExpectedSubgroupMean(ext);
-  const double expected =
-      model.Value().ExpectedDirectionalVariance(ext, w, anchor);
-  model.Value().UpdateSpread(ext, w, anchor, 0.6 * expected).status()
-      .CheckOK();
-  model.Value()
-      .UpdateLocation(ext, anchor + linalg::Vector{0.5, 0.0, -0.25})
-      .status()
-      .CheckOK();
-  return std::move(model).MoveValue();
-}
-
-TEST(SnapshotCodecTest, BackgroundModelRoundTripIsBitIdentical) {
-  const model::BackgroundModel m = EvolvedModel();
-  const model::BackgroundModel back =
-      WireRoundTrip(m, EncodeBackgroundModel, DecodeBackgroundModel);
-  ASSERT_EQ(back.num_groups(), m.num_groups());
-  ASSERT_EQ(back.num_rows(), m.num_rows());
-  for (size_t g = 0; g < m.num_groups(); ++g) {
-    EXPECT_EQ(back.group(g).mu, m.group(g).mu) << g;
-    EXPECT_EQ(back.group(g).sigma, m.group(g).sigma) << g;
-    EXPECT_EQ(back.group(g).rows, m.group(g).rows) << g;
-    // The factor is a pure function of sigma.
-    Result<linalg::Cholesky> fresh =
-        linalg::Cholesky::Compute(m.group(g).sigma);
-    ASSERT_TRUE(fresh.ok()) << g;
-    EXPECT_EQ(back.GroupCholesky(g).L(), fresh.Value().L()) << g;
-    EXPECT_EQ(back.GroupCholesky(g).L(), m.GroupCholesky(g).L()) << g;
-  }
-  EXPECT_EQ(back.GroupOfRows(), m.GroupOfRows());
-}
-
-TEST(SnapshotCodecTest, StaleFactorKeyIsIgnoredAndNotReEncoded) {
-  const model::BackgroundModel m = EvolvedModel();
-  const JsonValue encoded = EncodeBackgroundModel(m);
-  const std::string text = encoded.Write();
-  EXPECT_EQ(text.find("\"factor\""), std::string::npos);
-  // An older snapshot carries each group's factor; make it stale (a scaled
-  // identity, not the covariance's factor) and add it to every group.
-  linalg::Matrix stale = linalg::Matrix::Identity(m.dim());
-  stale *= 7.0;
-  JsonValue groups = JsonValue::Array();
-  for (const JsonValue& group : encoded.Find("groups")->items()) {
-    JsonValue entry = group;
-    entry.Set("factor", EncodeMatrix(stale));
-    groups.Append(std::move(entry));
-  }
-  JsonValue old_form = encoded;
-  old_form.Set("groups", std::move(groups));
-  ASSERT_NE(old_form.Write().find("\"factor\""), std::string::npos);
-
-  Result<model::BackgroundModel> back = DecodeBackgroundModel(old_form);
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  for (size_t g = 0; g < m.num_groups(); ++g) {
-    EXPECT_EQ(back.Value().GroupCholesky(g).L(), m.GroupCholesky(g).L()) << g;
-  }
-  EXPECT_EQ(EncodeBackgroundModel(back.Value()).Write(), text);
-}
-
-TEST(SnapshotCodecTest, AssimilatorRoundTrip) {
-  model::PatternAssimilator assimilator(EvolvedModel());
-  pattern::Extension ext(30);
-  for (size_t i = 5; i < 20; ++i) ext.Insert(i);
-  linalg::Vector mean{0.2, -0.1, 0.05};
-  ASSERT_TRUE(assimilator.AddLocationPattern(ext, mean).ok());
-  linalg::Vector direction{0.0, 1.0, 0.0};
-  ASSERT_TRUE(
-      assimilator.AddSpreadPattern(ext, direction, mean, 0.75).ok());
-
-  const std::string text = EncodeAssimilator(assimilator).Write();
-  Result<JsonValue> parsed = JsonValue::Parse(text);
-  ASSERT_TRUE(parsed.ok());
-  Result<model::PatternAssimilator> back = DecodeAssimilator(parsed.Value());
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-
-  ASSERT_EQ(back.Value().num_constraints(), 2u);
-  const auto& constraints = back.Value().constraints();
-  EXPECT_EQ(constraints[0].kind,
-            model::AssimilatedConstraint::Kind::kLocation);
-  EXPECT_EQ(constraints[0].extension, ext);
-  EXPECT_EQ(constraints[0].mean, mean);
-  EXPECT_EQ(constraints[1].kind, model::AssimilatedConstraint::Kind::kSpread);
-  EXPECT_EQ(constraints[1].direction, direction.Normalized());
-  EXPECT_EQ(constraints[1].variance, 0.75);
-  EXPECT_EQ(back.Value().model().MaxParameterDelta(assimilator.model()), 0.0);
-  EXPECT_EQ(back.Value().initial_model().MaxParameterDelta(
-                assimilator.initial_model()),
-            0.0);
-  // Encoding the restored assimilator reproduces the same bytes.
-  EXPECT_EQ(EncodeAssimilator(back.Value()).Write(), text);
 }
 
 }  // namespace

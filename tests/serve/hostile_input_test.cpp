@@ -3,12 +3,16 @@
 // precondition check — beam_width / max_depth of 0 reached
 // `SISD_CHECK` inside the beam search, gamma < 0 produced SI = inf — and
 // asserts a clean `ok:false` instead, with the server still answering
-// afterwards. Numerically degenerate data and snapshots with a non-SPD
-// covariance, which used to reach a failed Cholesky factorization, are
-// covered the same way, as are snapshots whose group mean or covariance
-// holds a non-finite or asymmetric entry (the factorization reads only the
-// lower triangle, so those used to restore and later abort the spread
-// optimizer or be written back).
+// afterwards. Numerically degenerate data is covered the same way.
+//
+// Snapshots store no model: a restore replays the history. So every
+// history field is checked before the replay — an intention attribute out
+// of range used to crash `sisd_cli export`, and a zero spread direction
+// would abort the replay's normalization. A version-1 snapshot (the
+// committed fixture, written before version 2) still stores its fitted
+// models; tampering with them (a non-SPD covariance, a non-finite or
+// asymmetric entry) must fail the restore, since the stored models must
+// equal the replayed ones.
 
 #include <gtest/gtest.h>
 
@@ -30,6 +34,8 @@
 #include "serve/server.hpp"
 #include "serve/session_manager.hpp"
 
+#include "../core/snapshot_edit.hpp"
+
 namespace sisd::serve {
 namespace {
 
@@ -49,6 +55,18 @@ std::vector<serialize::ProtocolResponse> RunScript(SessionManager& manager,
     if (parsed.ok()) responses.push_back(std::move(parsed).MoveValue());
   }
   return responses;
+}
+
+using testing::Json;
+using testing::WithValueAt;
+
+/// The version-1 fixture: `sisd_cli mine --scenario synthetic --iterations
+/// 2 --top-k 5 --session-save`, written by a build before schema version
+/// 2, inline dataset.
+std::string V1Snapshot() {
+  Result<std::string> text = serialize::ReadTextFile(SISD_V1_SNAPSHOT);
+  EXPECT_TRUE(text.ok()) << SISD_V1_SNAPSHOT;
+  return text.ok() ? text.Value() : std::string();
 }
 
 std::string OpenWithConfig(const std::string& config) {
@@ -278,16 +296,8 @@ TEST(HostileInputTest, TamperedSpillSnapshotAnswersOkFalseOnMine) {
 }
 
 TEST(HostileInputTest, SnapshotWithNonSpdCovarianceFailsToRestore) {
-  core::MinerConfig config;
-  config.search.beam_width = 8;
-  config.search.max_depth = 2;
-  config.search.top_k = 20;
-  config.search.min_coverage = 20;
-  Result<core::MiningSession> session = core::MiningSession::Create(
-      datagen::MakeScenarioDataset("crime").Value(), config);
-  ASSERT_TRUE(session.ok());
-  ASSERT_TRUE(session.Value().MineNext().ok());
-  const std::string snapshot = session.Value().SaveToString();
+  const std::string snapshot = V1Snapshot();
+  ASSERT_TRUE(core::MiningSession::RestoreFromString(snapshot).ok());
   for (const bool stale_factor : {false, true}) {
     SCOPED_TRACE(stale_factor ? "with stale factor" : "without factor");
     Result<core::MiningSession> restored =
@@ -300,20 +310,13 @@ TEST(HostileInputTest, SnapshotWithNonSpdCovarianceFailsToRestore) {
 
 TEST(HostileInputTest, SpillSnapshotWithNonSpdCovarianceAnswersOkFalse) {
   ExpectTamperedSpillAnswersOkFalse(
-      "/tmp/sisd_hostile_input_spd_spill", [](const std::string& text) {
-        return WithNonSpdSigma(text, false);
+      "/tmp/sisd_hostile_input_spd_spill", [](const std::string&) {
+        return WithNonSpdSigma(V1Snapshot(), false);
       });
 }
 
 TEST(HostileInputTest, SnapshotWithUnfactoredTamperingFailsToRestore) {
-  core::MinerConfig config;
-  config.search.beam_width = 10;
-  config.search.max_depth = 2;
-  Result<core::MiningSession> session = core::MiningSession::Create(
-      datagen::MakeScenarioDataset("synthetic").Value(), config);
-  ASSERT_TRUE(session.ok());
-  ASSERT_TRUE(session.Value().MineIterations(2).ok());
-  const std::string snapshot = session.Value().SaveToString();
+  const std::string snapshot = V1Snapshot();
   for (const Tampering& tampering : UnfactoredTamperings()) {
     SCOPED_TRACE(tampering.name);
     Result<core::MiningSession> restored =
@@ -325,38 +328,38 @@ TEST(HostileInputTest, SnapshotWithUnfactoredTamperingFailsToRestore) {
 }
 
 #ifdef SISD_CLI_BIN
+/// Runs the built `sisd_cli` with `args`; returns its exit code and puts
+/// its stderr in `*error`.
+int RunCli(const std::string& args, const std::string& dir,
+           std::string* error) {
+  const std::string stderr_path = dir + "/stderr.txt";
+  const int rc = std::system((std::string(SISD_CLI_BIN) + " " + args +
+                              " > /dev/null 2> " + stderr_path)
+                                 .c_str());
+  EXPECT_TRUE(WIFEXITED(rc)) << args;
+  Result<std::string> message = serialize::ReadTextFile(stderr_path);
+  *error = message.ok() ? message.Value() : std::string();
+  return WIFEXITED(rc) ? WEXITSTATUS(rc) : -1;
+}
+
 TEST(HostileInputTest, CliResumeOfUnfactoredTamperingExitsOne) {
   const std::string dir = "/tmp/sisd_hostile_input_cli";
   ASSERT_EQ(std::system(("rm -rf " + dir + " && mkdir -p " + dir).c_str()),
             0);
-  const std::string cli = SISD_CLI_BIN;
-  const std::string saved = dir + "/s.json";
-  ASSERT_EQ(std::system((cli + " mine --scenario synthetic --iterations 2 "
-                               "--beam-width 10 --max-depth 2 "
-                               "--session-save " + saved + " > /dev/null")
-                            .c_str()),
-            0);
-  Result<std::string> text = serialize::ReadTextFile(saved);
-  ASSERT_TRUE(text.ok());
+  const std::string snapshot = V1Snapshot();
   for (const Tampering& tampering : UnfactoredTamperings()) {
     SCOPED_TRACE(tampering.name);
     const std::string tampered = dir + "/tampered.json";
     const std::string resumed = dir + "/resumed.json";
-    const std::string error = dir + "/stderr.txt";
     ASSERT_TRUE(serialize::WriteTextFile(
-                    tampered, WithFirstGroupEdited(text.Value(),
-                                                   tampering.edit))
+                    tampered, WithFirstGroupEdited(snapshot, tampering.edit))
                     .ok());
-    const int rc = std::system((cli + " resume --session " + tampered +
-                                " --iterations 1 --session-save " + resumed +
-                                " > /dev/null 2> " + error)
-                                   .c_str());
-    ASSERT_TRUE(WIFEXITED(rc));
-    EXPECT_EQ(WEXITSTATUS(rc), 1);
-    Result<std::string> message = serialize::ReadTextFile(error);
-    ASSERT_TRUE(message.ok());
-    EXPECT_NE(message.Value().find("InvalidArgument"), std::string::npos)
-        << message.Value();
+    std::string error;
+    EXPECT_EQ(RunCli("resume --session " + tampered +
+                         " --iterations 1 --session-save " + resumed,
+                     dir, &error),
+              1);
+    EXPECT_NE(error.find("InvalidArgument"), std::string::npos) << error;
     EXPECT_FALSE(serialize::ReadTextFile(resumed).ok())
         << "the tampered state was written back";
   }
@@ -369,11 +372,141 @@ TEST(HostileInputTest, SpillWithUnfactoredTamperingAnswersOkFalse) {
     SCOPED_TRACE(tampering.name);
     ExpectTamperedSpillAnswersOkFalse(
         "/tmp/sisd_hostile_input_tamper_spill",
-        [&tampering](const std::string& text) {
-          return WithFirstGroupEdited(text, tampering.edit);
+        [&tampering](const std::string&) {
+          return WithFirstGroupEdited(V1Snapshot(), tampering.edit);
         });
   }
 }
+
+/// A version-2 snapshot of a synthetic session (location and spread
+/// patterns) after two iterations.
+std::string V2Snapshot() {
+  core::MinerConfig config;
+  config.search.beam_width = 10;
+  config.search.max_depth = 2;
+  config.search.top_k = 5;
+  Result<core::MiningSession> session = core::MiningSession::Create(
+      datagen::MakeScenarioDataset("synthetic").Value(), config);
+  EXPECT_TRUE(session.ok());
+  EXPECT_TRUE(session.Value().MineIterations(2).ok());
+  return session.Value().SaveToString();
+}
+
+/// Snapshot `text` with the first condition of iteration 1's location
+/// intention, and of every ranked intention, replaced by `condition`.
+std::string WithFirstConditions(const std::string& text,
+                                const std::string& condition) {
+  std::string out = WithValueAt(
+      text, {"history", "0", "location", "subgroup", "intention", "0"},
+      Json(condition));
+  const serialize::JsonValue root = Json(text);
+  const size_t ranked = root.Find("history")->items()[0].Find("ranked")->size();
+  for (size_t k = 0; k < ranked; ++k) {
+    out = WithValueAt(out,
+                      {"history", "0", "ranked", std::to_string(k),
+                       "subgroup", "intention", "0"},
+                      Json(condition));
+  }
+  return out;
+}
+
+/// History edits the replay must refuse before it runs.
+std::vector<std::pair<std::string, std::string>> HostileHistoryEdits(
+    const std::string& snapshot) {
+  const testing::JsonPath spread = {"history", "0", "spread"};
+  auto at = [&spread](const std::string& key) {
+    testing::JsonPath path = spread;
+    path.push_back(key);
+    return path;
+  };
+  return {
+      {"zero direction", WithValueAt(snapshot, at("direction"),
+                                     Json("[0.0,0.0]"))},
+      {"NaN direction", WithValueAt(snapshot, at("direction"),
+                                    Json("[\"NaN\",1.0]"))},
+      {"1-dim direction", WithValueAt(snapshot, at("direction"),
+                                      Json("[1.0]"))},
+      {"NaN variance", WithValueAt(snapshot, at("variance"), Json("\"NaN\""))},
+      {"no rows",
+       WithValueAt(snapshot,
+                   {"history", "0", "location", "subgroup", "intention"},
+                   Json("[{\"attribute\":0,\"op\":\"eq\",\"threshold\":0.0,"
+                        "\"level\":0},{\"attribute\":0,\"op\":\"eq\","
+                        "\"threshold\":0.0,\"level\":1}]"))},
+      {"attribute 99999",
+       WithFirstConditions(snapshot,
+                           "{\"attribute\":99999,\"op\":\"eq\","
+                           "\"threshold\":0.0,\"level\":1}")},
+      {"le on a binary column",
+       WithFirstConditions(snapshot,
+                           "{\"attribute\":0,\"op\":\"le\","
+                           "\"threshold\":0.5,\"level\":0}")},
+      {"level 2 of 2",
+       WithFirstConditions(snapshot,
+                           "{\"attribute\":0,\"op\":\"eq\","
+                           "\"threshold\":0.0,\"level\":2}")},
+      {"infinite threshold",
+       WithFirstConditions(snapshot,
+                           "{\"attribute\":0,\"op\":\"eq\","
+                           "\"threshold\":\"Infinity\",\"level\":1}")},
+  };
+}
+
+TEST(HostileInputTest, HostileHistoryFieldsFailToRestore) {
+  const std::string snapshot = V2Snapshot();
+  ASSERT_TRUE(core::MiningSession::RestoreFromString(snapshot).ok());
+  for (const auto& [name, text] : HostileHistoryEdits(snapshot)) {
+    SCOPED_TRACE(name);
+    ASSERT_NE(text, snapshot);
+    Result<core::MiningSession> restored =
+        core::MiningSession::RestoreFromString(text);
+    ASSERT_FALSE(restored.ok());
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument)
+        << restored.status().ToString();
+  }
+}
+
+TEST(HostileInputTest, SpillWithHostileHistoryAnswersOkFalse) {
+  for (const auto& [name, text] : HostileHistoryEdits(V2Snapshot())) {
+    SCOPED_TRACE(name);
+    ExpectTamperedSpillAnswersOkFalse(
+        "/tmp/sisd_hostile_input_history_spill",
+        [&text](const std::string&) { return text; });
+  }
+}
+
+#ifdef SISD_CLI_BIN
+TEST(HostileInputTest, CliRejectsAnOutOfRangeAttribute) {
+  // `export` used to index the description table with the stored
+  // attribute and die of a segmentation fault.
+  const std::string dir = "/tmp/sisd_hostile_input_attribute";
+  ASSERT_EQ(std::system(("rm -rf " + dir + " && mkdir -p " + dir).c_str()),
+            0);
+  const std::string saved = dir + "/s.json";
+  std::string error;
+  ASSERT_EQ(RunCli("mine --scenario synthetic --iterations 2 --beam-width 10 "
+                   "--max-depth 2 --top-k 5 --session-save " + saved,
+                   dir, &error),
+            0)
+      << error;
+  Result<std::string> text = serialize::ReadTextFile(saved);
+  ASSERT_TRUE(text.ok());
+  ASSERT_TRUE(serialize::WriteTextFile(
+                  saved, WithFirstConditions(
+                             text.Value(),
+                             "{\"attribute\":99999,\"op\":\"eq\","
+                             "\"threshold\":0.0,\"level\":1}"))
+                  .ok());
+  for (const std::string& args :
+       {"resume --session " + saved + " --iterations 0",
+        "export --session " + saved + " --history " + dir + "/h.csv"}) {
+    SCOPED_TRACE(args);
+    EXPECT_EQ(RunCli(args, dir, &error), 1);
+    EXPECT_NE(error.find("InvalidArgument"), std::string::npos) << error;
+  }
+  std::system(("rm -rf " + dir).c_str());
+}
+#endif
 
 TEST(HostileInputTest, DegenerateSpreadIsRecordedNotAssimilated) {
   // Group 'a' holds two values 1e-13 apart, so its spread pattern asks for

@@ -308,7 +308,7 @@ Status RunResume(const Args& args) {
   std::printf(
       "restored session over '%s': %zu iterations mined, %zu constraints\n",
       session.dataset().name.c_str(), session.history().size(),
-      session.mutable_assimilator()->num_constraints());
+      session.assimilator().num_constraints());
   SISD_ASSIGN_OR_RETURN(iterations, FlagInt(args, "--iterations", 1));
   SISD_RETURN_NOT_OK(MineIterationsAndPrint(&session, int(iterations)));
   const std::string* save_path = args.Find("--session-save");
