@@ -123,8 +123,8 @@ struct IterationResult {
 /// dialogue's `IterationResult`s; see the snapshot history-type policy in
 /// docs/PROTOCOL.md).
 struct ListMineResult {
-  /// The rules this call appended, in list order (full records, so replay
-  /// from a snapshot needs no re-search).
+  /// The rules this call appended, in list order. A snapshot stores only
+  /// their intentions; restore re-derives the rest without a search.
   std::vector<search::SubgroupRule> rules;
   /// The list's cumulative gain after this call.
   double total_gain = 0.0;
@@ -280,9 +280,10 @@ class MiningSession {
   /// Rebuilds a session from snapshot text: validates format tag and schema
   /// version, restores the dataset, builds the initial model as `Create`
   /// does and replays the history through the model updates `MineNext`
-  /// made. A history field that does not fit the dataset or does not
-  /// replay, or (version 1) a stored model, extension or mean that differs
-  /// from the rebuilt one, fails with InvalidArgument.
+  /// made, and re-derives the list rules from their intentions. A history
+  /// field that does not fit the dataset or does not replay, or (version
+  /// 1) a stored model, extension, mean or rule field that differs from
+  /// the rebuilt one, fails with InvalidArgument.
   ///
   /// With a `catalog`:
   ///  - `dataset_ref` snapshots resolve their dataset through it (without a

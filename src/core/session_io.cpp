@@ -1,8 +1,11 @@
 #include "core/session_io.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <map>
 #include <string>
+#include <tuple>
 
 #include "common/strings.hpp"
 #include "serialize/snapshot.hpp"
@@ -140,16 +143,19 @@ Result<si::SpreadScore> DecodeSpreadScore(const JsonValue& json) {
 // not take (InvalidArgument).
 
 /// InvalidArgument unless every condition of `intention` names a column of
-/// `table` with an op that fits the column kind, a categorical level
-/// inside the label table, and a finite threshold: a snapshot intention
-/// is client input, and the evaluators index columns and labels unchecked.
+/// `table` with an op that fits the column kind and, for a categorical
+/// op, a level inside the label table: a snapshot intention is client
+/// input, and the evaluators index columns and labels unchecked. The
+/// threshold is not checked: `assimilate` accepts +-Infinity (a condition
+/// every row meets), and a NaN threshold matches no row, which the callers
+/// reject as an empty subgroup.
 Status CheckIntentionFits(const data::DataTable& table,
                           const pattern::Intention& intention) {
   for (const pattern::Condition& c : intention.conditions()) {
     const bool orderable_op = c.op == pattern::ConditionOp::kLessEqual ||
                               c.op == pattern::ConditionOp::kGreaterEqual;
     const bool fits =
-        c.attribute < table.num_columns() && std::isfinite(c.threshold) &&
+        c.attribute < table.num_columns() &&
         orderable_op == data::IsOrderable(table.column(c.attribute).kind()) &&
         (orderable_op ||
          (c.level >= 0 &&
@@ -185,22 +191,65 @@ Status CheckStored(const JsonValue& json, const char* key,
   return Status::OK();
 }
 
-/// Rebuilds the subgroup from its stored intention on `table`.
-Result<pattern::Subgroup> DecodeSubgroup(const JsonValue& json,
-                                         const data::DataTable& table) {
-  SISD_ASSIGN_OR_RETURN(intention_json, json.Get("intention"));
-  SISD_ASSIGN_OR_RETURN(intention,
-                        serialize::DecodeIntention(*intention_json));
-  SISD_RETURN_NOT_OK(CheckIntentionFits(table, intention));
-  pattern::Subgroup out =
-      pattern::Subgroup::FromIntention(table, std::move(intention));
-  if (out.extension.empty()) {
-    return Status::InvalidArgument("history intention matches no rows");
+/// Rebuilds history subgroups from their stored intentions on a session's
+/// dataset. A condition the session's condition pool holds (every
+/// condition a search picked) takes the pool's precomputed rows; any other
+/// (an analyst's assimilated condition) is evaluated on the table. Both are
+/// `Condition::Evaluate`'s rows, so a rebuilt extension equals
+/// `Intention::Evaluate`'s.
+class SubgroupDecoder {
+ public:
+  SubgroupDecoder(const data::Dataset& dataset,
+                  const search::ConditionPool& pool)
+      : dataset_(dataset), pool_(pool) {
+    for (size_t i = 0; i < pool.size(); ++i) {
+      index_.emplace(Key(pool.condition(i)), i);
+    }
   }
-  SISD_RETURN_NOT_OK(CheckStored(
-      json, "extension", serialize::EncodeExtension(out.extension)));
-  return out;
-}
+
+  const data::Dataset& dataset() const { return dataset_; }
+
+  /// Rebuilds the subgroup from its stored intention; InvalidArgument when
+  /// the intention does not fit the columns or matches no row, or when a
+  /// stored `extension` (version 1) is not the rebuilt one.
+  Result<pattern::Subgroup> Decode(const JsonValue& json) const {
+    SISD_ASSIGN_OR_RETURN(intention_json, json.Get("intention"));
+    SISD_ASSIGN_OR_RETURN(intention,
+                          serialize::DecodeIntention(*intention_json));
+    const data::DataTable& table = dataset_.descriptions;
+    SISD_RETURN_NOT_OK(CheckIntentionFits(table, intention));
+    pattern::Subgroup out;
+    out.extension = pattern::Extension(table.num_rows(), /*full=*/true);
+    for (const pattern::Condition& c : intention.conditions()) {
+      const auto pooled = index_.find(Key(c));
+      if (pooled != index_.end()) {
+        out.extension.IntersectWith(pool_.extension(pooled->second));
+      } else {
+        out.extension.IntersectWith(c.Evaluate(table));
+      }
+    }
+    if (out.extension.empty()) {
+      return Status::InvalidArgument("history intention matches no rows");
+    }
+    SISD_RETURN_NOT_OK(CheckStored(
+        json, "extension", serialize::EncodeExtension(out.extension)));
+    out.intention = std::move(intention);
+    return out;
+  }
+
+ private:
+  /// Every field of a condition, the threshold by its bits. A condition
+  /// that differs from the pool's in a field its op ignores is evaluated.
+  using ConditionKey =
+      std::tuple<size_t, pattern::ConditionOp, uint64_t, int32_t>;
+  static ConditionKey Key(const pattern::Condition& c) {
+    return {c.attribute, c.op, std::bit_cast<uint64_t>(c.threshold), c.level};
+  }
+
+  const data::Dataset& dataset_;
+  const search::ConditionPool& pool_;
+  std::map<ConditionKey, size_t> index_;
+};
 
 JsonValue EncodeScoredLocation(const ScoredLocationPattern& p) {
   JsonValue out = JsonValue::Object();
@@ -210,13 +259,12 @@ JsonValue EncodeScoredLocation(const ScoredLocationPattern& p) {
 }
 
 Result<ScoredLocationPattern> DecodeScoredLocation(
-    const JsonValue& json, const data::Dataset& dataset) {
+    const JsonValue& json, const SubgroupDecoder& subgroups) {
   ScoredLocationPattern out;
   SISD_ASSIGN_OR_RETURN(subgroup_json, json.Get("subgroup"));
-  SISD_ASSIGN_OR_RETURN(subgroup,
-                        DecodeSubgroup(*subgroup_json, dataset.descriptions));
-  out.pattern =
-      pattern::LocationPattern::Compute(std::move(subgroup), dataset.targets);
+  SISD_ASSIGN_OR_RETURN(subgroup, subgroups.Decode(*subgroup_json));
+  out.pattern = pattern::LocationPattern::Compute(
+      std::move(subgroup), subgroups.dataset().targets);
   SISD_RETURN_NOT_OK(
       CheckStored(json, "mean", serialize::EncodeVector(out.pattern.mean)));
   SISD_ASSIGN_OR_RETURN(score_json, json.Get("score"));
@@ -234,12 +282,11 @@ JsonValue EncodeScoredSpread(const ScoredSpreadPattern& p) {
   return out;
 }
 
-Result<ScoredSpreadPattern> DecodeScoredSpread(const JsonValue& json,
-                                               const data::Dataset& dataset) {
+Result<ScoredSpreadPattern> DecodeScoredSpread(
+    const JsonValue& json, const SubgroupDecoder& subgroups) {
   ScoredSpreadPattern out;
   SISD_ASSIGN_OR_RETURN(subgroup_json, json.Get("subgroup"));
-  SISD_ASSIGN_OR_RETURN(subgroup,
-                        DecodeSubgroup(*subgroup_json, dataset.descriptions));
+  SISD_ASSIGN_OR_RETURN(subgroup, subgroups.Decode(*subgroup_json));
   out.pattern.subgroup = std::move(subgroup);
   SISD_ASSIGN_OR_RETURN(direction_json, json.Get("direction"));
   SISD_ASSIGN_OR_RETURN(direction,
@@ -247,14 +294,14 @@ Result<ScoredSpreadPattern> DecodeScoredSpread(const JsonValue& json,
   out.pattern.direction = std::move(direction);
   SISD_RETURN_NOT_OK(ReadField(json, "variance", &out.pattern.variance));
   // The replay normalizes the direction, which needs a positive norm.
+  const size_t dim = subgroups.dataset().num_targets();
   const double norm = out.pattern.direction.Norm();
-  if (out.pattern.direction.size() != dataset.num_targets() ||
+  if (out.pattern.direction.size() != dim ||
       !(norm > 0.0 && std::isfinite(norm)) ||
       !std::isfinite(out.pattern.variance)) {
     return Status::InvalidArgument(StrFormat(
         "spread needs a finite nonzero %zu-dim direction and a finite "
-        "variance",
-        dataset.num_targets()));
+        "variance", dim));
   }
   SISD_ASSIGN_OR_RETURN(score_json, json.Get("score"));
   SISD_ASSIGN_OR_RETURN(score, DecodeSpreadScore(*score_json));
@@ -262,50 +309,40 @@ Result<ScoredSpreadPattern> DecodeScoredSpread(const JsonValue& json,
   return out;
 }
 
+/// Encodes only the rule's intention: its rows, local model and gain are
+/// derived from the intentions of the rules before it.
 JsonValue EncodeSubgroupRule(const search::SubgroupRule& rule) {
   JsonValue out = JsonValue::Object();
   out.Set("intention", serialize::EncodeIntention(rule.intention));
-  out.Set("extension", serialize::EncodeExtension(rule.extension));
-  out.Set("captured", serialize::EncodeExtension(rule.captured));
-  out.Set("mean", serialize::EncodeVector(rule.local.mean));
-  out.Set("variance", serialize::EncodeVector(rule.local.variance));
-  out.Set("gain", JsonValue::Double(rule.gain));
   return out;
 }
 
+/// Rebuilds a rule from its stored intention against `list`, the list of
+/// the rules before it: the derivation `Rebase` runs, here on the rows the
+/// rule was mined on, so the rows, local model and gain are the ones the
+/// miner recorded. Version 1 stored them; each stored value must equal
+/// the rebuilt one's encoding.
 Result<search::SubgroupRule> DecodeSubgroupRule(
-    const JsonValue& json, const data::DataTable& table) {
-  search::SubgroupRule out;
+    const JsonValue& json, const data::Dataset& dataset,
+    const si::ListGainParams& gain, const search::SubgroupList& list) {
   SISD_ASSIGN_OR_RETURN(intention_json, json.Get("intention"));
   SISD_ASSIGN_OR_RETURN(intention,
                         serialize::DecodeIntention(*intention_json));
-  SISD_RETURN_NOT_OK(CheckIntentionFits(table, intention));
-  out.intention = std::move(intention);
-  SISD_ASSIGN_OR_RETURN(extension_json, json.Get("extension"));
-  SISD_ASSIGN_OR_RETURN(extension,
-                        serialize::DecodeExtension(*extension_json));
-  out.extension = std::move(extension);
-  SISD_ASSIGN_OR_RETURN(captured_json, json.Get("captured"));
-  SISD_ASSIGN_OR_RETURN(captured,
-                        serialize::DecodeExtension(*captured_json));
-  out.captured = std::move(captured);
-  if (out.captured.universe_size() != out.extension.universe_size()) {
-    return Status::InvalidArgument(
-        "rule captured/extension universe sizes disagree");
-  }
-  SISD_ASSIGN_OR_RETURN(mean_json, json.Get("mean"));
-  SISD_ASSIGN_OR_RETURN(mean, serialize::DecodeVector(*mean_json));
-  out.local.mean = std::move(mean);
-  SISD_ASSIGN_OR_RETURN(variance_json, json.Get("variance"));
-  SISD_ASSIGN_OR_RETURN(variance,
-                        serialize::DecodeVector(*variance_json));
-  out.local.variance = std::move(variance);
-  if (out.local.variance.size() != out.local.mean.size()) {
-    return Status::InvalidArgument(
-        "rule mean/variance dimensions disagree");
-  }
-  SISD_RETURN_NOT_OK(ReadField(json, "gain", &out.gain));
-  return out;
+  SISD_RETURN_NOT_OK(CheckIntentionFits(dataset.descriptions, intention));
+  SISD_ASSIGN_OR_RETURN(
+      rule, search::RederiveSubgroupRule(dataset.descriptions,
+                                         dataset.targets, gain, intention,
+                                         list));
+  SISD_RETURN_NOT_OK(CheckStored(json, "extension",
+                                 serialize::EncodeExtension(rule.extension)));
+  SISD_RETURN_NOT_OK(CheckStored(json, "captured",
+                                 serialize::EncodeExtension(rule.captured)));
+  SISD_RETURN_NOT_OK(
+      CheckStored(json, "mean", serialize::EncodeVector(rule.local.mean)));
+  SISD_RETURN_NOT_OK(CheckStored(
+      json, "variance", serialize::EncodeVector(rule.local.variance)));
+  SISD_RETURN_NOT_OK(CheckStored(json, "gain", JsonValue::Double(rule.gain)));
+  return rule;
 }
 
 JsonValue EncodeDatasetRef(const catalog::DatasetRef& ref) {
@@ -374,16 +411,16 @@ JsonValue EncodeIterationResult(const IterationResult& iteration) {
   return out;
 }
 
-Result<IterationResult> DecodeIterationResult(const JsonValue& json,
-                                              const data::Dataset& dataset) {
+Result<IterationResult> DecodeIterationResult(
+    const JsonValue& json, const SubgroupDecoder& subgroups) {
   IterationResult out;
   SISD_ASSIGN_OR_RETURN(location_json, json.Get("location"));
   SISD_ASSIGN_OR_RETURN(location,
-                        DecodeScoredLocation(*location_json, dataset));
+                        DecodeScoredLocation(*location_json, subgroups));
   out.location = std::move(location);
   SISD_ASSIGN_OR_RETURN(spread_json, json.Get("spread"));
   if (!spread_json->is_null()) {
-    SISD_ASSIGN_OR_RETURN(spread, DecodeScoredSpread(*spread_json, dataset));
+    SISD_ASSIGN_OR_RETURN(spread, DecodeScoredSpread(*spread_json, subgroups));
     out.spread = std::move(spread);
   }
   if (const JsonValue* spread_error = json.Find("spread_error")) {
@@ -396,7 +433,7 @@ Result<IterationResult> DecodeIterationResult(const JsonValue& json,
   }
   out.ranked.reserve(ranked_json->size());
   for (const JsonValue& entry : ranked_json->items()) {
-    SISD_ASSIGN_OR_RETURN(ranked_entry, DecodeScoredLocation(entry, dataset));
+    SISD_ASSIGN_OR_RETURN(ranked_entry, DecodeScoredLocation(entry, subgroups));
     out.ranked.push_back(std::move(ranked_entry));
   }
   SISD_RETURN_NOT_OK(
@@ -405,6 +442,8 @@ Result<IterationResult> DecodeIterationResult(const JsonValue& json,
   return out;
 }
 
+/// Encodes one `mine_list` call: its rules and diagnostics. The list's
+/// cumulative gain is derived from the rules.
 JsonValue EncodeListMineResult(const ListMineResult& result) {
   JsonValue out = JsonValue::Object();
   JsonValue rules = JsonValue::Array();
@@ -412,7 +451,6 @@ JsonValue EncodeListMineResult(const ListMineResult& result) {
     rules.Append(EncodeSubgroupRule(rule));
   }
   out.Set("rules", std::move(rules));
-  out.Set("total_gain", JsonValue::Double(result.total_gain));
   out.Set("candidates_evaluated",
           JsonValue::Int(int64_t(result.candidates_evaluated)));
   out.Set("exhausted", JsonValue::Bool(result.exhausted));
@@ -420,8 +458,12 @@ JsonValue EncodeListMineResult(const ListMineResult& result) {
   return out;
 }
 
+/// Rebuilds one `mine_list` call's rules in order and appends each to
+/// `*list`, the session's list before the call.
 Result<ListMineResult> DecodeListMineResult(const JsonValue& json,
-                                            const data::DataTable& table) {
+                                            const data::Dataset& dataset,
+                                            const si::ListGainParams& gain,
+                                            search::SubgroupList* list) {
   ListMineResult out;
   SISD_ASSIGN_OR_RETURN(rules_json, json.Get("rules"));
   if (!rules_json->is_array()) {
@@ -429,10 +471,14 @@ Result<ListMineResult> DecodeListMineResult(const JsonValue& json,
   }
   out.rules.reserve(rules_json->size());
   for (const JsonValue& entry : rules_json->items()) {
-    SISD_ASSIGN_OR_RETURN(rule, DecodeSubgroupRule(entry, table));
-    out.rules.push_back(std::move(rule));
+    SISD_ASSIGN_OR_RETURN(rule,
+                          DecodeSubgroupRule(entry, dataset, gain, *list));
+    out.rules.push_back(rule);
+    search::ReplaySubgroupRule(std::move(rule), list);
   }
-  SISD_RETURN_NOT_OK(ReadField(json, "total_gain", &out.total_gain));
+  out.total_gain = list->total_gain;
+  SISD_RETURN_NOT_OK(
+      CheckStored(json, "total_gain", JsonValue::Double(out.total_gain)));
   SISD_RETURN_NOT_OK(
       ReadField(json, "candidates_evaluated", &out.candidates_evaluated));
   SISD_RETURN_NOT_OK(ReadField(json, "exhausted", &out.exhausted));
@@ -704,9 +750,9 @@ Result<MiningSession> MiningSession::RestoreFromString(
     return Status::InvalidArgument("session history must be an array");
   }
   session.history_.reserve(history_json->size());
+  const SubgroupDecoder subgroups(*session.dataset_, *session.pool_);
   for (const JsonValue& entry : history_json->items()) {
-    SISD_ASSIGN_OR_RETURN(iteration,
-                          DecodeIterationResult(entry, *session.dataset_));
+    SISD_ASSIGN_OR_RETURN(iteration, DecodeIterationResult(entry, subgroups));
     // The two model updates `MineNext` made. A failed spread step
     // (`spread_error`) left the model as its location update did.
     Status replayed = session.assimilator_.AddLocationPattern(
@@ -727,10 +773,9 @@ Result<MiningSession> MiningSession::RestoreFromString(
     session.history_.push_back(std::move(iteration));
   }
 
-  // Additive field: the subgroup-list history. The current list is derived
-  // state — rebuilt by replaying the saved rules in order (integer bitset
-  // ops plus stored doubles) onto a freshly fitted default model, which is
-  // a deterministic function of the targets. The rebuilt list therefore
+  // Additive field: the subgroup-list history. The list is derived state,
+  // rebuilt by re-deriving the saved rules in order onto a freshly fitted
+  // default model (a deterministic function of the targets), so it
   // continues mining bit-identically to the saved one.
   if (const JsonValue* list_history_json = root.Find("list_history")) {
     if (!list_history_json->is_array()) {
@@ -738,24 +783,15 @@ Result<MiningSession> MiningSession::RestoreFromString(
     }
     session.list_history_.reserve(list_history_json->size());
     for (const JsonValue& entry : list_history_json->items()) {
-      SISD_ASSIGN_OR_RETURN(list_result,
-                            DecodeListMineResult(
-                                entry, session.dataset_->descriptions));
-      session.list_history_.push_back(std::move(list_result));
-    }
-    if (!session.list_history_.empty()) {
-      session.list_ = search::MakeEmptySubgroupList(
-          session.dataset_->targets, session.config_.list_gain);
-      const size_t num_rows = session.dataset_->num_rows();
-      for (const ListMineResult& entry : session.list_history_) {
-        for (const search::SubgroupRule& rule : entry.rules) {
-          if (rule.extension.universe_size() != num_rows) {
-            return Status::InvalidArgument(
-                "list rule extension universe disagrees with the dataset");
-          }
-          search::ReplaySubgroupRule(rule, &*session.list_);
-        }
+      if (!session.list_.has_value()) {
+        session.list_ = search::MakeEmptySubgroupList(
+            session.dataset_->targets, session.config_.list_gain);
       }
+      SISD_ASSIGN_OR_RETURN(
+          list_result,
+          DecodeListMineResult(entry, *session.dataset_,
+                               session.config_.list_gain, &*session.list_));
+      session.list_history_.push_back(std::move(list_result));
     }
   }
 

@@ -118,8 +118,9 @@ ListMineStats ExtendSubgroupListReference(const data::DataTable& table,
 /// \brief Re-applies a saved rule to `*list` without searching: pushes the
 /// rule, removes its extension from the uncovered set, and accumulates its
 /// gain — the exact state updates `ExtendSubgroupList` performs when it
-/// appends. Snapshot restore replays history through this, so a restored
-/// list continues mining bit-identically to one that never stopped.
+/// appends. Snapshot restore applies each re-derived rule through this,
+/// so a restored list continues mining bit-identically to one that never
+/// stopped.
 void ReplaySubgroupRule(SubgroupRule rule, SubgroupList* list);
 
 /// \brief Rebuilds a rule from its intention against (possibly different)
@@ -128,9 +129,10 @@ void ReplaySubgroupRule(SubgroupRule rule, SubgroupList* list);
 /// rescores the gain against `list`'s default model. This is how a session
 /// rebased onto an appended dataset version rewrites its list history —
 /// the derived numbers are exactly what `ExtendSubgroupList` would have
-/// produced had it appended this intention on the new data. Fails when the
-/// rule would capture no rows. Does not mutate `list`; follow up with
-/// `ReplaySubgroupRule` to apply the result.
+/// produced had it appended this intention on the new data. Snapshot
+/// restore runs it on the unchanged data to rebuild each saved rule from
+/// its intention. Fails when the rule would capture no rows. Does not
+/// mutate `list`; follow up with `ReplaySubgroupRule` to apply the result.
 Result<SubgroupRule> RederiveSubgroupRule(const data::DataTable& table,
                                           const linalg::Matrix& targets,
                                           const si::ListGainParams& gain,

@@ -97,47 +97,6 @@ JsonValue EncodeExtension(const pattern::Extension& extension) {
   return out;
 }
 
-Result<pattern::Extension> DecodeExtension(const JsonValue& json) {
-  SISD_ASSIGN_OR_RETURN(n, GetSizeField(json, "n"));
-  SISD_ASSIGN_OR_RETURN(hex, GetStringField(json, "blocks"));
-  // Validate before allocating: a hostile `n` must fail on the length
-  // check (the hex string bounds the real size), not abort in a huge
-  // bitset allocation.
-  const size_t expected_blocks = (n + 63) / 64;
-  if (n > hex.size() * 4 || hex.size() != expected_blocks * 16) {
-    return Status::InvalidArgument(
-        StrFormat("extension block string has %zu hex chars, expected %zu",
-                  hex.size(), expected_blocks * 16));
-  }
-  pattern::Extension out(n);
-  for (size_t b = 0; b < expected_blocks; ++b) {
-    uint64_t block = 0;
-    for (size_t k = 0; k < 16; ++k) {
-      const char c = hex[b * 16 + k];
-      uint64_t nibble;
-      if (c >= '0' && c <= '9') {
-        nibble = uint64_t(c - '0');
-      } else if (c >= 'a' && c <= 'f') {
-        nibble = uint64_t(c - 'a' + 10);
-      } else {
-        return Status::InvalidArgument("bad hex digit in extension blocks");
-      }
-      block = (block << 4) | nibble;
-    }
-    while (block != 0) {
-      const int bit = std::countr_zero(block);
-      const size_t row = (b << 6) + size_t(bit);
-      if (row >= n) {
-        return Status::InvalidArgument(
-            "extension has a set bit beyond its universe");
-      }
-      out.Insert(row);
-      block &= block - 1;
-    }
-  }
-  return out;
-}
-
 namespace {
 
 const char* ConditionOpName(pattern::ConditionOp op) {

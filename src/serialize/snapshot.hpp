@@ -32,12 +32,10 @@ JsonValue EncodeMatrix(const linalg::Matrix& m);
 Result<linalg::Matrix> DecodeMatrix(const JsonValue& json);
 /// @}
 
-/// \name Extensions (row bitsets), encoded as `{n, blocks}` with the packed
-/// 64-bit blocks hex-encoded — exact and ~16x smaller than an index list.
-/// @{
+/// Encodes an extension (row bitset) as `{n, blocks}` with the packed
+/// 64-bit blocks hex-encoded. Snapshots store no extension; the
+/// version-1 restore check compares stored ones with this encoding.
 JsonValue EncodeExtension(const pattern::Extension& extension);
-Result<pattern::Extension> DecodeExtension(const JsonValue& json);
-/// @}
 
 /// \name Conditions and intentions.
 /// @{

@@ -11,14 +11,17 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <optional>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "catalog/dataset_catalog.hpp"
 #include "core/session.hpp"
 #include "datagen/scenarios.hpp"
+#include "serialize/snapshot.hpp"
 #include "snapshot_edit.hpp"
 
 namespace sisd::core {
@@ -112,6 +115,117 @@ MiningSession MakeMixedSession(PatternMix mix) {
   ApplyOp(&session, 0);
   ApplyOp(&session, 2);
   return session;
+}
+
+/// Snapshot `saved` of `session` with every list rule also storing what
+/// version 1 stored (its rows, captured rows, local model and gain, and
+/// each call's cumulative gain), as `session` holds them; `edit` may then
+/// change rule (call, index)'s stored object.
+std::string WithStoredRuleFields(
+    const std::string& saved, const MiningSession& session,
+    const std::function<void(size_t, size_t, JsonValue*)>& edit) {
+  JsonValue root = JsonValue::Parse(saved).Value();
+  JsonValue list_history = JsonValue::Array();
+  for (size_t call = 0; call < session.list_history().size(); ++call) {
+    const ListMineResult& result = session.list_history()[call];
+    JsonValue entry = root.Find("list_history")->items()[call];
+    JsonValue rules = JsonValue::Array();
+    for (size_t k = 0; k < result.rules.size(); ++k) {
+      const search::SubgroupRule& rule = result.rules[k];
+      JsonValue stored = entry.Find("rules")->items()[k];
+      stored.Set("extension", serialize::EncodeExtension(rule.extension));
+      stored.Set("captured", serialize::EncodeExtension(rule.captured));
+      stored.Set("mean", serialize::EncodeVector(rule.local.mean));
+      stored.Set("variance", serialize::EncodeVector(rule.local.variance));
+      stored.Set("gain", JsonValue::Double(rule.gain));
+      edit(call, k, &stored);
+      rules.Append(std::move(stored));
+    }
+    entry.Set("rules", std::move(rules));
+    entry.Set("total_gain", JsonValue::Double(result.total_gain));
+    list_history.Append(std::move(entry));
+  }
+  root.Set("list_history", std::move(list_history));
+  return root.Write();
+}
+
+TEST(ListSnapshotFuzzTest, RulesAreRebuiltFromTheirIntentions) {
+  MiningSession session = MakeMixedSession(PatternMix::kLocationAndSpread);
+  ApplyOp(&session, 1);
+  ASSERT_EQ(session.list_history().size(), 2u);
+  const std::string saved = session.SaveToString();
+  // A rule stores only its intention.
+  const JsonValue root = JsonValue::Parse(saved).Value();
+  for (const JsonValue& entry : root.Find("list_history")->items()) {
+    EXPECT_EQ(entry.Find("total_gain"), nullptr);
+    for (const JsonValue& rule : entry.Find("rules")->items()) {
+      EXPECT_EQ(rule.size(), 1u);
+      EXPECT_NE(rule.Find("intention"), nullptr);
+    }
+  }
+
+  // Stored rule fields that equal the rebuilt ones restore, and the
+  // session saves as it was.
+  const auto keep = [](size_t, size_t, JsonValue*) {};
+  Result<MiningSession> restored =
+      MiningSession::RestoreFromString(WithStoredRuleFields(saved, session,
+                                                            keep));
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored.Value().SaveToString(), saved);
+
+  const search::SubgroupRule& last = session.list_history()[1].rules[0];
+  pattern::Extension flipped = last.extension;
+  if (flipped.Contains(0)) {
+    flipped.Erase(0);
+  } else {
+    flipped.Insert(0);
+  }
+  linalg::Vector shifted_mean = last.local.mean;
+  shifted_mean[0] += 1.0;
+  const std::vector<std::pair<std::string, std::string>> tampered = {
+      {"gain 123456",
+       WithStoredRuleFields(saved, session,
+                            [](size_t call, size_t k, JsonValue* rule) {
+                              if (call == 1 && k == 0) {
+                                rule->Set("gain", JsonValue::Double(123456));
+                              }
+                            })},
+      {"one extension bit flipped",
+       WithStoredRuleFields(saved, session,
+                            [&](size_t call, size_t k, JsonValue* rule) {
+                              if (call == 1 && k == 0) {
+                                rule->Set("extension",
+                                          serialize::EncodeExtension(flipped));
+                              }
+                            })},
+      {"edited mean",
+       WithStoredRuleFields(saved, session,
+                            [&](size_t call, size_t k, JsonValue* rule) {
+                              if (call == 1 && k == 0) {
+                                rule->Set("mean",
+                                          serialize::EncodeVector(shifted_mean));
+                              }
+                            })},
+      {"edited total gain",
+       testing::WithValueAt(WithStoredRuleFields(saved, session, keep),
+                            {"list_history", "0", "total_gain"},
+                            JsonValue::Double(-1.0))},
+      // The first rule again: it captures no row the list leaves over.
+      {"repeated rule",
+       testing::WithValueAt(saved, {"list_history", "1", "rules", "0"},
+                            root.Find("list_history")
+                                ->items()[0]
+                                .Find("rules")
+                                ->items()[0])},
+  };
+  for (const auto& [name, text] : tampered) {
+    SCOPED_TRACE(name);
+    ASSERT_NE(text, saved);
+    restored = MiningSession::RestoreFromString(text);
+    ASSERT_FALSE(restored.ok());
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument)
+        << restored.status().ToString();
+  }
 }
 
 TEST(ListSnapshotFuzzTest, TruncatedSnapshotsFailCleanly) {

@@ -62,44 +62,17 @@ TEST(SnapshotCodecTest, MatrixDecodeRejectsOverflowingShapes) {
                   .ok());
 }
 
-TEST(SnapshotCodecTest, ExtensionDecodeRejectsHostileUniverse) {
-  // A huge `n` with a short block string must fail the length check
-  // before any allocation is attempted (no bad_alloc abort).
-  Result<pattern::Extension> hostile = DecodeExtension(
-      JsonValue::Parse(
-          "{\"n\":1152921504606846976,\"blocks\":\"0000000000000000\"}")
-          .Value());
-  EXPECT_FALSE(hostile.ok());
-}
-
-TEST(SnapshotCodecTest, ExtensionRoundTrip) {
-  for (size_t n : {1u, 63u, 64u, 65u, 200u}) {
-    pattern::Extension ext(n);
-    for (size_t i = 0; i < n; i += 3) ext.Insert(i);
-    const pattern::Extension back =
-        WireRoundTrip(ext, EncodeExtension, DecodeExtension);
-    EXPECT_EQ(back, ext) << "n=" << n;
-    EXPECT_EQ(back.count(), ext.count());
-  }
-  // Empty and full.
-  EXPECT_EQ(WireRoundTrip(pattern::Extension(70), EncodeExtension,
-                          DecodeExtension),
-            pattern::Extension(70));
-  EXPECT_EQ(WireRoundTrip(pattern::Extension(70, true), EncodeExtension,
-                          DecodeExtension),
-            pattern::Extension(70, true));
-
-  // A set bit beyond the universe is rejected, as is bad hex.
-  EXPECT_FALSE(
-      DecodeExtension(
-          JsonValue::Parse("{\"n\":3,\"blocks\":\"00000000000000ff\"}")
-              .Value())
-          .ok());
-  EXPECT_FALSE(
-      DecodeExtension(
-          JsonValue::Parse("{\"n\":3,\"blocks\":\"zz00000000000000\"}")
-              .Value())
-          .ok());
+TEST(SnapshotCodecTest, ExtensionEncodesPackedHexBlocks) {
+  // Rows 0 and 3 set bits 0 and 3 of block 0; rows 64 and 69 set bits 0
+  // and 5 of block 1.
+  EXPECT_EQ(EncodeExtension(pattern::Extension::FromRows(70, {0, 3, 64, 69}))
+                .Write(),
+            R"({"n":70,"blocks":"00000000000000090000000000000021"})");
+  // A full universe leaves the tail of the last block clear.
+  EXPECT_EQ(EncodeExtension(pattern::Extension(70, true)).Write(),
+            R"({"n":70,"blocks":"ffffffffffffffff000000000000003f"})");
+  EXPECT_EQ(EncodeExtension(pattern::Extension(0)).Write(),
+            R"({"n":0,"blocks":""})");
 }
 
 TEST(SnapshotCodecTest, ConditionAndIntentionRoundTrip) {

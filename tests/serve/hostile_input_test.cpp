@@ -19,6 +19,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <functional>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -26,6 +27,7 @@
 
 #include "common/strings.hpp"
 #include "core/session.hpp"
+#include "data/csv.hpp"
 #include "datagen/scenarios.hpp"
 #include "linalg/matrix.hpp"
 #include "serialize/json.hpp"
@@ -147,10 +149,13 @@ std::vector<Tampering> UnfactoredTamperings() {
 }
 
 /// Opens a synthetic session on a fresh manager spilling to `spill_dir`,
-/// mines once, evicts it, applies `tamper` to the spill file and then
-/// expects `mine` to answer ok:false with the server still answering.
+/// mines once and evicts it. As a control, the spill file is then replaced
+/// by `base` (kept as it is when `base` is empty) and `mine` must answer
+/// ok: the spill path takes the untampered snapshot. After a second
+/// eviction the spill file holds `tamper(base)`, and `mine` must answer
+/// ok:false with the server still answering.
 void ExpectTamperedSpillAnswersOkFalse(
-    const std::string& spill_dir,
+    const std::string& spill_dir, const std::string& base,
     const std::function<std::string(const std::string&)>& tamper) {
   ASSERT_EQ(std::system(("rm -rf " + spill_dir + " && mkdir -p " +
                          spill_dir).c_str()),
@@ -171,11 +176,21 @@ void ExpectTamperedSpillAnswersOkFalse(
   const std::string path = manager.SpillPathFor("h");
   Result<std::string> text = serialize::ReadTextFile(path);
   ASSERT_TRUE(text.ok()) << path;
-  ASSERT_TRUE(serialize::WriteTextFile(path, tamper(text.Value())).ok());
-
+  const std::string untampered = base.empty() ? text.Value() : base;
+  ASSERT_TRUE(serialize::WriteTextFile(path, untampered).ok());
   responses = RunScript(manager,
                         "{\"id\":4,\"verb\":\"mine\",\"session\":\"h\"}\n"
-                        "{\"id\":5,\"verb\":\"stats\"}\n");
+                        "{\"id\":5,\"verb\":\"evict\",\"session\":\"h\"}\n");
+  ASSERT_EQ(responses.size(), 2u);
+  ASSERT_TRUE(responses[0].ok)
+      << "the untampered spill did not restore: "
+      << responses[0].error.ToString();
+  ASSERT_TRUE(responses[1].ok) << responses[1].error.ToString();
+
+  ASSERT_TRUE(serialize::WriteTextFile(path, tamper(untampered)).ok());
+  responses = RunScript(manager,
+                        "{\"id\":6,\"verb\":\"mine\",\"session\":\"h\"}\n"
+                        "{\"id\":7,\"verb\":\"stats\"}\n");
   ASSERT_EQ(responses.size(), 2u);
   EXPECT_FALSE(responses[0].ok);
   EXPECT_TRUE(responses[1].ok) << "server stopped answering";
@@ -284,7 +299,7 @@ TEST(HostileInputTest, SnapshotWithOutOfRangeIntegersFailsToRestore) {
 
 TEST(HostileInputTest, TamperedSpillSnapshotAnswersOkFalseOnMine) {
   ExpectTamperedSpillAnswersOkFalse(
-      "/tmp/sisd_hostile_input_spill", [](const std::string& text) {
+      "/tmp/sisd_hostile_input_spill", "", [](const std::string& text) {
         std::string snapshot = text;
         const size_t at = snapshot.find("\"beam_width\":8");
         EXPECT_NE(at, std::string::npos);
@@ -310,9 +325,8 @@ TEST(HostileInputTest, SnapshotWithNonSpdCovarianceFailsToRestore) {
 
 TEST(HostileInputTest, SpillSnapshotWithNonSpdCovarianceAnswersOkFalse) {
   ExpectTamperedSpillAnswersOkFalse(
-      "/tmp/sisd_hostile_input_spd_spill", [](const std::string&) {
-        return WithNonSpdSigma(V1Snapshot(), false);
-      });
+      "/tmp/sisd_hostile_input_spd_spill", V1Snapshot(),
+      [](const std::string& text) { return WithNonSpdSigma(text, false); });
 }
 
 TEST(HostileInputTest, SnapshotWithUnfactoredTamperingFailsToRestore) {
@@ -371,9 +385,9 @@ TEST(HostileInputTest, SpillWithUnfactoredTamperingAnswersOkFalse) {
   for (const Tampering& tampering : UnfactoredTamperings()) {
     SCOPED_TRACE(tampering.name);
     ExpectTamperedSpillAnswersOkFalse(
-        "/tmp/sisd_hostile_input_tamper_spill",
-        [&tampering](const std::string&) {
-          return WithFirstGroupEdited(V1Snapshot(), tampering.edit);
+        "/tmp/sisd_hostile_input_tamper_spill", V1Snapshot(),
+        [&tampering](const std::string& text) {
+          return WithFirstGroupEdited(text, tampering.edit);
         });
   }
 }
@@ -445,10 +459,6 @@ std::vector<std::pair<std::string, std::string>> HostileHistoryEdits(
        WithFirstConditions(snapshot,
                            "{\"attribute\":0,\"op\":\"eq\","
                            "\"threshold\":0.0,\"level\":2}")},
-      {"infinite threshold",
-       WithFirstConditions(snapshot,
-                           "{\"attribute\":0,\"op\":\"eq\","
-                           "\"threshold\":\"Infinity\",\"level\":1}")},
   };
 }
 
@@ -467,12 +477,118 @@ TEST(HostileInputTest, HostileHistoryFieldsFailToRestore) {
 }
 
 TEST(HostileInputTest, SpillWithHostileHistoryAnswersOkFalse) {
-  for (const auto& [name, text] : HostileHistoryEdits(V2Snapshot())) {
+  const std::string snapshot = V2Snapshot();
+  for (const auto& [name, text] : HostileHistoryEdits(snapshot)) {
     SCOPED_TRACE(name);
     ExpectTamperedSpillAnswersOkFalse(
-        "/tmp/sisd_hostile_input_history_spill",
+        "/tmp/sisd_hostile_input_history_spill", snapshot,
         [&text](const std::string&) { return text; });
   }
+}
+
+TEST(HostileInputTest, InfiniteThresholdsRestoreAndNaNOnesDoNot) {
+  // `assimilate` takes a threshold of +-Infinity (a condition every row
+  // meets), so a snapshot recording one must restore. A NaN threshold
+  // matches no row: the live call refuses it, and so does a restore.
+  std::string csv = "x,z,t\n";
+  for (int i = 0; i < 40; ++i) {
+    csv += std::to_string(i % 7) + "," + std::to_string((3 * i) % 11) + "," +
+           std::to_string(0.25 * (i % 5) + (i % 7 < 3 ? 2.0 : 0.0)) + "\n";
+  }
+  Result<data::DataTable> table = data::ReadCsvText(csv);
+  ASSERT_TRUE(table.ok()) << table.status().ToString();
+  Result<data::Dataset> dataset =
+      data::MakeDataset(table.Value(), {"t"}, "thresholds");
+  ASSERT_TRUE(dataset.ok()) << dataset.status().ToString();
+  core::MinerConfig config;
+  config.search.beam_width = 4;
+  config.search.max_depth = 1;
+  config.search.min_coverage = 3;
+  Result<core::MiningSession> session =
+      core::MiningSession::Create(std::move(dataset).MoveValue(), config);
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  const double inf = std::numeric_limits<double>::infinity();
+  Result<core::IterationResult> assimilated =
+      session.Value().AssimilateIntention(
+          pattern::Intention({pattern::Condition::LessEqual(0, inf),
+                              pattern::Condition::GreaterEqual(1, -inf)}));
+  ASSERT_TRUE(assimilated.ok()) << assimilated.status().ToString();
+  EXPECT_FALSE(session.Value()
+                   .AssimilateIntention(pattern::Intention(
+                       {pattern::Condition::LessEqual(0, std::nan(""))}))
+                   .ok());
+  ASSERT_TRUE(session.Value().MineNext().ok());
+
+  const std::string saved = session.Value().SaveToString();
+  Result<core::MiningSession> restored =
+      core::MiningSession::RestoreFromString(saved);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored.Value().SaveToString(), saved);
+
+  const std::string nan_threshold =
+      WithValueAt(saved,
+                  {"history", "0", "location", "subgroup", "intention", "0",
+                   "threshold"},
+                  Json("\"NaN\""));
+  ASSERT_NE(nan_threshold, saved);
+  restored = core::MiningSession::RestoreFromString(nan_threshold);
+  ASSERT_FALSE(restored.ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument)
+      << restored.status().ToString();
+}
+
+TEST(HostileInputTest, InfiniteThresholdSurvivesEviction) {
+  // The spill of a catalog session is a `dataset_ref` snapshot; after an
+  // `assimilate` with an infinite threshold it must restore on the next
+  // request.
+  const std::string spill_dir = "/tmp/sisd_hostile_input_inf_spill";
+  ASSERT_EQ(std::system(("rm -rf " + spill_dir + " && mkdir -p " +
+                         spill_dir).c_str()),
+            0);
+  std::string csv = "x,z,t\n";
+  for (int i = 0; i < 40; ++i) {
+    csv += std::to_string(i % 7) + "," + std::to_string((3 * i) % 11) + "," +
+           std::to_string(0.25 * (i % 5) + (i % 7 < 3 ? 2.0 : 0.0)) + "\n";
+  }
+  serialize::JsonValue load = serialize::JsonValue::Object();
+  load.Set("id", serialize::JsonValue::Int(1));
+  load.Set("verb", serialize::JsonValue::Str("dataset_load"));
+  load.Set("name", serialize::JsonValue::Str("thresholds"));
+  load.Set("csv_text", serialize::JsonValue::Str(csv));
+  serialize::JsonValue targets = serialize::JsonValue::Array();
+  targets.Append(serialize::JsonValue::Str("t"));
+  load.Set("targets", targets);
+
+  ServeConfig serve_config;
+  serve_config.spill_dir = spill_dir;
+  SessionManager manager(serve_config);
+  const std::vector<serialize::ProtocolResponse> responses = RunScript(
+      manager,
+      load.Write() + "\n" +
+          "{\"id\":2,\"verb\":\"open\",\"session\":\"h\","
+          "\"dataset_ref\":\"thresholds\",\"config\":{\"beam_width\":4,"
+          "\"max_depth\":1,\"min_coverage\":3}}\n"
+          "{\"id\":3,\"verb\":\"assimilate\",\"session\":\"h\","
+          "\"conditions\":[{\"attribute\":\"x\",\"op\":\"<=\","
+          "\"threshold\":\"Infinity\"}]}\n"
+          "{\"id\":4,\"verb\":\"assimilate\",\"session\":\"h\","
+          "\"conditions\":[{\"attribute\":\"x\",\"op\":\"<=\","
+          "\"threshold\":\"NaN\"}]}\n"
+          "{\"id\":5,\"verb\":\"evict\",\"session\":\"h\"}\n"
+          "{\"id\":6,\"verb\":\"mine\",\"session\":\"h\"}\n"
+          "{\"id\":7,\"verb\":\"history\",\"session\":\"h\"}\n");
+  ASSERT_EQ(responses.size(), 7u);
+  for (size_t i : {0, 1, 2, 4, 5, 6}) {
+    EXPECT_TRUE(responses[i].ok)
+        << "response " << i << ": " << responses[i].error.ToString();
+  }
+  EXPECT_FALSE(responses[3].ok) << "a NaN threshold was assimilated";
+  EXPECT_EQ(responses[3].error.code(), StatusCode::kInvalidArgument);
+  const serialize::JsonValue* iterations =
+      responses[6].result.Find("iterations");
+  ASSERT_NE(iterations, nullptr);
+  EXPECT_EQ(iterations->GetInt().Value(), 2);
+  std::system(("rm -rf " + spill_dir).c_str());
 }
 
 #ifdef SISD_CLI_BIN
