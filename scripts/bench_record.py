@@ -10,8 +10,6 @@ Usage: scripts/bench_record.py RECORD [OUT]
                                  run it on a parent and a change)
   simd      BENCH_simd.json      per-kernel scalar vs AVX2 speedups and
                                  the dy=1 candidate-evaluation headline
-  optimal   BENCH_optimal.json   best-first branch-and-bound over beam
-                                 wall-clock, plus the beam optimality gap
   list      BENCH_list.json      fused list engine vs the naive
                                  reference, plus greedy-list vs
                                  iterative-miner quality
@@ -20,9 +18,9 @@ The benches are built in a dedicated Release build dir (build-bench), so
 stale cached options in a developer's build/ (e.g. SISD_SANITIZE) cannot
 contaminate the numbers. A harness document whose context does not say
 library_build_type == "release" is refused: a debug-built timing path is
-exactly the bug that tainted the pre-harness BENCH files. The gap and
-quality documents are exact search outputs, not timings, and come from
-the same checked binary.
+exactly the bug that tainted the pre-harness BENCH files. The list
+quality document is an exact search output, not a timing, and comes
+from the same checked binary.
 
 The kernel ISA in effect is recorded: run with SISD_KERNELS=scalar for a
 scalar baseline, unset for runtime dispatch. The simd record measures
@@ -92,23 +90,6 @@ def summarize_simd(docs):
     }
 
 
-def summarize_optimal(docs):
-    runs = by_name(docs["bench_optimal"])
-    return {
-        # How far provable optimality sits from the heuristic's
-        # wall-clock (depth 2, same constraints; > 1 means the engine is
-        # slower).
-        "crime_optimal_over_beam_wallclock":
-            ratio(runs, "BM_Crime_OptimalBnB_1thread", "BM_Crime_Beam"),
-        "crime_optimal_allthreads_over_beam_wallclock":
-            ratio(runs, "BM_Crime_OptimalBnB_allthreads", "BM_Crime_Beam"),
-        "synthetic_optimal_over_beam_wallclock":
-            ratio(runs, "BM_Synth_Optimal_1thread", "BM_Synth_Beam"),
-        # Beam optimality gap (exact search outputs, not timings).
-        "quality_gap": docs["quality_gap"],
-    }
-
-
 def summarize_list(docs):
     runs = by_name(docs["bench_list"])
     return {
@@ -147,10 +128,6 @@ RECORDS = {
     "simd": ("BENCH_simd.json", [
         ("bench_kernels", "bench_kernels", HARNESS_JSON),
     ], summarize_simd),
-    "optimal": ("BENCH_optimal.json", [
-        ("bench_optimal", "bench_optimal", HARNESS_JSON),
-        ("quality_gap", "bench_optimal", "--gap-json"),
-    ], summarize_optimal),
     "list": ("BENCH_list.json", [
         ("bench_list", "bench_list", HARNESS_JSON),
         ("quality", "bench_list", "--quality-json"),

@@ -13,9 +13,7 @@
 # open/dataset_drop/mine storm over one catalog entry), the epoll
 # event-loop transport (event_loop_hammer_test's pipelined clients racing
 # the worker pool, backpressure rejection and connection teardown;
-# event_loop_test's transport contract), the parallel
-# branch-and-bound (optimal_search_test's multi-thread wave expansion with
-# the shared atomic incumbent), the greedy subgroup-list miner
+# event_loop_test's transport contract), the greedy subgroup-list miner
 # (list_miner_test's engine-vs-reference differential across thread
 # counts; mine_list_serve_test's byte-identity across transports and
 # worker counts), the baseline measures scored by the worker pool
@@ -38,14 +36,13 @@ cmake -B build-tsan -S . \
   -DSISD_BUILD_EXAMPLES=OFF
 cmake --build build-tsan -j \
   --target batch_evaluator_test scoring_alloc_test thread_invariance_test \
-           beam_search_test \
-           optimal_search_test list_miner_test serve_hammer_test \
+           beam_search_test list_miner_test serve_hammer_test \
            serve_loop_test mine_list_serve_test catalog_hammer_test \
            event_loop_test event_loop_hammer_test quality_measures_test \
            kernel_parity_test kernel_dispatch_test pool_incremental_test \
            time_budget_test
 cd build-tsan
 ctest --output-on-failure \
-  -R 'batch_evaluator_test|scoring_alloc_test|thread_invariance_test|beam_search_test|optimal_search_test|list_miner_test|serve_hammer_test|serve_loop_test|mine_list_serve_test|catalog_hammer_test|event_loop_test|event_loop_hammer_test|quality_measures_test|kernel_parity_test|kernel_dispatch_test|pool_incremental_test|time_budget_test'
+  -R 'batch_evaluator_test|scoring_alloc_test|thread_invariance_test|beam_search_test|list_miner_test|serve_hammer_test|serve_loop_test|mine_list_serve_test|catalog_hammer_test|event_loop_test|event_loop_hammer_test|quality_measures_test|kernel_parity_test|kernel_dispatch_test|pool_incremental_test|time_budget_test'
 ctest --output-on-failure --repeat until-fail:20 \
   -R 'serve_hammer_test|event_loop_hammer_test|catalog_hammer_test'

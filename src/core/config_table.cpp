@@ -19,49 +19,45 @@ constexpr double kInt64Max = double(std::numeric_limits<int64_t>::max());
 constexpr double kFiniteMax = std::numeric_limits<double>::max();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-constexpr unsigned kSearch =
-    kProtocolConfig | kCliMine | kCliList | kCliOptimal;
-constexpr unsigned kSession = kProtocolConfig | kCliMine | kCliList;
+constexpr unsigned kAll = kProtocolConfig | kCliMine | kCliList;
 
 #define SISD_FIELD(member) \
   [](MinerConfig& c) -> ConfigField { return &c.member; }
 
 const ConfigKey kKeys[] = {
-    {"beam_width", SISD_FIELD(search.beam_width), {1, kIntMax}, kSearch,
+    {"beam_width", SISD_FIELD(search.beam_width), {1, kIntMax}, kAll,
      "beam width"},
-    {"max_depth", SISD_FIELD(search.max_depth), {1, kIntMax}, kSearch,
+    {"max_depth", SISD_FIELD(search.max_depth), {1, kIntMax}, kAll,
      "max conditions per intention"},
-    {"splits", SISD_FIELD(search.num_split_points), {1, kIntMax}, kSearch,
+    {"splits", SISD_FIELD(search.num_split_points), {1, kIntMax}, kAll,
      "numeric split points per attribute"},
-    {"top_k", SISD_FIELD(search.top_k), {1, kInt64Max}, kSearch,
+    {"top_k", SISD_FIELD(search.top_k), {1, kInt64Max}, kAll,
      "global ranked-list size"},
     {"min_coverage", SISD_FIELD(search.min_coverage), {0, kInt64Max},
-     kSearch, "minimum subgroup size"},
+     kAll, "minimum subgroup size"},
     {"max_coverage_fraction", SISD_FIELD(search.max_coverage_fraction),
      {0, 1, /*min_open=*/true}, kProtocolConfig,
      "maximum subgroup size as a fraction of the rows"},
     {"time_budget", SISD_FIELD(search.time_budget_seconds), {0, kInf},
-     kSearch, "wall-clock search budget per iteration, seconds"},
+     kAll, "wall-clock search budget per iteration, seconds"},
     {"threads", SISD_FIELD(search.num_threads),
      {0, double(search::ThreadPool::kMaxThreads)},
-     kSearch & ~kProtocolConfig, "scoring threads (0 = auto)"},
-    {"gamma", SISD_FIELD(dl.gamma), {0, kFiniteMax}, kSearch,
+     kAll & ~kProtocolConfig, "scoring threads (0 = auto)"},
+    {"gamma", SISD_FIELD(dl.gamma), {0, kFiniteMax}, kAll,
      "description-length cost per condition"},
-    {"eta", SISD_FIELD(dl.eta), {0, kFiniteMax}, kSearch,
+    {"eta", SISD_FIELD(dl.eta), {0, kFiniteMax}, kAll,
      "description-length cost per pattern"},
-    {"exclusions", SISD_FIELD(search.include_exclusions), {}, kSearch,
+    {"exclusions", SISD_FIELD(search.include_exclusions), {}, kAll,
      "add != conditions for categoricals with 3+ levels"},
-    {"location_only", SISD_FIELD(mix), {}, kSession,
+    {"location_only", SISD_FIELD(mix), {}, kAll,
      "mine location patterns only (no spread patterns)"},
     {"spread_sparsity", SISD_FIELD(spread_sparsity),
-     {0, 2, false, /*ends_only=*/true}, kSession,
+     {0, 2, false, /*ends_only=*/true}, kAll,
      "0 = dense spread direction, 2 = pair sweep (§III-C)"},
-    {"list_alpha", SISD_FIELD(list_gain.alpha), {0, kFiniteMax}, kSession,
+    {"list_alpha", SISD_FIELD(list_gain.alpha), {0, kFiniteMax}, kAll,
      "subgroup-list cost per condition"},
-    {"list_beta", SISD_FIELD(list_gain.beta), {0, kFiniteMax}, kSession,
+    {"list_beta", SISD_FIELD(list_gain.beta), {0, kFiniteMax}, kAll,
      "subgroup-list cost per rule"},
-    {"optimal", SISD_FIELD(use_optimal_search), {}, kCliMine,
-     "mine location patterns by optimal branch-and-bound"},
 };
 
 #undef SISD_FIELD

@@ -26,7 +26,6 @@ enum ConfigSurface : unsigned {
   kProtocolConfig = 1u << 0,  ///< the serve `open` verb's `config` object
   kCliMine = 1u << 1,         ///< `sisd_cli mine`
   kCliList = 1u << 2,         ///< `sisd_cli list`
-  kCliOptimal = 1u << 3,      ///< `sisd_cli optimal`
 };
 
 /// \brief The member a key sets; the alternative is the key's type.

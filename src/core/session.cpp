@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "common/strings.hpp"
-#include "search/optimal_search.hpp"
 #include "search/si_evaluator.hpp"
 
 namespace sisd::core {
@@ -82,22 +81,9 @@ Result<IterationResult> MiningSession::MineNext() {
   // contexts instead of re-running `si::ScoreLocation` from scratch.
   search::SiLocationEvaluator evaluator(assimilator_.model(),
                                         dataset_->targets, config_.dl);
-  search::SearchResult search_result;
-  if (config_.use_optimal_search) {
-    search::OptimalResult optimal_result = search::OptimalLocationSearch(
-        dataset_->descriptions, *pool_, assimilator_.model(),
-        dataset_->targets, config_.dl,
-        search::OptimalConfigFor(config_.search), thread_pool_.get());
-    search_result.num_evaluated = optimal_result.num_evaluated;
-    search_result.hit_time_budget = !optimal_result.completed;
-    if (!optimal_result.best.intention.empty()) {
-      search_result.top.push_back(std::move(optimal_result.best));
-    }
-  } else {
-    search_result =
-        search::BeamSearch(dataset_->descriptions, *pool_, config_.search,
-                           evaluator, thread_pool_.get());
-  }
+  search::SearchResult search_result =
+      search::BeamSearch(dataset_->descriptions, *pool_, config_.search,
+                         evaluator, thread_pool_.get());
   if (search_result.top.empty()) {
     return Status::NotFound(
         "search found no subgroup satisfying the constraints");

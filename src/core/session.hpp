@@ -60,15 +60,6 @@ struct MinerConfig {
   std::optional<linalg::Matrix> prior_covariance;
   /// Ridge added to an empirical prior covariance (keeps it SPD).
   double prior_ridge = 1e-8;
-  /// Mine each iteration's location pattern with the provably-optimal
-  /// branch-and-bound (`search::OptimalLocationSearch`) instead of beam
-  /// search. The ranked list then holds the single global optimum per
-  /// iteration; `search.max_depth`, `min_coverage`, `time_budget_seconds`
-  /// and `num_threads` are honored, beam-only knobs are ignored. The
-  /// tight bound engages on the first iteration of univariate sessions;
-  /// later iterations (evolved multi-group model) fall back to pure
-  /// best-first enumeration, so keep `max_depth` small.
-  bool use_optimal_search = false;
   /// Gain criterion of the subgroup-list workload (`MineList`); the search
   /// knobs in `search` are shared between both workloads.
   si::ListGainParams list_gain;

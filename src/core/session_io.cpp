@@ -534,7 +534,6 @@ JsonValue EncodeMinerConfig(const MinerConfig& config) {
               ? serialize::EncodeMatrix(*config.prior_covariance)
               : JsonValue::Null());
   out.Set("prior_ridge", JsonValue::Double(config.prior_ridge));
-  out.Set("use_optimal_search", JsonValue::Bool(config.use_optimal_search));
   JsonValue list_gain = JsonValue::Object();
   list_gain.Set("alpha", JsonValue::Double(config.list_gain.alpha));
   list_gain.Set("beta", JsonValue::Double(config.list_gain.beta));
@@ -579,12 +578,11 @@ Result<MinerConfig> DecodeMinerConfig(const JsonValue& json) {
     out.prior_covariance = std::move(prior_cov);
   }
   SISD_RETURN_NOT_OK(ReadField(json, "prior_ridge", &out.prior_ridge));
-  // Additive field (optimal-search PR): absent in older snapshots, which
-  // must keep restoring — default off, same as MinerConfig.
-  out.use_optimal_search = false;
+  // Retired field: snapshots written while a branch-and-bound search
+  // existed carry `use_optimal_search`. It must still be a bool, but its
+  // value is ignored: every session mines with the beam search.
   if (const JsonValue* optimal = json.Find("use_optimal_search")) {
-    SISD_ASSIGN_OR_RETURN(v, optimal->GetBool());
-    out.use_optimal_search = v;
+    SISD_RETURN_NOT_OK(optimal->GetBool().status());
   }
   // Additive field (subgroup-list PR): absent in older snapshots, which
   // restore with the default gain knobs — matching MinerConfig.
@@ -633,8 +631,7 @@ std::string MiningSession::SaveToString(SnapshotForm form) const {
   out.Set("history", std::move(history));
   // Additive schema field: written only when list mining happened, so
   // sessions that never called MineList keep their exact historical bytes
-  // (same policy as `spread_error` above and `use_optimal_search` in the
-  // config codec).
+  // (same policy as `spread_error` above).
   if (!list_history_.empty()) {
     JsonValue list_history = JsonValue::Array();
     for (const ListMineResult& entry : list_history_) {

@@ -28,6 +28,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "kernels/kernels.hpp"
 #include "linalg/matrix.hpp"
 #include "model/background_model.hpp"
 #include "search/batch_evaluator.hpp"

@@ -87,18 +87,6 @@ void EvaluationContext::MaskedSubgroupMeanInto(const pattern::Extension& a,
   pattern::MaskedSubgroupMeanInto(*targets_, a, b, count, out);
 }
 
-kernels::MaskedMoments EvaluationContext::MaskedTargetMomentsAnd(
-    const pattern::Extension& a, const pattern::Extension& b) const {
-  SISD_CHECK(targets_ != nullptr);
-  SISD_CHECK(targets_->cols() == 1);
-  SISD_CHECK(a.universe_size() == targets_->rows());
-  SISD_CHECK(a.universe_size() == b.universe_size());
-  a.DebugCheckTailMasked();
-  b.DebugCheckTailMasked();
-  return kernels::MaskedMomentsAnd(targets_->RowData(0), a.blocks().data(),
-                                   b.blocks().data(), a.blocks().size());
-}
-
 LocationScore EvaluationContext::ScoreFromIC(
     double ic, size_t num_conditions, const DescriptionLengthParams& params) {
   LocationScore score;

@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "kernels/kernels.hpp"
 #include "linalg/cholesky.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
@@ -93,20 +92,6 @@ class EvaluationContext {
   void MaskedSubgroupMeanInto(const pattern::Extension& a,
                               const pattern::Extension& b, size_t count,
                               linalg::Vector* out) const;
-
-  /// Fused count + sum + sum-of-squares over the virtual extension `a & b`
-  /// for univariate targets (requires `targets` with one column). A single
-  /// pass over the target column; `.sum` is bit-identical to the sum the
-  /// masked subgroup-mean path computes (same lane-contract kernel), and
-  /// `.count` doubles as an integrity check against the batch's popcount.
-  kernels::MaskedMoments MaskedTargetMomentsAnd(
-      const pattern::Extension& a, const pattern::Extension& b) const;
-
-  /// True iff the bound targets are a single contiguous column, enabling
-  /// the fused `MaskedTargetMomentsAnd` fast path.
-  bool has_univariate_targets() const {
-    return targets_ != nullptr && targets_->cols() == 1;
-  }
 
   /// Scratch mean buffer callers may use between scoring calls (the scoring
   /// methods never touch it).

@@ -83,18 +83,16 @@ std::vector<std::string> OutOfRangeTexts(const ConfigKey& key) {
 }
 
 TEST(ConfigTableTest, SurfacesKeepTheirKeySets) {
-  size_t protocol = 0, mine = 0, list = 0, optimal = 0;
+  size_t protocol = 0, mine = 0, list = 0;
   for (const ConfigKey& key : ConfigKeys()) {
     protocol += OnProtocol(key);
     mine += (key.surfaces & kCliMine) != 0;
     list += (key.surfaces & kCliList) != 0;
-    optimal += (key.surfaces & kCliOptimal) != 0;
   }
-  EXPECT_EQ(ConfigKeys().size(), 16u);
+  EXPECT_EQ(ConfigKeys().size(), 15u);
   EXPECT_EQ(protocol, 14u);
-  EXPECT_EQ(mine, 15u);
+  EXPECT_EQ(mine, 14u);
   EXPECT_EQ(list, 14u);
-  EXPECT_EQ(optimal, 10u);
 }
 
 TEST(ConfigTableTest, FlagIsDerivedFromName) {

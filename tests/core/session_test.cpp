@@ -115,7 +115,6 @@ TEST(MiningSessionTest, ConfigRoundTripsThroughSnapshots) {
       std::numeric_limits<double>::infinity();  // nonfinite must survive
   config.prior_mean = linalg::Vector{0.1, -0.2};
   config.prior_covariance = linalg::Matrix{{2.0, 0.3}, {0.3, 1.5}};
-  config.use_optimal_search = true;
 
   Result<MiningSession> session = MiningSession::Create(
       datagen::MakeSyntheticEmbedded().dataset, config);
@@ -132,7 +131,6 @@ TEST(MiningSessionTest, ConfigRoundTripsThroughSnapshots) {
   EXPECT_EQ(*back.prior_mean, *config.prior_mean);
   ASSERT_TRUE(back.prior_covariance.has_value());
   EXPECT_EQ(*back.prior_covariance, *config.prior_covariance);
-  EXPECT_TRUE(back.use_optimal_search);
 }
 
 TEST(MiningSessionTest, HalfSetPriorSnapshotIsRejected) {
@@ -154,29 +152,6 @@ TEST(MiningSessionTest, HalfSetPriorSnapshotIsRejected) {
   Result<MiningSession> restored = MiningSession::RestoreFromString(text);
   ASSERT_FALSE(restored.ok());
   EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST(MiningSessionTest, OptimalSearchMinesTheProvableOptimum) {
-  // On the synthetic data the beam reaches the global optimum, so the
-  // branch-and-bound session must return the exact same first pattern.
-  MinerConfig config = FastConfig();
-  config.mix = PatternMix::kLocationOnly;
-  Result<MiningSession> beam = MiningSession::Create(
-      datagen::MakeSyntheticEmbedded().dataset, config);
-  ASSERT_TRUE(beam.ok());
-  Result<IterationResult> beam_it = beam.Value().MineNext();
-  ASSERT_TRUE(beam_it.ok()) << beam_it.status().ToString();
-
-  config.use_optimal_search = true;
-  Result<MiningSession> optimal = MiningSession::Create(
-      datagen::MakeSyntheticEmbedded().dataset, config);
-  ASSERT_TRUE(optimal.ok());
-  Result<IterationResult> optimal_it = optimal.Value().MineNext();
-  ASSERT_TRUE(optimal_it.ok()) << optimal_it.status().ToString();
-
-  EXPECT_EQ(optimal_it.Value().location.score.si,
-            beam_it.Value().location.score.si);
-  EXPECT_EQ(optimal_it.Value().location.pattern.subgroup.Coverage(), 40u);
 }
 
 }  // namespace

@@ -12,6 +12,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #ifndef SISD_CLI_BIN
 #error "SISD_CLI_BIN must be defined by the build system"
@@ -118,16 +120,22 @@ TEST_F(CliSmokeTest, MinesUserCsv) {
 
 TEST_F(CliSmokeTest, UnknownSubcommandPrintsUsageToStderr) {
   const std::string err_path = Path("unknown_subcommand_stderr.txt");
-  const std::string command = std::string(SISD_CLI_BIN) +
-                              " frobnicate > /dev/null 2> " + err_path;
-  const int rc = std::system(command.c_str());
-  ASSERT_TRUE(WIFEXITED(rc));
-  EXPECT_NE(WEXITSTATUS(rc), 0);
-  const std::string err = ReadFile(err_path);
-  EXPECT_NE(err.find("unknown subcommand 'frobnicate'"), std::string::npos)
-      << "stderr: " << err;
-  EXPECT_NE(err.find("USAGE"), std::string::npos)
-      << "usage text missing from stderr on unknown subcommand";
+  // `optimal` was the branch-and-bound subcommand; it is gone.
+  for (const std::string name : {"frobnicate", "optimal"}) {
+    SCOPED_TRACE(name);
+    const std::string command = std::string(SISD_CLI_BIN) + " " + name +
+                                " --scenario synthetic > /dev/null 2> " +
+                                err_path;
+    const int rc = std::system(command.c_str());
+    ASSERT_TRUE(WIFEXITED(rc));
+    EXPECT_EQ(WEXITSTATUS(rc), 2);
+    const std::string err = ReadFile(err_path);
+    EXPECT_NE(err.find("unknown subcommand '" + name + "'"),
+              std::string::npos)
+        << "stderr: " << err;
+    EXPECT_NE(err.find("USAGE"), std::string::npos)
+        << "usage text missing from stderr on unknown subcommand";
+  }
   // Missing subcommand gets the same treatment.
   const std::string command2 = std::string(SISD_CLI_BIN) +
                                " > /dev/null 2> " + err_path;
@@ -173,23 +181,31 @@ TEST_F(CliSmokeTest, ListMinesAndResumesByteIdentically) {
 
 TEST_F(CliSmokeTest, UnknownFlagAfterSubcommandPrintsUsageToStderr) {
   // Regression: an unknown flag after a valid subcommand used to be
-  // swallowed as a key-value pair and silently ignored.
+  // swallowed as a key-value pair and silently ignored. `--optimal` once
+  // chose the branch-and-bound search, whose frontier could exhaust memory
+  // and abort (exit 134); it is now an unknown flag like any other.
   const std::string err_path = Path("unknown_flag_stderr.txt");
-  const std::string command =
-      std::string(SISD_CLI_BIN) +
-      " mine --scenario synthetic --bogus 1 > /dev/null 2> " + err_path;
-  const int rc = std::system(command.c_str());
-  ASSERT_TRUE(WIFEXITED(rc));
-  EXPECT_EQ(WEXITSTATUS(rc), 2);
-  const std::string err = ReadFile(err_path);
-  EXPECT_NE(err.find("unknown flag --bogus for subcommand 'mine'"),
-            std::string::npos)
-      << "stderr: " << err;
-  EXPECT_NE(err.find("USAGE"), std::string::npos)
-      << "usage text missing from stderr on unknown flag";
+  for (const auto& [args, flag] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"mine --scenario synthetic --bogus 1", "--bogus"},
+           {"mine --scenario crime --optimal --iterations 2 --threads 2",
+            "--optimal"}}) {
+    SCOPED_TRACE(args);
+    const std::string command = std::string(SISD_CLI_BIN) + " " + args +
+                                " > /dev/null 2> " + err_path;
+    const int rc = std::system(command.c_str());
+    ASSERT_TRUE(WIFEXITED(rc));
+    EXPECT_EQ(WEXITSTATUS(rc), 2);
+    const std::string err = ReadFile(err_path);
+    EXPECT_NE(err.find("unknown flag " + flag + " for subcommand 'mine'"),
+              std::string::npos)
+        << "stderr: " << err;
+    EXPECT_NE(err.find("USAGE"), std::string::npos)
+        << "usage text missing from stderr on unknown flag";
+  }
   // A flag valid for one subcommand is still rejected on another.
   EXPECT_EQ(RunCli("export --session x.json --rules 2"), 2);
-  EXPECT_EQ(RunCli("list --scenario synthetic --compare-beam"), 2);
+  EXPECT_EQ(RunCli("list --scenario synthetic --iterations 2"), 2);
 }
 
 TEST_F(CliSmokeTest, ServeScriptAnswersMineAndMineList) {
@@ -224,35 +240,12 @@ TEST_F(CliSmokeTest, MisuseFailsLoudly) {
   EXPECT_NE(RunCli("mine --scenario synthetic --beam-width zero"), 0);
 }
 
-TEST_F(CliSmokeTest, OptimalPrintsTheCertifiedOptimum) {
-  const std::string out_path = Path("optimal.out");
-  const std::string command = std::string(SISD_CLI_BIN) +
-                              " optimal --scenario synthetic --max-depth 2"
-                              " > " + out_path + " 2> /dev/null";
-  const int rc = std::system(command.c_str());
-  ASSERT_TRUE(WIFEXITED(rc));
-  ASSERT_EQ(WEXITSTATUS(rc), 0);
-  std::string out = ReadFile(out_path);
-  // Everything but the wall-clock fields after "bound=off, " is pinned.
-  const size_t timing = out.find("bound=off, ");
-  ASSERT_NE(timing, std::string::npos) << out;
-  out.erase(timing + 11, out.find('\n', timing) - (timing + 11));
-  EXPECT_EQ(out,
-            "dataset 'synthetic-embedded': 620 rows, 5 descriptions, 2 "
-            "targets\n"
-            "optimal: a4 = '1' (n=40, SI=62.065274)\n"
-            "searched 47 candidates, 11 nodes expanded, 0 pruned, "
-            "bound=off, \n");
-}
-
 TEST_F(CliSmokeTest, OutOfRangeConfigExitsOneWithInvalidArgument) {
   // Each of these once aborted (exit 134), printed SI=inf, wrapped to
   // SIZE_MAX or was narrowed into range.
   const std::string err_path = Path("range_stderr.txt");
   for (const std::string args :
-       {"optimal --scenario synthetic --max-depth 0",
-        "optimal --scenario synthetic --gamma -1",
-        "mine --scenario synthetic --top-k -1",
+       {"mine --scenario synthetic --top-k -1",
         "mine --scenario synthetic --min-coverage -1",
         "mine --scenario synthetic --beam-width 4294967297",
         "mine --scenario synthetic --threads -3",

@@ -228,10 +228,22 @@ std::string V1Snapshot(bool stale_factor) {
 }
 
 TEST(SessionRoundTripTest, VersionOneSnapshotUpgradesExactly) {
-  for (const bool stale_factor : {false, true}) {
-    SCOPED_TRACE(stale_factor ? "with stale factors" : "as written");
-    const std::string v1 = V1Snapshot(stale_factor);
-    ASSERT_EQ(v1.find("\"factor\"") != std::string::npos, stale_factor);
+  const std::string as_written = V1Snapshot(false);
+  const std::string stale = V1Snapshot(true);
+  ASSERT_EQ(as_written.find("\"factor\""), std::string::npos);
+  ASSERT_NE(stale.find("\"factor\""), std::string::npos);
+  // Snapshots from before the beam was the only search may ask for the
+  // retired branch-and-bound: the flag is ignored and the beam mines.
+  const std::string optimal = testing::WithValueAt(
+      as_written, {"config", "use_optimal_search"},
+      serialize::JsonValue::Bool(true));
+  ASSERT_NE(optimal, as_written);
+  for (const auto& [name, v1] :
+       std::vector<std::pair<std::string, std::string>>{
+           {"as written", as_written},
+           {"with stale factors", stale},
+           {"asking for the optimal search", optimal}}) {
+    SCOPED_TRACE(name);
     Result<MiningSession> upgraded = MiningSession::RestoreFromString(v1);
     ASSERT_TRUE(upgraded.ok()) << upgraded.status().ToString();
 

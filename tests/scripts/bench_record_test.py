@@ -42,7 +42,7 @@ class ReleaseGuardTest(unittest.TestCase):
 
 class CommittedRecordTest(unittest.TestCase):
     def test_rows_rebuild_committed_records(self):
-        for record in ("simd", "optimal", "list"):
+        for record in ("simd", "list"):
             default_out, runs, summarize = bench_record.RECORDS[record]
             with open(ROOT / default_out) as f:
                 committed = json.load(f)

@@ -3,10 +3,16 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "datagen/crime.hpp"
+#include "datagen/gse.hpp"
+#include "datagen/mammals.hpp"
 #include "datagen/synthetic.hpp"
+#include "datagen/water.hpp"
 #include "random/rng.hpp"
 #include "reference_search.hpp"
 #include "search/si_evaluator.hpp"
@@ -485,6 +491,92 @@ TEST(BeamSearchTest, PaperSettingsReachTheGlobalOptimumOnSynthetic) {
   EXPECT_EQ(beam.best().quality, optimum.best.quality);
   EXPECT_EQ(beam.best().intention.CanonicalSignature(),
             optimum.best.intention.CanonicalSignature());
+}
+
+struct Scenario {
+  std::string name;
+  data::Dataset dataset;
+  size_t min_coverage;
+};
+
+/// The five paper scenarios at sizes where naive depth-2 enumeration stays
+/// fast. Crime is the univariate case; synthetic/mammals/water/gse are
+/// multivariate.
+std::vector<Scenario> MakeScenarios() {
+  std::vector<Scenario> scenarios;
+  scenarios.push_back(
+      {"synthetic", datagen::MakeSyntheticEmbedded().dataset, 5});
+  scenarios.push_back(
+      {"crime",
+       datagen::MakeCrimeLike(
+           {.num_rows = 400, .num_descriptions = 12, .seed = 7})
+           .dataset,
+       10});
+  scenarios.push_back(
+      {"mammals",
+       datagen::MakeMammalsLike({.grid_rows = 10, .grid_cols = 12,
+                                 .num_species = 12, .num_climate = 24,
+                                 .seed = 11})
+           .dataset,
+       10});
+  scenarios.push_back(
+      {"water", datagen::MakeWaterLike({.num_rows = 300, .seed = 3}).dataset,
+       10});
+  scenarios.push_back(
+      {"gse", datagen::MakeGseLike({.num_rows = 200, .seed = 5}).dataset,
+       10});
+  return scenarios;
+}
+
+TEST(BeamSearchTest, WideBeamIsExhaustiveAtDepthTwo) {
+  // A beam that keeps every level-1 candidate scores each depth-2 condition
+  // set once: exactly the naive enumerator's candidates, hence its optimum.
+  for (const Scenario& scenario : MakeScenarios()) {
+    SCOPED_TRACE(scenario.name);
+    Result<model::BackgroundModel> model =
+        model::BackgroundModel::CreateFromData(scenario.dataset.targets);
+    model.status().CheckOK();
+    const ConditionPool pool =
+        ConditionPool::Build(scenario.dataset.descriptions, 4);
+    const si::DescriptionLengthParams dl;
+    const reference::Enumeration reference = reference::NaiveEnumerate(
+        scenario.dataset.descriptions, pool, 2, scenario.min_coverage,
+        reference::SiQuality(model.Value(), scenario.dataset.targets, dl));
+
+    SearchConfig config;
+    config.beam_width = static_cast<int>(pool.size());
+    config.max_depth = 2;
+    config.min_coverage = scenario.min_coverage;
+    SiLocationEvaluator evaluator(model.Value(), scenario.dataset.targets,
+                                  dl);
+    const SearchResult beam =
+        BeamSearch(scenario.dataset.descriptions, pool, config, evaluator);
+    ASSERT_FALSE(beam.top.empty());
+    EXPECT_EQ(beam.num_evaluated, reference.num_evaluated);
+    EXPECT_EQ(beam.best().quality, reference.best.quality);
+  }
+}
+
+TEST(BeamSearchTest, FindsAPlantedClusterOnSynthetic) {
+  // The synthetic data plants one-condition clusters of 40 rows; the
+  // depth-2 optimum is one of them.
+  const datagen::SyntheticData data = datagen::MakeSyntheticEmbedded();
+  Result<model::BackgroundModel> model =
+      model::BackgroundModel::CreateFromData(data.dataset.targets);
+  model.status().CheckOK();
+  const ConditionPool pool =
+      ConditionPool::Build(data.dataset.descriptions, 4);
+  const si::DescriptionLengthParams dl;
+  const reference::Enumeration optimum = reference::NaiveEnumerate(
+      data.dataset.descriptions, pool, /*max_depth=*/2, /*min_coverage=*/5,
+      reference::SiQuality(model.Value(), data.dataset.targets, dl));
+  EXPECT_EQ(optimum.best.intention.size(), 1u);
+  EXPECT_EQ(optimum.best.extension.count(), 40u);
+  bool is_planted = false;
+  for (const auto& truth_ext : data.truth.cluster_extensions) {
+    if (optimum.best.extension == truth_ext) is_planted = true;
+  }
+  EXPECT_TRUE(is_planted);
 }
 
 }  // namespace

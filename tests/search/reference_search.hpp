@@ -1,18 +1,15 @@
 /// \file reference_search.hpp
 /// \brief Test-only references the search engines are checked against:
 /// a materializing `BatchEvaluator` over a plain quality function (single
-/// worker unless the function is pure), a naive depth-first enumerator of
-/// the description language, and the prefix-sum univariate SI bound. Each
-/// is the slowest honest way to compute its answer: no fused kernels, no
-/// scratch reuse, no pruning, no budget.
+/// worker unless the function is pure) and a naive depth-first enumerator
+/// of the description language. Each is the slowest honest way to compute
+/// its answer: no fused kernels, no scratch reuse, no pruning, no budget.
 
 #ifndef SISD_TESTS_SEARCH_REFERENCE_SEARCH_HPP_
 #define SISD_TESTS_SEARCH_REFERENCE_SEARCH_HPP_
 
 #include <algorithm>
-#include <cmath>
 #include <functional>
-#include <limits>
 #include <utility>
 #include <vector>
 
@@ -137,49 +134,6 @@ inline Enumeration NaiveEnumerate(const data::DataTable& table,
                        pattern::Extension(table.num_rows(), /*full=*/true),
                        0, &out);
   return out;
-}
-
-/// Tight optimistic estimate of the location-pattern SI of every strict
-/// refinement of a node with `num_conditions` conditions and extension
-/// `extension`, for a univariate target under the initial single-group
-/// model (Boley et al.). A refinement S' of size k has
-///   IC(S') = 0.5*log(2 pi sigma^2 / k) + k*(mean(S') - mu)^2/(2 sigma^2),
-/// and for fixed k the mean shift is largest for the k smallest or k
-/// largest values of the node (prefix sums after sorting). The max over k,
-/// divided by the smallest descendant DL (one more condition), bounds the
-/// SI; a negative IC bounds it by 0, the supremum of IC'/DL' < 0.
-inline double UnivariateSiBound(const model::BackgroundModel& model,
-                                const linalg::Matrix& y,
-                                const si::DescriptionLengthParams& dl,
-                                size_t min_coverage, size_t num_conditions,
-                                const pattern::Extension& extension) {
-  constexpr double kLog2Pi = 1.8378770664093453;
-  SISD_CHECK(model.dim() == 1 && model.num_groups() == 1);
-  const double mu = model.group(0).mu[0];
-  const double sigma2 = model.group(0).sigma(0, 0);
-  const size_t min_cov = std::max<size_t>(min_coverage, 1);
-
-  std::vector<double> values;
-  for (size_t i : extension.ToRows()) values.push_back(y(i, 0));
-  std::sort(values.begin(), values.end());
-  const size_t m = values.size();
-  if (m < min_cov) return -std::numeric_limits<double>::infinity();
-  std::vector<double> prefix(m + 1, 0.0);
-  for (size_t i = 0; i < m; ++i) prefix[i + 1] = prefix[i] + values[i];
-
-  double best_ic = -std::numeric_limits<double>::infinity();
-  for (size_t k = min_cov; k <= m; ++k) {
-    const double dk = double(k);
-    const double bottom_mean = prefix[k] / dk;
-    const double top_mean = (prefix[m] - prefix[m - k]) / dk;
-    const double shift = std::max(std::fabs(bottom_mean - mu),
-                                  std::fabs(top_mean - mu));
-    best_ic = std::max(best_ic, 0.5 * (kLog2Pi + std::log(sigma2 / dk)) +
-                                    dk * shift * shift / (2.0 * sigma2));
-  }
-  const double min_descendant_dl =
-      dl.gamma * double(num_conditions + 1) + dl.eta;
-  return best_ic >= 0.0 ? best_ic / min_descendant_dl : 0.0;
 }
 
 }  // namespace sisd::search::reference

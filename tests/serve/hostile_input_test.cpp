@@ -280,11 +280,14 @@ TEST(HostileInputTest, SnapshotWithOutOfRangeIntegersFailsToRestore) {
   ASSERT_TRUE(session.ok());
   const std::string snapshot = session.Value().SaveToString();
   // 4294967297 used to restore as beam width 1; sparsity 7 used to
-  // restore and silently mine dense spread directions.
+  // restore and silently mine dense spread directions. The retired
+  // `use_optimal_search` flag is ignored, but only as a bool.
   for (const auto& [field, tampered] :
        std::vector<std::pair<std::string, std::string>>{
            {"\"beam_width\":8", "\"beam_width\":4294967297"},
-           {"\"spread_sparsity\":0", "\"spread_sparsity\":7"}}) {
+           {"\"spread_sparsity\":0", "\"spread_sparsity\":7"},
+           {"\"prior_ridge\":",
+            "\"use_optimal_search\":\"yes\",\"prior_ridge\":"}}) {
     SCOPED_TRACE(tampered);
     std::string text = snapshot;
     const size_t at = text.find(field);

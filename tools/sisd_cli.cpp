@@ -9,9 +9,6 @@
 //           save the grown session back.
 //   export  flatten a snapshot's history / ranked lists to CSV, or
 //           pretty-print the raw snapshot JSON.
-//   optimal mine the provably-optimal location pattern with the parallel
-//           branch-and-bound (search/optimal_search.hpp), optionally
-//           measuring beam search's optimality gap (--compare-beam).
 //   list    greedily mine an ordered subgroup list (SSD++-style MDL
 //           miner, search/list_miner.hpp): each appended rule captures the
 //           rows it matches first and routes them to its own local normal
@@ -31,11 +28,11 @@
 // The session server is a separate binary: sisd_serve (docs/PROTOCOL.md).
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.hpp"
@@ -46,9 +43,6 @@
 #include "data/append.hpp"
 #include "data/csv.hpp"
 #include "datagen/scenarios.hpp"
-#include "model/background_model.hpp"
-#include "search/optimal_search.hpp"
-#include "search/si_evaluator.hpp"
 #include "serialize/json.hpp"
 
 namespace sisd {
@@ -61,8 +55,6 @@ USAGE
   sisd_cli resume --session FILE [--iterations N] [--session-save OUT]
   sisd_cli export --session FILE [--history OUT.csv]
                   [--ranked OUT.csv [--iteration K]] [--json OUT.json]
-  sisd_cli optimal (--csv FILE --targets A[,B...] | --scenario NAME)
-                   [search options] [--no-bound] [--compare-beam]
   sisd_cli list (--csv FILE --targets A[,B...] | --scenario NAME |
                  --session FILE) [--rules N] [--list-alpha X]
                 [--list-beta X] [--session-save OUT] [search options]
@@ -81,8 +73,8 @@ MINE OPTIONS
   --session-save FILE   write the session snapshot after mining
 
 CONFIG OPTIONS (defaults = the paper's Cortana settings; a value
-outside its range exits 1 with InvalidArgument; [m l o] = accepted by
-mine / list / optimal; the search options are those optimal accepts)
+outside its range exits 1 with InvalidArgument; [m l] = accepted by
+mine / list)
 )";
 
 constexpr const char* kUsageSections = R"(
@@ -95,14 +87,6 @@ LIST
   list continues from the snapshot (byte-identical to never stopping);
   --session-save writes the grown session back. Search options
   (--beam-width, --max-depth, ...) shape the per-rule candidate search.
-
-OPTIMAL
-  One-shot provably-optimal location search (no session, no spread step):
-  best-first branch-and-bound with the tight univariate SI bound, parallel
-  across --threads workers. The result is the global optimum over the
-  description language up to --max-depth (default 2). --no-bound disables
-  pruning (pure best-first enumeration); --compare-beam also runs beam
-  search with the same search options and reports its optimality gap.
 
 RESUME
   Restores the snapshot and continues mining; results are byte-identical
@@ -155,11 +139,10 @@ std::string Usage() {
                        : std::string(type) + " " +
                              core::DescribeConfigRange(key) + ", default " +
                              core::DescribeConfigDefault(key);
-    text += StrFormat("  %-21s %.*s\n%24s%s  [%c %c %c]\n", flag.c_str(),
+    text += StrFormat("  %-21s %.*s\n%24s%s  [%c %c]\n", flag.c_str(),
                       int(key.help.size()), key.help.data(), "",
                       values.c_str(), (on & core::kCliMine) ? 'm' : '-',
-                      (on & core::kCliList) ? 'l' : '-',
-                      (on & core::kCliOptimal) ? 'o' : '-');
+                      (on & core::kCliList) ? 'l' : '-');
   }
   return text + kUsageSections;
 }
@@ -171,8 +154,7 @@ bool IsSwitch(const std::string& name) {
       return true;
     }
   }
-  return name == "--no-bound" || name == "--compare-beam" ||
-         name == "--help" || name == "-h";
+  return name == "--help" || name == "-h";
 }
 
 Result<Args> ParseArgs(int argc, char** argv) {
@@ -414,73 +396,6 @@ Status RunExport(const Args& args) {
   return Status::OK();
 }
 
-Status RunOptimal(const Args& args) {
-  SISD_ASSIGN_OR_RETURN(dataset, LoadDataset(args));
-  std::printf("dataset '%s': %zu rows, %zu descriptions, %zu targets\n",
-              dataset.name.c_str(), dataset.num_rows(),
-              dataset.num_descriptions(), dataset.num_targets());
-
-  core::MinerConfig defaults;
-  defaults.search.max_depth = 2;
-  SISD_ASSIGN_OR_RETURN(config, ConfigFromArgs(args, core::kCliOptimal,
-                                               std::move(defaults)));
-  search::OptimalConfig optimal = search::OptimalConfigFor(config.search);
-  optimal.use_bound = args.Find("--no-bound") == nullptr;
-
-  const search::ConditionPool pool = search::ConditionPool::Build(
-      dataset.descriptions, config.search.num_split_points,
-      config.search.include_exclusions);
-  SISD_ASSIGN_OR_RETURN(model, model::BackgroundModel::CreateFromData(
-                                   dataset.targets, config.prior_ridge));
-
-  using Clock = std::chrono::steady_clock;
-  const Clock::time_point start = Clock::now();
-  const search::OptimalResult result = search::OptimalLocationSearch(
-      dataset.descriptions, pool, model, dataset.targets, config.dl,
-      optimal);
-  const double seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
-  if (result.best.intention.empty()) {
-    return Status::NotFound(
-        "optimal search found no subgroup satisfying the constraints");
-  }
-  std::printf("optimal: %s (n=%zu, SI=%.6f)%s\n",
-              result.best.intention.ToString(dataset.descriptions).c_str(),
-              result.best.extension.count(), result.best.quality,
-              result.completed ? "" : "  [time budget hit: incumbent only]");
-  std::printf(
-      "searched %zu candidates, %zu nodes expanded, %zu pruned, bound=%s, "
-      "%.3fs (%.0f candidates/s)\n",
-      result.num_evaluated, result.num_expanded, result.num_pruned_nodes,
-      result.used_bound ? "univariate-si" : "off", seconds,
-      seconds > 0.0 ? double(result.num_evaluated) / seconds : 0.0);
-
-  if (args.Find("--compare-beam") != nullptr) {
-    search::SiLocationEvaluator evaluator(model, dataset.targets, config.dl);
-    const Clock::time_point beam_start = Clock::now();
-    const search::SearchResult beam_result = search::BeamSearch(
-        dataset.descriptions, pool, config.search, evaluator);
-    const double beam_seconds =
-        std::chrono::duration<double>(Clock::now() - beam_start).count();
-    if (beam_result.top.empty()) {
-      std::printf("beam:    found nothing under the same constraints\n");
-      return Status::OK();
-    }
-    const double beam_q = beam_result.best().quality;
-    const double gap =
-        result.best.quality > 0.0
-            ? (result.best.quality - beam_q) / result.best.quality * 100.0
-            : 0.0;
-    std::printf("beam:    %s (n=%zu, SI=%.6f), %.3fs\n",
-                beam_result.best().intention.ToString(dataset.descriptions)
-                    .c_str(),
-                beam_result.best().extension.count(), beam_q, beam_seconds);
-    std::printf("optimality gap: %.4f%% (optimal/beam wall-clock: %.2fx)\n",
-                gap, beam_seconds > 0.0 ? seconds / beam_seconds : 0.0);
-  }
-  return Status::OK();
-}
-
 Status RunList(const Args& args) {
   SISD_ASSIGN_OR_RETURN(rules, FlagInt(args, "--rules", 3));
   if (rules < 1) {
@@ -563,9 +478,6 @@ const Subcommand kSubcommands[] = {
     {"export", 0,
      {"--session", "--history", "--ranked", "--iteration", "--json"},
      RunExport},
-    {"optimal", core::kCliOptimal,
-     {"--csv", "--targets", "--scenario", "--no-bound", "--compare-beam"},
-     RunOptimal},
     {"list", core::kCliList,
      {"--csv", "--targets", "--scenario", "--session", "--rules",
       "--session-save"},
