@@ -1,6 +1,7 @@
 #include "core/session.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <utility>
 
@@ -340,6 +341,10 @@ Result<ScoredSpreadPattern> MiningSession::FindSpreadPattern(
   } else {
     optimum = optimize::MaximizeOnSphere(objective, config_.spread_optimizer);
   }
+  if (!std::isfinite(optimum.value)) {
+    return Status::NumericalError(
+        "no spread direction has a variance inside the IC's support");
+  }
 
   ScoredSpreadPattern out;
   out.pattern = pattern::SpreadPattern::Compute(subgroup, dataset_->targets,
@@ -347,6 +352,9 @@ Result<ScoredSpreadPattern> MiningSession::FindSpreadPattern(
   out.score = si::ScoreSpread(assimilator_.model(), subgroup.extension,
                               out.pattern.direction, out.pattern.variance,
                               subgroup.intention.size(), config_.dl);
+  if (!std::isfinite(out.score.ic)) {
+    return Status::NumericalError("spread pattern IC is not finite");
+  }
   return out;
 }
 

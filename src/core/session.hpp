@@ -316,7 +316,8 @@ class MiningSession {
       const pattern::Intention& intention) const;
 
   /// Finds the best spread direction for a given subgroup under the current
-  /// model (without assimilating anything).
+  /// model (without assimilating anything). Fails with `NumericalError`
+  /// when no direction is feasible or the reported IC is not finite.
   Result<ScoredSpreadPattern> FindSpreadPattern(
       const pattern::Subgroup& subgroup) const;
 

@@ -18,7 +18,9 @@ SphereOptimum AscendFrom(const SpreadObjective& objective,
   linalg::Vector w = start.Normalized();
   linalg::Vector gradient(w.size());
   double value = objective.ValueAndGradient(w, &gradient);
-  for (int iter = 0; iter < config.max_iterations; ++iter) {
+  // An infeasible start (value -inf) is not ascended from; it never wins.
+  for (int iter = 0; iter < config.max_iterations && std::isfinite(value);
+       ++iter) {
     // Riemannian gradient: project onto the tangent space at w.
     linalg::Vector riemannian = gradient;
     riemannian.AddScaled(w, -gradient.Dot(w));

@@ -45,7 +45,8 @@ struct SphereOptimum {
 /// Start points: the top/bottom eigenvectors of the *whitened* subgroup
 /// scatter (extreme observed-vs-expected variance-ratio directions, the
 /// natural suspects for surprising spread), plus random unit vectors.
-/// For 1-dimensional targets the answer is trivially `w = (1)`.
+/// For 1-dimensional targets the answer is trivially `w = (1)`. `value` is
+/// -inf when no start is feasible (`SpreadObjective::Value`).
 SphereOptimum MaximizeOnSphere(const SpreadObjective& objective,
                                const SphereOptimizerConfig& config);
 

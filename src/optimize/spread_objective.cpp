@@ -1,20 +1,12 @@
 #include "optimize/spread_objective.hpp"
 
-#include <cmath>
+#include <limits>
 
 #include "pattern/patterns.hpp"
+#include "stats/chi2_mixture.hpp"
 #include "stats/descriptive.hpp"
-#include "stats/special.hpp"
 
 namespace sisd::optimize {
-
-namespace {
-
-/// Observed standardized values below this are clamped so the objective
-/// stays differentiable; IC is astronomically large there anyway.
-constexpr double kMinStandardized = 1e-12;
-
-}  // namespace
 
 SpreadObjective::SpreadObjective(const model::BackgroundModel& model,
                                  const pattern::Extension& extension,
@@ -89,56 +81,29 @@ double SpreadObjective::Evaluate(const linalg::Vector& w,
     a2 += term.count * a * a;
     a3 += term.count * a * a * a;
   }
-  const double alpha = a3 / a2;
-  const double beta = a1 - a2 * a2 / a3;
-  const double m = (a2 * a2 * a2) / (a3 * a3);
+  const stats::Chi2MixtureApprox approx =
+      stats::FitChi2MixtureFromPowerSums(a1, a2, a3);
 
   const linalg::Vector scatter_w = scatter_.MatVec(w);
   const double g_val = w.Dot(scatter_w);
-
-  double u = (g_val - beta) / alpha;
-  const bool clamped = u < kMinStandardized;
-  if (clamped) u = kMinStandardized;
-
-  const double half_m = 0.5 * m;
-  const double ic = std::log(alpha) + half_m * std::log(2.0) +
-                    stats::LogGamma(half_m) -
-                    (half_m - 1.0) * std::log(u) + 0.5 * u;
-
+  // A direction outside the IC's support is infeasible.
+  if (!approx.InSupport(g_val)) {
+    if (gradient != nullptr) *gradient = linalg::Vector(dim());
+    return -std::numeric_limits<double>::infinity();
+  }
+  stats::Chi2MixtureApprox::Partials partials;
+  const double ic =
+      approx.NegLogPdf(g_val, gradient != nullptr ? &partials : nullptr);
   if (gradient == nullptr) return ic;
-
-  // dIC/du, and partials w.r.t. (g, alpha, beta, m).
-  const double dic_du = -(half_m - 1.0) / u + 0.5;
-  const double dic_dg = clamped ? 0.0 : dic_du / alpha;
-  const double dic_dbeta = clamped ? 0.0 : -dic_du / alpha;
-  const double dic_dalpha =
-      1.0 / alpha + (clamped ? 0.0 : dic_du * (-u / alpha));
-  const double dic_dm = 0.5 * std::log(2.0) +
-                        0.5 * stats::Digamma(half_m) - 0.5 * std::log(u);
-
-  // Chain through alpha(A2,A3), beta(A1,A2,A3), m(A2,A3).
-  const double dalpha_da2 = -a3 / (a2 * a2);
-  const double dalpha_da3 = 1.0 / a2;
-  const double dbeta_da1 = 1.0;
-  const double dbeta_da2 = -2.0 * a2 / a3;
-  const double dbeta_da3 = (a2 / a3) * (a2 / a3);
-  const double dm_da2 = 3.0 * a2 * a2 / (a3 * a3);
-  const double dm_da3 = -2.0 * (a2 * a2 * a2) / (a3 * a3 * a3);
-
-  const double dic_da1 = dic_dbeta * dbeta_da1;
-  const double dic_da2 = dic_dalpha * dalpha_da2 + dic_dbeta * dbeta_da2 +
-                         dic_dm * dm_da2;
-  const double dic_da3 = dic_dalpha * dalpha_da3 + dic_dbeta * dbeta_da3 +
-                         dic_dm * dm_da3;
 
   linalg::Vector grad(dim());
   // dg/dw = 2 S w.
-  grad.AddScaled(scatter_w, 2.0 * dic_dg);
+  grad.AddScaled(scatter_w, 2.0 * partials.g);
   // dA_k/dw = sum_g count_g * k * a_g^{k-1} * (2 Sigma_g w / |I|).
   for (size_t gi = 0; gi < groups_.size(); ++gi) {
     const double a = a_of_group[gi];
     const double coeff =
-        dic_da1 + dic_da2 * 2.0 * a + dic_da3 * 3.0 * a * a;
+        partials.a1 + partials.a2 * 2.0 * a + partials.a3 * 3.0 * a * a;
     grad.AddScaled(sigma_w[gi], coeff * 2.0 * groups_[gi].count / size_);
   }
   *gradient = std::move(grad);

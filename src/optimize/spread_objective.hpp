@@ -8,9 +8,9 @@
 /// where `S` is the subgroup's empirical scatter and the density is the
 /// Zhang surrogate fitted to the model coefficients `a_g = w'Sigma_g w/|I|`.
 /// The paper's authors "computed the gradient analytically (details
-/// omitted)"; the full derivation lives here (see docs/ARCHITECTURE.md,
-/// "Deviations from the paper") and is verified against finite
-/// differences in tests/optimize/.
+/// omitted)": `stats::Chi2MixtureApprox::NegLogPdf` gives the IC's partials,
+/// chained here through dg/dw and dA_k/dw (see docs/ARCHITECTURE.md,
+/// "Deviations from the paper"); tests/optimize/ checks them.
 
 #ifndef SISD_OPTIMIZE_SPREAD_OBJECTIVE_HPP_
 #define SISD_OPTIMIZE_SPREAD_OBJECTIVE_HPP_
@@ -48,10 +48,10 @@ class SpreadObjective {
   /// seed the optimizer with extreme variance-ratio directions).
   const linalg::Matrix& mixture_covariance() const { return mixture_cov_; }
 
-  /// IC at unit direction `w`.
+  /// IC at unit direction `w`; -inf where `w` is infeasible (`InSupport`).
   double Value(const linalg::Vector& w) const;
 
-  /// IC and Euclidean gradient at unit direction `w`.
+  /// IC and Euclidean gradient (zero where infeasible) at unit `w`.
   double ValueAndGradient(const linalg::Vector& w,
                           linalg::Vector* gradient) const;
 

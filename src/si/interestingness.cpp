@@ -66,9 +66,7 @@ stats::Chi2MixtureApprox FitSpreadSurrogate(
 double SpreadIC(const model::BackgroundModel& model,
                 const pattern::Extension& extension, const linalg::Vector& w,
                 double empirical_variance) {
-  const stats::Chi2MixtureApprox approx =
-      FitSpreadSurrogate(model, extension, w);
-  return approx.NegLogPdf(empirical_variance);
+  return FitSpreadSurrogate(model, extension, w).NegLogPdf(empirical_variance);
 }
 
 linalg::Vector PerAttributeLocationIC(const model::BackgroundModel& model,

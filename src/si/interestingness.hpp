@@ -70,7 +70,7 @@ LocationScore ScoreLocation(const model::BackgroundModel& model,
                             const DescriptionLengthParams& params);
 
 /// \brief IC of a spread pattern along unit `w`, with observed variance
-/// `empirical_variance` and anchor `anchor` (the subgroup's empirical mean).
+/// `empirical_variance`; +inf below the surrogate's support edge.
 ///
 /// Under the model the statistic is a weighted sum of chi-square(1)
 /// variables with weights `a_i = w' Sigma_i w / |I|`; the density is

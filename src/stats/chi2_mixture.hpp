@@ -41,17 +41,24 @@ struct Chi2MixtureApprox {
   /// Third central moment of the surrogate (`8*alpha^3*m` = 8*A3 exactly).
   double ThirdCentralMoment() const { return 8.0 * alpha * alpha * alpha * m; }
 
-  /// Negative log density of the surrogate at `g`.
+  /// The IC is defined for `u = (g - beta) / alpha >= kSupportEdge` only:
+  /// towards u = 0 its `log u` term runs off (docs/ARCHITECTURE.md, "Eq. 19
+  /// support edge"), so a spread direction below the edge is infeasible.
+  static constexpr double kSupportEdge = 1e-12;
+  bool InSupport(double g) const;
+
+  /// Partials of `NegLogPdf(g)` in `g` and in the power sums `A1..A3`.
+  struct Partials { double g = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0; };
+
+  /// Negative log density of the surrogate at `g`, and its partials when
+  /// `partials` is non-null. +inf when `!InSupport(g)`.
   ///
   /// This is the spread-pattern Information Content (Eq. 19) up to the
-  /// pattern bookkeeping. Returns +inf when `g <= beta` (outside support).
+  /// pattern bookkeeping, for both the reported score and the optimizer.
   /// Note the paper prints "+ alpha" where the affine change of variables
   /// actually contributes "+ log(alpha)"; we implement the correct form
   /// (see docs/ARCHITECTURE.md, "Deviations from the paper").
-  double NegLogPdf(double g) const;
-
-  /// Log density (`-NegLogPdf`), -inf outside support.
-  double LogPdf(double g) const;
+  double NegLogPdf(double g, Partials* partials = nullptr) const;
 
   /// CDF of the surrogate at `g` via the regularized incomplete gamma.
   double Cdf(double g) const;

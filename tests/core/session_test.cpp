@@ -154,5 +154,43 @@ TEST(MiningSessionTest, HalfSetPriorSnapshotIsRejected) {
   EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
 }
 
+TEST(MiningSessionTest, InfeasibleSpreadDirectionRecordsSpreadError) {
+  // dy = 1: the subgroup g = 'a' has one direction, w = (1), and its
+  // targets are constant, so the observed variance lies below the IC's
+  // support edge. The iteration keeps its location pattern and records the
+  // reason; the snapshot replays it.
+  data::Dataset dataset;
+  dataset.name = "flat";
+  dataset.target_names = {"y"};
+  dataset.targets = linalg::Matrix(30, 1);
+  std::vector<int32_t> codes(30);
+  for (size_t i = 0; i < 30; ++i) {
+    codes[i] = i < 10 ? 0 : 1;
+    dataset.targets(i, 0) = i < 10 ? 4.0 : double((5 * i) % 7);
+  }
+  ASSERT_TRUE(dataset.descriptions
+                  .AddColumn(data::Column::Categorical("g", codes,
+                                                       {"a", "b"}))
+                  .ok());
+  Result<MiningSession> session =
+      MiningSession::Create(std::move(dataset), FastConfig());
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  Result<IterationResult> iteration = session.Value().AssimilateIntention(
+      pattern::Intention({pattern::Condition::Equals(0, 0)}));
+  ASSERT_TRUE(iteration.ok()) << iteration.status().ToString();
+  EXPECT_FALSE(iteration.Value().spread.has_value());
+  EXPECT_NE(iteration.Value().spread_error.find("support"),
+            std::string::npos)
+      << iteration.Value().spread_error;
+  EXPECT_EQ(session.Value().assimilator().num_constraints(), 1u);
+
+  const std::string saved = session.Value().SaveToString();
+  Result<MiningSession> restored = MiningSession::RestoreFromString(saved);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(restored.Value().history()[0].spread_error,
+            iteration.Value().spread_error);
+  EXPECT_EQ(restored.Value().SaveToString(), saved);
+}
+
 }  // namespace
 }  // namespace sisd::core

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,12 +17,48 @@
 #include "datagen/crime.hpp"
 #include "datagen/gse.hpp"
 #include "datagen/mammals.hpp"
+#include "datagen/scenarios.hpp"
 #include "datagen/synthetic.hpp"
 #include "datagen/water.hpp"
 #include "si/interestingness.hpp"
 
 namespace sisd {
 namespace {
+
+/// Mines `iterations` iterations of `scenario` at paper defaults (what
+/// `sisd_cli mine --scenario S` runs). Every iteration reports either a
+/// spread pattern with finite IC and SI or the `spread_error` that kept it
+/// location-only: a spread direction is chosen only inside the IC's
+/// support, and a reported score is never infinite.
+void ExpectFiniteSpreadScores(const std::string& scenario, int iterations) {
+  Result<data::Dataset> dataset = datagen::MakeScenarioDataset(scenario);
+  ASSERT_TRUE(dataset.ok()) << dataset.status().ToString();
+  Result<core::MiningSession> session = core::MiningSession::Create(
+      std::move(dataset).MoveValue(), core::MinerConfig{});
+  ASSERT_TRUE(session.ok()) << session.status().ToString();
+  for (int i = 1; i <= iterations; ++i) {
+    Result<core::IterationResult> result = session.Value().MineNext();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const core::IterationResult& iteration = result.Value();
+    if (iteration.spread.has_value()) {
+      EXPECT_TRUE(std::isfinite(iteration.spread->score.ic))
+          << scenario << " iteration " << i;
+      EXPECT_TRUE(std::isfinite(iteration.spread->score.si))
+          << scenario << " iteration " << i;
+    } else {
+      EXPECT_FALSE(iteration.spread_error.empty())
+          << scenario << " iteration " << i;
+    }
+  }
+}
+
+TEST(MammalsCaseStudyTest, PaperDefaultSpreadScoresAreFinite) {
+  ExpectFiniteSpreadScores("mammals", 3);
+}
+
+TEST(GseCaseStudyTest, PaperDefaultSpreadScoresAreFinite) {
+  ExpectFiniteSpreadScores("gse", 10);
+}
 
 TEST(CrimeCaseStudyTest, TopPatternIsTheDriverUpperTail) {
   const datagen::CrimeData data = datagen::MakeCrimeLike();

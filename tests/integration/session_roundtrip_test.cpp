@@ -311,9 +311,10 @@ TEST(SessionRoundTripTest, VersionOneDerivedFieldsMustMatchTheReplay) {
 }
 
 TEST(SessionRoundTripTest, FailedSpreadStepReplaysExactly) {
-  // Group 'a' holds two values 1e-13 apart, so its spread update rounds
-  // the covariance to 0 and fails: the iteration is recorded location-only
-  // with a `spread_error`, and the replay assimilates no spread for it.
+  // Group 'a' holds two values 1e-13 apart, so its variance lies below the
+  // spread IC's support edge and the spread step fails: the iteration is
+  // recorded location-only with a `spread_error`, and the replay
+  // assimilates no spread for it.
   data::Dataset dataset;
   dataset.name = "degenerate";
   dataset.target_names = {"y"};

@@ -1,6 +1,7 @@
 #include "optimize/sphere_optimizer.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -102,6 +103,24 @@ TEST(SphereOptimizerTest, DeterministicForFixedSeed) {
   const SphereOptimum b = MaximizeOnSphere(objective, config);
   EXPECT_EQ(a.value, b.value);
   EXPECT_EQ(a.direction, b.direction);
+}
+
+TEST(SphereOptimizerTest, NoFeasibleDirectionIsNotAscended) {
+  // Identical rows: every direction has zero observed variance, below the
+  // IC's support edge, so no start is ascended and nothing is found.
+  Scenario s = MakePlantedScenario(40, 3, 1.0, 9);
+  for (size_t i = 0; i < 20; ++i) s.y.SetRow(i, Vector{0.3, -0.1, 0.2});
+  SpreadObjective objective(s.model, s.ext, s.y);
+  const double minus_inf = -std::numeric_limits<double>::infinity();
+  const SphereOptimum dense =
+      MaximizeOnSphere(objective, SphereOptimizerConfig{});
+  EXPECT_EQ(dense.value, minus_inf);
+  EXPECT_EQ(dense.iterations, 0);
+  EXPECT_GT(dense.starts, 0);
+  EXPECT_EQ(dense.direction.size(), 0u);
+  const SphereOptimum sparse = MaximizePairSparse(objective, nullptr);
+  EXPECT_EQ(sparse.value, minus_inf);
+  EXPECT_EQ(sparse.direction.size(), 0u);
 }
 
 TEST(PairSparseTest, FindsPlantedPair) {

@@ -1,6 +1,7 @@
 #include "optimize/spread_objective.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -53,8 +54,32 @@ TEST(SpreadObjectiveTest, ValueMatchesSiModuleIc) {
     const Vector w = rng.UnitSphere(d);
     const double observed = objective.ObservedVariance(w);
     const double expected_ic = si::SpreadIC(model, ext, w, observed);
-    EXPECT_NEAR(objective.Value(w), expected_ic, 1e-10) << "rep " << rep;
+    // One Eq. 19 over the same power sums: bit-identical.
+    EXPECT_EQ(objective.Value(w), expected_ic) << "rep " << rep;
   }
+}
+
+TEST(SpreadObjectiveTest, DirectionBelowTheSupportEdgeIsInfeasible) {
+  const size_t n = 30, d = 2;
+  const BackgroundModel model = MakeModel(n, d, 16);
+  // A zero observed variance has u = -beta / alpha, with beta zero up to
+  // rounding for one parameter group: below the edge whatever its sign.
+  Matrix y = MakeData(n, d, 17);
+  std::vector<size_t> rows;
+  for (size_t i = 0; i < 10; ++i) {
+    rows.push_back(i);
+    y(i, 0) = 1.5;  // no spread along the first axis
+  }
+  SpreadObjective objective(model, Extension::FromRows(n, rows), y);
+
+  const Vector flat{1.0, 0.0};
+  EXPECT_EQ(objective.ObservedVariance(flat), 0.0);
+  const double minus_inf = -std::numeric_limits<double>::infinity();
+  EXPECT_EQ(objective.Value(flat), minus_inf);
+  Vector gradient{7.0, 7.0};
+  EXPECT_EQ(objective.ValueAndGradient(flat, &gradient), minus_inf);
+  EXPECT_EQ(gradient, Vector(d));
+  EXPECT_TRUE(std::isfinite(objective.Value(Vector{0.0, 1.0})));
 }
 
 TEST(SpreadObjectiveTest, ObservedVarianceMatchesPatternStatistic) {

@@ -628,9 +628,12 @@ TEST(HostileInputTest, CliRejectsAnOutOfRangeAttribute) {
 #endif
 
 TEST(HostileInputTest, DegenerateSpreadIsRecordedNotAssimilated) {
-  // Group 'a' holds two values 1e-13 apart, so its spread pattern asks for
-  // a variance of about 2.5e-27. Eq. (11) rounds the group's covariance to
-  // 0: that used to be assimilated and abort the next mine.
+  // Group 'a' holds two values 1e-13 apart, so its spread pattern would
+  // ask for a variance of about 2.5e-27. Eq. (11) rounds the group's
+  // covariance to 0 there: that used to be assimilated and abort the next
+  // mine. Such a variance lies below the spread IC's support edge, so the
+  // spread step finds no feasible direction and assimilates nothing (the
+  // model's own SPD check is covered by background_model_test).
   std::string csv = "g,y\n";
   for (int i = 0; i < 10; ++i) {
     csv += i % 2 == 0 ? "a,10\n" : "a,10.000000000000099\n";
@@ -665,7 +668,7 @@ TEST(HostileInputTest, DegenerateSpreadIsRecordedNotAssimilated) {
   EXPECT_EQ(first.Find("spread"), nullptr);
   ASSERT_NE(first.Find("spread_error"), nullptr);
   EXPECT_NE(first.Find("spread_error")->GetString().Value().find(
-                "not SPD"),
+                "support"),
             std::string::npos);
 }
 

@@ -64,7 +64,52 @@ TEST(Chi2MixtureTest, NegLogPdfInfiniteOutsideSupport) {
   EXPECT_GT(approx.beta, 0.0);
   EXPECT_TRUE(std::isinf(approx.NegLogPdf(approx.beta)));
   EXPECT_TRUE(std::isinf(approx.NegLogPdf(approx.beta - 1.0)));
-  EXPECT_TRUE(std::isinf(-approx.LogPdf(approx.beta - 1.0)));
+}
+
+TEST(Chi2MixtureTest, SupportEdgeIsTheStandardizedFloor) {
+  // The IC is defined from u = (g - beta) / alpha = kSupportEdge on; just
+  // below it NegLogPdf is +inf, just above it finite.
+  const Chi2MixtureApprox approx = FitChi2Mixture({1.0, 2.0, 3.0});
+  const double edge = Chi2MixtureApprox::kSupportEdge;
+  const double above = approx.beta + 1.01 * edge * approx.alpha;
+  const double below = approx.beta + 0.99 * edge * approx.alpha;
+  EXPECT_TRUE(approx.InSupport(above));
+  EXPECT_TRUE(std::isfinite(approx.NegLogPdf(above)));
+  EXPECT_FALSE(approx.InSupport(below));
+  EXPECT_TRUE(std::isinf(approx.NegLogPdf(below)));
+  EXPECT_FALSE(approx.InSupport(std::nan("")));
+}
+
+TEST(Chi2MixtureTest, PartialsMatchFiniteDifferencesNearTheEdge) {
+  // IC as a function of (g, A1, A2, A3): refit and evaluate. Steps are a
+  // small fraction of alpha * u so every probe stays inside the support.
+  const std::vector<double> a{0.5, 1.0, 1.5, 0.7, 0.9, 1.2};
+  const Chi2MixtureApprox base = FitChi2Mixture(a);
+  auto ic = [](double g, double a1, double a2, double a3) {
+    return FitChi2MixtureFromPowerSums(a1, a2, a3).NegLogPdf(g);
+  };
+  for (double u : {1e-8, 1e-4, 1.0}) {
+    const double g = base.beta + u * base.alpha;
+    Chi2MixtureApprox::Partials partials;
+    const double value = base.NegLogPdf(g, &partials);
+    ASSERT_TRUE(std::isfinite(value)) << "u=" << u;
+    EXPECT_EQ(value, base.NegLogPdf(g));
+    const double h = 1e-3 * u * base.alpha;
+    const double x[4] = {g, base.a1, base.a2, base.a3};
+    const double analytic[4] = {partials.g, partials.a1, partials.a2,
+                                partials.a3};
+    for (int k = 0; k < 4; ++k) {
+      double plus[4] = {x[0], x[1], x[2], x[3]};
+      double minus[4] = {x[0], x[1], x[2], x[3]};
+      plus[k] += h;
+      minus[k] -= h;
+      const double numeric = (ic(plus[0], plus[1], plus[2], plus[3]) -
+                              ic(minus[0], minus[1], minus[2], minus[3])) /
+                             (2.0 * h);
+      EXPECT_NEAR(analytic[k], numeric, 1e-4 * std::fabs(numeric))
+          << "u=" << u << " partial " << k;
+    }
+  }
 }
 
 TEST(Chi2MixtureTest, CdfIsMonotoneAndNormalized) {
